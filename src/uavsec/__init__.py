@@ -7,7 +7,6 @@ from .model import (
     PowerProfile,
     RunResult,
     ScenarioConfig,
-    SlackState,
     Trajectory,
     aesr,
     baseline_scenario,
@@ -27,7 +26,6 @@ __all__ = [
     "PowerProfile",
     "RunResult",
     "ScenarioConfig",
-    "SlackState",
     "Trajectory",
     "aesr",
     "baseline_scenario",

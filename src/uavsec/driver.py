@@ -31,13 +31,12 @@ from .model import (
     ScenarioConfig,
     Trajectory,
 )
-from .solver import SolverSettings, solve
+from .solver import solve
 from .surrogate import (
-    Z_MIN,
-    ExpansionPoint,
     build_power_subproblem,
     build_trajectory_subproblem,
     expansion_from,
+    next_expansion,
     slack_rate_objective,
 )
 
@@ -72,10 +71,6 @@ def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
     return Trajectory(points=pts)
 
 
-def _floor_z(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, Z_MIN)
-
-
 def _take_better(prog, x: np.ndarray) -> np.ndarray:
     """Keep the solver iterate unless the embedded reference scores higher."""
     if prog.reference is None:
@@ -90,12 +85,9 @@ def _alternating_run(
     cfg_eval: ScenarioConfig,
     scheme: SchemeId,
     optimize_trajectory: bool,
-    settings: Optional[SolverSettings] = None,
 ) -> RunResult:
     """Core alternating loop; cfg_opt drives the subproblems, cfg_eval the
     reported AESR of the final design."""
-    if settings is None:
-        settings = SolverSettings()
     n = cfg_opt.N
     traj = line_segment_trajectory(cfg_opt)
     pw = PowerProfile(p=np.full(n, cfg_opt.P_bar))
@@ -110,38 +102,21 @@ def _alternating_run(
     for r in range(1, cfg_opt.max_iter + 1):
         if optimize_trajectory:
             prog_q = build_trajectory_subproblem(ep, pw, cfg_opt)
-            sol = solve(prog_q, settings)
+            sol = solve(prog_q)
             if sol.status == "numerical-failure":
                 failed = True
                 break
-            x = _take_better(prog_q, sol.x)
-            lay = prog_q.layout
-            traj = Trajectory(points=x[lay["q"]].reshape(n, 2))
-            ep = ExpansionPoint(
-                q_hat=traj.points,
-                p_hat=ep.p_hat,
-                u_hat_b=x[lay["u_b"]] if "u_b" in lay else ep.u_hat_b,
-                u_hat_e=x[lay["u_e"]],
-                z_hat_b=_floor_z(x[lay["z_b"]]) if "z_b" in lay else ep.z_hat_b,
-                z_hat_e=_floor_z(x[lay["z_e"]]) if "z_e" in lay else ep.z_hat_e,
-            )
+            ep = next_expansion(prog_q, _take_better(prog_q, sol.x), ep)
+            traj = Trajectory(points=ep.q_hat)
 
         prog_p = build_power_subproblem(traj, ep, cfg_opt)
-        sol = solve(prog_p, settings)
+        sol = solve(prog_p)
         if sol.status == "numerical-failure":
             failed = True
             break
         x = _take_better(prog_p, sol.x)
-        lay = prog_p.layout
-        pw = PowerProfile(p=x[lay["p"]])
-        ep = ExpansionPoint(
-            q_hat=ep.q_hat,
-            p_hat=pw.p,
-            u_hat_b=x[lay["u_b"]] if "u_b" in lay else ep.u_hat_b,
-            u_hat_e=x[lay["u_e"]],
-            z_hat_b=_floor_z(x[lay["z_b"]]) if "z_b" in lay else ep.z_hat_b,
-            z_hat_e=_floor_z(x[lay["z_e"]]) if "z_e" in lay else ep.z_hat_e,
-        )
+        ep = next_expansion(prog_p, x, ep)
+        pw = PowerProfile(p=ep.p_hat)
 
         j_r = prog_p.objective_value(x)
         frac = (j_r - j_prev) / max(abs(j_prev), 1e-12)
@@ -167,21 +142,21 @@ def _alternating_run(
     )
 
 
-def run_jtpo(cfg: ScenarioConfig, settings: Optional[SolverSettings] = None) -> RunResult:
+def run_jtpo(cfg: ScenarioConfig) -> RunResult:
     """Alternate trajectory and power subproblems until tau-convergence."""
-    return _alternating_run(cfg, cfg, SchemeId.JTPO, True, settings)
+    return _alternating_run(cfg, cfg, SchemeId.JTPO, True)
 
 
-def run_poft(cfg: ScenarioConfig, settings: Optional[SolverSettings] = None) -> RunResult:
+def run_poft(cfg: ScenarioConfig) -> RunResult:
     """Optimize power only, on the fixed straight-segment trajectory."""
-    return _alternating_run(cfg, cfg, SchemeId.POFT, False, settings)
+    return _alternating_run(cfg, cfg, SchemeId.POFT, False)
 
 
-def run_ftp_inf(cfg: ScenarioConfig, settings: Optional[SolverSettings] = None) -> RunResult:
+def run_ftp_inf(cfg: ScenarioConfig) -> RunResult:
     """Optimize trajectory and power in the long-packet limit, then report
     the design's AESR under the scenario's actual blocklength."""
     cfg_inf = replace(cfg, L=math.inf)
-    return _alternating_run(cfg_inf, cfg, SchemeId.FTP_INF, True, settings)
+    return _alternating_run(cfg_inf, cfg, SchemeId.FTP_INF, True)
 
 
 _RUNNERS = {
@@ -191,9 +166,8 @@ _RUNNERS = {
 }
 
 
-def run_scheme(cfg: ScenarioConfig, scheme: SchemeId,
-               settings: Optional[SolverSettings] = None) -> RunResult:
-    return _RUNNERS[scheme](cfg, settings)
+def run_scheme(cfg: ScenarioConfig, scheme: SchemeId) -> RunResult:
+    return _RUNNERS[scheme](cfg)
 
 
 def derive_config(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
@@ -209,8 +183,7 @@ def derive_config(cfg: ScenarioConfig, parameter: str, value: float) -> Scenario
     raise ValueError(f"unknown sweep parameter {parameter!r} (expected 'T' or 'L')")
 
 
-def sweep(cfg: ScenarioConfig, parameter: str, values,
-          settings: Optional[SolverSettings] = None) -> list:
+def sweep(cfg: ScenarioConfig, parameter: str, values) -> list:
     """Run all three schemes for each parameter value.
 
     Rows come back grouped by value in input order, schemes in the fixed
@@ -230,7 +203,7 @@ def sweep(cfg: ScenarioConfig, parameter: str, values,
                 out.append(SweepEntry(scheme, parameter, float(value), math.nan, err))
                 continue
             try:
-                result = run_scheme(cfg_v, scheme, settings)
+                result = run_scheme(cfg_v, scheme)
             except ValueError as exc:
                 out.append(SweepEntry(scheme, parameter, float(value), math.nan, str(exc)))
                 continue

@@ -230,19 +230,6 @@ class PowerProfile:
         return self.p.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class SlackState:
-    """Per-slot slack values: SNR upper bounds ``u``, dispersion roots ``z``,
-    and (in the trajectory subproblem) squared-distance lower bounds ``l``."""
-
-    u_b: np.ndarray
-    u_e: np.ndarray
-    z_b: np.ndarray
-    z_e: np.ndarray
-    l_b: Optional[np.ndarray] = None
-    l_e: Optional[np.ndarray] = None
-
-
 class IterationRecord(NamedTuple):
     index: int
     surrogate: float       # optimal value of the last solved subproblem (BPCU)

@@ -3,10 +3,10 @@
 A primal log-barrier method: damped Newton with backtracking line search
 maximizes t*objective + sum(log slack) for a geometrically increasing
 barrier weight t, starting from the strictly feasible point bundled with
-the program. Norm rows use the barrier -log((g.x+h)^2 - |Ax+d|^2) and
+the program. Speed rows use the barrier -log(h^2 - |x_j - x_i|^2) and
 hyperbolic rows -log(x_i x_j - k); both count with degree 2 toward the
 total barrier degree m, linear rows and finite box bounds with degree 1.
-The outer loop stops once the certified gap m/t falls below ``gap_tol``.
+The outer loop stops once the certified gap m/t falls below ``_GAP_TOL``.
 
 Fixed coordinates are held exactly by restricting Newton steps to the free
 coordinates. Everything is deterministic: identical inputs produce
@@ -26,30 +26,12 @@ from .surrogate import StructuredConvexProgram
 
 _MAX_BACKTRACKS = 60
 _REG_ESCALATIONS = 9
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Barrier-Newton parameters.
-
-    ``t0 = None`` picks the initial barrier weight so that the first
-    centering's certified gap matches the objective scale at the start.
-    """
-
-    mu: float = 10.0                 # barrier weight multiplier per stage
-    t0: Optional[float] = None
-    gap_tol: float = 1e-8            # stop once m/t falls below this
-    newton_tol: float = 1e-10        # half squared Newton decrement
-    max_newton_per_stage: int = 60
-    armijo: float = 0.25             # sufficient-increase fraction
-    backtrack: float = 0.5           # step shrink factor
-
-    def __post_init__(self):
-        if self.mu <= 1.0:
-            raise ValueError(f"mu must exceed 1, got {self.mu}")
-        for name in ("gap_tol", "newton_tol", "armijo", "backtrack"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+_MU = 10.0                  # barrier weight multiplier per stage
+_GAP_TOL = 1e-8             # stop once the certified gap m/t falls below this
+_NEWTON_TOL = 1e-10         # half squared Newton decrement
+_MAX_NEWTON_PER_STAGE = 60
+_ARMIJO = 0.25              # sufficient-increase fraction
+_BACKTRACK = 0.5            # step shrink factor
 
 
 @dataclass(eq=False)
@@ -67,140 +49,99 @@ class _Work:
 
     def __init__(self, prog: StructuredConvexProgram):
         self.prog = prog
-        n = prog.n
-        self.n = n
+        self.n = prog.n
         self.lo_idx = np.nonzero(np.isfinite(prog.lb))[0]
         self.lo_val = prog.lb[self.lo_idx]
         self.hi_idx = np.nonzero(np.isfinite(prog.ub))[0]
         self.hi_val = prog.ub[self.hi_idx]
-        self.has_lin = prog.lin_b.size > 0
-        if self.has_lin:
-            self.A = prog.lin_A.tocsr()
-            self.AT = self.A.T.tocsr()
-            self.b = prog.lin_b
-        self.norm_pre = []
-        for r in prog.norm_rows:
-            hess_psi = 2.0 * np.outer(r.g, r.g) - 2.0 * r.A.T @ r.A
-            self.norm_pre.append((r.idx, r.A, r.d, r.g, r.h, hess_psi))
-        self.hy_i = prog.hyper_i
-        self.hy_j = prog.hyper_j
-        self.hy_k = prog.hyper_k
-        self.free = np.ones(n, dtype=bool)
+        self.A = prog.lin_A.tocsr()
+        self.AT = self.A.T.tocsr()
+        # coordinates (x[i], x[j]) of every speed row, and the constant
+        # Hessian -2 A^T A of h^2 - |x[j] - x[i]|^2, with A = [-I I]
+        self.sp_idx = np.concatenate([prog.speed_i, prog.speed_j], axis=1)
+        self.sp_h2 = prog.speed_h * prog.speed_h
+        eye = np.eye(2)
+        self.sp_hess = -2.0 * np.block([[eye, -eye], [-eye, eye]])
+        self.free = np.ones(self.n, dtype=bool)
         self.free[prog.fixed_idx] = False
         self.nu = (
-            self.lo_idx.size + self.hi_idx.size
-            + (prog.lin_b.size if self.has_lin else 0)
-            + 2 * len(prog.norm_rows) + 2 * self.hy_i.size
+            self.lo_idx.size + self.hi_idx.size + prog.lin_b.size
+            + 2 * prog.speed_h.size + 2 * prog.hyper_k.size
         )
-
-    # -- objective ---------------------------------------------------------
 
     def objective(self, x: np.ndarray) -> float:
         return self.prog.objective_value(x)
 
-    def _log_slacks(self, x: np.ndarray) -> Optional[float]:
-        """Sum of log slacks, or None if x is not strictly feasible."""
-        total = 0.0
-        if self.lo_idx.size:
-            s = x[self.lo_idx] - self.lo_val
-            if np.any(s <= 0.0):
-                return None
-            total += float(np.sum(np.log(s)))
-        if self.hi_idx.size:
-            s = self.hi_val - x[self.hi_idx]
-            if np.any(s <= 0.0):
-                return None
-            total += float(np.sum(np.log(s)))
-        if self.has_lin:
-            s = self.b - self.A @ x
-            if np.any(s <= 0.0):
-                return None
-            total += float(np.sum(np.log(s)))
-        for idx, A, d, g, h, _ in self.norm_pre:
-            xs = x[idx]
-            w = float(g @ xs) + h
-            if w <= 0.0:
-                return None
-            y = A @ xs + d
-            psi = w * w - float(y @ y)
-            if psi <= 0.0:
-                return None
-            total += math.log(psi)
-        if self.hy_i.size:
-            psi = x[self.hy_i] * x[self.hy_j] - self.hy_k
-            if np.any(psi <= 0.0):
-                return None
-            total += float(np.sum(np.log(psi)))
-        return total
+    def _slacks(self, x: np.ndarray):
+        """Speed-row differences x[j] - x[i] and the slack of every barrier
+        family: lower boxes, upper boxes, linear, speed, hyperbolic rows."""
+        prog = self.prog
+        y = x[prog.speed_j] - x[prog.speed_i]
+        return y, (
+            x[self.lo_idx] - self.lo_val,
+            self.hi_val - x[self.hi_idx],
+            prog.lin_b - self.A @ x,
+            self.sp_h2 - np.sum(y * y, axis=1),
+            x[prog.hyper_i] * x[prog.hyper_j] - prog.hyper_k,
+        )
 
-    def phi(self, x: np.ndarray, t: float, fref: float) -> Optional[float]:
-        """Shifted barrier objective t*(F - fref) + log slacks, or None."""
-        logs = self._log_slacks(x)
-        if logs is None:
+    def _phi(self, x: np.ndarray, t: float, fref: float, slacks) -> Optional[float]:
+        s = np.concatenate(slacks)
+        if np.any(s <= 0.0):
             return None
         f = self.objective(x)
         if not math.isfinite(f):
             return None
-        return t * (f - fref) + logs
+        return t * (f - fref) + float(np.sum(np.log(s)))
+
+    def phi(self, x: np.ndarray, t: float, fref: float) -> Optional[float]:
+        """Shifted barrier objective t*(F - fref) + log slacks, or None if x
+        is not strictly feasible."""
+        return self._phi(x, t, fref, self._slacks(x)[1])
 
     def assemble(self, x: np.ndarray, t: float, fref: float):
         """Value, gradient, and Hessian of the shifted barrier objective."""
         prog = self.prog
-        n = self.n
-        g = t * prog.c.copy()
-        H = np.zeros((n, n))
-        f = prog.constant + float(prog.c @ x)
-        for term in prog.log_terms:
-            arg = term.offset + float(term.coef @ x[term.idx])
-            f += term.alpha * math.log(arg)
-            g[term.idx] += t * term.alpha * term.coef / arg
-            H[np.ix_(term.idx, term.idx)] -= (
-                t * term.alpha * np.outer(term.coef, term.coef) / (arg * arg)
-            )
-        for term in prog.quad_terms:
-            diff = x[term.idx] - term.center
-            f -= term.beta * float(diff @ diff)
-            g[term.idx] -= 2.0 * t * term.beta * diff
-            H[term.idx, term.idx] -= 2.0 * t * term.beta
-        phi = t * (f - fref)
+        y, slacks = self._slacks(x)
+        s_lo, s_hi, s_lin, s_sp, s_hy = slacks
+        phi = self._phi(x, t, fref, slacks)
+        g = t * prog.c
+        H = np.zeros((self.n, self.n))
 
-        if self.lo_idx.size:
-            s = x[self.lo_idx] - self.lo_val
-            phi += float(np.sum(np.log(s)))
-            g[self.lo_idx] += 1.0 / s
-            H[self.lo_idx, self.lo_idx] -= 1.0 / (s * s)
-        if self.hi_idx.size:
-            s = self.hi_val - x[self.hi_idx]
-            phi += float(np.sum(np.log(s)))
-            g[self.hi_idx] -= 1.0 / s
-            H[self.hi_idx, self.hi_idx] -= 1.0 / (s * s)
-        if self.has_lin:
-            s = self.b - self.A @ x
-            phi += float(np.sum(np.log(s)))
-            g -= self.AT @ (1.0 / s)
-            H -= (self.AT @ self.A.multiply((1.0 / (s * s))[:, None])).toarray()
-        for idx, A, d, gv, h, hess_psi in self.norm_pre:
-            xs = x[idx]
-            w = float(gv @ xs) + h
-            y = A @ xs + d
-            psi = w * w - float(y @ y)
-            phi += math.log(psi)
-            grad_psi = 2.0 * w * gv - 2.0 * (A.T @ y)
-            g[idx] += grad_psi / psi
-            H[np.ix_(idx, idx)] += hess_psi / psi - np.outer(grad_psi, grad_psi) / (psi * psi)
-        if self.hy_i.size:
-            xi = x[self.hy_i]
-            xj = x[self.hy_j]
-            psi = xi * xj - self.hy_k
-            phi += float(np.sum(np.log(psi)))
-            np.add.at(g, self.hy_i, xj / psi)
-            np.add.at(g, self.hy_j, xi / psi)
-            psi2 = psi * psi
-            np.add.at(H, (self.hy_i, self.hy_i), -(xj * xj) / psi2)
-            np.add.at(H, (self.hy_j, self.hy_j), -(xi * xi) / psi2)
-            off = -self.hy_k / psi2
-            np.add.at(H, (self.hy_i, self.hy_j), off)
-            np.add.at(H, (self.hy_j, self.hy_i), off)
+        a = prog.log_a
+        arg = 1.0 + a * x[prog.log_i]
+        ta = t * prog.log_alpha
+        np.add.at(g, prog.log_i, ta * a / arg)
+        np.add.at(H, (prog.log_i, prog.log_i), -(ta * (a * a) / (arg * arg)))
+        tb = 2.0 * t * prog.quad_beta
+        np.add.at(g, prog.quad_i, -(tb * (x[prog.quad_i] - prog.quad_c)))
+        np.add.at(H, (prog.quad_i, prog.quad_i), -tb)
+
+        g[self.lo_idx] += 1.0 / s_lo
+        H[self.lo_idx, self.lo_idx] -= 1.0 / (s_lo * s_lo)
+        g[self.hi_idx] -= 1.0 / s_hi
+        H[self.hi_idx, self.hi_idx] -= 1.0 / (s_hi * s_hi)
+        g -= self.AT @ (1.0 / s_lin)
+        H -= (self.AT @ self.A.multiply((1.0 / (s_lin * s_lin))[:, None])).toarray()
+
+        # log(h^2 - |y|^2): gradient G/psi and Hessian hess/psi - G G^T/psi^2
+        # over the row's four coordinates (x[i], x[j])
+        G = 2.0 * np.concatenate([y, -y], axis=1)
+        psi = s_sp[:, None]
+        np.add.at(g, self.sp_idx, G / psi)
+        block = self.sp_hess / psi[:, :, None] - G[:, :, None] * G[:, None, :] / (psi * psi)[:, :, None]
+        np.add.at(H, (self.sp_idx[:, :, None], self.sp_idx[:, None, :]), block)
+
+        xi = x[prog.hyper_i]
+        xj = x[prog.hyper_j]
+        np.add.at(g, prog.hyper_i, xj / s_hy)
+        np.add.at(g, prog.hyper_j, xi / s_hy)
+        psi2 = s_hy * s_hy
+        np.add.at(H, (prog.hyper_i, prog.hyper_i), -(xj * xj) / psi2)
+        np.add.at(H, (prog.hyper_j, prog.hyper_j), -(xi * xi) / psi2)
+        off = -prog.hyper_k / psi2
+        np.add.at(H, (prog.hyper_i, prog.hyper_j), off)
+        np.add.at(H, (prog.hyper_j, prog.hyper_i), off)
         return phi, g, H
 
 
@@ -227,45 +168,41 @@ def _newton_direction(H: np.ndarray, g: np.ndarray, free: np.ndarray) -> Optiona
     return None
 
 
-def solve(prog: StructuredConvexProgram, settings: Optional[SolverSettings] = None) -> Solution:
+def solve(prog: StructuredConvexProgram) -> Solution:
     """Maximize the program's concave objective over its constraint set.
 
-    Raises ValueError if the bundled start is not strictly feasible. Returns
+    The first barrier weight is chosen so that the first centering's
+    certified gap matches the objective scale at the start. Raises
+    ValueError if the bundled start is not strictly feasible. Returns
     status "numerical-failure" with the last iterate if the Newton system
     cannot be solved even after diagonal regularization.
     """
-    if settings is None:
-        settings = SolverSettings()
     work = _Work(prog)
     x = np.asarray(prog.start, dtype=float).copy()
-    if prog.fixed_idx.size:
-        x[prog.fixed_idx] = prog.fixed_val
-    if work._log_slacks(x) is None or not math.isfinite(work.objective(x)):
+    x[prog.fixed_idx] = prog.fixed_val
+    if work.phi(x, 1.0, 0.0) is None:
         raise ValueError("program start point is not strictly feasible")
 
     nu = work.nu
     f0 = work.objective(x)
-    if settings.t0 is not None:
-        t = settings.t0
-    else:
-        t = min(max(max(nu, 1.0) / max(abs(f0), 1e-2), 1e-2), 1e8)
-    t_final = max(nu, 1.0) / settings.gap_tol
+    t = min(max(max(nu, 1.0) / max(abs(f0), 1e-2), 1e-2), 1e8)
+    t_final = max(nu, 1.0) / _GAP_TOL
 
     total_steps = 0
     stages = 0
     status = "optimal"
     while True:
-        x, steps, flag = _center(work, x, t, settings)
+        x, steps, flag = _center(work, x, t)
         stages += 1
         total_steps += steps
         if flag == "numerical-failure":
             status = flag
             break
-        if nu / t <= settings.gap_tol:
+        if nu / t <= _GAP_TOL:
             if flag == "max-iter":
                 status = "max-iter"
             break
-        t = min(t * settings.mu, t_final)
+        t = min(t * _MU, t_final)
 
     return Solution(
         x=x,
@@ -277,7 +214,7 @@ def solve(prog: StructuredConvexProgram, settings: Optional[SolverSettings] = No
     )
 
 
-def _center(work: _Work, x: np.ndarray, t: float, settings: SolverSettings):
+def _center(work: _Work, x: np.ndarray, t: float):
     """Damped Newton until the decrement criterion holds at barrier weight t."""
     fref = work.objective(x)
     # Below this squared-decrement level, computed phi differences drown in
@@ -285,13 +222,13 @@ def _center(work: _Work, x: np.ndarray, t: float, settings: SolverSettings):
     # (feasible) full Newton steps are trusted.
     noise = 64.0 * t * (abs(fref) + 1.0) * np.finfo(float).eps
     steps = 0
-    for _ in range(settings.max_newton_per_stage):
+    for _ in range(_MAX_NEWTON_PER_STAGE):
         phi0, g, H = work.assemble(x, t, fref)
         d = _newton_direction(H, g, work.free)
         if d is None:
             return x, steps, "numerical-failure"
         gd = float(g[work.free] @ d[work.free])
-        if gd <= 2.0 * settings.newton_tol:
+        if gd <= 2.0 * _NEWTON_TOL:
             return x, steps, "ok"
         use_armijo = gd > noise
         s = 1.0
@@ -300,12 +237,12 @@ def _center(work: _Work, x: np.ndarray, t: float, settings: SolverSettings):
             xn = x + s * d
             phin = work.phi(xn, t, fref)
             if phin is not None and (
-                not use_armijo or phin >= phi0 + settings.armijo * s * gd
+                not use_armijo or phin >= phi0 + _ARMIJO * s * gd
             ):
                 x = xn
                 accepted = True
                 break
-            s *= settings.backtrack
+            s *= _BACKTRACK
         steps += 1
         if not accepted:
             # No strictly feasible improving step at this precision.

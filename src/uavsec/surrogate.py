@@ -4,9 +4,7 @@ Given an expansion point (the current iterate), this module builds the two
 convex subproblems of the alternating scheme as ``StructuredConvexProgram``
 instances: the trajectory subproblem (positions plus slack variables, power
 fixed) and the power subproblem (powers plus slack variables, trajectory
-fixed). It also provides standalone evaluators of the surrogate objectives
-and of the slack-reformulated objective they are tangent to, used by the
-property tests.
+fixed), and the slack-reformulated objective they are tangent to.
 
 Both subproblem objectives under-estimate the slack-reformulated objective
 everywhere and agree with it (value and gradient) at the expansion point.
@@ -25,7 +23,6 @@ from .model import (
     LN2,
     PowerProfile,
     ScenarioConfig,
-    SlackState,
     Trajectory,
     dispersion,
     q_inv,
@@ -43,52 +40,35 @@ START_INFLATION = 1e-6
 # relative margin, so a slot hovering exactly above a receiver still leaves
 # the bound a non-empty strict interior.
 L_LOWER_RELAX = 1e-6
+# Empty index and coefficient arrays for the term and row families a
+# subproblem does not use.
+_NO_INDEX = np.zeros(0, dtype=int)
+_NO_PAIRS = np.zeros((0, 2), dtype=int)
+_NO_VALUE = np.zeros(0)
 
 
 # ---------------------------------------------------------------------------
 # Canonical convex program container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class LogTerm:
-    """Objective term alpha * ln(offset + coef . x[idx]) with alpha >= 0."""
-
-    alpha: float
-    idx: np.ndarray
-    coef: np.ndarray
-    offset: float
-
-
-@dataclass(frozen=True, eq=False)
-class QuadTerm:
-    """Objective term -beta * |x[idx] - center|^2 with beta >= 0."""
-
-    beta: float
-    idx: np.ndarray
-    center: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class NormRow:
-    """Constraint |A x[idx] + d| <= g . x[idx] + h."""
-
-    idx: np.ndarray
-    A: np.ndarray
-    d: np.ndarray
-    g: np.ndarray
-    h: float
-
-
 @dataclass(eq=False)
 class StructuredConvexProgram:
-    """Concave maximization over linear, box, norm, and hyperbolic rows.
+    """Concave maximization over linear, box, speed, and hyperbolic rows.
 
-    objective(x) = constant + c.x + sum of log terms + sum of quad terms
+    objective(x) = constant + c.x
+                   + sum_k log_alpha[k] * ln(1 + log_a[k] * x[log_i[k]])
+                   - sum_k quad_beta[k] * (x[quad_i[k]] - quad_c[k])^2
     subject to     lin_A x <= lin_b
-                   |A_k x + d_k| <= g_k.x + h_k          (norm rows)
+                   |x[speed_j[k]] - x[speed_i[k]]| <= speed_h[k]   (speed rows)
                    x[i]*x[j] >= k, x[i] >= 0, x[j] >= 0  (hyperbolic rows)
                    lb <= x <= ub                          (boxes, +-inf allowed)
                    x[i] = v                               (fixed coordinates)
+
+    Every term and row family is a set of index and coefficient arrays. Log
+    and quad terms have one entry per coordinate, with log_alpha and
+    quad_beta >= 0. A speed row bounds the distance between two points whose
+    coordinates are the index pairs ``speed_i[k]`` and ``speed_j[k]`` (arrays
+    of shape (m, 2)), with ``speed_h > 0``.
 
     ``start`` is a strictly feasible point. ``reference`` is a (possibly
     boundary-)feasible point whose objective value the solved iterate must
@@ -101,11 +81,17 @@ class StructuredConvexProgram:
     ub: np.ndarray
     c: np.ndarray
     constant: float
-    log_terms: list
-    quad_terms: list
+    log_i: np.ndarray
+    log_a: np.ndarray
+    log_alpha: np.ndarray
+    quad_i: np.ndarray
+    quad_c: np.ndarray
+    quad_beta: np.ndarray
     lin_A: sparse.csr_matrix
     lin_b: np.ndarray
-    norm_rows: list
+    speed_i: np.ndarray
+    speed_j: np.ndarray
+    speed_h: np.ndarray
     hyper_i: np.ndarray
     hyper_j: np.ndarray
     hyper_k: np.ndarray
@@ -117,49 +103,19 @@ class StructuredConvexProgram:
 
     def objective_value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        val = self.constant + float(self.c @ x)
-        for t in self.log_terms:
-            arg = t.offset + float(t.coef @ x[t.idx])
-            if arg <= 0.0:
-                return -math.inf
-            val += t.alpha * math.log(arg)
-        for t in self.quad_terms:
-            diff = x[t.idx] - t.center
-            val -= t.beta * float(diff @ diff)
-        return val
-
-    def constraint_margins(self, x: np.ndarray) -> np.ndarray:
-        """Signed margins of every constraint at x (>= 0 means satisfied).
-
-        Norm rows report the linear-scale margin g.x + h - |A x + d|;
-        fixed coordinates report -|x[i] - v|.
-        """
-        x = np.asarray(x, dtype=float)
-        parts = []
-        lo = np.isfinite(self.lb)
-        hi = np.isfinite(self.ub)
-        parts.append(x[lo] - self.lb[lo])
-        parts.append(self.ub[hi] - x[hi])
-        if self.lin_b.size:
-            parts.append(self.lin_b - self.lin_A @ x)
-        for r in self.norm_rows:
-            xs = x[r.idx]
-            parts.append(np.atleast_1d(float(r.g @ xs) + r.h - np.linalg.norm(r.A @ xs + r.d)))
-        if self.hyper_i.size:
-            parts.append(x[self.hyper_i] * x[self.hyper_j] - self.hyper_k)
-        if self.fixed_idx.size:
-            parts.append(-np.abs(x[self.fixed_idx] - self.fixed_val))
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate([np.atleast_1d(p) for p in parts])
-
-    def max_violation(self, x: np.ndarray) -> float:
-        m = self.constraint_margins(x)
-        return float(max(0.0, -np.min(m))) if m.size else 0.0
+        arg = 1.0 + self.log_a * x[self.log_i]
+        if np.any(arg <= 0.0):
+            return -math.inf
+        diff = x[self.quad_i] - self.quad_c
+        return (
+            self.constant + float(self.c @ x)
+            + float(np.sum(self.log_alpha * np.log(arg)))
+            - float(np.sum(self.quad_beta * (diff * diff)))
+        )
 
 
 # ---------------------------------------------------------------------------
-# Expansion points and slack initialization
+# Expansion points
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -192,27 +148,38 @@ class ExpansionPoint:
             raise ValueError(f"expansion dispersion roots must be >= {Z_MIN}")
 
 
-def init_slacks(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> SlackState:
-    """Slack values that make the reformulated constraints tight.
-
-    u is the exact SNR, z the exact dispersion root floored at ``Z_MIN``,
-    and l the exact squared distance.
-    """
-    d2_b = sq_dists(traj.points, cfg.w_b, cfg.H)
-    d2_e = sq_dists(traj.points, cfg.w_e, cfg.H)
-    u_b = cfg.xi0 * pw.p / d2_b
-    u_e = cfg.xi0 * pw.p / d2_e
-    z_b = np.maximum(np.sqrt(dispersion(u_b)), Z_MIN)
-    z_e = np.maximum(np.sqrt(dispersion(u_e)), Z_MIN)
-    return SlackState(u_b=u_b, u_e=u_e, z_b=z_b, z_e=z_e, l_b=d2_b, l_e=d2_e)
-
-
 def expansion_from(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> ExpansionPoint:
-    """Expansion point with tight slacks at the given iterate."""
-    s = init_slacks(traj, pw, cfg)
+    """Expansion point with tight slacks at the given iterate.
+
+    u is the exact SNR and z the exact dispersion root floored at ``Z_MIN``.
+    """
+    u_b = cfg.xi0 * pw.p / sq_dists(traj.points, cfg.w_b, cfg.H)
+    u_e = cfg.xi0 * pw.p / sq_dists(traj.points, cfg.w_e, cfg.H)
     return ExpansionPoint(
-        q_hat=traj.points, p_hat=pw.p,
-        u_hat_b=s.u_b, u_hat_e=s.u_e, z_hat_b=s.z_b, z_hat_e=s.z_e,
+        q_hat=traj.points, p_hat=pw.p, u_hat_b=u_b, u_hat_e=u_e,
+        z_hat_b=np.maximum(np.sqrt(dispersion(u_b)), Z_MIN),
+        z_hat_e=np.maximum(np.sqrt(dispersion(u_e)), Z_MIN),
+    )
+
+
+def next_expansion(prog: StructuredConvexProgram, x: np.ndarray, ep: ExpansionPoint) -> ExpansionPoint:
+    """Expansion point at a solved iterate x of a subproblem built at ep.
+
+    Blocks the program does not carry keep their value from ep; dispersion
+    roots are floored at ``Z_MIN``.
+    """
+    lay = prog.layout
+
+    def block(name, old):
+        return x[lay[name]] if name in lay else old
+
+    return ExpansionPoint(
+        q_hat=x[lay["q"]].reshape(-1, 2) if "q" in lay else ep.q_hat,
+        p_hat=block("p", ep.p_hat),
+        u_hat_b=block("u_b", ep.u_hat_b),
+        u_hat_e=block("u_e", ep.u_hat_e),
+        z_hat_b=np.maximum(block("z_b", ep.z_hat_b), Z_MIN),
+        z_hat_e=np.maximum(block("z_e", ep.z_hat_e), Z_MIN),
     )
 
 
@@ -241,6 +208,99 @@ def _required_z(u: np.ndarray, u_hat: np.ndarray, z_hat: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
+# Parts shared by both subproblems
+# ---------------------------------------------------------------------------
+
+def _layout(cfg: ScenarioConfig, head: str, head_size: int, families):
+    """Variable blocks: ``head``, then one block of N per slack family and
+    receiver. ScenarioConfig keeps both epsilons in (0, 0.5), so both
+    dispersion penalties are positive exactly when L is finite; in the
+    long-packet limit the z blocks and Bob's blocks (his u feeds only his z)
+    are omitted.
+    """
+    finite = math.isfinite(cfg.L)
+    tags = ("b", "e") if finite else ("e",)
+    blocks = [(head, head_size)] + [
+        (f"{fam}_{tag}", cfg.N) for fam in families for tag in tags if fam != "z" or finite
+    ]
+    layout = {}
+    pos = 0
+    for name, size in blocks:
+        layout[name] = np.arange(pos, pos + size)
+        pos += size
+    return layout, pos
+
+
+def _shared_part(ep: ExpansionPoint, cfg: ScenarioConfig, layout: dict, nvar: int, u0: dict):
+    """Objective, bounds, rows, start and reference entries both subproblems
+    share: Eve's log linearized in u_e, the dispersion penalties with their
+    linearized rows, the slack lower bounds, and the u and z entries of the
+    start (from each receiver's start SNR slack ``u0[tag]``) and reference.
+
+    Returns (lb, c, constant, rows, start, reference); ``rows`` is a list of
+    row families for ``_linear_rows``.
+    """
+    scale = (1.0 - cfg.eps_b) / cfg.N
+    pens = dict(zip("be", penalty_coeffs(cfg)))
+    ue_hat = ep.u_hat_e
+    constant = float(np.sum(scale * (-np.log2(1.0 + ue_hat) + ue_hat / ((1.0 + ue_hat) * LN2))))
+    lb = np.full(nvar, -np.inf)
+    c = np.zeros(nvar)
+    start = np.zeros(nvar)
+    reference = np.zeros(nvar)
+    c[layout["u_e"]] = -scale / ((1.0 + ue_hat) * LN2)
+    rows = []
+    for tag, u_hat, z_hat in (("b", ep.u_hat_b, ep.z_hat_b), ("e", ep.u_hat_e, ep.z_hat_e)):
+        if f"u_{tag}" not in layout:
+            continue
+        u_ix = layout[f"u_{tag}"]
+        lb[u_ix] = 0.0
+        start[u_ix] = u0[tag]
+        reference[u_ix] = u_hat
+        if f"z_{tag}" not in layout:
+            continue
+        z_ix = layout[f"z_{tag}"]
+        lb[z_ix] = 0.0
+        c[z_ix] = -scale * pens[tag]
+        reference[z_ix] = z_hat
+        start[z_ix] = np.maximum.reduce([
+            z_hat * (1.0 + START_INFLATION),
+            _required_z(u0[tag], u_hat, z_hat) * (1.0 + START_INFLATION) + 1e-15,
+            np.full(cfg.N, 1e-12),
+        ])
+        # Linearized dispersion row 2*z_hat*z - z_hat^2 >= v + dv*(u - u_hat)
+        # as dv*u - 2*z_hat*z <= dv*u_hat - v - z_hat^2
+        v_hat, dv_hat = _disp_lin(u_hat)
+        rows.append((
+            np.column_stack([u_ix, z_ix]),
+            np.column_stack([dv_hat, -2.0 * z_hat]),
+            dv_hat * u_hat - v_hat - z_hat * z_hat,
+        ))
+    return lb, c, constant, rows, start, reference
+
+
+def _linear_rows(nvar: int, families):
+    """CSR matrix and right-hand side of stacked row families.
+
+    A family is (cols, vals, rhs): ``cols`` and ``vals`` of shape
+    (rows, nonzeros per row), ``rhs`` of shape (rows,).
+    """
+    row_ids = []
+    first = 0
+    for cols, _, rhs in families:
+        row_ids.append(np.repeat(np.arange(first, first + rhs.size), cols.shape[1]))
+        first += rhs.size
+    A = sparse.csr_matrix(
+        (
+            np.concatenate([vals.ravel() for _, vals, _ in families]),
+            (np.concatenate(row_ids), np.concatenate([cols.ravel() for cols, _, _ in families])),
+        ),
+        shape=(first, nvar),
+    )
+    return A, np.concatenate([rhs for _, _, rhs in families])
+
+
+# ---------------------------------------------------------------------------
 # Trajectory subproblem
 # ---------------------------------------------------------------------------
 
@@ -258,151 +318,69 @@ def build_trajectory_subproblem(
     p = np.asarray(pw.p, dtype=float)
     if p.shape != (N,) or ep.q_hat.shape[0] != N:
         raise ValueError("expansion point, power profile, and scenario disagree on N")
-    pen_b, pen_e = penalty_coeffs(cfg)
-    has_b = pen_b > 0.0       # Bob-side u/z/l blocks exist
-    has_ze = pen_e > 0.0      # Eve dispersion-root block exists
     scale = (1.0 - cfg.eps_b) / N
-
-    blocks = [("q", 2 * N)]
-    if has_b:
-        blocks.append(("u_b", N))
-    blocks.append(("u_e", N))
-    if has_b:
-        blocks.append(("z_b", N))
-    if has_ze:
-        blocks.append(("z_e", N))
-    if has_b:
-        blocks.append(("l_b", N))
-    blocks.append(("l_e", N))
-    layout = {}
-    pos = 0
-    for name, size in blocks:
-        layout[name] = np.arange(pos, pos + size)
-        pos += size
-    nvar = pos
-
-    d2_b = sq_dists(ep.q_hat, cfg.w_b, cfg.H)
-    d2_e = sq_dists(ep.q_hat, cfg.w_e, cfg.H)
-
-    lb = np.full(nvar, -np.inf)
-    ub = np.full(nvar, np.inf)
-    c = np.zeros(nvar)
-    constant = 0.0
-    quad_terms = []
-
-    # Objective: exact log of Bob's rate linearized in the squared distance,
-    # Eve's log linearized in u_e, linear dispersion penalties.
-    a_n = np.log2(1.0 + cfg.xi0 * p / d2_b)
-    b_n = cfg.xi0 * p / (d2_b * (d2_b + cfg.xi0 * p) * LN2)
-    ue_hat = ep.u_hat_e
-    constant += float(np.sum(scale * (
-        a_n + b_n * d2_b - b_n * cfg.H * cfg.H
-        - np.log2(1.0 + ue_hat) + ue_hat / ((1.0 + ue_hat) * LN2)
-    )))
+    layout, nvar = _layout(cfg, "q", 2 * N, ("u", "z", "l"))
     q_idx = layout["q"].reshape(N, 2)
-    for n in range(N):
-        if b_n[n] > 0.0:
-            quad_terms.append(QuadTerm(
-                beta=scale * b_n[n], idx=q_idx[n].copy(), center=cfg.w_b[:2].copy(),
-            ))
-    c[layout["u_e"]] = -scale / ((1.0 + ue_hat) * LN2)
-    if has_b:
-        c[layout["z_b"]] = -scale * pen_b
-    if has_ze:
-        c[layout["z_e"]] = -scale * pen_e
+    receivers = [(tag, w, sq_dists(ep.q_hat, w, cfg.H), u_hat)
+                 for tag, w, u_hat in (("b", cfg.w_b, ep.u_hat_b), ("e", cfg.w_e, ep.u_hat_e))
+                 if f"l_{tag}" in layout]
 
-    receivers = []
-    if has_b:
-        receivers.append(("b", cfg.w_b, d2_b, ep.u_hat_b, ep.z_hat_b, True))
-    receivers.append(("e", cfg.w_e, d2_e, ep.u_hat_e, ep.z_hat_e, has_ze))
-
-    rows = []      # (coef dict {col: val}, rhs)
-    hyper = []     # (u index, l index, rhs)
-    for tag, w, d2_hat, u_hat, z_hat, has_z in receivers:
-        u_ix = layout[f"u_{tag}"]
-        l_ix = layout[f"l_{tag}"]
-        lb[u_ix] = 0.0
-        lb[l_ix] = cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)
-        if has_z:
-            lb[layout[f"z_{tag}"]] = 0.0
-        grad = 2.0 * (ep.q_hat - w[:2])       # (N, 2) gradient of |q-w|^2
-        v_hat, dv_hat = _disp_lin(u_hat)
-        for n in range(N):
-            # Squared distance under-estimator bounds l from above:
-            # l - grad.q <= d2_hat - grad.q_hat
-            rows.append((
-                {l_ix[n]: 1.0,
-                 q_idx[n, 0]: -grad[n, 0],
-                 q_idx[n, 1]: -grad[n, 1]},
-                d2_hat[n] - grad[n, 0] * ep.q_hat[n, 0] - grad[n, 1] * ep.q_hat[n, 1],
-            ))
-            if p[n] > 0.0:
-                hyper.append((u_ix[n], l_ix[n], cfg.xi0 * p[n]))
-            if has_z:
-                z_ix = layout[f"z_{tag}"]
-                # Linearized dispersion row 2*z_hat*z - z_hat^2 >= v + dv*(u - u_hat)
-                # as dv*u - 2*z_hat*z <= dv*u_hat - v - z_hat^2
-                rows.append((
-                    {u_ix[n]: dv_hat[n], z_ix[n]: -2.0 * z_hat[n]},
-                    dv_hat[n] * u_hat[n] - v_hat[n] - z_hat[n] * z_hat[n],
-                ))
-
-    lin_A, lin_b = _rows_to_sparse(rows, nvar)
-
-    norm_rows = []
-    step = cfg.V_max * cfg.delta_t
-    for n in range(N - 1):
-        idx = np.concatenate([q_idx[n], q_idx[n + 1]])
-        A = np.array([[-1.0, 0.0, 1.0, 0.0], [0.0, -1.0, 0.0, 1.0]])
-        norm_rows.append(NormRow(idx=idx, A=A, d=np.zeros(2), g=np.zeros(4), h=step))
-
-    fixed_idx = np.concatenate([q_idx[0], q_idx[N - 1]])
-    fixed_val = np.concatenate([cfg.q_I[:2], cfg.q_F[:2]])
-
-    # Boundary-feasible reference: the expansion point itself with tight l.
-    reference = np.zeros(nvar)
-    reference[layout["q"]] = ep.q_hat.ravel()
-    reference[layout["u_e"]] = ep.u_hat_e
-    reference[layout["l_e"]] = d2_e
-    if has_b:
-        reference[layout["u_b"]] = ep.u_hat_b
-        reference[layout["z_b"]] = ep.z_hat_b
-        reference[layout["l_b"]] = d2_b
-    if has_ze:
-        reference[layout["z_e"]] = ep.z_hat_e
-
-    # Strictly feasible start: nudge every slack off its boundary.
-    start = reference.copy()
-    for tag, w, d2_hat, u_hat, z_hat, has_z in receivers:
-        l_ix = layout[f"l_{tag}"]
-        u_ix = layout[f"u_{tag}"]
-        l0 = np.maximum((1.0 - START_INFLATION) * d2_hat,
-                        0.5 * (lb[l_ix] + d2_hat))
-        u0 = np.maximum.reduce([
+    # Strictly feasible start slacks: l just below its linearized bound, u
+    # just above the SNR it then allows.
+    l_lo = cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)
+    l0, u0 = {}, {}
+    for tag, _, d2_hat, u_hat in receivers:
+        l0[tag] = np.maximum((1.0 - START_INFLATION) * d2_hat, 0.5 * (l_lo + d2_hat))
+        u0[tag] = np.maximum.reduce([
             u_hat * (1.0 + START_INFLATION),
-            np.where(p > 0.0, cfg.xi0 * p / l0 * (1.0 + START_INFLATION), 0.0),
+            np.where(p > 0.0, cfg.xi0 * p / l0[tag] * (1.0 + START_INFLATION), 0.0),
             np.full(N, 1e-12),
         ])
-        start[l_ix] = l0
-        start[u_ix] = u0
-        if has_z:
-            z_ix = layout[f"z_{tag}"]
-            z_req = _required_z(u0, u_hat, z_hat)
-            start[z_ix] = np.maximum.reduce([
-                z_hat * (1.0 + START_INFLATION),
-                z_req * (1.0 + START_INFLATION) + 1e-15,
-                np.full(N, 1e-12),
-            ])
+    lb, c, constant, rows, start, reference = _shared_part(ep, cfg, layout, nvar, u0)
+    start[layout["q"]] = ep.q_hat.ravel()
+    reference[layout["q"]] = ep.q_hat.ravel()
 
-    hyper_arr = np.array(hyper, dtype=float).reshape(-1, 3)
+    # Objective: exact log of Bob's rate linearized in the squared distance.
+    d2_b = sq_dists(ep.q_hat, cfg.w_b, cfg.H)
+    a_n = np.log2(1.0 + cfg.xi0 * p / d2_b)
+    b_n = cfg.xi0 * p / (d2_b * (d2_b + cfg.xi0 * p) * LN2)
+    constant += float(np.sum(scale * (a_n + b_n * d2_b - b_n * cfg.H * cfg.H)))
+    curved = np.repeat(b_n > 0.0, 2)
+    quad_i = layout["q"][curved]
+    quad_c = np.tile(cfg.w_b[:2], N)[curved]
+    quad_beta = np.repeat(scale * b_n, 2)[curved]
+
+    hyper_i, hyper_j, hyper_k = [], [], []
+    for tag, w, d2_hat, _ in receivers:
+        l_ix = layout[f"l_{tag}"]
+        lb[l_ix] = l_lo
+        start[l_ix] = l0[tag]
+        reference[l_ix] = d2_hat
+        # Squared distance under-estimator bounds l from above:
+        # l - grad.q <= d2_hat - grad.q_hat
+        grad = 2.0 * (ep.q_hat - w[:2])
+        rows.append((
+            np.column_stack([q_idx, l_ix]),
+            np.column_stack([-grad, np.ones(N)]),
+            d2_hat - grad[:, 0] * ep.q_hat[:, 0] - grad[:, 1] * ep.q_hat[:, 1],
+        ))
+        on = p > 0.0
+        hyper_i.append(layout[f"u_{tag}"][on])
+        hyper_j.append(l_ix[on])
+        hyper_k.append(cfg.xi0 * p[on])
+    lin_A, lin_b = _linear_rows(nvar, rows)
+
     return StructuredConvexProgram(
-        n=nvar, lb=lb, ub=ub, c=c, constant=constant,
-        log_terms=[], quad_terms=quad_terms,
-        lin_A=lin_A, lin_b=lin_b, norm_rows=norm_rows,
-        hyper_i=hyper_arr[:, 0].astype(int),
-        hyper_j=hyper_arr[:, 1].astype(int),
-        hyper_k=hyper_arr[:, 2],
-        fixed_idx=fixed_idx, fixed_val=fixed_val,
+        n=nvar, lb=lb, ub=np.full(nvar, np.inf), c=c, constant=constant,
+        log_i=_NO_INDEX, log_a=_NO_VALUE, log_alpha=_NO_VALUE,
+        quad_i=quad_i, quad_c=quad_c, quad_beta=quad_beta,
+        lin_A=lin_A, lin_b=lin_b,
+        speed_i=q_idx[:-1], speed_j=q_idx[1:],
+        speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),
+        hyper_i=np.concatenate(hyper_i), hyper_j=np.concatenate(hyper_j),
+        hyper_k=np.concatenate(hyper_k),
+        fixed_idx=np.concatenate([q_idx[0], q_idx[N - 1]]),
+        fixed_val=np.concatenate([cfg.q_I[:2], cfg.q_F[:2]]),
         start=start, layout=layout, reference=reference,
     )
 
@@ -422,150 +400,49 @@ def build_power_subproblem(
     N = cfg.N
     if len(traj) != N or ep.p_hat.shape[0] != N:
         raise ValueError("trajectory, expansion point, and scenario disagree on N")
-    pen_b, pen_e = penalty_coeffs(cfg)
-    has_b = pen_b > 0.0
-    has_ze = pen_e > 0.0
     scale = (1.0 - cfg.eps_b) / N
-
-    blocks = [("p", N)]
-    if has_b:
-        blocks.append(("u_b", N))
-    blocks.append(("u_e", N))
-    if has_b:
-        blocks.append(("z_b", N))
-    if has_ze:
-        blocks.append(("z_e", N))
-    layout = {}
-    pos = 0
-    for name, size in blocks:
-        layout[name] = np.arange(pos, pos + size)
-        pos += size
-    nvar = pos
-
-    d2_b = sq_dists(traj.points, cfg.w_b, cfg.H)
-    d2_e = sq_dists(traj.points, cfg.w_e, cfg.H)
-
-    lb = np.full(nvar, -np.inf)
-    ub = np.full(nvar, np.inf)
+    layout, nvar = _layout(cfg, "p", N, ("u", "z"))
     p_ix = layout["p"]
-    lb[p_ix] = 0.0
-    ub[p_ix] = cfg.P_max
-    lb[layout["u_e"]] = 0.0
-    if has_b:
-        lb[layout["u_b"]] = 0.0
-        lb[layout["z_b"]] = 0.0
-    if has_ze:
-        lb[layout["z_e"]] = 0.0
-
-    c = np.zeros(nvar)
-    ue_hat = ep.u_hat_e
-    constant = float(np.sum(scale * (
-        -np.log2(1.0 + ue_hat) + ue_hat / ((1.0 + ue_hat) * LN2)
-    )))
-    log_terms = [
-        LogTerm(alpha=scale / LN2, idx=np.array([p_ix[n]]),
-                coef=np.array([cfg.xi0 / d2_b[n]]), offset=1.0)
-        for n in range(N)
-    ]
-    c[layout["u_e"]] = -scale / ((1.0 + ue_hat) * LN2)
-    if has_b:
-        c[layout["z_b"]] = -scale * pen_b
-    if has_ze:
-        c[layout["z_e"]] = -scale * pen_e
-
-    receivers = []
-    if has_b:
-        receivers.append(("b", d2_b, ep.u_hat_b, ep.z_hat_b, True))
-    receivers.append(("e", d2_e, ep.u_hat_e, ep.z_hat_e, has_ze))
-
-    rows = []
-    for tag, d2, u_hat, z_hat, has_z in receivers:
-        u_ix = layout[f"u_{tag}"]
-        v_hat, dv_hat = _disp_lin(u_hat)
-        for n in range(N):
-            # SNR slack row: xi0/d2 * P - u <= 0
-            rows.append(({p_ix[n]: cfg.xi0 / d2[n], u_ix[n]: -1.0}, 0.0))
-            if has_z:
-                z_ix = layout[f"z_{tag}"]
-                rows.append((
-                    {u_ix[n]: dv_hat[n], z_ix[n]: -2.0 * z_hat[n]},
-                    dv_hat[n] * u_hat[n] - v_hat[n] - z_hat[n] * z_hat[n],
-                ))
-    # Average power budget: sum P <= N * P_bar
-    rows.append(({int(i): 1.0 for i in p_ix}, N * cfg.P_bar))
-    lin_A, lin_b = _rows_to_sparse(rows, nvar)
-
-    reference = np.zeros(nvar)
-    reference[p_ix] = ep.p_hat
-    reference[layout["u_e"]] = ep.u_hat_e
-    if has_b:
-        reference[layout["u_b"]] = ep.u_hat_b
-        reference[layout["z_b"]] = ep.z_hat_b
-    if has_ze:
-        reference[layout["z_e"]] = ep.z_hat_e
+    d2 = {"b": sq_dists(traj.points, cfg.w_b, cfg.H), "e": sq_dists(traj.points, cfg.w_e, cfg.H)}
 
     # Strictly feasible start: uniform half-average power, slacks tightened
     # to that power and then inflated.
-    start = np.zeros(nvar)
     p0 = np.full(N, cfg.P_bar / 2.0)
+    u0 = {tag: np.maximum(cfg.xi0 * p0 / d2[tag] * (1.0 + START_INFLATION), 1e-12)
+          for tag in d2}
+    lb, c, constant, rows, start, reference = _shared_part(ep, cfg, layout, nvar, u0)
+    ub = np.full(nvar, np.inf)
+    lb[p_ix] = 0.0
+    ub[p_ix] = cfg.P_max
     start[p_ix] = p0
-    for tag, d2, u_hat, z_hat, has_z in receivers:
-        u0 = np.maximum(cfg.xi0 * p0 / d2 * (1.0 + START_INFLATION), 1e-12)
-        start[layout[f"u_{tag}"]] = u0
-        if has_z:
-            z_req = _required_z(u0, u_hat, z_hat)
-            start[layout[f"z_{tag}"]] = np.maximum.reduce([
-                z_hat * (1.0 + START_INFLATION),
-                z_req * (1.0 + START_INFLATION) + 1e-15,
-                np.full(N, 1e-12),
-            ])
+    reference[p_ix] = ep.p_hat
+
+    # SNR slack rows xi0/d2 * P - u <= 0, then the average power budget
+    # sum P <= N * P_bar.
+    snr_rows = [
+        (np.column_stack([p_ix, layout[f"u_{tag}"]]),
+         np.column_stack([cfg.xi0 / d2[tag], -np.ones(N)]),
+         np.zeros(N))
+        for tag in ("b", "e") if f"u_{tag}" in layout
+    ]
+    budget = (p_ix[None, :], np.ones((1, N)), np.array([N * cfg.P_bar]))
+    lin_A, lin_b = _linear_rows(nvar, snr_rows + [budget] + rows)
 
     return StructuredConvexProgram(
         n=nvar, lb=lb, ub=ub, c=c, constant=constant,
-        log_terms=log_terms, quad_terms=[],
-        lin_A=lin_A, lin_b=lin_b, norm_rows=[],
-        hyper_i=np.zeros(0, dtype=int), hyper_j=np.zeros(0, dtype=int),
-        hyper_k=np.zeros(0),
-        fixed_idx=np.zeros(0, dtype=int), fixed_val=np.zeros(0),
+        log_i=p_ix, log_a=cfg.xi0 / d2["b"], log_alpha=np.full(N, scale / LN2),
+        quad_i=_NO_INDEX, quad_c=_NO_VALUE, quad_beta=_NO_VALUE,
+        lin_A=lin_A, lin_b=lin_b,
+        speed_i=_NO_PAIRS, speed_j=_NO_PAIRS, speed_h=_NO_VALUE,
+        hyper_i=_NO_INDEX, hyper_j=_NO_INDEX, hyper_k=_NO_VALUE,
+        fixed_idx=_NO_INDEX, fixed_val=_NO_VALUE,
         start=start, layout=layout, reference=reference,
     )
 
 
-def _rows_to_sparse(rows, nvar):
-    data, ri, ci = [], [], []
-    b = np.zeros(len(rows))
-    for r, (coefs, rhs) in enumerate(rows):
-        b[r] = rhs
-        for col, val in coefs.items():
-            ri.append(r)
-            ci.append(int(col))
-            data.append(float(val))
-    A = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), nvar))
-    return A, b
-
-
 # ---------------------------------------------------------------------------
-# Standalone objective evaluators (used by the property tests)
+# Slack-reformulated objective
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class SurrogatePoint:
-    """Free variables at which a surrogate objective is evaluated.
-
-    ``q`` is used by the trajectory surrogate, ``p`` by the power surrogate;
-    the dispersion roots may be omitted in the long-packet limit.
-    """
-
-    u_e: np.ndarray
-    z_b: Optional[np.ndarray] = None
-    z_e: Optional[np.ndarray] = None
-    q: Optional[np.ndarray] = None
-    p: Optional[np.ndarray] = None
-
-
-def _z_or_zero(z, n):
-    return np.zeros(n) if z is None else np.asarray(z, dtype=float)
-
 
 def slack_rate_objective(q_points, p, u_e, z_b, z_e, cfg: ScenarioConfig) -> float:
     """Slack-reformulated objective the surrogates are tangent to.
@@ -574,59 +451,13 @@ def slack_rate_objective(q_points, p, u_e, z_b, z_e, cfg: ScenarioConfig) -> flo
                          - pen_b z_b - pen_e z_e]
     """
     pen_b, pen_e = penalty_coeffs(cfg)
-    n = cfg.N
     d2_b = sq_dists(np.asarray(q_points, dtype=float), cfg.w_b, cfg.H)
     p = np.asarray(p, dtype=float)
     u_e = np.asarray(u_e, dtype=float)
     terms = (
         np.log2(1.0 + cfg.xi0 * p / d2_b)
         - np.log2(1.0 + u_e)
-        - pen_b * _z_or_zero(z_b, n)
-        - pen_e * _z_or_zero(z_e, n)
+        - pen_b * np.asarray(z_b, dtype=float)
+        - pen_e * np.asarray(z_e, dtype=float)
     )
-    return float(np.sum(terms) * (1.0 - cfg.eps_b) / n)
-
-
-def surrogate_value_q(
-    ep: ExpansionPoint, point: SurrogatePoint, pw: PowerProfile, cfg: ScenarioConfig
-) -> float:
-    """Trajectory-surrogate objective at an arbitrary point."""
-    if point.q is None:
-        raise ValueError("trajectory surrogate needs point.q")
-    pen_b, pen_e = penalty_coeffs(cfg)
-    p = np.asarray(pw.p, dtype=float)
-    scale = (1.0 - cfg.eps_b) / cfg.N
-    d2_hat = sq_dists(ep.q_hat, cfg.w_b, cfg.H)
-    d2 = sq_dists(np.asarray(point.q, dtype=float), cfg.w_b, cfg.H)
-    a_n = np.log2(1.0 + cfg.xi0 * p / d2_hat)
-    b_n = cfg.xi0 * p / (d2_hat * (d2_hat + cfg.xi0 * p) * LN2)
-    ue_hat = ep.u_hat_e
-    u_e = np.asarray(point.u_e, dtype=float)
-    terms = (
-        a_n - b_n * (d2 - d2_hat)
-        - np.log2(1.0 + ue_hat) - (u_e - ue_hat) / ((1.0 + ue_hat) * LN2)
-        - pen_b * _z_or_zero(point.z_b, cfg.N)
-        - pen_e * _z_or_zero(point.z_e, cfg.N)
-    )
-    return float(np.sum(terms) * scale)
-
-
-def surrogate_value_p(
-    traj: Trajectory, ep: ExpansionPoint, point: SurrogatePoint, cfg: ScenarioConfig
-) -> float:
-    """Power-surrogate objective at an arbitrary point."""
-    if point.p is None:
-        raise ValueError("power surrogate needs point.p")
-    pen_b, pen_e = penalty_coeffs(cfg)
-    scale = (1.0 - cfg.eps_b) / cfg.N
-    d2_b = sq_dists(traj.points, cfg.w_b, cfg.H)
-    p = np.asarray(point.p, dtype=float)
-    ue_hat = ep.u_hat_e
-    u_e = np.asarray(point.u_e, dtype=float)
-    terms = (
-        np.log2(1.0 + cfg.xi0 * p / d2_b)
-        - np.log2(1.0 + ue_hat) - (u_e - ue_hat) / ((1.0 + ue_hat) * LN2)
-        - pen_b * _z_or_zero(point.z_b, cfg.N)
-        - pen_e * _z_or_zero(point.z_e, cfg.N)
-    )
-    return float(np.sum(terms) * scale)
+    return float(np.sum(terms) * (1.0 - cfg.eps_b) / cfg.N)

@@ -8,30 +8,25 @@ a staged grid refinement pins the optimum to ~1e-6.
 import numpy as np
 from scipy import sparse
 
-from uavsec.surrogate import LogTerm, NormRow, QuadTerm, StructuredConvexProgram
+from uavsec.surrogate import StructuredConvexProgram
 
 
-def _empty_lin(n):
-    return sparse.csr_matrix((0, n)), np.zeros(0)
-
-
-def _program(n, lb, ub, c, log_terms, quad_terms, lin, norm_rows, hyper, start):
-    lin_A, lin_b = lin if lin is not None else _empty_lin(n)
-    if hyper is None:
-        hi = np.zeros(0, dtype=int)
-        hj = np.zeros(0, dtype=int)
-        hk = np.zeros(0)
-    else:
-        hi, hj, hk = hyper
-    return StructuredConvexProgram(
-        n=n, lb=lb, ub=ub, c=c, constant=0.0,
-        log_terms=log_terms, quad_terms=quad_terms,
-        lin_A=lin_A, lin_b=lin_b, norm_rows=norm_rows or [],
-        hyper_i=np.asarray(hi, dtype=int), hyper_j=np.asarray(hj, dtype=int),
-        hyper_k=np.asarray(hk, dtype=float),
+def program(n, **fields):
+    """Program on n variables: every family not given in ``fields`` is empty,
+    boxes are infinite, the objective is zero and the start is the origin."""
+    kw = dict(
+        lb=np.full(n, -np.inf), ub=np.full(n, np.inf), c=np.zeros(n), constant=0.0,
+        log_i=np.zeros(0, dtype=int), log_a=np.zeros(0), log_alpha=np.zeros(0),
+        quad_i=np.zeros(0, dtype=int), quad_c=np.zeros(0), quad_beta=np.zeros(0),
+        lin_A=sparse.csr_matrix((0, n)), lin_b=np.zeros(0),
+        speed_i=np.zeros((0, 2), dtype=int), speed_j=np.zeros((0, 2), dtype=int),
+        speed_h=np.zeros(0),
+        hyper_i=np.zeros(0, dtype=int), hyper_j=np.zeros(0, dtype=int), hyper_k=np.zeros(0),
         fixed_idx=np.zeros(0, dtype=int), fixed_val=np.zeros(0),
-        start=np.asarray(start, dtype=float), layout={},
+        start=np.zeros(n), layout={},
     )
+    kw.update(fields)
+    return StructuredConvexProgram(n=n, **kw)
 
 
 def _grid_max_1d(fn, lo, hi, stages=3, pts=4001):
@@ -68,8 +63,8 @@ def box_linear_instance(rng):
     b = np.array([r[1] for r in rows])
     beta = float(rng.uniform(0.0, 2.0))
     center = rng.uniform(-1.0, 3.0, size=n)
-    quad = [QuadTerm(beta, np.arange(n), center)] if beta > 0 else []
-    prog = _program(n, lb, ub, c, [], quad, (A, b), None, None, mid)
+    quad = dict(quad_i=np.arange(n), quad_c=center, quad_beta=np.full(n, beta)) if beta > 0 else {}
+    prog = program(n, lb=lb, ub=ub, c=c, lin_A=A, lin_b=b, start=mid, **quad)
 
     def value(x):
         val = float(c @ x)
@@ -123,10 +118,10 @@ def log_objective_instance(rng):
     a = float(rng.uniform(1.0, 200.0))
     cgrow = float(-rng.uniform(0.5, 30.0))
     hi = float(rng.uniform(0.05, 1.0))
-    prog = _program(
-        1, np.array([0.0]), np.array([hi]), np.array([cgrow]),
-        [LogTerm(alpha, np.array([0]), np.array([a]), 1.0)], [],
-        None, None, None, np.array([hi / 2.0]),
+    prog = program(
+        1, lb=np.array([0.0]), ub=np.array([hi]), c=np.array([cgrow]),
+        log_i=np.array([0]), log_a=np.array([a]), log_alpha=np.array([alpha]),
+        start=np.array([hi / 2.0]),
     )
     oracle = _grid_max_1d(lambda x: alpha * np.log(1.0 + a * x) + cgrow * x, 0.0, hi)
     return prog, oracle
@@ -145,9 +140,9 @@ def hyperbolic_instance(rng):
     u0 = 0.5 * (k / l0 + u_hi)   # strictly between k/l0 and the box top
     start = np.array([u0, l0])
     assert k / l0 < u0 < u_hi and u0 * l0 > k
-    prog = _program(
-        2, lb, ub, np.array([cu, cl]), [], [], None, None,
-        (np.array([0]), np.array([1]), np.array([k])), start,
+    prog = program(
+        2, lb=lb, ub=ub, c=np.array([cu, cl]),
+        hyper_i=np.array([0]), hyper_j=np.array([1]), hyper_k=np.array([k]), start=start,
     )
 
     # cu < 0 pins u on the boundary u = k/l, leaving a 1-D problem over l
@@ -159,19 +154,22 @@ def hyperbolic_instance(rng):
 
 
 def norm_row_instance(rng):
-    """2 vars in a shifted disc |x - center| <= r, linear + quad objective."""
+    """2 vars in a shifted disc |x - center| <= r, linear + quad objective.
+
+    The disc is a speed row from two fixed coordinates that hold ``center``
+    (variables 2 and 3) to the free pair (variables 0 and 1).
+    """
     center = rng.uniform(-1.0, 1.0, size=2)
     r = float(rng.uniform(0.5, 2.0))
     c = rng.uniform(-2.0, 2.0, size=2)
     beta = float(rng.uniform(0.0, 1.5))
     qcen = rng.uniform(-2.0, 2.0, size=2)
-    quad = [QuadTerm(beta, np.arange(2), qcen)] if beta > 0 else []
-    row = NormRow(
-        idx=np.arange(2), A=np.eye(2), d=-center, g=np.zeros(2), h=r,
-    )
-    prog = _program(
-        2, np.full(2, -np.inf), np.full(2, np.inf), c, [], quad,
-        None, [row], None, center.copy(),
+    quad = dict(quad_i=np.arange(2), quad_c=qcen, quad_beta=np.full(2, beta)) if beta > 0 else {}
+    prog = program(
+        4, c=np.concatenate([c, np.zeros(2)]),
+        speed_i=np.array([[2, 3]]), speed_j=np.array([[0, 1]]), speed_h=np.array([r]),
+        fixed_idx=np.array([2, 3]), fixed_val=center.copy(), start=np.tile(center, 2),
+        **quad,
     )
 
     def value(x, y):

@@ -13,13 +13,17 @@ from uavsec.solver import solve
 from uavsec.surrogate import (
     Z_MIN,
     ExpansionPoint,
-    SurrogatePoint,
     build_power_subproblem,
     build_trajectory_subproblem,
     expansion_from,
-    init_slacks,
     penalty_coeffs,
     slack_rate_objective,
+)
+
+from surrogate_reference import (
+    SurrogatePoint,
+    constraint_margins,
+    max_violation,
     surrogate_value_p,
     surrogate_value_q,
 )
@@ -50,36 +54,37 @@ def random_expansion(cfg, rng, p_min=0.01):
 
 
 # ---------------------------------------------------------------------------
-# init_slacks
+# Tight slacks at an expansion point
 # ---------------------------------------------------------------------------
 
 def test_init_slacks_hover_above_bob():
     cfg = baseline_scenario(
         T=1.0, q_I=(0.0, 0.0, 100.0), q_F=(0.0, 0.0, 100.0), P_max=0.1, P_bar=0.1,
     )
-    s = init_slacks(Trajectory(points=np.zeros((1, 2))), PowerProfile(p=np.array([0.1])), cfg)
-    assert s.u_b[0] == pytest.approx(10.0, rel=1e-12)
-    assert s.z_b[0] == pytest.approx(math.sqrt(120.0 / 121.0), abs=1e-6)
-    assert s.l_b[0] == pytest.approx(1e4, rel=1e-12)
-    assert s.u_e[0] == pytest.approx(1e5 / 170000.0, rel=1e-12)
+    traj = Trajectory(points=np.zeros((1, 2)))
+    ep = expansion_from(traj, PowerProfile(p=np.array([0.1])), cfg)
+    assert ep.u_hat_b[0] == pytest.approx(10.0, rel=1e-12)
+    assert ep.z_hat_b[0] == pytest.approx(math.sqrt(120.0 / 121.0), abs=1e-6)
+    assert sq_dists(traj.points, cfg.w_b, cfg.H)[0] == pytest.approx(1e4, rel=1e-12)
+    assert ep.u_hat_e[0] == pytest.approx(1e5 / 170000.0, rel=1e-12)
 
 
 def test_init_slacks_zero_power_floor():
     cfg = small_cfg(3)
     traj = Trajectory(points=np.tile(cfg.q_I[:2], (3, 1)))
-    s = init_slacks(traj, PowerProfile(p=np.zeros(3)), cfg)
-    assert np.all(s.u_b == 0.0) and np.all(s.u_e == 0.0)
-    assert np.all(s.z_b == Z_MIN) and np.all(s.z_e == Z_MIN)
+    ep = expansion_from(traj, PowerProfile(p=np.zeros(3)), cfg)
+    assert np.all(ep.u_hat_b == 0.0) and np.all(ep.u_hat_e == 0.0)
+    assert np.all(ep.z_hat_b == Z_MIN) and np.all(ep.z_hat_e == Z_MIN)
 
 
 def test_init_slacks_offset_geometry():
     cfg = baseline_scenario(
         T=1.0, q_I=(200.0, 100.0, 100.0), q_F=(200.0, 100.0, 100.0),
     )
-    s = init_slacks(
+    ep = expansion_from(
         Trajectory(points=np.array([[200.0, 100.0]])), PowerProfile(p=np.array([0.1])), cfg
     )
-    assert s.u_e[0] == pytest.approx(1e5 / 60000.0, rel=1e-12)
+    assert ep.u_hat_e[0] == pytest.approx(1e5 / 60000.0, rel=1e-12)
 
 
 def test_expansion_point_rejects_tiny_z():
@@ -216,12 +221,12 @@ def test_trajectory_start_is_strictly_feasible_and_reference_feasible():
         cfg = small_cfg(n)
         ep, traj, pw = random_expansion(cfg, rng)
         prog = build_trajectory_subproblem(ep, pw, cfg)
-        assert prog.max_violation(prog.start) == 0.0
-        margins = prog.constraint_margins(prog.start)
+        assert max_violation(prog, prog.start) == 0.0
+        margins = constraint_margins(prog, prog.start)
         # every barrier family strictly interior at the start
         n_fixed = prog.fixed_idx.size
         assert np.all(margins[: margins.size - n_fixed] > 0.0)
-        assert prog.max_violation(prog.reference) <= 1e-9
+        assert max_violation(prog, prog.reference) <= 1e-9
 
 
 def test_zero_power_slot_exerts_no_positional_force():
@@ -234,8 +239,7 @@ def test_zero_power_slot_exerts_no_positional_force():
     prog = build_trajectory_subproblem(ep, PowerProfile(p=p), cfg)
     # no curvature coefficient references slot 2's position
     q_slot = set(prog.layout["q"].reshape(cfg.N, 2)[2])
-    for term in prog.quad_terms:
-        assert not (set(term.idx) & q_slot)
+    assert not (set(prog.quad_i) & q_slot)
     # and the objective is flat in that position
     x = prog.start.copy()
     base = prog.objective_value(x)
