@@ -44,37 +44,43 @@ _ALL_KEYS = _SCALAR_KEYS + _POWER_KEYS + _VEC_KEYS + ("xi0", "max_iter")
 ECHO_FILENAME = "scenario.txt"
 
 
-def _parse_power(key: str, raw: str) -> float:
+def _parse_power(raw: str) -> float:
+    """Watts, or dBm with a ``dbm`` suffix."""
     text = raw.strip().lower()
     if text.endswith("dbm"):
         return model.dbm_to_watt(float(text[:-3].strip()))
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{key}: expected watts or '<value> dbm', got {raw!r}")
+    return float(text)
 
 
-def _parse_ratio(key: str, raw: str) -> float:
+def _parse_ratio(raw: str) -> float:
+    """Linear ratio, or dB with a ``db`` suffix."""
     text = raw.strip().lower()
     if text.endswith("db") and not text.endswith("dbm"):
         return model.db_to_linear(float(text[:-2].strip()))
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{key}: expected a linear ratio or '<value> db', got {raw!r}")
+    return float(text)
 
 
-def _parse_vec3(key: str, raw: str):
+def _parse_vec3(raw: str):
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 3:
-        raise ValueError(f"{key}: expected three comma-separated values, got {raw!r}")
+        raise ValueError(f"expected three comma-separated values, got {raw!r}")
     return tuple(float(p) for p in parts)
+
+
+# value parser per key; every other key is a plain float
+_PARSERS = {
+    **{key: _parse_power for key in _POWER_KEYS},
+    **{key: _parse_vec3 for key in _VEC_KEYS},
+    "xi0": _parse_ratio,
+    "max_iter": int,
+}
 
 
 def parse_config(path) -> ScenarioConfig:
     """Read a flat key-value config file; missing keys use baseline defaults.
 
-    Raises ValueError naming the offending key or violated scenario invariant.
+    Raises ValueError naming the offending line and key, or the violated
+    scenario invariant.
     """
     text = Path(path).read_text(encoding="utf-8")
     values = {}
@@ -91,16 +97,10 @@ def parse_config(path) -> ScenarioConfig:
             raise ValueError(f"line {lineno}: unknown configuration key {key!r}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        if key in _POWER_KEYS:
-            values[key] = _parse_power(key, raw)
-        elif key == "xi0":
-            values[key] = _parse_ratio(key, raw)
-        elif key in _VEC_KEYS:
-            values[key] = _parse_vec3(key, raw)
-        elif key == "max_iter":
-            values[key] = int(raw)
-        else:
-            values[key] = float(raw)
+        try:
+            values[key] = _PARSERS.get(key, float)(raw)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
     return model.baseline_scenario(**values)
 
 

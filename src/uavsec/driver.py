@@ -7,11 +7,15 @@ power subproblem. ``run_ftp_inf`` runs the full alternation in the
 long-packet limit (dispersion penalties removed) and then evaluates the
 resulting design under the true short-packet objective.
 
-Each iteration logs the solved subproblem value, the true clamped AESR, and
-the fractional increase. After every solve the iterate is compared against
-the expansion point embedded in the program and the better of the two is
-kept, which makes the logged surrogate sequence non-decreasing by
-construction even at the solver's accuracy floor.
+The design (trajectory and power) is the only state carried from one solve
+to the next; each subproblem is built at the current design. Each iteration
+logs the solved subproblem value, the true clamped AESR, and the fractional
+increase. After every solve the iterate is compared against the reference
+embedded in the program (the current design with tight slacks) and the
+better of the two is kept. Each surrogate touches the slack objective at
+that reference and under-estimates it elsewhere, so the logged surrogate
+sequence is non-decreasing even at the solver's accuracy floor, except by
+the ``Z_MIN`` floor on the dispersion roots of silent slots.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .surrogate import (
     build_power_subproblem,
     build_trajectory_subproblem,
     expansion_from,
-    next_expansion,
     slack_rate_objective,
 )
 
@@ -73,8 +76,6 @@ def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
 
 def _take_better(prog, x: np.ndarray) -> np.ndarray:
     """Keep the solver iterate unless the embedded reference scores higher."""
-    if prog.reference is None:
-        return x
     if prog.objective_value(prog.reference) > prog.objective_value(x):
         return prog.reference.copy()
     return x
@@ -101,22 +102,21 @@ def _alternating_run(
 
     for r in range(1, cfg_opt.max_iter + 1):
         if optimize_trajectory:
-            prog_q = build_trajectory_subproblem(ep, pw, cfg_opt)
+            prog_q = build_trajectory_subproblem(traj, pw, cfg_opt)
             sol = solve(prog_q)
             if sol.status == "numerical-failure":
                 failed = True
                 break
-            ep = next_expansion(prog_q, _take_better(prog_q, sol.x), ep)
-            traj = Trajectory(points=ep.q_hat)
+            x = _take_better(prog_q, sol.x)
+            traj = Trajectory(points=x[prog_q.layout["q"]].reshape(n, 2))
 
-        prog_p = build_power_subproblem(traj, ep, cfg_opt)
+        prog_p = build_power_subproblem(traj, pw, cfg_opt)
         sol = solve(prog_p)
         if sol.status == "numerical-failure":
             failed = True
             break
         x = _take_better(prog_p, sol.x)
-        ep = next_expansion(prog_p, x, ep)
-        pw = PowerProfile(p=ep.p_hat)
+        pw = PowerProfile(p=x[prog_p.layout["p"]])
 
         j_r = prog_p.objective_value(x)
         frac = (j_r - j_prev) / max(abs(j_prev), 1e-12)

@@ -280,6 +280,17 @@ def q_inv(p: float) -> float:
     return x if p <= 0.5 else -x
 
 
+def penalty_coeffs(cfg: ScenarioConfig):
+    """Coefficients Qinv(eps)/(sqrt(L) ln2) on the dispersion roots.
+
+    Both vanish in the long-packet limit L = inf.
+    """
+    if math.isinf(cfg.L):
+        return 0.0, 0.0
+    root = math.sqrt(cfg.L) * LN2
+    return q_inv(cfg.eps_b) / root, q_inv(cfg.eps_e) / root
+
+
 def snr(P: float, q, w, xi0: float) -> float:
     """Received SNR xi0 * P / |q - w|^2 for transmit power P at position q."""
     if P < 0.0:
@@ -314,8 +325,7 @@ def secrecy_rate_lb(gamma_b, gamma_e, cfg: ScenarioConfig, clamp: bool = True):
         raise ValueError("SNRs must be non-negative")
     rate = np.log2(1.0 + gb) - np.log2(1.0 + ge)
     if math.isfinite(cfg.L):
-        pen_b = q_inv(cfg.eps_b) / (math.sqrt(cfg.L) * LN2)
-        pen_e = q_inv(cfg.eps_e) / (math.sqrt(cfg.L) * LN2)
+        pen_b, pen_e = penalty_coeffs(cfg)
         rate = rate - np.sqrt(dispersion(gb)) * pen_b - np.sqrt(dispersion(ge)) * pen_e
     if clamp:
         rate = np.maximum(rate, 0.0)

@@ -122,7 +122,8 @@ class _Work:
         g[self.hi_idx] -= 1.0 / s_hi
         H[self.hi_idx, self.hi_idx] -= 1.0 / (s_hi * s_hi)
         g -= self.AT @ (1.0 / s_lin)
-        H -= (self.AT @ self.A.multiply((1.0 / (s_lin * s_lin))[:, None])).toarray()
+        lin = (self.AT @ self.A.multiply((1.0 / (s_lin * s_lin))[:, None])).tocoo()
+        np.add.at(H, (lin.row, lin.col), -lin.data)
 
         # log(h^2 - |y|^2): gradient G/psi and Hessian hess/psi - G G^T/psi^2
         # over the row's four coordinates (x[i], x[j])
@@ -152,11 +153,11 @@ def _newton_direction(H: np.ndarray, g: np.ndarray, free: np.ndarray) -> Optiona
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
         return None
     base = 1e-12 * (1.0 + float(np.max(np.abs(np.diag(A)))) if A.size else 1.0)
-    eye = np.eye(A.shape[0])
     reg = 0.0
-    for k in range(_REG_ESCALATIONS):
+    for _ in range(_REG_ESCALATIONS):
+        M = A if reg == 0.0 else A + reg * np.eye(A.shape[0])
         try:
-            fac = cho_factor(A + reg * eye, lower=True, check_finite=False)
+            fac = cho_factor(M, lower=True, check_finite=False)
             step = cho_solve(fac, rhs, check_finite=False)
         except (LinAlgError, ValueError):
             step = None

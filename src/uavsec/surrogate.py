@@ -1,10 +1,12 @@
 """First-order convex surrogates of the secrecy objective.
 
-Given an expansion point (the current iterate), this module builds the two
+Given the current design (trajectory and power), this module builds the two
 convex subproblems of the alternating scheme as ``StructuredConvexProgram``
 instances: the trajectory subproblem (positions plus slack variables, power
-fixed) and the power subproblem (powers plus slack variables, trajectory
-fixed), and the slack-reformulated objective they are tangent to.
+fixed) and the power subproblem (powers plus dispersion roots, trajectory
+fixed), and the slack-reformulated objective they are tangent to. Each
+builder linearizes at the design's expansion point, whose slacks are tight
+(``expansion_from``).
 
 Both subproblem objectives under-estimate the slack-reformulated objective
 everywhere and agree with it (value and gradient) at the expansion point.
@@ -25,7 +27,7 @@ from .model import (
     ScenarioConfig,
     Trajectory,
     dispersion,
-    q_inv,
+    penalty_coeffs,
     sq_dists,
 )
 
@@ -120,7 +122,7 @@ class StructuredConvexProgram:
 
 @dataclass(frozen=True, eq=False)
 class ExpansionPoint:
-    """Iterate around which the surrogates are linearized."""
+    """Design, with its slacks, around which the surrogates are linearized."""
 
     q_hat: np.ndarray    # (N, 2)
     p_hat: np.ndarray    # (N,)
@@ -149,10 +151,13 @@ class ExpansionPoint:
 
 
 def expansion_from(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> ExpansionPoint:
-    """Expansion point with tight slacks at the given iterate.
+    """Expansion point with tight slacks at the design (traj, pw).
 
     u is the exact SNR and z the exact dispersion root floored at ``Z_MIN``.
+    Raises ValueError if the design and the scenario disagree on N.
     """
+    if len(traj) != cfg.N or len(pw) != cfg.N:
+        raise ValueError("trajectory, power profile, and scenario disagree on N")
     u_b = cfg.xi0 * pw.p / sq_dists(traj.points, cfg.w_b, cfg.H)
     u_e = cfg.xi0 * pw.p / sq_dists(traj.points, cfg.w_e, cfg.H)
     return ExpansionPoint(
@@ -160,38 +165,6 @@ def expansion_from(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> E
         z_hat_b=np.maximum(np.sqrt(dispersion(u_b)), Z_MIN),
         z_hat_e=np.maximum(np.sqrt(dispersion(u_e)), Z_MIN),
     )
-
-
-def next_expansion(prog: StructuredConvexProgram, x: np.ndarray, ep: ExpansionPoint) -> ExpansionPoint:
-    """Expansion point at a solved iterate x of a subproblem built at ep.
-
-    Blocks the program does not carry keep their value from ep; dispersion
-    roots are floored at ``Z_MIN``.
-    """
-    lay = prog.layout
-
-    def block(name, old):
-        return x[lay[name]] if name in lay else old
-
-    return ExpansionPoint(
-        q_hat=x[lay["q"]].reshape(-1, 2) if "q" in lay else ep.q_hat,
-        p_hat=block("p", ep.p_hat),
-        u_hat_b=block("u_b", ep.u_hat_b),
-        u_hat_e=block("u_e", ep.u_hat_e),
-        z_hat_b=np.maximum(block("z_b", ep.z_hat_b), Z_MIN),
-        z_hat_e=np.maximum(block("z_e", ep.z_hat_e), Z_MIN),
-    )
-
-
-def penalty_coeffs(cfg: ScenarioConfig):
-    """Coefficients Qinv(eps)/(sqrt(L) ln2) on the dispersion roots.
-
-    Both vanish in the long-packet limit L = inf.
-    """
-    if math.isinf(cfg.L):
-        return 0.0, 0.0
-    root = math.sqrt(cfg.L) * LN2
-    return q_inv(cfg.eps_b) / root, q_inv(cfg.eps_e) / root
 
 
 def _disp_lin(u_hat: np.ndarray):
@@ -231,11 +204,17 @@ def _layout(cfg: ScenarioConfig, head: str, head_size: int, families):
     return layout, pos
 
 
-def _shared_part(ep: ExpansionPoint, cfg: ScenarioConfig, layout: dict, nvar: int, u0: dict):
+def _shared_part(
+    ep: ExpansionPoint, cfg: ScenarioConfig, layout: dict, nvar: int, snr: dict, u0: dict
+):
     """Objective, bounds, rows, start and reference entries both subproblems
-    share: Eve's log linearized in u_e, the dispersion penalties with their
-    linearized rows, the slack lower bounds, and the u and z entries of the
-    start (from each receiver's start SNR slack ``u0[tag]``) and reference.
+    share: Eve's log linearized in her SNR, and the dispersion penalties with
+    their linearized rows and the z bounds, start (from each receiver's SNR
+    at the start, ``u0[tag]``) and reference.
+
+    ``snr[tag] = (cols, coef)`` gives a receiver's SNR as ``coef * x[cols]``:
+    its slack block u with coef 1 in the trajectory subproblem, the powers
+    with coef xi0/d^2 in the power subproblem.
 
     Returns (lb, c, constant, rows, start, reference); ``rows`` is a list of
     row families for ``_linear_rows``.
@@ -248,17 +227,13 @@ def _shared_part(ep: ExpansionPoint, cfg: ScenarioConfig, layout: dict, nvar: in
     c = np.zeros(nvar)
     start = np.zeros(nvar)
     reference = np.zeros(nvar)
-    c[layout["u_e"]] = -scale / ((1.0 + ue_hat) * LN2)
+    cols, coef = snr["e"]
+    c[cols] = -scale * coef / ((1.0 + ue_hat) * LN2)
     rows = []
     for tag, u_hat, z_hat in (("b", ep.u_hat_b, ep.z_hat_b), ("e", ep.u_hat_e, ep.z_hat_e)):
-        if f"u_{tag}" not in layout:
-            continue
-        u_ix = layout[f"u_{tag}"]
-        lb[u_ix] = 0.0
-        start[u_ix] = u0[tag]
-        reference[u_ix] = u_hat
         if f"z_{tag}" not in layout:
             continue
+        cols, coef = snr[tag]
         z_ix = layout[f"z_{tag}"]
         lb[z_ix] = 0.0
         c[z_ix] = -scale * pens[tag]
@@ -272,8 +247,8 @@ def _shared_part(ep: ExpansionPoint, cfg: ScenarioConfig, layout: dict, nvar: in
         # as dv*u - 2*z_hat*z <= dv*u_hat - v - z_hat^2
         v_hat, dv_hat = _disp_lin(u_hat)
         rows.append((
-            np.column_stack([u_ix, z_ix]),
-            np.column_stack([dv_hat, -2.0 * z_hat]),
+            np.column_stack([cols, z_ix]),
+            np.column_stack([dv_hat * coef, -2.0 * z_hat]),
             dv_hat * u_hat - v_hat - z_hat * z_hat,
         ))
     return lb, c, constant, rows, start, reference
@@ -305,9 +280,10 @@ def _linear_rows(nvar: int, families):
 # ---------------------------------------------------------------------------
 
 def build_trajectory_subproblem(
-    ep: ExpansionPoint, pw: PowerProfile, cfg: ScenarioConfig
+    traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig
 ) -> StructuredConvexProgram:
-    """Convex trajectory subproblem at the expansion point, power fixed.
+    """Convex trajectory subproblem linearized at the design (traj, pw),
+    power fixed.
 
     Variables are the 2-D positions plus, per receiver, the SNR slack u, the
     dispersion root z, and the squared-distance slack l. In the long-packet
@@ -315,9 +291,8 @@ def build_trajectory_subproblem(
     u feeds only its z, the u and l blocks too) are omitted.
     """
     N = cfg.N
-    p = np.asarray(pw.p, dtype=float)
-    if p.shape != (N,) or ep.q_hat.shape[0] != N:
-        raise ValueError("expansion point, power profile, and scenario disagree on N")
+    ep = expansion_from(traj, pw, cfg)
+    p = ep.p_hat
     scale = (1.0 - cfg.eps_b) / N
     layout, nvar = _layout(cfg, "q", 2 * N, ("u", "z", "l"))
     q_idx = layout["q"].reshape(N, 2)
@@ -329,14 +304,11 @@ def build_trajectory_subproblem(
     # just above the SNR it then allows.
     l_lo = cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)
     l0, u0 = {}, {}
-    for tag, _, d2_hat, u_hat in receivers:
+    for tag, _, d2_hat, _ in receivers:
         l0[tag] = np.maximum((1.0 - START_INFLATION) * d2_hat, 0.5 * (l_lo + d2_hat))
-        u0[tag] = np.maximum.reduce([
-            u_hat * (1.0 + START_INFLATION),
-            np.where(p > 0.0, cfg.xi0 * p / l0[tag] * (1.0 + START_INFLATION), 0.0),
-            np.full(N, 1e-12),
-        ])
-    lb, c, constant, rows, start, reference = _shared_part(ep, cfg, layout, nvar, u0)
+        u0[tag] = np.maximum(cfg.xi0 * p / l0[tag] * (1.0 + START_INFLATION), 1e-12)
+    snr = {tag: (layout[f"u_{tag}"], 1.0) for tag in u0}
+    lb, c, constant, rows, start, reference = _shared_part(ep, cfg, layout, nvar, snr, u0)
     start[layout["q"]] = ep.q_hat.ravel()
     reference[layout["q"]] = ep.q_hat.ravel()
 
@@ -351,7 +323,11 @@ def build_trajectory_subproblem(
     quad_beta = np.repeat(scale * b_n, 2)[curved]
 
     hyper_i, hyper_j, hyper_k = [], [], []
-    for tag, w, d2_hat, _ in receivers:
+    for tag, w, d2_hat, u_hat in receivers:
+        u_ix = layout[f"u_{tag}"]
+        lb[u_ix] = 0.0
+        start[u_ix] = u0[tag]
+        reference[u_ix] = u_hat
         l_ix = layout[f"l_{tag}"]
         lb[l_ix] = l_lo
         start[l_ix] = l0[tag]
@@ -365,7 +341,7 @@ def build_trajectory_subproblem(
             d2_hat - grad[:, 0] * ep.q_hat[:, 0] - grad[:, 1] * ep.q_hat[:, 1],
         ))
         on = p > 0.0
-        hyper_i.append(layout[f"u_{tag}"][on])
+        hyper_i.append(u_ix[on])
         hyper_j.append(l_ix[on])
         hyper_k.append(cfg.xi0 * p[on])
     lin_A, lin_b = _linear_rows(nvar, rows)
@@ -390,47 +366,44 @@ def build_trajectory_subproblem(
 # ---------------------------------------------------------------------------
 
 def build_power_subproblem(
-    traj: Trajectory, ep: ExpansionPoint, cfg: ScenarioConfig
+    traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig
 ) -> StructuredConvexProgram:
-    """Convex power subproblem on a fixed trajectory.
+    """Convex power subproblem linearized at the design (traj, pw), trajectory
+    fixed.
 
-    Bob's rate keeps its exact concave log in P; Eve's log and the dispersion
-    penalties are linearized exactly as in the trajectory subproblem.
+    Variables are the powers plus, at finite L, the dispersion roots. Each
+    SNR is affine in the power, so it needs no slack: Bob's rate keeps its
+    exact concave log in P, and Eve's log and the dispersion penalties are
+    linearized exactly as in the trajectory subproblem.
     """
     N = cfg.N
-    if len(traj) != N or ep.p_hat.shape[0] != N:
-        raise ValueError("trajectory, expansion point, and scenario disagree on N")
+    ep = expansion_from(traj, pw, cfg)
     scale = (1.0 - cfg.eps_b) / N
-    layout, nvar = _layout(cfg, "p", N, ("u", "z"))
+    layout, nvar = _layout(cfg, "p", N, ("z",))
     p_ix = layout["p"]
-    d2 = {"b": sq_dists(traj.points, cfg.w_b, cfg.H), "e": sq_dists(traj.points, cfg.w_e, cfg.H)}
+    gain = {"b": cfg.xi0 / sq_dists(traj.points, cfg.w_b, cfg.H),
+            "e": cfg.xi0 / sq_dists(traj.points, cfg.w_e, cfg.H)}
 
-    # Strictly feasible start: uniform half-average power, slacks tightened
-    # to that power and then inflated.
+    # Strictly feasible start: uniform half-average power.
     p0 = np.full(N, cfg.P_bar / 2.0)
-    u0 = {tag: np.maximum(cfg.xi0 * p0 / d2[tag] * (1.0 + START_INFLATION), 1e-12)
-          for tag in d2}
-    lb, c, constant, rows, start, reference = _shared_part(ep, cfg, layout, nvar, u0)
+    lb, c, constant, rows, start, reference = _shared_part(
+        ep, cfg, layout, nvar,
+        {tag: (p_ix, g) for tag, g in gain.items()},
+        {tag: g * p0 for tag, g in gain.items()},
+    )
     ub = np.full(nvar, np.inf)
     lb[p_ix] = 0.0
     ub[p_ix] = cfg.P_max
     start[p_ix] = p0
     reference[p_ix] = ep.p_hat
 
-    # SNR slack rows xi0/d2 * P - u <= 0, then the average power budget
-    # sum P <= N * P_bar.
-    snr_rows = [
-        (np.column_stack([p_ix, layout[f"u_{tag}"]]),
-         np.column_stack([cfg.xi0 / d2[tag], -np.ones(N)]),
-         np.zeros(N))
-        for tag in ("b", "e") if f"u_{tag}" in layout
-    ]
+    # Average power budget sum P <= N * P_bar.
     budget = (p_ix[None, :], np.ones((1, N)), np.array([N * cfg.P_bar]))
-    lin_A, lin_b = _linear_rows(nvar, snr_rows + [budget] + rows)
+    lin_A, lin_b = _linear_rows(nvar, [budget] + rows)
 
     return StructuredConvexProgram(
         n=nvar, lb=lb, ub=ub, c=c, constant=constant,
-        log_i=p_ix, log_a=cfg.xi0 / d2["b"], log_alpha=np.full(N, scale / LN2),
+        log_i=p_ix, log_a=gain["b"], log_alpha=np.full(N, scale / LN2),
         quad_i=_NO_INDEX, quad_c=_NO_VALUE, quad_beta=_NO_VALUE,
         lin_A=lin_A, lin_b=lin_b,
         speed_i=_NO_PAIRS, speed_j=_NO_PAIRS, speed_h=_NO_VALUE,

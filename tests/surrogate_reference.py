@@ -7,8 +7,8 @@ from typing import Optional
 
 import numpy as np
 
-from uavsec.model import LN2, PowerProfile, ScenarioConfig, Trajectory, sq_dists
-from uavsec.surrogate import ExpansionPoint, StructuredConvexProgram, penalty_coeffs
+from uavsec.model import LN2, PowerProfile, ScenarioConfig, Trajectory, penalty_coeffs, sq_dists
+from uavsec.surrogate import ExpansionPoint, StructuredConvexProgram
 
 
 @dataclass(frozen=True, eq=False)

@@ -94,6 +94,13 @@ def test_malformed_lines_rejected(tmp_path):
         parse_config(write_cfg(tmp_path, "T = 6\nT = 8\n"))
 
 
+@pytest.mark.parametrize("line", ["T = abc", "max_iter = 1e2", "w_b = 0,0,x", "P_max = x dbm"])
+def test_unparsable_value_names_line_and_key(tmp_path, line):
+    key = line.split("=")[0].strip()
+    with pytest.raises(ValueError, match=rf"^line 2: {key}: "):
+        parse_config(write_cfg(tmp_path, f"# scenario\n{line}\n"))
+
+
 def test_echo_round_trip(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, TINY))
     echo = tmp_path / "echo.txt"

@@ -169,6 +169,15 @@ def test_poft_saturates_when_caps_coincide_and_rates_positive():
     assert k == (100, 100)
 
 
+def test_poft_stops_promptly_on_a_vanishing_surrogate():
+    # at T=24, L=200 POFT drives every slot silent; the surrogate must reach
+    # that limit without shrinking toward it by a constant factor per
+    # alternation, which the relative stop test would follow for dozens
+    res = run_poft(baseline_scenario(T=24.0, L=200.0))
+    assert not res.failed
+    assert len(res.iterations) - 1 <= 12
+
+
 # ---------------------------------------------------------------------------
 # FTP-Inf specifics
 # ---------------------------------------------------------------------------

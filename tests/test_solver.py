@@ -7,7 +7,7 @@ from scipy import sparse
 
 from uavsec.model import PowerProfile, Trajectory, baseline_scenario
 from uavsec.solver import _center, _newton_direction, _Work, solve
-from uavsec.surrogate import build_power_subproblem, build_trajectory_subproblem, expansion_from
+from uavsec.surrogate import build_power_subproblem, build_trajectory_subproblem
 
 from solver_instances import FAMILIES, program
 from surrogate_reference import max_violation
@@ -146,9 +146,8 @@ def _t4_programs():
         pts[0], pts[-1] = cfg.q_I[:2], cfg.q_F[:2]
         traj = Trajectory(points=pts)
         pw = PowerProfile(p=np.full(cfg.N, cfg.P_bar))
-        ep = expansion_from(traj, pw, cfg)
-        progs.append((f"trajectory L={L}", build_trajectory_subproblem(ep, pw, cfg)))
-        progs.append((f"power L={L}", build_power_subproblem(traj, ep, cfg)))
+        progs.append((f"trajectory L={L}", build_trajectory_subproblem(traj, pw, cfg)))
+        progs.append((f"power L={L}", build_power_subproblem(traj, pw, cfg)))
     return progs
 
 

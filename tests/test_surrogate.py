@@ -7,6 +7,7 @@ from uavsec.model import (
     PowerProfile,
     Trajectory,
     baseline_scenario,
+    penalty_coeffs,
     sq_dists,
 )
 from uavsec.solver import solve
@@ -16,7 +17,6 @@ from uavsec.surrogate import (
     build_power_subproblem,
     build_trajectory_subproblem,
     expansion_from,
-    penalty_coeffs,
     slack_rate_objective,
 )
 
@@ -97,6 +97,16 @@ def test_expansion_point_rejects_tiny_z():
         )
 
 
+@pytest.mark.parametrize("build", [build_trajectory_subproblem, build_power_subproblem])
+def test_builders_reject_mismatched_or_negative_design(build):
+    cfg = small_cfg(3)
+    _, traj, pw = random_expansion(cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="disagree on N"):
+        build(traj, PowerProfile(p=np.append(pw.p, 0.0)), cfg)
+    with pytest.raises(ValueError, match="non-negative"):
+        build(traj, PowerProfile(p=-pw.p), cfg)
+
+
 # ---------------------------------------------------------------------------
 # Tangency and lower-bound properties
 # ---------------------------------------------------------------------------
@@ -118,8 +128,8 @@ def test_program_objectives_match_standalone_evaluators():
     rng = np.random.default_rng(2)
     cfg = small_cfg(4)
     ep, traj, pw = random_expansion(cfg, rng)
-    prog_q = build_trajectory_subproblem(ep, pw, cfg)
-    prog_p = build_power_subproblem(traj, ep, cfg)
+    prog_q = build_trajectory_subproblem(traj, pw, cfg)
+    prog_p = build_power_subproblem(traj, pw, cfg)
     lay = prog_q.layout
     for _ in range(20):
         x = prog_q.start.copy()
@@ -134,15 +144,17 @@ def test_program_objectives_match_standalone_evaluators():
         assert prog_q.objective_value(x) == pytest.approx(
             surrogate_value_q(ep, pt, pw, cfg), abs=1e-12
         )
+    # the power program has no SNR slack: Eve's SNR is xi0 * p / d_e^2
     layp = prog_p.layout
+    d2_e = sq_dists(traj.points, cfg.w_e, cfg.H)
     for _ in range(20):
         x = prog_p.start.copy()
         x[layp["p"]] = rng.uniform(0.0, cfg.P_max, size=cfg.N)
-        x[layp["u_e"]] += rng.uniform(0.0, 1.0, size=cfg.N)
         x[layp["z_b"]] += rng.uniform(0.0, 1.0, size=cfg.N)
         x[layp["z_e"]] += rng.uniform(0.0, 1.0, size=cfg.N)
         pt = SurrogatePoint(
-            p=x[layp["p"]], u_e=x[layp["u_e"]], z_b=x[layp["z_b"]], z_e=x[layp["z_e"]],
+            p=x[layp["p"]], u_e=cfg.xi0 * x[layp["p"]] / d2_e,
+            z_b=x[layp["z_b"]], z_e=x[layp["z_e"]],
         )
         assert prog_p.objective_value(x) == pytest.approx(
             surrogate_value_p(traj, ep, pt, cfg), abs=1e-12
@@ -206,8 +218,8 @@ def test_squared_distance_linearization_underestimates():
 
 def test_trajectory_subproblem_pins_endpoints_for_two_slots():
     cfg = small_cfg(2, spread=4.0)
-    ep, traj, pw = random_expansion(cfg, np.random.default_rng(6))
-    prog = build_trajectory_subproblem(ep, pw, cfg)
+    _, traj, pw = random_expansion(cfg, np.random.default_rng(6))
+    prog = build_trajectory_subproblem(traj, pw, cfg)
     sol = solve(prog)
     assert sol.status == "optimal"
     q = sol.x[prog.layout["q"]].reshape(2, 2)
@@ -219,8 +231,8 @@ def test_trajectory_start_is_strictly_feasible_and_reference_feasible():
     rng = np.random.default_rng(7)
     for n in (2, 3, 6):
         cfg = small_cfg(n)
-        ep, traj, pw = random_expansion(cfg, rng)
-        prog = build_trajectory_subproblem(ep, pw, cfg)
+        _, traj, pw = random_expansion(cfg, rng)
+        prog = build_trajectory_subproblem(traj, pw, cfg)
         assert max_violation(prog, prog.start) == 0.0
         margins = constraint_margins(prog, prog.start)
         # every barrier family strictly interior at the start
@@ -232,11 +244,10 @@ def test_trajectory_start_is_strictly_feasible_and_reference_feasible():
 def test_zero_power_slot_exerts_no_positional_force():
     cfg = small_cfg(4)
     rng = np.random.default_rng(8)
-    ep, traj, pw0 = random_expansion(cfg, rng)
+    _, traj, pw0 = random_expansion(cfg, rng)
     p = pw0.p.copy()
     p[2] = 0.0
-    ep = expansion_from(traj, PowerProfile(p=p), cfg)
-    prog = build_trajectory_subproblem(ep, PowerProfile(p=p), cfg)
+    prog = build_trajectory_subproblem(traj, PowerProfile(p=p), cfg)
     # no curvature coefficient references slot 2's position
     q_slot = set(prog.layout["q"].reshape(cfg.N, 2)[2])
     assert not (set(prog.quad_i) & q_slot)
@@ -259,7 +270,7 @@ def test_trajectory_optimum_moves_toward_bob_matches_grid_oracle():
     pw = PowerProfile(p=np.full(3, 0.05))
     traj = Trajectory(points=np.array([[200.0, 100.0], [200.0, 0.0], [200.0, -100.0]]))
     ep = expansion_from(traj, pw, cfg)
-    prog = build_trajectory_subproblem(ep, pw, cfg)
+    prog = build_trajectory_subproblem(traj, pw, cfg)
     sol = solve(prog)
     assert sol.status == "optimal"
     mid = sol.x[prog.layout["q"]].reshape(3, 2)[1]
@@ -333,7 +344,7 @@ def test_power_subproblem_saturates_average_budget_when_hovering():
     traj = Trajectory(points=np.zeros((1, 2)))
     pw = PowerProfile(p=np.array([cfg.P_bar]))
     ep = expansion_from(traj, pw, cfg)
-    prog = build_power_subproblem(traj, ep, cfg)
+    prog = build_power_subproblem(traj, pw, cfg)
     sol = solve(prog)
     assert sol.status == "optimal"
     p_star = float(sol.x[prog.layout["p"]][0])
@@ -375,8 +386,7 @@ def test_power_subproblem_prefers_zero_when_bob_is_remote():
     frac = np.linspace(0.0, 1.0, 2)[:, None]
     traj = Trajectory(points=cfg.q_I[:2] * (1 - frac) + cfg.q_F[:2] * frac)
     pw = PowerProfile(p=np.full(2, cfg.P_bar))
-    ep = expansion_from(traj, pw, cfg)
-    prog = build_power_subproblem(traj, ep, cfg)
+    prog = build_power_subproblem(traj, pw, cfg)
     sol = solve(prog)
     assert sol.status == "optimal"
     assert np.all(sol.x[prog.layout["p"]] < 1e-6)
@@ -386,14 +396,18 @@ def test_long_packet_limit_drops_dispersion_blocks():
     cfg = baseline_scenario(
         T=3.0, L=math.inf, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0),
     )
-    ep, traj, pw = random_expansion(cfg, np.random.default_rng(9))
-    prog_q = build_trajectory_subproblem(ep, pw, cfg)
+    _, traj, pw = random_expansion(cfg, np.random.default_rng(9))
+    prog_q = build_trajectory_subproblem(traj, pw, cfg)
     for name in ("z_b", "z_e", "u_b", "l_b"):
         assert name not in prog_q.layout
     assert "u_e" in prog_q.layout and "l_e" in prog_q.layout
     sol = solve(prog_q)
     assert sol.status == "optimal"
-    prog_p = build_power_subproblem(traj, ep, cfg)
-    assert set(prog_p.layout) == {"p", "u_e"}
+    prog_p = build_power_subproblem(traj, pw, cfg)
+    assert set(prog_p.layout) == {"p"}
     sol = solve(prog_p)
     assert sol.status == "optimal"
+    finite = baseline_scenario(
+        T=3.0, L=400.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0),
+    )
+    assert set(build_power_subproblem(traj, pw, finite).layout) == {"p", "z_b", "z_e"}
