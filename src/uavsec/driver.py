@@ -16,6 +16,10 @@ better of the two is kept. Each surrogate touches the slack objective at
 that reference and under-estimates it elsewhere, so the logged surrogate
 sequence is non-decreasing even at the solver's accuracy floor, except by
 the ``Z_MIN`` floor on the dispersion roots of silent slots.
+
+A solve that ends ``numerical-failure`` stops the run; one that ends
+``max-iter`` is used like an optimal one. Both are counted in
+``RunResult.nonoptimal``.
 """
 
 from __future__ import annotations
@@ -99,11 +103,13 @@ def _alternating_run(
     )
     records = [IterationRecord(0, j_prev, model.aesr(traj, pw, cfg_opt), math.inf)]
     failed = False
+    nonoptimal = 0
 
     for r in range(1, cfg_opt.max_iter + 1):
         if optimize_trajectory:
             prog_q = build_trajectory_subproblem(traj, pw, cfg_opt)
             sol = solve(prog_q)
+            nonoptimal += sol.status != "optimal"
             if sol.status == "numerical-failure":
                 failed = True
                 break
@@ -112,6 +118,7 @@ def _alternating_run(
 
         prog_p = build_power_subproblem(traj, pw, cfg_opt)
         sol = solve(prog_p)
+        nonoptimal += sol.status != "optimal"
         if sol.status == "numerical-failure":
             failed = True
             break
@@ -139,6 +146,7 @@ def _alternating_run(
         iterations=tuple(records),
         scheme=scheme.value,
         failed=failed,
+        nonoptimal=nonoptimal,
     )
 
 

@@ -5,12 +5,19 @@ maximizes t*objective + sum(log slack) for a geometrically increasing
 barrier weight t, starting from the strictly feasible point bundled with
 the program. Speed rows use the barrier -log(h^2 - |x_j - x_i|^2) and
 hyperbolic rows -log(x_i x_j - k); both count with degree 2 toward the
-total barrier degree m, linear rows and finite box bounds with degree 1.
-The outer loop stops once the certified gap m/t falls below ``_GAP_TOL``.
+total barrier degree m, linear rows, the sum row and finite box bounds
+with degree 1. The outer loop stops once the certified gap m/t falls below
+``_GAP_TOL``.
 
 Fixed coordinates are held exactly by restricting Newton steps to the free
-coordinates. Everything is deterministic: identical inputs produce
-identical iterate sequences.
+coordinates. Newton systems are banded: ``_Work`` finds the half-bandwidth
+and the place of every Hessian entry in lower band storage once per
+program, and each step scatters the entry values there and factors with a
+banded Cholesky. The sum row couples every coordinate it names, so its
+rank-one term stays out of the band and is applied by Sherman-Morrison. In
+the subproblems' slot-major variable order the bandwidth does not grow with
+the slot count, so a step costs O(n). Everything is deterministic:
+identical inputs produce identical iterate sequences.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .surrogate import StructuredConvexProgram
 
@@ -45,7 +52,7 @@ class Solution:
 
 
 class _Work:
-    """Precomputed constraint structure for one program."""
+    """Precomputed constraint structure and Hessian band layout for one program."""
 
     def __init__(self, prog: StructuredConvexProgram):
         self.prog = prog
@@ -56,31 +63,71 @@ class _Work:
         self.hi_val = prog.ub[self.hi_idx]
         self.A = prog.lin_A.tocsr()
         self.AT = self.A.T.tocsr()
+        # the sum row as a coefficient vector, and its bound (empty if absent)
+        self.sum_v = np.bincount(prog.sum_i, minlength=self.n).astype(float)
+        self.sum_b = np.full(min(prog.sum_i.size, 1), float(prog.sum_b))
         # coordinates (x[i], x[j]) of every speed row, and the constant
-        # Hessian -2 A^T A of h^2 - |x[j] - x[i]|^2, with A = [-I I]
+        # curvature 2 A^T A of |x[j] - x[i]|^2, with A = [-I I]
         self.sp_idx = np.concatenate([prog.speed_i, prog.speed_j], axis=1)
         self.sp_h2 = prog.speed_h * prog.speed_h
         eye = np.eye(2)
-        self.sp_hess = -2.0 * np.block([[eye, -eye], [-eye, eye]])
-        self.free = np.ones(self.n, dtype=bool)
-        self.free[prog.fixed_idx] = False
+        self.sp_curv = 2.0 * np.block([[eye, -eye], [-eye, eye]])
+        free = np.ones(self.n, dtype=bool)
+        free[prog.fixed_idx] = False
+        self.free = np.nonzero(free)[0]
+        self.ones = self.sum_v[self.free]
         self.nu = (
-            self.lo_idx.size + self.hi_idx.size + prog.lin_b.size
+            self.lo_idx.size + self.hi_idx.size + prog.lin_b.size + self.sum_b.size
             + 2 * prog.speed_h.size + 2 * prog.hyper_k.size
         )
+
+        # Hessian pattern: one (row, col) entry per value ``assemble`` puts
+        # in ``curvature``, in the same order. A linear row touches every
+        # pair (left, right) of its nonzeros, with coefficient a_left a_right.
+        A = self.A
+        nz_row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        reps = np.diff(A.indptr)[nz_row]        # nonzeros in the row of each nonzero
+        left = np.repeat(np.arange(A.nnz), reps)
+        first = np.repeat(A.indptr[nz_row], reps)
+        right = first + np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        self.lin_row = nz_row[left]
+        self.lin_coef = A.data[left] * A.data[right]
+        sp = self.sp_idx
+        rows = np.concatenate([
+            prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, A.indices[left],
+            np.broadcast_to(sp[:, :, None], (sp.shape[0], 4, 4)).ravel(),
+            prog.hyper_i, prog.hyper_j, prog.hyper_i, prog.hyper_j,
+        ])
+        cols = np.concatenate([
+            prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, A.indices[right],
+            np.broadcast_to(sp[:, None, :], (sp.shape[0], 4, 4)).ravel(),
+            prog.hyper_i, prog.hyper_j, prog.hyper_j, prog.hyper_i,
+        ])
+        # Lower band storage of the free block: entry (r, c), r >= c, sits
+        # at band[r - c, c]. Entries above the diagonal or on a fixed
+        # coordinate go to one extra bin that is dropped.
+        pos = np.full(self.n, -1)
+        pos[self.free] = np.arange(self.free.size)
+        r, c = pos[rows], pos[cols]
+        keep = (r >= c) & (c >= 0)
+        self.kd = int(np.max(r[keep] - c[keep], initial=0))
+        self.band_shape = (self.kd + 1, self.free.size)
+        self.band_size = self.band_shape[0] * self.band_shape[1]
+        self.scatter = np.where(keep, (r - c) * self.free.size + c, self.band_size)
 
     def objective(self, x: np.ndarray) -> float:
         return self.prog.objective_value(x)
 
     def _slacks(self, x: np.ndarray):
         """Speed-row differences x[j] - x[i] and the slack of every barrier
-        family: lower boxes, upper boxes, linear, speed, hyperbolic rows."""
+        family: lower boxes, upper boxes, linear, sum, speed, hyperbolic rows."""
         prog = self.prog
         y = x[prog.speed_j] - x[prog.speed_i]
         return y, (
             x[self.lo_idx] - self.lo_val,
             self.hi_val - x[self.hi_idx],
             prog.lin_b - self.A @ x,
+            self.sum_b - np.sum(x[prog.sum_i]),
             self.sp_h2 - np.sum(y * y, axis=1),
             x[prog.hyper_i] * x[prog.hyper_j] - prog.hyper_k,
         )
@@ -100,71 +147,81 @@ class _Work:
         return self._phi(x, t, fref, self._slacks(x)[1])
 
     def assemble(self, x: np.ndarray, t: float, fref: float):
-        """Value, gradient, and Hessian of the shifted barrier objective."""
+        """Value and gradient of the shifted barrier objective, and its
+        negated Hessian on the free coordinates as a band plus the rank-one
+        sum-row term: (band, w) stands for B + w * ones ones^T."""
         prog = self.prog
         y, slacks = self._slacks(x)
-        s_lo, s_hi, s_lin, s_sp, s_hy = slacks
+        s_lo, s_hi, s_lin, s_sum, s_sp, s_hy = slacks
         phi = self._phi(x, t, fref, slacks)
         g = t * prog.c
-        H = np.zeros((self.n, self.n))
 
         a = prog.log_a
         arg = 1.0 + a * x[prog.log_i]
         ta = t * prog.log_alpha
         np.add.at(g, prog.log_i, ta * a / arg)
-        np.add.at(H, (prog.log_i, prog.log_i), -(ta * (a * a) / (arg * arg)))
         tb = 2.0 * t * prog.quad_beta
         np.add.at(g, prog.quad_i, -(tb * (x[prog.quad_i] - prog.quad_c)))
-        np.add.at(H, (prog.quad_i, prog.quad_i), -tb)
 
         g[self.lo_idx] += 1.0 / s_lo
-        H[self.lo_idx, self.lo_idx] -= 1.0 / (s_lo * s_lo)
         g[self.hi_idx] -= 1.0 / s_hi
-        H[self.hi_idx, self.hi_idx] -= 1.0 / (s_hi * s_hi)
         g -= self.AT @ (1.0 / s_lin)
-        lin = (self.AT @ self.A.multiply((1.0 / (s_lin * s_lin))[:, None])).tocoo()
-        np.add.at(H, (lin.row, lin.col), -lin.data)
+        g -= self.sum_v * np.sum(1.0 / s_sum)
 
-        # log(h^2 - |y|^2): gradient G/psi and Hessian hess/psi - G G^T/psi^2
-        # over the row's four coordinates (x[i], x[j])
+        # log(h^2 - |y|^2): gradient G/psi and negated Hessian
+        # curv/psi + G G^T/psi^2 over the row's four coordinates (x[i], x[j])
         G = 2.0 * np.concatenate([y, -y], axis=1)
         psi = s_sp[:, None]
         np.add.at(g, self.sp_idx, G / psi)
-        block = self.sp_hess / psi[:, :, None] - G[:, :, None] * G[:, None, :] / (psi * psi)[:, :, None]
-        np.add.at(H, (self.sp_idx[:, :, None], self.sp_idx[:, None, :]), block)
+        block = self.sp_curv / psi[:, :, None] + G[:, :, None] * G[:, None, :] / (psi * psi)[:, :, None]
 
         xi = x[prog.hyper_i]
         xj = x[prog.hyper_j]
         np.add.at(g, prog.hyper_i, xj / s_hy)
         np.add.at(g, prog.hyper_j, xi / s_hy)
         psi2 = s_hy * s_hy
-        np.add.at(H, (prog.hyper_i, prog.hyper_i), -(xj * xj) / psi2)
-        np.add.at(H, (prog.hyper_j, prog.hyper_j), -(xi * xi) / psi2)
-        off = -prog.hyper_k / psi2
-        np.add.at(H, (prog.hyper_i, prog.hyper_j), off)
-        np.add.at(H, (prog.hyper_j, prog.hyper_i), off)
-        return phi, g, H
+        off = prog.hyper_k / psi2
+
+        curvature = np.concatenate([
+            ta * (a * a) / (arg * arg), tb, 1.0 / (s_lo * s_lo), 1.0 / (s_hi * s_hi),
+            self.lin_coef * (1.0 / (s_lin * s_lin))[self.lin_row], block.ravel(),
+            (xj * xj) / psi2, (xi * xi) / psi2, off, off,
+        ])
+        # (bincount returns integers when there are no entries at all)
+        band = np.bincount(self.scatter, weights=curvature, minlength=self.band_size + 1)
+        band = band[: self.band_size].reshape(self.band_shape).astype(float, copy=False)
+        return phi, g, band, float(np.sum(1.0 / (s_sum * s_sum)))
 
 
-def _newton_direction(H: np.ndarray, g: np.ndarray, free: np.ndarray) -> Optional[np.ndarray]:
-    """Solve (-H) d = g on the free coordinates, regularizing on failure."""
-    A = -H[np.ix_(free, free)]
-    rhs = g[free]
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
+def _newton_direction(
+    band: np.ndarray, rhs: np.ndarray, ones: np.ndarray, w: float
+) -> Optional[np.ndarray]:
+    """Solve (B + w * ones ones^T) d = rhs, regularizing B on failure.
+
+    B is given in lower band storage: ``band[k, j]`` holds B[j + k, j]. The
+    rank-one term is applied by a Sherman-Morrison correction, which costs
+    one more banded solve, with ``ones`` as its right-hand side.
+    """
+    if not (np.all(np.isfinite(band)) and np.all(np.isfinite(rhs)) and math.isfinite(w)):
         return None
-    base = 1e-12 * (1.0 + float(np.max(np.abs(np.diag(A)))) if A.size else 1.0)
+    base = 1e-12 * (1.0 + float(np.max(np.abs(band[0] + w * ones * ones)))) if band.size else 1.0
+    cols = rhs if w == 0.0 else np.column_stack([rhs, ones])
     reg = 0.0
     for _ in range(_REG_ESCALATIONS):
-        M = A if reg == 0.0 else A + reg * np.eye(A.shape[0])
+        B = band.copy()
+        B[0] += reg
         try:
-            fac = cho_factor(M, lower=True, check_finite=False)
-            step = cho_solve(fac, rhs, check_finite=False)
+            sol = cho_solve_banded(
+                (cholesky_banded(B, lower=True, check_finite=False), True), cols,
+                check_finite=False,
+            )
         except (LinAlgError, ValueError):
-            step = None
-        if step is not None and np.all(np.isfinite(step)):
-            d = np.zeros(free.shape[0])
-            d[free] = step
-            return d
+            sol = None
+        if sol is not None and w != 0.0:
+            y, z = sol[:, 0], sol[:, 1]
+            sol = y - z * (w * float(ones @ y) / (1.0 + w * float(ones @ z)))
+        if sol is not None and np.all(np.isfinite(sol)):
+            return sol
         reg = base if reg == 0.0 else reg * 100.0
     return None
 
@@ -224,14 +281,17 @@ def _center(work: _Work, x: np.ndarray, t: float):
     noise = 64.0 * t * (abs(fref) + 1.0) * np.finfo(float).eps
     steps = 0
     for _ in range(_MAX_NEWTON_PER_STAGE):
-        phi0, g, H = work.assemble(x, t, fref)
-        d = _newton_direction(H, g, work.free)
-        if d is None:
+        phi0, g, band, w = work.assemble(x, t, fref)
+        g = g[work.free]
+        step = _newton_direction(band, g, work.ones, w)
+        if step is None:
             return x, steps, "numerical-failure"
-        gd = float(g[work.free] @ d[work.free])
+        gd = float(g @ step)
         if gd <= 2.0 * _NEWTON_TOL:
             return x, steps, "ok"
         use_armijo = gd > noise
+        d = np.zeros(work.n)
+        d[work.free] = step
         s = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):

@@ -55,12 +55,13 @@ _NO_VALUE = np.zeros(0)
 
 @dataclass(eq=False)
 class StructuredConvexProgram:
-    """Concave maximization over linear, box, speed, and hyperbolic rows.
+    """Concave maximization over linear, sum, box, speed, and hyperbolic rows.
 
     objective(x) = constant + c.x
                    + sum_k log_alpha[k] * ln(1 + log_a[k] * x[log_i[k]])
                    - sum_k quad_beta[k] * (x[quad_i[k]] - quad_c[k])^2
     subject to     lin_A x <= lin_b
+                   sum_k x[sum_i[k]] <= sum_b                     (sum row)
                    |x[speed_j[k]] - x[speed_i[k]]| <= speed_h[k]   (speed rows)
                    x[i]*x[j] >= k, x[i] >= 0, x[j] >= 0  (hyperbolic rows)
                    lb <= x <= ub                          (boxes, +-inf allowed)
@@ -70,7 +71,9 @@ class StructuredConvexProgram:
     and quad terms have one entry per coordinate, with log_alpha and
     quad_beta >= 0. A speed row bounds the distance between two points whose
     coordinates are the index pairs ``speed_i[k]`` and ``speed_j[k]`` (arrays
-    of shape (m, 2)), with ``speed_h > 0``.
+    of shape (m, 2)), with ``speed_h > 0``. The sum row is absent when
+    ``sum_i`` is empty; it is kept out of ``lin_A`` because it couples every
+    coordinate it names, which the solver handles as a rank-one term.
 
     ``start`` is a strictly feasible point. ``reference`` is a (possibly
     boundary-)feasible point whose objective value the solved iterate must
@@ -91,6 +94,8 @@ class StructuredConvexProgram:
     quad_beta: np.ndarray
     lin_A: sparse.csr_matrix
     lin_b: np.ndarray
+    sum_i: np.ndarray
+    sum_b: float
     speed_i: np.ndarray
     speed_j: np.ndarray
     speed_h: np.ndarray
@@ -184,24 +189,31 @@ def _required_z(u: np.ndarray, u_hat: np.ndarray, z_hat: np.ndarray) -> np.ndarr
 # Parts shared by both subproblems
 # ---------------------------------------------------------------------------
 
-def _layout(cfg: ScenarioConfig, head: str, head_size: int, families):
-    """Variable blocks: ``head``, then one block of N per slack family and
-    receiver. ScenarioConfig keeps both epsilons in (0, 0.5), so both
-    dispersion penalties are positive exactly when L is finite; in the
-    long-packet limit the z blocks and Bob's blocks (his u feeds only his z)
-    are omitted.
+def _layout(cfg: ScenarioConfig, head: str, head_width: int, families):
+    """Variable blocks, numbered slot by slot: each slot holds ``head_width``
+    coordinates of ``head``, then, per receiver, one coordinate of each slack
+    family. ``layout[name]`` lists a block's coordinates in slot order.
+
+    Every row of both subproblems couples coordinates of one slot, except the
+    speed rows (two neighbouring slots) and the power budget (a sum row), so
+    this order keeps the Newton systems banded. ScenarioConfig keeps both
+    epsilons in (0, 0.5), so both dispersion penalties are positive exactly
+    when L is finite; in the long-packet limit the z blocks and Bob's blocks
+    (his u feeds only his z) are omitted.
     """
     finite = math.isfinite(cfg.L)
     tags = ("b", "e") if finite else ("e",)
-    blocks = [(head, head_size)] + [
-        (f"{fam}_{tag}", cfg.N) for fam in families for tag in tags if fam != "z" or finite
+    blocks = [(head, head_width)] + [
+        (f"{fam}_{tag}", 1) for tag in tags for fam in families if fam != "z" or finite
     ]
+    width = sum(w for _, w in blocks)
+    slot = width * np.arange(cfg.N)[:, None]
     layout = {}
     pos = 0
-    for name, size in blocks:
-        layout[name] = np.arange(pos, pos + size)
-        pos += size
-    return layout, pos
+    for name, w in blocks:
+        layout[name] = (slot + np.arange(pos, pos + w)).ravel()
+        pos += w
+    return layout, width * cfg.N
 
 
 def _shared_part(
@@ -258,7 +270,8 @@ def _linear_rows(nvar: int, families):
     """CSR matrix and right-hand side of stacked row families.
 
     A family is (cols, vals, rhs): ``cols`` and ``vals`` of shape
-    (rows, nonzeros per row), ``rhs`` of shape (rows,).
+    (rows, nonzeros per row), ``rhs`` of shape (rows,). There may be no
+    family at all (the power subproblem in the long-packet limit).
     """
     row_ids = []
     first = 0
@@ -267,12 +280,13 @@ def _linear_rows(nvar: int, families):
         first += rhs.size
     A = sparse.csr_matrix(
         (
-            np.concatenate([vals.ravel() for _, vals, _ in families]),
-            (np.concatenate(row_ids), np.concatenate([cols.ravel() for cols, _, _ in families])),
+            np.concatenate([_NO_VALUE] + [vals.ravel() for _, vals, _ in families]),
+            (np.concatenate([_NO_INDEX] + row_ids),
+             np.concatenate([_NO_INDEX] + [cols.ravel() for cols, _, _ in families])),
         ),
         shape=(first, nvar),
     )
-    return A, np.concatenate([rhs for _, _, rhs in families])
+    return A, np.concatenate([_NO_VALUE] + [rhs for _, _, rhs in families])
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +308,7 @@ def build_trajectory_subproblem(
     ep = expansion_from(traj, pw, cfg)
     p = ep.p_hat
     scale = (1.0 - cfg.eps_b) / N
-    layout, nvar = _layout(cfg, "q", 2 * N, ("u", "z", "l"))
+    layout, nvar = _layout(cfg, "q", 2, ("u", "z", "l"))
     q_idx = layout["q"].reshape(N, 2)
     receivers = [(tag, w, sq_dists(ep.q_hat, w, cfg.H), u_hat)
                  for tag, w, u_hat in (("b", cfg.w_b, ep.u_hat_b), ("e", cfg.w_e, ep.u_hat_e))
@@ -350,7 +364,7 @@ def build_trajectory_subproblem(
         n=nvar, lb=lb, ub=np.full(nvar, np.inf), c=c, constant=constant,
         log_i=_NO_INDEX, log_a=_NO_VALUE, log_alpha=_NO_VALUE,
         quad_i=quad_i, quad_c=quad_c, quad_beta=quad_beta,
-        lin_A=lin_A, lin_b=lin_b,
+        lin_A=lin_A, lin_b=lin_b, sum_i=_NO_INDEX, sum_b=0.0,
         speed_i=q_idx[:-1], speed_j=q_idx[1:],
         speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),
         hyper_i=np.concatenate(hyper_i), hyper_j=np.concatenate(hyper_j),
@@ -379,7 +393,7 @@ def build_power_subproblem(
     N = cfg.N
     ep = expansion_from(traj, pw, cfg)
     scale = (1.0 - cfg.eps_b) / N
-    layout, nvar = _layout(cfg, "p", N, ("z",))
+    layout, nvar = _layout(cfg, "p", 1, ("z",))
     p_ix = layout["p"]
     gain = {"b": cfg.xi0 / sq_dists(traj.points, cfg.w_b, cfg.H),
             "e": cfg.xi0 / sq_dists(traj.points, cfg.w_e, cfg.H)}
@@ -397,15 +411,14 @@ def build_power_subproblem(
     start[p_ix] = p0
     reference[p_ix] = ep.p_hat
 
-    # Average power budget sum P <= N * P_bar.
-    budget = (p_ix[None, :], np.ones((1, N)), np.array([N * cfg.P_bar]))
-    lin_A, lin_b = _linear_rows(nvar, [budget] + rows)
+    lin_A, lin_b = _linear_rows(nvar, rows)
 
     return StructuredConvexProgram(
         n=nvar, lb=lb, ub=ub, c=c, constant=constant,
         log_i=p_ix, log_a=gain["b"], log_alpha=np.full(N, scale / LN2),
         quad_i=_NO_INDEX, quad_c=_NO_VALUE, quad_beta=_NO_VALUE,
         lin_A=lin_A, lin_b=lin_b,
+        sum_i=p_ix, sum_b=N * cfg.P_bar,   # average power budget
         speed_i=_NO_PAIRS, speed_j=_NO_PAIRS, speed_h=_NO_VALUE,
         hyper_i=_NO_INDEX, hyper_j=_NO_INDEX, hyper_k=_NO_VALUE,
         fixed_idx=_NO_INDEX, fixed_val=_NO_VALUE,

@@ -19,6 +19,7 @@ def program(n, **fields):
         log_i=np.zeros(0, dtype=int), log_a=np.zeros(0), log_alpha=np.zeros(0),
         quad_i=np.zeros(0, dtype=int), quad_c=np.zeros(0), quad_beta=np.zeros(0),
         lin_A=sparse.csr_matrix((0, n)), lin_b=np.zeros(0),
+        sum_i=np.zeros(0, dtype=int), sum_b=0.0,
         speed_i=np.zeros((0, 2), dtype=int), speed_j=np.zeros((0, 2), dtype=int),
         speed_h=np.zeros(0),
         hyper_i=np.zeros(0, dtype=int), hyper_j=np.zeros(0, dtype=int), hyper_k=np.zeros(0),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from uavsec.driver import line_segment_trajectory
 from uavsec.model import PowerProfile, Trajectory, baseline_scenario
 from uavsec.solver import _center, _newton_direction, _Work, solve
 from uavsec.surrogate import build_power_subproblem, build_trajectory_subproblem
@@ -122,32 +123,45 @@ def test_fixed_coordinates_are_held_exactly():
 
 
 def test_newton_direction_regularizes_singular_system():
-    # singular Hessian: the zero row must be absorbed by escalation
-    H = -np.array([[1.0, 0.0], [0.0, 0.0]])
+    # singular Hessian diag(1, 0) as a band: the zero row must be absorbed
+    # by escalation
+    band = np.array([[1.0, 0.0]])
     g = np.array([1.0, 0.0])
-    d = _newton_direction(H, g, np.ones(2, dtype=bool))
+    d = _newton_direction(band, g, np.zeros(2), 0.0)
     assert d is not None and np.all(np.isfinite(d))
 
 
 def test_newton_direction_rejects_non_finite_system():
-    H = np.array([[np.nan, 0.0], [0.0, -1.0]])
+    band = np.array([[np.nan, 1.0], [0.0, 0.0]])
     g = np.array([1.0, 1.0])
-    assert _newton_direction(H, g, np.ones(2, dtype=bool)) is None
+    assert _newton_direction(band, g, np.zeros(2), 0.0) is None
 
 
-def _t4_programs():
-    """Trajectory and power programs at T=4, at finite L and at L=inf."""
+def _dense(band, ones, w):
+    """The symmetric matrix B + w * ones ones^T that (band, ones, w) stand for."""
+    m = band.shape[1]
+    M = np.zeros((m, m))
+    for k in range(band.shape[0]):
+        j = np.arange(m - k)
+        M[j + k, j] = band[k, : m - k]
+        M[j, j + k] = band[k, : m - k]
+    return M + w * np.outer(ones, ones)
+
+
+def _subproblem_programs(T):
+    """Trajectory and power programs at T (s), at finite L and at L=inf,
+    linearized at a perturbed straight segment."""
     progs = []
     for L in (400.0, math.inf):
-        cfg = baseline_scenario(T=4.0, L=L, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
+        cfg = baseline_scenario(T=T, L=L, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
         rng = np.random.default_rng(0)
         frac = np.linspace(0.0, 1.0, cfg.N)[:, None]
         pts = cfg.q_I[:2] * (1.0 - frac) + cfg.q_F[:2] * frac + rng.uniform(-3.0, 3.0, (cfg.N, 2))
         pts[0], pts[-1] = cfg.q_I[:2], cfg.q_F[:2]
         traj = Trajectory(points=pts)
         pw = PowerProfile(p=np.full(cfg.N, cfg.P_bar))
-        progs.append((f"trajectory L={L}", build_trajectory_subproblem(traj, pw, cfg)))
-        progs.append((f"power L={L}", build_power_subproblem(traj, pw, cfg)))
+        progs.append((f"trajectory T={T:g} L={L}", build_trajectory_subproblem(traj, pw, cfg)))
+        progs.append((f"power T={T:g} L={L}", build_power_subproblem(traj, pw, cfg)))
     return progs
 
 
@@ -157,7 +171,8 @@ def _family_programs():
 
 
 @pytest.mark.parametrize("label,prog", [
-    pytest.param(label, prog, id=label) for label, prog in _t4_programs() + _family_programs()
+    pytest.param(label, prog, id=label.replace(" T=4", ""))
+    for label, prog in _subproblem_programs(4.0) + _family_programs()
 ])
 def test_assemble_matches_central_differences_of_phi(label, prog):
     work = _Work(prog)
@@ -169,22 +184,74 @@ def test_assemble_matches_central_differences_of_phi(label, prog):
     assert flag == "ok"
     t = 3.0
     fref = work.objective(x)
-    phi0, g, H = work.assemble(x, t, fref)
+    phi0, g, band, w = work.assemble(x, t, fref)
     assert phi0 == work.phi(x, t, fref)
+    free = work.free
+    H = -_dense(band, work.ones, w)
 
     def phi(y):
         return work.phi(y, t, fref)
 
-    n = prog.n
     h = 1e-4 * np.maximum(1.0, np.abs(x))
     steps = np.diag(h)
-    g_fd = np.array([(phi(x + steps[i]) - phi(x - steps[i])) / (2.0 * h[i]) for i in range(n)])
+    g_fd = np.array([(phi(x + steps[i]) - phi(x - steps[i])) / (2.0 * h[i]) for i in free])
     H_fd = np.array([[
         (phi(x + steps[i] + steps[j]) - phi(x + steps[i] - steps[j])
          - phi(x - steps[i] + steps[j]) + phi(x - steps[i] - steps[j])) / (4.0 * h[i] * h[j])
-        for j in range(n)] for i in range(n)])
+        for j in free] for i in free])
     # errors in the units of each coordinate's own curvature
+    g = g[free]
     scale = np.sqrt(np.abs(np.diag(H)))
     assert np.all(scale > 0.0), label
     assert np.max(np.abs(g - g_fd) / np.maximum(np.abs(g), scale)) <= 1e-5, label
     assert np.max(np.abs(H - H_fd) / np.outer(scale, scale)) <= 1e-3, label
+
+
+def _step_cases():
+    """(label, band, rhs, ones, w) Newton systems: each subproblem program and
+    solver family at its t=1 centre, evaluated at t=3."""
+    cases = []
+    for label, prog in (_subproblem_programs(4.0) + _subproblem_programs(24.0)
+                        + _family_programs()):
+        work = _Work(prog)
+        x = prog.start.copy()
+        x[prog.fixed_idx] = prog.fixed_val
+        x, _, _ = _center(work, x, 1.0)
+        _, g, band, w = work.assemble(x, 3.0, work.objective(x))
+        cases.append(pytest.param(band, g[work.free], work.ones, w, id=label))
+    # a tridiagonal block next to a coordinate without curvature, with a sum
+    # row over the block: the first Cholesky fails and the retry adds the
+    # first escalation to the diagonal
+    band = np.array([[2.0, 2.0, 0.0], [-1.0, 0.0, 0.0]])
+    cases.append(pytest.param(band, np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 0.0]), 0.5,
+                              id="regularized"))
+    return cases
+
+
+@pytest.mark.parametrize("band,rhs,ones,w", _step_cases())
+def test_banded_newton_step_matches_dense_solve(band, rhs, ones, w):
+    M = _dense(band, ones, w)
+    try:
+        np.linalg.cholesky(M)
+        reg = 0.0
+    except np.linalg.LinAlgError:
+        # the first escalation: 1e-12 relative to the largest diagonal entry
+        reg = 1e-12 * (1.0 + np.max(np.abs(np.diag(M))))
+    d = _newton_direction(band, rhs, ones, w)
+    oracle = np.linalg.solve(M + reg * np.eye(M.shape[0]), rhs)
+    np.testing.assert_allclose(d, oracle, rtol=1e-9, atol=1e-14 * np.linalg.norm(oracle))
+
+
+@pytest.mark.parametrize("L", [400.0, math.inf])
+def test_band_width_does_not_grow_with_slot_count(L):
+    widths = {}
+    for T in (24.0, 200.0):
+        cfg = baseline_scenario(T=T, L=L)
+        traj = line_segment_trajectory(cfg)
+        pw = PowerProfile(p=np.full(cfg.N, cfg.P_bar))
+        kd_q = _Work(build_trajectory_subproblem(traj, pw, cfg)).kd
+        kd_p = _Work(build_power_subproblem(traj, pw, cfg)).kd
+        widths[T] = kd_q
+        assert kd_q <= (9 if math.isfinite(L) else 5)
+        assert kd_p <= 2
+    assert widths[24.0] == widths[200.0]
