@@ -2,23 +2,24 @@
 
 ``run_jtpo`` alternates the two convex subproblems until the fractional
 increase of the surrogate objective drops below the scenario threshold.
-``run_poft`` keeps the straight-segment trajectory and iterates only the
-power subproblem. ``run_ftp_inf`` runs the full alternation in the
+``run_poft`` keeps the straight-segment trajectory and runs only the
+closed-form power step. ``run_ftp_inf`` runs the full alternation in the
 long-packet limit (dispersion penalties removed) and then evaluates the
 resulting design under the true short-packet objective.
 
-The design (trajectory and power) is the only state carried from one solve
-to the next; each subproblem is built at the current design. Each iteration
-logs the solved subproblem value, the true clamped AESR, and the fractional
-increase. After every solve the iterate is compared against the reference
-embedded in the program (the current design with tight slacks) and the
-better of the two is kept. Each surrogate touches the slack objective at
-that reference and under-estimates it elsewhere, so the logged surrogate
+The design (trajectory and power) is the only state carried from one step
+to the next; each subproblem is built at the current design. The barrier
+solver runs the trajectory step, whose iterate is compared against the
+reference embedded in the program (the current design with tight slacks);
+the better of the two is kept. The power step is water-filled to its exact
+optimum, and each iteration logs its value, the true clamped AESR, and the
+fractional increase. Each surrogate touches the slack objective at the
+current design and under-estimates it elsewhere, so the logged surrogate
 sequence is non-decreasing even at the solver's accuracy floor, except by
 the ``Z_MIN`` floor on the dispersion roots of silent slots.
 
-A solve that ends ``numerical-failure`` stops the run; one that ends
-``max-iter`` is used like an optimal one. Both are counted in
+A trajectory solve that ends ``numerical-failure`` stops the run; one that
+ends ``max-iter`` is used like an optimal one. Both are counted in
 ``RunResult.nonoptimal``.
 """
 
@@ -39,7 +40,7 @@ from .model import (
     ScenarioConfig,
     Trajectory,
 )
-from .solver import solve
+from .solver import solve, water_fill
 from .surrogate import (
     build_power_subproblem,
     build_trajectory_subproblem,
@@ -79,7 +80,8 @@ def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
 
 
 def _take_better(prog, x: np.ndarray) -> np.ndarray:
-    """Keep the solver iterate unless the embedded reference scores higher."""
+    """Keep the trajectory solver's iterate unless the embedded reference
+    scores higher."""
     if prog.objective_value(prog.reference) > prog.objective_value(x):
         return prog.reference.copy()
     return x
@@ -117,15 +119,9 @@ def _alternating_run(
             traj = Trajectory(points=x[prog_q.layout["q"]].reshape(n, 2))
 
         prog_p = build_power_subproblem(traj, pw, cfg_opt)
-        sol = solve(prog_p)
-        nonoptimal += sol.status != "optimal"
-        if sol.status == "numerical-failure":
-            failed = True
-            break
-        x = _take_better(prog_p, sol.x)
-        pw = PowerProfile(p=x[prog_p.layout["p"]])
+        pw = PowerProfile(p=water_fill(prog_p))
 
-        j_r = prog_p.objective_value(x)
+        j_r = prog_p.objective_value(pw.p)
         frac = (j_r - j_prev) / max(abs(j_prev), 1e-12)
         records.append(IterationRecord(r, j_r, model.aesr(traj, pw, cfg_opt), frac))
         j_prev = j_r

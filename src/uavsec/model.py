@@ -247,7 +247,7 @@ class RunResult:
     iterations: tuple
     scheme: str
     failed: bool = False
-    nonoptimal: int = 0    # subproblem solves that ended with a status other than optimal
+    nonoptimal: int = 0    # trajectory solves that ended with a status other than optimal
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ rank-one term stays out of the band and is applied by Sherman-Morrison. In
 the subproblems' slot-major variable order the bandwidth does not grow with
 the slot count, so a step costs O(n). Everything is deterministic:
 identical inputs produce identical iterate sequences.
+
+``water_fill`` solves the power subproblem in closed form instead.
 """
 
 from __future__ import annotations
@@ -272,6 +274,32 @@ def solve(prog: StructuredConvexProgram) -> Solution:
     )
 
 
+def water_fill(prog: StructuredConvexProgram) -> np.ndarray:
+    """Water-filling maximizer of a power program (Boyd & Vandenberghe 5.5.3).
+
+    The program is sum_k alpha_k ln(1 + a_k x_k) + c.x, c < 0, over the box
+    [0, ub] and the sum row, one log term per coordinate in order. For the
+    sum row's multiplier lam, x_k = clip(alpha_k/(lam - c_k) - 1/a_k, 0, ub_k).
+    lam is 0 if that fits the budget; otherwise it is bisected between 0 and
+    max(alpha*a + c), where x = 0, until the bracket stops shrinking, and the
+    point at the bracket's feasible end is returned.
+    """
+    alpha, a, c = prog.log_alpha, prog.log_a, prog.c
+
+    def point(lam):
+        return np.clip(alpha / (lam - c) - 1.0 / a, 0.0, prog.ub)
+
+    lo, hi = 0.0, float(np.max(alpha * a + c))
+    if np.sum(point(lo)) <= prog.sum_b:
+        hi = lo
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if np.sum(point(mid)) <= prog.sum_b:
+            hi = mid
+        else:
+            lo = mid
+    return point(hi)
+
+
 def _center(work: _Work, x: np.ndarray, t: float):
     """Damped Newton until the decrement criterion holds at barrier weight t."""
     fref = work.objective(x)
@@ -280,6 +308,7 @@ def _center(work: _Work, x: np.ndarray, t: float):
     # (feasible) full Newton steps are trusted.
     noise = 64.0 * t * (abs(fref) + 1.0) * np.finfo(float).eps
     steps = 0
+    gd_full = math.inf      # the decrement before the last step, if that was a full one
     for _ in range(_MAX_NEWTON_PER_STAGE):
         phi0, g, band, w = work.assemble(x, t, fref)
         g = g[work.free]
@@ -287,7 +316,8 @@ def _center(work: _Work, x: np.ndarray, t: float):
         if step is None:
             return x, steps, "numerical-failure"
         gd = float(g @ step)
-        if gd <= 2.0 * _NEWTON_TOL:
+        # below the noise level, a full step that did not shrink gd shows its rounding floor
+        if gd <= 2.0 * _NEWTON_TOL or gd_full <= gd <= noise:
             return x, steps, "ok"
         use_armijo = gd > noise
         d = np.zeros(work.n)
@@ -308,4 +338,5 @@ def _center(work: _Work, x: np.ndarray, t: float):
         if not accepted:
             # No strictly feasible improving step at this precision.
             return x, steps, "ok"
+        gd_full = gd if s == 1.0 else math.inf
     return x, steps, "max-iter"

@@ -3,9 +3,9 @@
 Given the current design (trajectory and power), this module builds the two
 convex subproblems of the alternating scheme as ``StructuredConvexProgram``
 instances: the trajectory subproblem (positions plus slack variables, power
-fixed) and the power subproblem (powers plus dispersion roots, trajectory
-fixed), and the slack-reformulated objective they are tangent to. Each
-builder linearizes at the design's expansion point, whose slacks are tight
+fixed) and the power subproblem (the powers alone, trajectory fixed), and
+the slack-reformulated objective they are tangent to. Each builder
+linearizes at the design's expansion point, whose slacks are tight
 (``expansion_from``).
 
 Both subproblem objectives under-estimate the slack-reformulated objective
@@ -180,31 +180,32 @@ def _disp_lin(u_hat: np.ndarray):
 
 
 def _required_z(u: np.ndarray, u_hat: np.ndarray, z_hat: np.ndarray) -> np.ndarray:
-    """Smallest z satisfying the linearized dispersion row at u."""
+    """Smallest z satisfying the linearized dispersion row at u: affine in u,
+    and >= 0 at u = 0 because v is concave with v(0) = 0."""
     v, dv = _disp_lin(u_hat)
     return (v + dv * (u - u_hat) + z_hat * z_hat) / (2.0 * z_hat)
 
 
 # ---------------------------------------------------------------------------
-# Parts shared by both subproblems
+# Trajectory subproblem
 # ---------------------------------------------------------------------------
 
-def _layout(cfg: ScenarioConfig, head: str, head_width: int, families):
-    """Variable blocks, numbered slot by slot: each slot holds ``head_width``
-    coordinates of ``head``, then, per receiver, one coordinate of each slack
-    family. ``layout[name]`` lists a block's coordinates in slot order.
+def _layout(cfg: ScenarioConfig):
+    """Trajectory variable blocks, numbered slot by slot: each slot holds its
+    two coordinates q, then, per receiver, the SNR slack u, the dispersion
+    root z and the squared-distance slack l. ``layout[name]`` lists a
+    block's coordinates in slot order.
 
-    Every row of both subproblems couples coordinates of one slot, except the
-    speed rows (two neighbouring slots) and the power budget (a sum row), so
-    this order keeps the Newton systems banded. ScenarioConfig keeps both
-    epsilons in (0, 0.5), so both dispersion penalties are positive exactly
-    when L is finite; in the long-packet limit the z blocks and Bob's blocks
-    (his u feeds only his z) are omitted.
+    Every row couples coordinates of one slot, except the speed rows (two
+    neighbouring slots), so this order keeps the Newton systems banded.
+    ScenarioConfig keeps both epsilons in (0, 0.5), so both dispersion
+    penalties are positive exactly when L is finite; in the long-packet
+    limit the z blocks and Bob's blocks (his u feeds only his z) are omitted.
     """
     finite = math.isfinite(cfg.L)
     tags = ("b", "e") if finite else ("e",)
-    blocks = [(head, head_width)] + [
-        (f"{fam}_{tag}", 1) for tag in tags for fam in families if fam != "z" or finite
+    blocks = [("q", 2)] + [
+        (f"{fam}_{tag}", 1) for tag in tags for fam in ("u", "z", "l") if fam != "z" or finite
     ]
     width = sum(w for _, w in blocks)
     slot = width * np.arange(cfg.N)[:, None]
@@ -216,62 +217,11 @@ def _layout(cfg: ScenarioConfig, head: str, head_width: int, families):
     return layout, width * cfg.N
 
 
-def _shared_part(
-    ep: ExpansionPoint, cfg: ScenarioConfig, layout: dict, nvar: int, snr: dict, u0: dict
-):
-    """Objective, bounds, rows, start and reference entries both subproblems
-    share: Eve's log linearized in her SNR, and the dispersion penalties with
-    their linearized rows and the z bounds, start (from each receiver's SNR
-    at the start, ``u0[tag]``) and reference.
-
-    ``snr[tag] = (cols, coef)`` gives a receiver's SNR as ``coef * x[cols]``:
-    its slack block u with coef 1 in the trajectory subproblem, the powers
-    with coef xi0/d^2 in the power subproblem.
-
-    Returns (lb, c, constant, rows, start, reference); ``rows`` is a list of
-    row families for ``_linear_rows``.
-    """
-    scale = (1.0 - cfg.eps_b) / cfg.N
-    pens = dict(zip("be", penalty_coeffs(cfg)))
-    ue_hat = ep.u_hat_e
-    constant = float(np.sum(scale * (-np.log2(1.0 + ue_hat) + ue_hat / ((1.0 + ue_hat) * LN2))))
-    lb = np.full(nvar, -np.inf)
-    c = np.zeros(nvar)
-    start = np.zeros(nvar)
-    reference = np.zeros(nvar)
-    cols, coef = snr["e"]
-    c[cols] = -scale * coef / ((1.0 + ue_hat) * LN2)
-    rows = []
-    for tag, u_hat, z_hat in (("b", ep.u_hat_b, ep.z_hat_b), ("e", ep.u_hat_e, ep.z_hat_e)):
-        if f"z_{tag}" not in layout:
-            continue
-        cols, coef = snr[tag]
-        z_ix = layout[f"z_{tag}"]
-        lb[z_ix] = 0.0
-        c[z_ix] = -scale * pens[tag]
-        reference[z_ix] = z_hat
-        start[z_ix] = np.maximum.reduce([
-            z_hat * (1.0 + START_INFLATION),
-            _required_z(u0[tag], u_hat, z_hat) * (1.0 + START_INFLATION) + 1e-15,
-            np.full(cfg.N, 1e-12),
-        ])
-        # Linearized dispersion row 2*z_hat*z - z_hat^2 >= v + dv*(u - u_hat)
-        # as dv*u - 2*z_hat*z <= dv*u_hat - v - z_hat^2
-        v_hat, dv_hat = _disp_lin(u_hat)
-        rows.append((
-            np.column_stack([cols, z_ix]),
-            np.column_stack([dv_hat * coef, -2.0 * z_hat]),
-            dv_hat * u_hat - v_hat - z_hat * z_hat,
-        ))
-    return lb, c, constant, rows, start, reference
-
-
 def _linear_rows(nvar: int, families):
     """CSR matrix and right-hand side of stacked row families.
 
     A family is (cols, vals, rhs): ``cols`` and ``vals`` of shape
-    (rows, nonzeros per row), ``rhs`` of shape (rows,). There may be no
-    family at all (the power subproblem in the long-packet limit).
+    (rows, nonzeros per row), ``rhs`` of shape (rows,).
     """
     row_ids = []
     first = 0
@@ -280,18 +230,13 @@ def _linear_rows(nvar: int, families):
         first += rhs.size
     A = sparse.csr_matrix(
         (
-            np.concatenate([_NO_VALUE] + [vals.ravel() for _, vals, _ in families]),
-            (np.concatenate([_NO_INDEX] + row_ids),
-             np.concatenate([_NO_INDEX] + [cols.ravel() for cols, _, _ in families])),
+            np.concatenate([vals.ravel() for _, vals, _ in families]),
+            (np.concatenate(row_ids), np.concatenate([cols.ravel() for cols, _, _ in families])),
         ),
         shape=(first, nvar),
     )
-    return A, np.concatenate([_NO_VALUE] + [rhs for _, _, rhs in families])
+    return A, np.concatenate([rhs for _, _, rhs in families])
 
-
-# ---------------------------------------------------------------------------
-# Trajectory subproblem
-# ---------------------------------------------------------------------------
 
 def build_trajectory_subproblem(
     traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig
@@ -308,25 +253,21 @@ def build_trajectory_subproblem(
     ep = expansion_from(traj, pw, cfg)
     p = ep.p_hat
     scale = (1.0 - cfg.eps_b) / N
-    layout, nvar = _layout(cfg, "q", 2, ("u", "z", "l"))
+    pens = dict(zip("be", penalty_coeffs(cfg)))
+    layout, nvar = _layout(cfg)
     q_idx = layout["q"].reshape(N, 2)
-    receivers = [(tag, w, sq_dists(ep.q_hat, w, cfg.H), u_hat)
-                 for tag, w, u_hat in (("b", cfg.w_b, ep.u_hat_b), ("e", cfg.w_e, ep.u_hat_e))
-                 if f"l_{tag}" in layout]
-
-    # Strictly feasible start slacks: l just below its linearized bound, u
-    # just above the SNR it then allows.
-    l_lo = cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)
-    l0, u0 = {}, {}
-    for tag, _, d2_hat, _ in receivers:
-        l0[tag] = np.maximum((1.0 - START_INFLATION) * d2_hat, 0.5 * (l_lo + d2_hat))
-        u0[tag] = np.maximum(cfg.xi0 * p / l0[tag] * (1.0 + START_INFLATION), 1e-12)
-    snr = {tag: (layout[f"u_{tag}"], 1.0) for tag in u0}
-    lb, c, constant, rows, start, reference = _shared_part(ep, cfg, layout, nvar, snr, u0)
+    lb = np.full(nvar, -np.inf)
+    c = np.zeros(nvar)
+    start = np.zeros(nvar)
+    reference = np.zeros(nvar)
     start[layout["q"]] = ep.q_hat.ravel()
     reference[layout["q"]] = ep.q_hat.ravel()
 
-    # Objective: exact log of Bob's rate linearized in the squared distance.
+    # Objective: Eve's log linearized in her SNR slack, and the exact log of
+    # Bob's rate linearized in the squared distance.
+    ue_hat = ep.u_hat_e
+    constant = float(np.sum(scale * (-np.log2(1.0 + ue_hat) + ue_hat / ((1.0 + ue_hat) * LN2))))
+    c[layout["u_e"]] = -scale / ((1.0 + ue_hat) * LN2)
     d2_b = sq_dists(ep.q_hat, cfg.w_b, cfg.H)
     a_n = np.log2(1.0 + cfg.xi0 * p / d2_b)
     b_n = cfg.xi0 * p / (d2_b * (d2_b + cfg.xi0 * p) * LN2)
@@ -336,20 +277,48 @@ def build_trajectory_subproblem(
     quad_c = np.tile(cfg.w_b[:2], N)[curved]
     quad_beta = np.repeat(scale * b_n, 2)[curved]
 
+    # Strictly feasible start slacks: l just below its linearized bound, u
+    # just above the SNR it then allows, z just above what that u needs.
+    l_lo = cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)
+    disp_rows, dist_rows = [], []
     hyper_i, hyper_j, hyper_k = [], [], []
-    for tag, w, d2_hat, u_hat in receivers:
+    for tag, w, u_hat, z_hat in (("b", cfg.w_b, ep.u_hat_b, ep.z_hat_b),
+                                 ("e", cfg.w_e, ep.u_hat_e, ep.z_hat_e)):
+        if f"l_{tag}" not in layout:
+            continue
+        d2_hat = sq_dists(ep.q_hat, w, cfg.H)
+        l0 = np.maximum((1.0 - START_INFLATION) * d2_hat, 0.5 * (l_lo + d2_hat))
+        u0 = np.maximum(cfg.xi0 * p / l0 * (1.0 + START_INFLATION), 1e-12)
         u_ix = layout[f"u_{tag}"]
         lb[u_ix] = 0.0
-        start[u_ix] = u0[tag]
+        start[u_ix] = u0
         reference[u_ix] = u_hat
         l_ix = layout[f"l_{tag}"]
         lb[l_ix] = l_lo
-        start[l_ix] = l0[tag]
+        start[l_ix] = l0
         reference[l_ix] = d2_hat
+        if f"z_{tag}" in layout:
+            z_ix = layout[f"z_{tag}"]
+            lb[z_ix] = 0.0
+            c[z_ix] = -scale * pens[tag]
+            reference[z_ix] = z_hat
+            start[z_ix] = np.maximum.reduce([
+                z_hat * (1.0 + START_INFLATION),
+                _required_z(u0, u_hat, z_hat) * (1.0 + START_INFLATION) + 1e-15,
+                np.full(N, 1e-12),
+            ])
+            # Linearized dispersion row 2*z_hat*z - z_hat^2 >= v + dv*(u - u_hat)
+            # as dv*u - 2*z_hat*z <= dv*u_hat - v - z_hat^2
+            v_hat, dv_hat = _disp_lin(u_hat)
+            disp_rows.append((
+                np.column_stack([u_ix, z_ix]),
+                np.column_stack([dv_hat, -2.0 * z_hat]),
+                dv_hat * u_hat - v_hat - z_hat * z_hat,
+            ))
         # Squared distance under-estimator bounds l from above:
         # l - grad.q <= d2_hat - grad.q_hat
         grad = 2.0 * (ep.q_hat - w[:2])
-        rows.append((
+        dist_rows.append((
             np.column_stack([q_idx, l_ix]),
             np.column_stack([-grad, np.ones(N)]),
             d2_hat - grad[:, 0] * ep.q_hat[:, 0] - grad[:, 1] * ep.q_hat[:, 1],
@@ -358,7 +327,7 @@ def build_trajectory_subproblem(
         hyper_i.append(u_ix[on])
         hyper_j.append(l_ix[on])
         hyper_k.append(cfg.xi0 * p[on])
-    lin_A, lin_b = _linear_rows(nvar, rows)
+    lin_A, lin_b = _linear_rows(nvar, disp_rows + dist_rows)
 
     return StructuredConvexProgram(
         n=nvar, lb=lb, ub=np.full(nvar, np.inf), c=c, constant=constant,
@@ -385,44 +354,42 @@ def build_power_subproblem(
     """Convex power subproblem linearized at the design (traj, pw), trajectory
     fixed.
 
-    Variables are the powers plus, at finite L, the dispersion roots. Each
-    SNR is affine in the power, so it needs no slack: Bob's rate keeps its
-    exact concave log in P, and Eve's log and the dispersion penalties are
-    linearized exactly as in the trajectory subproblem.
+    The variables are the N powers. Bob's rate keeps its exact log in P and
+    Eve's log is linearized in her SNR g_e*P. Each dispersion root is set to
+    the bound its linearized row gives, ``_required_z``, which is affine in P
+    and never negative, so each slot's objective is alpha*ln(1 + g_b*P) + c*P
+    and ``solver.water_fill`` solves the program in closed form.
     """
     N = cfg.N
     ep = expansion_from(traj, pw, cfg)
     scale = (1.0 - cfg.eps_b) / N
-    layout, nvar = _layout(cfg, "p", 1, ("z",))
-    p_ix = layout["p"]
-    gain = {"b": cfg.xi0 / sq_dists(traj.points, cfg.w_b, cfg.H),
-            "e": cfg.xi0 / sq_dists(traj.points, cfg.w_e, cfg.H)}
+    ue_hat = ep.u_hat_e
+    g_b = cfg.xi0 / sq_dists(traj.points, cfg.w_b, cfg.H)
+    g_e = cfg.xi0 / sq_dists(traj.points, cfg.w_e, cfg.H)
+    pen_b, pen_e = penalty_coeffs(cfg)
+    # per slot: alpha*ln(1 + g_b*P) - scale*(loss0 + slope*P); the penalties
+    # are 0 at L=inf
+    slope = g_e / ((1.0 + ue_hat) * LN2)
+    loss0 = np.log2(1.0 + ue_hat) - ue_hat / ((1.0 + ue_hat) * LN2)
+    for pen, g, u_hat, z_hat in ((pen_b, g_b, ep.u_hat_b, ep.z_hat_b),
+                                 (pen_e, g_e, ue_hat, ep.z_hat_e)):
+        _, dv_hat = _disp_lin(u_hat)
+        slope = slope + pen * dv_hat * g / (2.0 * z_hat)
+        loss0 = loss0 + pen * _required_z(0.0, u_hat, z_hat)
 
-    # Strictly feasible start: uniform half-average power.
-    p0 = np.full(N, cfg.P_bar / 2.0)
-    lb, c, constant, rows, start, reference = _shared_part(
-        ep, cfg, layout, nvar,
-        {tag: (p_ix, g) for tag, g in gain.items()},
-        {tag: g * p0 for tag, g in gain.items()},
-    )
-    ub = np.full(nvar, np.inf)
-    lb[p_ix] = 0.0
-    ub[p_ix] = cfg.P_max
-    start[p_ix] = p0
-    reference[p_ix] = ep.p_hat
-
-    lin_A, lin_b = _linear_rows(nvar, rows)
-
+    p_ix = np.arange(N)
     return StructuredConvexProgram(
-        n=nvar, lb=lb, ub=ub, c=c, constant=constant,
-        log_i=p_ix, log_a=gain["b"], log_alpha=np.full(N, scale / LN2),
+        n=N, lb=np.zeros(N), ub=np.full(N, cfg.P_max), c=-scale * slope,
+        constant=-float(np.sum(scale * loss0)),
+        log_i=p_ix, log_a=g_b, log_alpha=np.full(N, scale / LN2),
         quad_i=_NO_INDEX, quad_c=_NO_VALUE, quad_beta=_NO_VALUE,
-        lin_A=lin_A, lin_b=lin_b,
+        lin_A=sparse.csr_matrix((0, N)), lin_b=_NO_VALUE,
         sum_i=p_ix, sum_b=N * cfg.P_bar,   # average power budget
         speed_i=_NO_PAIRS, speed_j=_NO_PAIRS, speed_h=_NO_VALUE,
         hyper_i=_NO_INDEX, hyper_j=_NO_INDEX, hyper_k=_NO_VALUE,
         fixed_idx=_NO_INDEX, fixed_val=_NO_VALUE,
-        start=start, layout=layout, reference=reference,
+        # strictly feasible start for the barrier solver: uniform half-average power
+        start=np.full(N, cfg.P_bar / 2.0), layout={"p": p_ix},
     )
 
 

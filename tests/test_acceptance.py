@@ -417,6 +417,9 @@ def test_criterion_7_aesr_grid_trends(runs):
                 for scheme in (SchemeId.JTPO, SchemeId.POFT, SchemeId.FTP_INF):
                     res = runs.get(scheme, T, L)
                     assert not res.failed, f"{scheme} T={T} L={L} failed"
+                    if scheme is SchemeId.JTPO:
+                        assert res.nonoptimal == 0, (
+                            f"JTPO T={T} L={L}: {res.nonoptimal} non-optimal solves")
                     aesr[(scheme, T, L)] = res.aesr
 
         for T in T_GRID:
@@ -439,7 +442,8 @@ def test_criterion_7_aesr_grid_trends(runs):
         ok = True
     finally:
         _report(7, ok, time.perf_counter() - t0,
-                "JTPO dominates both benchmarks and is monotone in T and L on the 4x3 grid")
+                "JTPO dominates both benchmarks, is monotone in T and L and certifies"
+                " every solve on the 4x3 grid")
 
 
 # ---------------------------------------------------------------------------

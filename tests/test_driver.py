@@ -211,13 +211,12 @@ def test_non_optimal_solves_are_counted(monkeypatch):
     ftp = run_ftp_inf(baseline_scenario(T=24.0))
     assert not ftp.failed and ftp.nonoptimal >= 1
     assert ftp.nonoptimal == sum(s != "optimal" for s in statuses)
-    # whether a JTPO solve stops just above or just below the Newton
-    # decrement tolerance at its last barrier stage is a matter of rounding,
-    # so only the count is checked here
+    # every JTPO solve certifies its gap, also where the Newton decrement of
+    # its last barrier stage stalls at its rounding floor
     statuses.clear()
     jtpo = run_jtpo(baseline_scenario())
     assert not jtpo.failed
-    assert jtpo.nonoptimal == sum(s != "optimal" for s in statuses)
+    assert jtpo.nonoptimal == sum(s != "optimal" for s in statuses) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from scipy import sparse
 
 from uavsec.driver import line_segment_trajectory
 from uavsec.model import PowerProfile, Trajectory, baseline_scenario
-from uavsec.solver import _center, _newton_direction, _Work, solve
+from uavsec.solver import _center, _newton_direction, _Work, solve, water_fill
 from uavsec.surrogate import build_power_subproblem, build_trajectory_subproblem
 
 from solver_instances import FAMILIES, program
@@ -255,3 +255,83 @@ def test_band_width_does_not_grow_with_slot_count(L):
         assert kd_q <= (9 if math.isfinite(L) else 5)
         assert kd_p <= 2
     assert widths[24.0] == widths[200.0]
+
+
+# ---------------------------------------------------------------------------
+# Closed-form power step
+# ---------------------------------------------------------------------------
+
+def _random_design(cfg, rng):
+    """Perturbed straight segment and feasible powers, about a fifth of the
+    slots silent."""
+    n = cfg.N
+    frac = np.linspace(0.0, 1.0, n)[:, None]
+    pts = cfg.q_I[:2] * (1.0 - frac) + cfg.q_F[:2] * frac + rng.uniform(-3.0, 3.0, (n, 2))
+    pts[0], pts[-1] = cfg.q_I[:2], cfg.q_F[:2]
+    p = rng.uniform(0.0, cfg.P_max, n)
+    p *= min(1.0, cfg.P_bar / p.mean())
+    p[rng.random(n) < 0.2] = 0.0
+    return Trajectory(points=pts), PowerProfile(p=p)
+
+
+@pytest.mark.parametrize("L", [200.0, 400.0, 800.0, math.inf])
+def test_water_fill_matches_barrier_solve(L):
+    rng = np.random.default_rng(zlib.crc32(f"water-fill L={L}".encode()))
+    for trial in range(25):
+        cfg = baseline_scenario(T=float(rng.integers(2, 40)), L=L,
+                                q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
+        traj, pw = _random_design(cfg, rng)
+        prog = build_power_subproblem(traj, pw, cfg)
+        sol = solve(prog)
+        assert sol.status == "optimal", trial
+        x = water_fill(prog)
+        assert max_violation(prog, x) == 0.0, trial
+        value = prog.objective_value(x)
+        assert sol.objective - 1e-12 <= value <= sol.objective + sol.gap_bound, trial
+        # the driver keeps the water-filled powers without comparing them to
+        # the current ones
+        assert value >= prog.objective_value(pw.p) - 1e-12, trial
+
+
+def _assert_kkt(prog, x):
+    """Some multiplier lam >= 0 of the sum row, zero unless the row is
+    tight, satisfies every coordinate's KKT condition on its box, up to
+    rounding relative to the linear coefficients."""
+    gain = prog.log_alpha * prog.log_a / (1.0 + prog.log_a * x) + prog.c
+    tight = np.sum(x) >= prog.sum_b * (1.0 - 1e-12)
+    lam_lo = max([0.0] + list(gain[x < prog.ub]))
+    lam_hi = min(list(gain[x > 0.0]) + [math.inf if tight else 0.0])
+    assert lam_lo <= lam_hi + 1e-9 * np.max(np.abs(prog.c))
+
+
+def test_water_fill_kkt_on_one_slot():
+    # hovering above Bob, one slot: the average cap binds below P_max
+    cfg = baseline_scenario(T=1.0, q_I=(0.0, 0.0, 100.0), q_F=(0.0, 0.0, 100.0))
+    pw = PowerProfile(p=np.array([cfg.P_bar]))
+    prog = build_power_subproblem(Trajectory(points=np.zeros((1, 2))), pw, cfg)
+    x = water_fill(prog)
+    assert x[0] == pytest.approx(cfg.P_bar, rel=1e-12) and x[0] <= cfg.P_bar
+    _assert_kkt(prog, x)
+
+
+def test_water_fill_kkt_when_caps_coincide():
+    # with P_bar = P_max the box implies the budget, so lam = 0 and every
+    # slot takes its own clipped stationary point
+    cfg = baseline_scenario(T=24.0, P_bar=0.1, P_max=0.1)
+    traj = line_segment_trajectory(cfg)
+    prog = build_power_subproblem(traj, PowerProfile(p=np.full(cfg.N, cfg.P_bar)), cfg)
+    x = water_fill(prog)
+    own = np.clip(prog.log_alpha / -prog.c - 1.0 / prog.log_a, 0.0, prog.ub)
+    assert np.array_equal(x, own)
+    assert 0.0 < np.sum(x) < prog.sum_b
+    _assert_kkt(prog, x)
+
+
+def test_water_fill_kkt_when_the_budget_binds():
+    cfg = baseline_scenario(T=24.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
+    traj = line_segment_trajectory(cfg)
+    prog = build_power_subproblem(traj, PowerProfile(p=np.full(cfg.N, cfg.P_bar)), cfg)
+    x = water_fill(prog)
+    assert np.sum(x) == pytest.approx(prog.sum_b, rel=1e-12)
+    assert np.any((x > 0.0) & (x < prog.ub))
+    _assert_kkt(prog, x)

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from uavsec.model import (
+    LN2,
     PowerProfile,
     Trajectory,
     baseline_scenario,
     penalty_coeffs,
     sq_dists,
 )
-from uavsec.solver import solve
+from uavsec.solver import solve, water_fill
 from uavsec.surrogate import (
+    L_LOWER_RELAX,
+    START_INFLATION,
     Z_MIN,
     ExpansionPoint,
+    _required_z,
     build_power_subproblem,
     build_trajectory_subproblem,
     expansion_from,
@@ -144,21 +148,38 @@ def test_program_objectives_match_standalone_evaluators():
         assert prog_q.objective_value(x) == pytest.approx(
             surrogate_value_q(ep, pt, pw, cfg), abs=1e-12
         )
-    # the power program has no SNR slack: Eve's SNR is xi0 * p / d_e^2
-    layp = prog_p.layout
-    d2_e = sq_dists(traj.points, cfg.w_e, cfg.H)
+    # the power program has no slack: each SNR is xi0 * p / d^2, and each
+    # dispersion root sits at the bound its linearized row sets
+    u_b = cfg.xi0 / sq_dists(traj.points, cfg.w_b, cfg.H)
+    u_e = cfg.xi0 / sq_dists(traj.points, cfg.w_e, cfg.H)
     for _ in range(20):
-        x = prog_p.start.copy()
-        x[layp["p"]] = rng.uniform(0.0, cfg.P_max, size=cfg.N)
-        x[layp["z_b"]] += rng.uniform(0.0, 1.0, size=cfg.N)
-        x[layp["z_e"]] += rng.uniform(0.0, 1.0, size=cfg.N)
+        p = rng.uniform(0.0, cfg.P_max, size=cfg.N)
         pt = SurrogatePoint(
-            p=x[layp["p"]], u_e=cfg.xi0 * x[layp["p"]] / d2_e,
-            z_b=x[layp["z_b"]], z_e=x[layp["z_e"]],
+            p=p, u_e=u_e * p,
+            z_b=_required_z(u_b * p, ep.u_hat_b, ep.z_hat_b),
+            z_e=_required_z(u_e * p, ep.u_hat_e, ep.z_hat_e),
         )
-        assert prog_p.objective_value(x) == pytest.approx(
+        assert prog_p.objective_value(p) == pytest.approx(
             surrogate_value_p(traj, ep, pt, cfg), abs=1e-12
         )
+
+
+def test_required_root_is_non_negative_at_zero_power():
+    # The power subproblem replaces each dispersion root z >= 0 by its
+    # affine lower bound; that is exact only if the bound is >= 0 at P = 0.
+    rng = np.random.default_rng(10)
+    floored = 0
+    for _ in range(200):
+        cfg = small_cfg(int(rng.integers(2, 12)))
+        _, traj, pw = random_expansion(cfg, rng)
+        # powers over 25 decades, some slots silent
+        p = pw.p * 10.0 ** rng.uniform(-25.0, 0.0, size=cfg.N)
+        p[rng.random(cfg.N) < 0.2] = 0.0
+        ep = expansion_from(traj, PowerProfile(p=p), cfg)
+        for u_hat, z_hat in ((ep.u_hat_b, ep.z_hat_b), (ep.u_hat_e, ep.z_hat_e)):
+            assert np.all(_required_z(0.0, u_hat, z_hat) >= 0.0)
+            floored += int(np.sum(z_hat == Z_MIN))
+    assert floored > 0
 
 
 def test_surrogates_lower_bound_reference_objective():
@@ -261,6 +282,96 @@ def test_zero_power_slot_exerts_no_positional_force():
     assert not any(i in u_cols for i in prog.hyper_i)
 
 
+def _trajectory_arrays(traj, pw, cfg, start_u):
+    """Layout, bounds, start, reference, objective and linear rows of the
+    trajectory program, assembled independently of the builder in its fixed
+    order: slot-major blocks q, then u, z, l per receiver; both dispersion
+    rows before both distance rows; Eve's constant summed before Bob's.
+    ``start_u[tag]`` is the program's start SNR slack of each receiver."""
+    ep = expansion_from(traj, pw, cfg)
+    N, p = cfg.N, pw.p
+    finite = math.isfinite(cfg.L)
+    scale = (1.0 - cfg.eps_b) / N
+    pens = dict(zip("be", penalty_coeffs(cfg)))
+    tags = ("b", "e") if finite else ("e",)
+    names = [f"{fam}_{tag}" for tag in tags for fam in ("u", "z", "l") if finite or fam != "z"]
+    width = len(names) + 2
+    slot = width * np.arange(N)
+    layout = {"q": (slot[:, None] + np.arange(2)).ravel()}
+    layout.update({name: slot + 2 + k for k, name in enumerate(names)})
+    n = width * N
+    lb, start, reference, c = np.full(n, -np.inf), np.zeros(n), np.zeros(n), np.zeros(n)
+    start[layout["q"]] = reference[layout["q"]] = ep.q_hat.ravel()
+    ue = ep.u_hat_e
+    constant = float(np.sum(scale * (-np.log2(1.0 + ue) + ue / ((1.0 + ue) * LN2))))
+    c[layout["u_e"]] = -scale / ((1.0 + ue) * LN2)
+    d2_b = sq_dists(ep.q_hat, cfg.w_b, cfg.H)
+    a_n = np.log2(1.0 + cfg.xi0 * p / d2_b)
+    b_n = cfg.xi0 * p / (d2_b * (d2_b + cfg.xi0 * p) * LN2)
+    constant += float(np.sum(scale * (a_n + b_n * d2_b - b_n * cfg.H * cfg.H)))
+    A = np.zeros((N * len(tags) * (2 if finite else 1), n))
+    b = []
+    rows = iter(np.arange(A.shape[0]).reshape(-1, N))
+    l_lo = cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)
+    hats = {"b": (cfg.w_b, ep.u_hat_b, ep.z_hat_b), "e": (cfg.w_e, ep.u_hat_e, ep.z_hat_e)}
+    for tag in (tags if finite else ()):
+        _, u_hat, z_hat = hats[tag]
+        u_ix, z_ix = layout[f"u_{tag}"], layout[f"z_{tag}"]
+        lb[z_ix] = 0.0
+        c[z_ix] = -scale * pens[tag]
+        reference[z_ix] = z_hat
+        start[z_ix] = np.maximum.reduce([
+            z_hat * (1.0 + START_INFLATION),
+            _required_z(start_u[tag], u_hat, z_hat) * (1.0 + START_INFLATION) + 1e-15,
+            np.full(N, 1e-12),
+        ])
+        v = 1.0 - (1.0 + u_hat) ** (-2.0)
+        dv = 2.0 * (1.0 + u_hat) ** (-3.0)
+        r = next(rows)
+        A[r, u_ix] = dv
+        A[r, z_ix] = -2.0 * z_hat
+        b.append(dv * u_hat - v - z_hat * z_hat)
+    for tag in tags:
+        w, u_hat, _ = hats[tag]
+        u_ix, l_ix = layout[f"u_{tag}"], layout[f"l_{tag}"]
+        d2_hat = sq_dists(ep.q_hat, w, cfg.H)
+        lb[u_ix], start[u_ix], reference[u_ix] = 0.0, start_u[tag], u_hat
+        lb[l_ix], reference[l_ix] = l_lo, d2_hat
+        start[l_ix] = np.maximum((1.0 - START_INFLATION) * d2_hat, 0.5 * (l_lo + d2_hat))
+        grad = 2.0 * (ep.q_hat - w[:2])
+        r = next(rows)
+        A[r, layout["q"][0::2]] = -grad[:, 0]
+        A[r, layout["q"][1::2]] = -grad[:, 1]
+        A[r, l_ix] = 1.0
+        b.append(d2_hat - grad[:, 0] * ep.q_hat[:, 0] - grad[:, 1] * ep.q_hat[:, 1])
+    return dict(layout=layout, lb=lb, start=start, reference=reference, c=c,
+                constant=constant, lin_A=A, lin_b=np.concatenate(b))
+
+
+@pytest.mark.parametrize("L", [400.0, math.inf])
+def test_trajectory_program_keeps_its_layout_and_rows(L):
+    # bit for bit, so that a change to the power subproblem cannot move the
+    # trajectory step's iterates
+    cfg = baseline_scenario(T=4.0, L=L, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        _, traj, pw = random_expansion(cfg, rng)
+        p = pw.p.copy()
+        p[1] = 0.0
+        pw = PowerProfile(p=p)
+        prog = build_trajectory_subproblem(traj, pw, cfg)
+        start_u = {tag: prog.start[prog.layout[f"u_{tag}"]]
+                   for tag in "be" if f"u_{tag}" in prog.layout}
+        want = _trajectory_arrays(traj, pw, cfg, start_u)
+        assert list(prog.layout) == list(want["layout"])
+        for name, idx in want["layout"].items():
+            assert np.array_equal(prog.layout[name], idx), name
+        for name in ("lb", "start", "reference", "c", "lin_b"):
+            assert getattr(prog, name).tobytes() == want[name].tobytes(), name
+        assert prog.constant == want["constant"]
+        assert prog.lin_A.toarray().tobytes() == want["lin_A"].tobytes()
+
+
 def test_trajectory_optimum_moves_toward_bob_matches_grid_oracle():
     # three slots, generous speed so only the endpoints are pinned
     cfg = baseline_scenario(
@@ -347,8 +458,6 @@ def test_power_subproblem_saturates_average_budget_when_hovering():
     prog = build_power_subproblem(traj, pw, cfg)
     sol = solve(prog)
     assert sol.status == "optimal"
-    p_star = float(sol.x[prog.layout["p"]][0])
-    assert p_star == pytest.approx(cfg.P_bar, abs=1e-6)
 
     # 1-D oracle over P with slacks tightened against the linearized rows
     pen_b, pen_e = penalty_coeffs(cfg)
@@ -374,7 +483,9 @@ def test_power_subproblem_saturates_average_budget_when_hovering():
     vals = [value(p) for p in grid]
     k = int(np.argmax(vals))
     assert grid[k] == pytest.approx(cfg.P_bar, abs=1e-4)
-    assert sol.objective == pytest.approx(vals[k], abs=1e-4)
+    for powers in (sol.x, water_fill(prog)):
+        assert powers[0] == pytest.approx(cfg.P_bar, abs=1e-6)
+        assert prog.objective_value(powers) == pytest.approx(vals[k], abs=1e-4)
 
 
 def test_power_subproblem_prefers_zero_when_bob_is_remote():
@@ -390,6 +501,7 @@ def test_power_subproblem_prefers_zero_when_bob_is_remote():
     sol = solve(prog)
     assert sol.status == "optimal"
     assert np.all(sol.x[prog.layout["p"]] < 1e-6)
+    assert np.all(water_fill(prog) < 1e-6)
 
 
 def test_long_packet_limit_drops_dispersion_blocks():
@@ -410,4 +522,8 @@ def test_long_packet_limit_drops_dispersion_blocks():
     finite = baseline_scenario(
         T=3.0, L=400.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0),
     )
-    assert set(build_power_subproblem(traj, pw, finite).layout) == {"p", "z_b", "z_e"}
+    # the dispersion roots are substituted out, so the power program holds
+    # the powers alone at every blocklength
+    prog_p = build_power_subproblem(traj, pw, finite)
+    assert set(prog_p.layout) == {"p"} and prog_p.n == finite.N
+    assert prog_p.lin_b.size == 0
