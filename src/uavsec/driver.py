@@ -9,18 +9,22 @@ resulting design under the true short-packet objective.
 
 The design (trajectory and power) is the only state carried from one step
 to the next; each subproblem is built at the current design. The barrier
-solver runs the trajectory step, whose iterate is compared against the
-reference embedded in the program (the current design with tight slacks);
-the better of the two is kept. The power step is water-filled to its exact
-optimum, and each iteration logs its value, the true clamped AESR, and the
-fractional increase. Each surrogate touches the slack objective at the
-current design and under-estimates it elsewhere, so the logged surrogate
-sequence is non-decreasing even at the solver's accuracy floor, except by
-the ``Z_MIN`` floor on the dispersion roots of silent slots.
+solver runs the trajectory step from the current positions, the program's
+start, and the better of its iterate and that start is kept. The power step
+is water-filled to its exact optimum, and each iteration logs its value,
+the true clamped AESR, and the fractional increase. Each surrogate touches
+the slack objective at the current design and under-estimates it
+elsewhere, so the logged surrogate sequence is non-decreasing even at the
+solver's accuracy floor, except by the ``Z_MIN`` floor on the dispersion
+roots of silent slots.
+
+When the endpoints are a whole flight apart at V_max, the straight segment
+is the only trajectory and has no strict interior, so JTPO and FTP-Inf run
+only the power step there, as POFT does.
 
 A trajectory solve that ends ``numerical-failure`` stops the run; one that
-ends ``max-iter`` is used like an optimal one. Both are counted in
-``RunResult.nonoptimal``.
+ends ``max-iter`` or ``stalled`` is used like an optimal one. All three are
+counted in ``RunResult.nonoptimal``.
 """
 
 from __future__ import annotations
@@ -79,11 +83,18 @@ def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
     return Trajectory(points=pts)
 
 
+def _segment_is_forced(cfg: ScenarioConfig) -> bool:
+    """Whether every speed row of the straight segment is tight (up to
+    ``model.SPEED_SLACK``), which leaves it the only trajectory."""
+    reach = cfg.V_max * cfg.delta_t * (cfg.N - 1)
+    return float(np.linalg.norm(cfg.q_F[:2] - cfg.q_I[:2])) >= reach - model.SPEED_SLACK
+
+
 def _take_better(prog, x: np.ndarray) -> np.ndarray:
-    """Keep the trajectory solver's iterate unless the embedded reference
-    scores higher."""
-    if prog.objective_value(prog.reference) > prog.objective_value(x):
-        return prog.reference.copy()
+    """Keep the trajectory solver's iterate unless the start (the current
+    positions) scores higher."""
+    if prog.objective_value(prog.start) > prog.objective_value(x):
+        return prog.start.copy()
     return x
 
 
@@ -106,6 +117,7 @@ def _alternating_run(
     records = [IterationRecord(0, j_prev, model.aesr(traj, pw, cfg_opt), math.inf)]
     failed = False
     nonoptimal = 0
+    optimize_trajectory = optimize_trajectory and not _segment_is_forced(cfg_opt)
 
     for r in range(1, cfg_opt.max_iter + 1):
         if optimize_trajectory:
@@ -115,8 +127,7 @@ def _alternating_run(
             if sol.status == "numerical-failure":
                 failed = True
                 break
-            x = _take_better(prog_q, sol.x)
-            traj = Trajectory(points=x[prog_q.layout["q"]].reshape(n, 2))
+            traj = Trajectory(points=_take_better(prog_q, sol.x).reshape(n, 2))
 
         prog_p = build_power_subproblem(traj, pw, cfg_opt)
         pw = PowerProfile(p=water_fill(prog_p))

@@ -6,8 +6,10 @@ barrier weight t, starting from the strictly feasible point bundled with
 the program. Speed rows use the barrier -log(h^2 - |x_j - x_i|^2) and
 hyperbolic rows -log(x_i x_j - k); both count with degree 2 toward the
 total barrier degree m, linear rows, the sum row and finite box bounds
-with degree 1. The outer loop stops once the certified gap m/t falls below
-``_GAP_TOL``.
+with degree 1. A linear row's reciprocal objective term -k/(s + o) is a
+function of the row's barrier slack s, so it adds to the weight of the
+row's own rank-one Hessian term and needs no entries of its own. The outer
+loop stops once the certified gap m/t falls below ``_GAP_TOL``.
 
 Fixed coordinates are held exactly by restricting Newton steps to the free
 coordinates. Newton systems are banded: ``_Work`` finds the half-bandwidth
@@ -50,7 +52,7 @@ class Solution:
     gap_bound: float         # certified distance to the optimum (m/t)
     newton_steps: int
     stages: int
-    status: str              # "optimal" | "max-iter" | "numerical-failure"
+    status: str              # "optimal" | "max-iter" | "stalled" | "numerical-failure"
 
 
 class _Work:
@@ -167,7 +169,12 @@ class _Work:
 
         g[self.lo_idx] += 1.0 / s_lo
         g[self.hi_idx] -= 1.0 / s_hi
-        g -= self.AT @ (1.0 / s_lin)
+        # log(s) - t*k/(s + o) for each linear row's slack s: its gradient
+        # along the row, and its negated curvature weight
+        r_lin = s_lin + prog.lin_o
+        tk = t * prog.lin_k
+        g -= self.AT @ (1.0 / s_lin + tk / (r_lin * r_lin))
+        w_lin = 1.0 / (s_lin * s_lin) + 2.0 * tk / (r_lin * r_lin * r_lin)
         g -= self.sum_v * np.sum(1.0 / s_sum)
 
         # log(h^2 - |y|^2): gradient G/psi and negated Hessian
@@ -186,7 +193,7 @@ class _Work:
 
         curvature = np.concatenate([
             ta * (a * a) / (arg * arg), tb, 1.0 / (s_lo * s_lo), 1.0 / (s_hi * s_hi),
-            self.lin_coef * (1.0 / (s_lin * s_lin))[self.lin_row], block.ravel(),
+            self.lin_coef * w_lin[self.lin_row], block.ravel(),
             (xj * xj) / psi2, (xi * xi) / psi2, off, off,
         ])
         # (bincount returns integers when there are no entries at all)
@@ -235,7 +242,9 @@ def solve(prog: StructuredConvexProgram) -> Solution:
     certified gap matches the objective scale at the start. Raises
     ValueError if the bundled start is not strictly feasible. Returns
     status "numerical-failure" with the last iterate if the Newton system
-    cannot be solved even after diagonal regularization.
+    cannot be solved even after diagonal regularization, and "max-iter" or
+    "stalled" if the last centering ran out of Newton steps or found no
+    strictly feasible improving step before its decrement test held.
     """
     work = _Work(prog)
     x = np.asarray(prog.start, dtype=float).copy()
@@ -259,8 +268,8 @@ def solve(prog: StructuredConvexProgram) -> Solution:
             status = flag
             break
         if nu / t <= _GAP_TOL:
-            if flag == "max-iter":
-                status = "max-iter"
+            if flag != "ok":
+                status = flag
             break
         t = min(t * _MU, t_final)
 
@@ -337,6 +346,6 @@ def _center(work: _Work, x: np.ndarray, t: float):
         steps += 1
         if not accepted:
             # No strictly feasible improving step at this precision.
-            return x, steps, "ok"
+            return x, steps, "stalled"
         gd_full = gd if s == 1.0 else math.inf
     return x, steps, "max-iter"

@@ -2,11 +2,13 @@
 
 Given the current design (trajectory and power), this module builds the two
 convex subproblems of the alternating scheme as ``StructuredConvexProgram``
-instances: the trajectory subproblem (positions plus slack variables, power
-fixed) and the power subproblem (the powers alone, trajectory fixed), and
-the slack-reformulated objective they are tangent to. Each builder
-linearizes at the design's expansion point, whose slacks are tight
-(``expansion_from``).
+instances: the trajectory subproblem (the 2N position coordinates, power
+fixed) and the power subproblem (the N powers, trajectory fixed), and the
+slack-reformulated objective they are tangent to. Each builder linearizes
+at the design's expansion point, whose slacks are tight
+(``expansion_from``), and substitutes every slack by the value at which it
+binds at the subproblem's optimum, so neither program carries a slack
+variable.
 
 Both subproblem objectives under-estimate the slack-reformulated objective
 everywhere and agree with it (value and gradient) at the expansion point.
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -35,12 +36,9 @@ from .model import (
 # constraint degenerates at z_hat = 0 (its left side could not dominate a
 # positive right side), so expansion points keep z_hat >= Z_MIN.
 Z_MIN = 1e-6
-# Relative inflation used to turn a boundary-feasible warm start into a
-# strictly feasible one.
-START_INFLATION = 1e-6
-# The squared-distance slack is lower-bounded by altitude^2 relaxed by this
-# relative margin, so a slot hovering exactly above a receiver still leaves
-# the bound a non-empty strict interior.
+# The linearized squared distance to each receiver is lower-bounded by
+# altitude^2 relaxed by this relative margin, so a slot hovering exactly
+# above a receiver still leaves the bound a non-empty strict interior.
 L_LOWER_RELAX = 1e-6
 # Empty index and coefficient arrays for the term and row families a
 # subproblem does not use.
@@ -60,6 +58,7 @@ class StructuredConvexProgram:
     objective(x) = constant + c.x
                    + sum_k log_alpha[k] * ln(1 + log_a[k] * x[log_i[k]])
                    - sum_k quad_beta[k] * (x[quad_i[k]] - quad_c[k])^2
+                   - sum_r lin_k[r] / (lin_b[r] - lin_A[r] x + lin_o[r])
     subject to     lin_A x <= lin_b
                    sum_k x[sum_i[k]] <= sum_b                     (sum row)
                    |x[speed_j[k]] - x[speed_i[k]]| <= speed_h[k]   (speed rows)
@@ -69,16 +68,17 @@ class StructuredConvexProgram:
 
     Every term and row family is a set of index and coefficient arrays. Log
     and quad terms have one entry per coordinate, with log_alpha and
-    quad_beta >= 0. A speed row bounds the distance between two points whose
-    coordinates are the index pairs ``speed_i[k]`` and ``speed_j[k]`` (arrays
-    of shape (m, 2)), with ``speed_h > 0``. The sum row is absent when
+    quad_beta >= 0. Each linear row r carries a reciprocal term of its slack
+    with lin_k[r] >= 0 and lin_o[r] > 0 (lin_k[r] = 0 for a plain row), so
+    the term is finite and concave wherever the row holds. A speed row
+    bounds the distance between two points whose coordinates are the index
+    pairs ``speed_i[k]`` and ``speed_j[k]`` (arrays of shape (m, 2)), with
+    ``speed_h > 0``. The sum row is absent when
     ``sum_i`` is empty; it is kept out of ``lin_A`` because it couples every
     coordinate it names, which the solver handles as a rank-one term.
 
-    ``start`` is a strictly feasible point. ``reference`` is a (possibly
-    boundary-)feasible point whose objective value the solved iterate must
-    never fall below; the driver uses it to keep the surrogate sequence
-    monotone. ``layout`` maps variable-block names to index arrays.
+    ``start`` is a strictly feasible point. ``layout`` maps variable-block
+    names to index arrays.
     """
 
     n: int
@@ -94,6 +94,8 @@ class StructuredConvexProgram:
     quad_beta: np.ndarray
     lin_A: sparse.csr_matrix
     lin_b: np.ndarray
+    lin_k: np.ndarray
+    lin_o: np.ndarray
     sum_i: np.ndarray
     sum_b: float
     speed_i: np.ndarray
@@ -106,18 +108,19 @@ class StructuredConvexProgram:
     fixed_val: np.ndarray
     start: np.ndarray
     layout: dict
-    reference: Optional[np.ndarray] = None
 
     def objective_value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         arg = 1.0 + self.log_a * x[self.log_i]
-        if np.any(arg <= 0.0):
+        den = self.lin_b - self.lin_A @ x + self.lin_o
+        if np.any(arg <= 0.0) or np.any(den <= 0.0):
             return -math.inf
         diff = x[self.quad_i] - self.quad_c
         return (
             self.constant + float(self.c @ x)
             + float(np.sum(self.log_alpha * np.log(arg)))
             - float(np.sum(self.quad_beta * (diff * diff)))
+            - float(np.sum(self.lin_k / den))
         )
 
 
@@ -190,157 +193,83 @@ def _required_z(u: np.ndarray, u_hat: np.ndarray, z_hat: np.ndarray) -> np.ndarr
 # Trajectory subproblem
 # ---------------------------------------------------------------------------
 
-def _layout(cfg: ScenarioConfig):
-    """Trajectory variable blocks, numbered slot by slot: each slot holds its
-    two coordinates q, then, per receiver, the SNR slack u, the dispersion
-    root z and the squared-distance slack l. ``layout[name]`` lists a
-    block's coordinates in slot order.
-
-    Every row couples coordinates of one slot, except the speed rows (two
-    neighbouring slots), so this order keeps the Newton systems banded.
-    ScenarioConfig keeps both epsilons in (0, 0.5), so both dispersion
-    penalties are positive exactly when L is finite; in the long-packet
-    limit the z blocks and Bob's blocks (his u feeds only his z) are omitted.
-    """
-    finite = math.isfinite(cfg.L)
-    tags = ("b", "e") if finite else ("e",)
-    blocks = [("q", 2)] + [
-        (f"{fam}_{tag}", 1) for tag in tags for fam in ("u", "z", "l") if fam != "z" or finite
-    ]
-    width = sum(w for _, w in blocks)
-    slot = width * np.arange(cfg.N)[:, None]
-    layout = {}
-    pos = 0
-    for name, w in blocks:
-        layout[name] = (slot + np.arange(pos, pos + w)).ravel()
-        pos += w
-    return layout, width * cfg.N
-
-
-def _linear_rows(nvar: int, families):
-    """CSR matrix and right-hand side of stacked row families.
-
-    A family is (cols, vals, rhs): ``cols`` and ``vals`` of shape
-    (rows, nonzeros per row), ``rhs`` of shape (rows,).
-    """
-    row_ids = []
-    first = 0
-    for cols, _, rhs in families:
-        row_ids.append(np.repeat(np.arange(first, first + rhs.size), cols.shape[1]))
-        first += rhs.size
-    A = sparse.csr_matrix(
-        (
-            np.concatenate([vals.ravel() for _, vals, _ in families]),
-            (np.concatenate(row_ids), np.concatenate([cols.ravel() for cols, _, _ in families])),
-        ),
-        shape=(first, nvar),
-    )
-    return A, np.concatenate([rhs for _, _, rhs in families])
-
-
 def build_trajectory_subproblem(
     traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig
 ) -> StructuredConvexProgram:
     """Convex trajectory subproblem linearized at the design (traj, pw),
     power fixed.
 
-    Variables are the 2-D positions plus, per receiver, the SNR slack u, the
-    dispersion root z, and the squared-distance slack l. In the long-packet
-    limit the dispersion penalties vanish, so the z blocks (and for Bob, whose
-    u feeds only its z, the u and l blocks too) are omitted.
+    The variables are the 2N coordinates of the positions, slot by slot.
+    Bob's log rate is linearized in his squared distance, which stays exact
+    (the quad terms). Each receiver's squared distance is under-estimated
+    by its linearization l(q) = d2_hat + grad.(q - q_hat), and the slacks
+    of the slack-reformulated objective are replaced by the values at which
+    they bind at any optimum, since the objective is monotone in each: the
+    squared-distance slack by l(q), the SNR slack u by xi0*p / l(q), and the
+    dispersion root z by ``_required_z(u)``, which is affine in u and never
+    negative. Each receiver's slot term is then a constant minus k / l(q),
+    k >= 0, carried on the linear row l(q) >= l_lo that keeps the slack's
+    lower bound; silent slots keep the row with k = 0. In the long-packet
+    limit the dispersion penalties vanish, and with them Bob's rows, since
+    his SNR fed only his dispersion root.
     """
     N = cfg.N
     ep = expansion_from(traj, pw, cfg)
     p = ep.p_hat
     scale = (1.0 - cfg.eps_b) / N
-    pens = dict(zip("be", penalty_coeffs(cfg)))
-    layout, nvar = _layout(cfg)
-    q_idx = layout["q"].reshape(N, 2)
-    lb = np.full(nvar, -np.inf)
-    c = np.zeros(nvar)
-    start = np.zeros(nvar)
-    reference = np.zeros(nvar)
-    start[layout["q"]] = ep.q_hat.ravel()
-    reference[layout["q"]] = ep.q_hat.ravel()
+    pen_b, pen_e = penalty_coeffs(cfg)
+    q_idx = np.arange(2 * N).reshape(N, 2)
 
     # Objective: Eve's log linearized in her SNR slack, and the exact log of
     # Bob's rate linearized in the squared distance.
     ue_hat = ep.u_hat_e
     constant = float(np.sum(scale * (-np.log2(1.0 + ue_hat) + ue_hat / ((1.0 + ue_hat) * LN2))))
-    c[layout["u_e"]] = -scale / ((1.0 + ue_hat) * LN2)
     d2_b = sq_dists(ep.q_hat, cfg.w_b, cfg.H)
     a_n = np.log2(1.0 + cfg.xi0 * p / d2_b)
     b_n = cfg.xi0 * p / (d2_b * (d2_b + cfg.xi0 * p) * LN2)
     constant += float(np.sum(scale * (a_n + b_n * d2_b - b_n * cfg.H * cfg.H)))
     curved = np.repeat(b_n > 0.0, 2)
-    quad_i = layout["q"][curved]
+    quad_i = q_idx.ravel()[curved]
     quad_c = np.tile(cfg.w_b[:2], N)[curved]
     quad_beta = np.repeat(scale * b_n, 2)[curved]
 
-    # Strictly feasible start slacks: l just below its linearized bound, u
-    # just above the SNR it then allows, z just above what that u needs.
+    # Per receiver: the constant part of its dispersion penalty; k, which is
+    # xi0*p times the slope in u of its slot term (the penalty's, plus Eve's
+    # SNR term); and the row l(q) >= l_lo as
+    # -grad.q <= d2_hat - grad.q_hat - l_lo, whose slack plus l_lo is l(q).
     l_lo = cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)
-    disp_rows, dist_rows = [], []
-    hyper_i, hyper_j, hyper_k = [], [], []
-    for tag, w, u_hat, z_hat in (("b", cfg.w_b, ep.u_hat_b, ep.z_hat_b),
-                                 ("e", cfg.w_e, ep.u_hat_e, ep.z_hat_e)):
-        if f"l_{tag}" not in layout:
-            continue
-        d2_hat = sq_dists(ep.q_hat, w, cfg.H)
-        l0 = np.maximum((1.0 - START_INFLATION) * d2_hat, 0.5 * (l_lo + d2_hat))
-        u0 = np.maximum(cfg.xi0 * p / l0 * (1.0 + START_INFLATION), 1e-12)
-        u_ix = layout[f"u_{tag}"]
-        lb[u_ix] = 0.0
-        start[u_ix] = u0
-        reference[u_ix] = u_hat
-        l_ix = layout[f"l_{tag}"]
-        lb[l_ix] = l_lo
-        start[l_ix] = l0
-        reference[l_ix] = d2_hat
-        if f"z_{tag}" in layout:
-            z_ix = layout[f"z_{tag}"]
-            lb[z_ix] = 0.0
-            c[z_ix] = -scale * pens[tag]
-            reference[z_ix] = z_hat
-            start[z_ix] = np.maximum.reduce([
-                z_hat * (1.0 + START_INFLATION),
-                _required_z(u0, u_hat, z_hat) * (1.0 + START_INFLATION) + 1e-15,
-                np.full(N, 1e-12),
-            ])
-            # Linearized dispersion row 2*z_hat*z - z_hat^2 >= v + dv*(u - u_hat)
-            # as dv*u - 2*z_hat*z <= dv*u_hat - v - z_hat^2
-            v_hat, dv_hat = _disp_lin(u_hat)
-            disp_rows.append((
-                np.column_stack([u_ix, z_ix]),
-                np.column_stack([dv_hat, -2.0 * z_hat]),
-                dv_hat * u_hat - v_hat - z_hat * z_hat,
-            ))
-        # Squared distance under-estimator bounds l from above:
-        # l - grad.q <= d2_hat - grad.q_hat
+    receivers = [(cfg.w_e, ue_hat, ep.z_hat_e, pen_e, 1.0 / ((1.0 + ue_hat) * LN2))]
+    if math.isfinite(cfg.L):
+        receivers.insert(0, (cfg.w_b, ep.u_hat_b, ep.z_hat_b, pen_b, 0.0))
+    grads, rhs, lin_k = [], [], []
+    for w, u_hat, z_hat, pen, snr_slope in receivers:
+        _, dv_hat = _disp_lin(u_hat)
+        constant -= float(np.sum(scale * pen * _required_z(0.0, u_hat, z_hat)))
+        lin_k.append(cfg.xi0 * p * scale * (snr_slope + pen * dv_hat / (2.0 * z_hat)))
         grad = 2.0 * (ep.q_hat - w[:2])
-        dist_rows.append((
-            np.column_stack([q_idx, l_ix]),
-            np.column_stack([-grad, np.ones(N)]),
-            d2_hat - grad[:, 0] * ep.q_hat[:, 0] - grad[:, 1] * ep.q_hat[:, 1],
-        ))
-        on = p > 0.0
-        hyper_i.append(u_ix[on])
-        hyper_j.append(l_ix[on])
-        hyper_k.append(cfg.xi0 * p[on])
-    lin_A, lin_b = _linear_rows(nvar, disp_rows + dist_rows)
+        grads.append(grad)
+        rhs.append(sq_dists(ep.q_hat, w, cfg.H) - np.sum(grad * ep.q_hat, axis=1) - l_lo)
+    rows = len(receivers) * N
+    lin_A = sparse.csr_matrix(
+        (-np.concatenate(grads).ravel(), np.tile(q_idx.ravel(), len(receivers)),
+         np.arange(0, 2 * rows + 1, 2)),
+        shape=(rows, 2 * N),
+    )
 
     return StructuredConvexProgram(
-        n=nvar, lb=lb, ub=np.full(nvar, np.inf), c=c, constant=constant,
+        n=2 * N, lb=np.full(2 * N, -np.inf), ub=np.full(2 * N, np.inf), c=np.zeros(2 * N),
+        constant=constant,
         log_i=_NO_INDEX, log_a=_NO_VALUE, log_alpha=_NO_VALUE,
         quad_i=quad_i, quad_c=quad_c, quad_beta=quad_beta,
-        lin_A=lin_A, lin_b=lin_b, sum_i=_NO_INDEX, sum_b=0.0,
+        lin_A=lin_A, lin_b=np.concatenate(rhs), lin_k=np.concatenate(lin_k),
+        lin_o=np.full(rows, l_lo), sum_i=_NO_INDEX, sum_b=0.0,
         speed_i=q_idx[:-1], speed_j=q_idx[1:],
         speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),
-        hyper_i=np.concatenate(hyper_i), hyper_j=np.concatenate(hyper_j),
-        hyper_k=np.concatenate(hyper_k),
+        hyper_i=_NO_INDEX, hyper_j=_NO_INDEX, hyper_k=_NO_VALUE,
         fixed_idx=np.concatenate([q_idx[0], q_idx[N - 1]]),
         fixed_val=np.concatenate([cfg.q_I[:2], cfg.q_F[:2]]),
-        start=start, layout=layout, reference=reference,
+        # the design itself, strictly inside every row
+        start=ep.q_hat.ravel(), layout={"q": q_idx.ravel()},
     )
 
 
@@ -383,7 +312,7 @@ def build_power_subproblem(
         constant=-float(np.sum(scale * loss0)),
         log_i=p_ix, log_a=g_b, log_alpha=np.full(N, scale / LN2),
         quad_i=_NO_INDEX, quad_c=_NO_VALUE, quad_beta=_NO_VALUE,
-        lin_A=sparse.csr_matrix((0, N)), lin_b=_NO_VALUE,
+        lin_A=sparse.csr_matrix((0, N)), lin_b=_NO_VALUE, lin_k=_NO_VALUE, lin_o=_NO_VALUE,
         sum_i=p_ix, sum_b=N * cfg.P_bar,   # average power budget
         speed_i=_NO_PAIRS, speed_j=_NO_PAIRS, speed_h=_NO_VALUE,
         hyper_i=_NO_INDEX, hyper_j=_NO_INDEX, hyper_k=_NO_VALUE,

@@ -13,7 +13,8 @@ from uavsec.surrogate import StructuredConvexProgram
 
 def program(n, **fields):
     """Program on n variables: every family not given in ``fields`` is empty,
-    boxes are infinite, the objective is zero and the start is the origin."""
+    boxes are infinite, the objective is zero and the start is the origin.
+    Unless given, the linear rows carry no reciprocal terms."""
     kw = dict(
         lb=np.full(n, -np.inf), ub=np.full(n, np.inf), c=np.zeros(n), constant=0.0,
         log_i=np.zeros(0, dtype=int), log_a=np.zeros(0), log_alpha=np.zeros(0),
@@ -27,6 +28,8 @@ def program(n, **fields):
         start=np.zeros(n), layout={},
     )
     kw.update(fields)
+    kw.setdefault("lin_k", np.zeros(kw["lin_b"].size))
+    kw.setdefault("lin_o", np.ones(kw["lin_b"].size))
     return StructuredConvexProgram(n=n, **kw)
 
 

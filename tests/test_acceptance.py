@@ -417,9 +417,8 @@ def test_criterion_7_aesr_grid_trends(runs):
                 for scheme in (SchemeId.JTPO, SchemeId.POFT, SchemeId.FTP_INF):
                     res = runs.get(scheme, T, L)
                     assert not res.failed, f"{scheme} T={T} L={L} failed"
-                    if scheme is SchemeId.JTPO:
-                        assert res.nonoptimal == 0, (
-                            f"JTPO T={T} L={L}: {res.nonoptimal} non-optimal solves")
+                    assert res.nonoptimal == 0, (
+                        f"{scheme} T={T} L={L}: {res.nonoptimal} non-optimal solves")
                     aesr[(scheme, T, L)] = res.aesr
 
         for T in T_GRID:

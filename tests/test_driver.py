@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uavsec import driver, model
+from uavsec import driver, model, solver
 from uavsec.driver import (
     SchemeId,
     derive_config,
@@ -206,17 +206,43 @@ def test_non_optimal_solves_are_counted(monkeypatch):
         return sol
 
     monkeypatch.setattr(driver, "solve", recording_solve)
-    # the first long-packet trajectory solve of FTP-Inf uses up its Newton
-    # steps without converging
+    # the first long-packet trajectory solve of FTP-Inf starts from the
+    # straight segment, where Bob and Eve are equally far away, and
+    # converges like every later one
     ftp = run_ftp_inf(baseline_scenario(T=24.0))
-    assert not ftp.failed and ftp.nonoptimal >= 1
-    assert ftp.nonoptimal == sum(s != "optimal" for s in statuses)
+    assert not ftp.failed
+    assert ftp.nonoptimal == sum(s != "optimal" for s in statuses) == 0
     # every JTPO solve certifies its gap, also where the Newton decrement of
     # its last barrier stage stalls at its rounding floor
     statuses.clear()
     jtpo = run_jtpo(baseline_scenario())
     assert not jtpo.failed
     assert jtpo.nonoptimal == sum(s != "optimal" for s in statuses) == 0
+    # with no backtracks allowed every trajectory solve stalls; each is
+    # counted, and the run goes on from the current positions
+    statuses.clear()
+    monkeypatch.setattr(solver, "_MAX_BACKTRACKS", 0)
+    stalled = run_jtpo(baseline_scenario(T=24.0))
+    assert not stalled.failed and set(statuses) == {"stalled"}
+    assert stalled.nonoptimal == len(statuses) >= 1
+    np.testing.assert_array_equal(
+        stalled.trajectory.points, line_segment_trajectory(baseline_scenario(T=24.0)).points)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(T=21.0),   # default endpoints 200 m apart, 20 steps of V_max*delta_t
+    dict(T=2.0, q_I=(30.0, 5.0, 100.0), q_F=(30.0, -5.0, 100.0)),
+], ids=["T=21", "N=2"])
+def test_forced_segment_runs_the_power_step_alone(overrides):
+    # every speed row of the segment is tight, so it is the only trajectory
+    # and the trajectory program would have no strict interior
+    cfg = baseline_scenario(**overrides)
+    segment = line_segment_trajectory(cfg).points
+    for run in (run_jtpo, run_ftp_inf):
+        res = run(cfg)
+        assert not res.failed and res.nonoptimal == 0
+        assert model.validate(res.trajectory, res.power, cfg) == []
+        np.testing.assert_array_equal(res.trajectory.points, segment)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from uavsec.model import (
-    LN2,
     PowerProfile,
     Trajectory,
     baseline_scenario,
@@ -14,7 +14,6 @@ from uavsec.model import (
 from uavsec.solver import solve, water_fill
 from uavsec.surrogate import (
     L_LOWER_RELAX,
-    START_INFLATION,
     Z_MIN,
     ExpansionPoint,
     _required_z,
@@ -55,6 +54,24 @@ def random_expansion(cfg, rng, p_min=0.01):
     traj = Trajectory(points=pts)
     pw = PowerProfile(p=p)
     return expansion_from(traj, pw, cfg), traj, pw
+
+
+def linearized_sq_dist(ep, w, cfg, q):
+    """Linearization l(q) at the expansion point of the squared distance to w."""
+    d2_hat = sq_dists(ep.q_hat, w, cfg.H)
+    return d2_hat + np.sum(2.0 * (ep.q_hat - w[:2]) * (q - ep.q_hat), axis=1)
+
+
+def tight_point(ep, pw, cfg, q):
+    """Trajectory-surrogate point at the positions q whose slacks bind: each
+    squared-distance slack at l(q), each SNR slack at xi0 p / l(q), each
+    dispersion root at the bound of its linearized row."""
+    u_b = cfg.xi0 * pw.p / linearized_sq_dist(ep, cfg.w_b, cfg, q)
+    u_e = cfg.xi0 * pw.p / linearized_sq_dist(ep, cfg.w_e, cfg, q)
+    return SurrogatePoint(
+        q=q, u_e=u_e, z_b=_required_z(u_b, ep.u_hat_b, ep.z_hat_b),
+        z_e=_required_z(u_e, ep.u_hat_e, ep.z_hat_e),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +151,11 @@ def test_program_objectives_match_standalone_evaluators():
     ep, traj, pw = random_expansion(cfg, rng)
     prog_q = build_trajectory_subproblem(traj, pw, cfg)
     prog_p = build_power_subproblem(traj, pw, cfg)
-    lay = prog_q.layout
+    # the trajectory program has no slack either: each one sits where it binds
     for _ in range(20):
-        x = prog_q.start.copy()
-        x[lay["q"]] += rng.uniform(-5.0, 5.0, size=x[lay["q"]].shape)
-        x[lay["u_e"]] += rng.uniform(0.0, 1.0, size=cfg.N)
-        x[lay["z_b"]] += rng.uniform(0.0, 1.0, size=cfg.N)
-        x[lay["z_e"]] += rng.uniform(0.0, 1.0, size=cfg.N)
-        pt = SurrogatePoint(
-            q=x[lay["q"]].reshape(cfg.N, 2), u_e=x[lay["u_e"]],
-            z_b=x[lay["z_b"]], z_e=x[lay["z_e"]],
-        )
-        assert prog_q.objective_value(x) == pytest.approx(
-            surrogate_value_q(ep, pt, pw, cfg), abs=1e-12
+        q = ep.q_hat + rng.uniform(-5.0, 5.0, size=ep.q_hat.shape)
+        assert prog_q.objective_value(q.ravel()) == pytest.approx(
+            surrogate_value_q(ep, tight_point(ep, pw, cfg, q), pw, cfg), abs=1e-12
         )
     # the power program has no slack: each SNR is xi0 * p / d^2, and each
     # dispersion root sits at the bound its linearized row sets
@@ -249,17 +258,19 @@ def test_trajectory_subproblem_pins_endpoints_for_two_slots():
 
 
 def test_trajectory_start_is_strictly_feasible_and_reference_feasible():
+    # the start is the design itself, which the driver keeps unless the
+    # solved iterate scores higher
     rng = np.random.default_rng(7)
     for n in (2, 3, 6):
         cfg = small_cfg(n)
         _, traj, pw = random_expansion(cfg, rng)
         prog = build_trajectory_subproblem(traj, pw, cfg)
+        assert np.array_equal(prog.start, traj.points.ravel())
         assert max_violation(prog, prog.start) == 0.0
         margins = constraint_margins(prog, prog.start)
         # every barrier family strictly interior at the start
         n_fixed = prog.fixed_idx.size
         assert np.all(margins[: margins.size - n_fixed] > 0.0)
-        assert max_violation(prog, prog.reference) <= 1e-9
 
 
 def test_zero_power_slot_exerts_no_positional_force():
@@ -270,106 +281,52 @@ def test_zero_power_slot_exerts_no_positional_force():
     p[2] = 0.0
     prog = build_trajectory_subproblem(traj, PowerProfile(p=p), cfg)
     # no curvature coefficient references slot 2's position
-    q_slot = set(prog.layout["q"].reshape(cfg.N, 2)[2])
-    assert not (set(prog.quad_i) & q_slot)
+    q_slot = list(prog.layout["q"].reshape(cfg.N, 2)[2])
+    assert not (set(prog.quad_i) & set(q_slot))
     # and the objective is flat in that position
     x = prog.start.copy()
     base = prog.objective_value(x)
-    x[list(q_slot)] += 3.0
+    x[q_slot] += 3.0
     assert prog.objective_value(x) == pytest.approx(base, abs=1e-12)
-    # the zero-power slot contributes no hyperbolic rows either
-    u_cols = [prog.layout["u_b"][2], prog.layout["u_e"][2]]
-    assert not any(i in u_cols for i in prog.hyper_i)
+    # the zero-power slot's distance rows, one per receiver, carry no
+    # reciprocal term
+    rows = np.unique(prog.lin_A[:, q_slot].nonzero()[0])
+    assert rows.size == 2 and np.all(prog.lin_k[rows] == 0.0)
 
 
-def _trajectory_arrays(traj, pw, cfg, start_u):
-    """Layout, bounds, start, reference, objective and linear rows of the
-    trajectory program, assembled independently of the builder in its fixed
-    order: slot-major blocks q, then u, z, l per receiver; both dispersion
-    rows before both distance rows; Eve's constant summed before Bob's.
-    ``start_u[tag]`` is the program's start SNR slack of each receiver."""
-    ep = expansion_from(traj, pw, cfg)
-    N, p = cfg.N, pw.p
-    finite = math.isfinite(cfg.L)
-    scale = (1.0 - cfg.eps_b) / N
-    pens = dict(zip("be", penalty_coeffs(cfg)))
-    tags = ("b", "e") if finite else ("e",)
-    names = [f"{fam}_{tag}" for tag in tags for fam in ("u", "z", "l") if finite or fam != "z"]
-    width = len(names) + 2
-    slot = width * np.arange(N)
-    layout = {"q": (slot[:, None] + np.arange(2)).ravel()}
-    layout.update({name: slot + 2 + k for k, name in enumerate(names)})
-    n = width * N
-    lb, start, reference, c = np.full(n, -np.inf), np.zeros(n), np.zeros(n), np.zeros(n)
-    start[layout["q"]] = reference[layout["q"]] = ep.q_hat.ravel()
-    ue = ep.u_hat_e
-    constant = float(np.sum(scale * (-np.log2(1.0 + ue) + ue / ((1.0 + ue) * LN2))))
-    c[layout["u_e"]] = -scale / ((1.0 + ue) * LN2)
-    d2_b = sq_dists(ep.q_hat, cfg.w_b, cfg.H)
-    a_n = np.log2(1.0 + cfg.xi0 * p / d2_b)
-    b_n = cfg.xi0 * p / (d2_b * (d2_b + cfg.xi0 * p) * LN2)
-    constant += float(np.sum(scale * (a_n + b_n * d2_b - b_n * cfg.H * cfg.H)))
-    A = np.zeros((N * len(tags) * (2 if finite else 1), n))
-    b = []
-    rows = iter(np.arange(A.shape[0]).reshape(-1, N))
+@pytest.mark.parametrize("L", [200.0, 400.0, 800.0, math.inf])
+def test_trajectory_program_is_the_slack_program_at_tight_slacks(L):
+    # Every slack binds at any optimum of the slack program, so the program
+    # over the positions alone must equal it at the binding slacks, and must
+    # admit exactly the positions where the linearized squared distance of
+    # each receiver it keeps (Bob only at finite L) clears the slack's
+    # lower bound.
+    cfg = baseline_scenario(T=6.0, L=L, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
     l_lo = cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)
-    hats = {"b": (cfg.w_b, ep.u_hat_b, ep.z_hat_b), "e": (cfg.w_e, ep.u_hat_e, ep.z_hat_e)}
-    for tag in (tags if finite else ()):
-        _, u_hat, z_hat = hats[tag]
-        u_ix, z_ix = layout[f"u_{tag}"], layout[f"z_{tag}"]
-        lb[z_ix] = 0.0
-        c[z_ix] = -scale * pens[tag]
-        reference[z_ix] = z_hat
-        start[z_ix] = np.maximum.reduce([
-            z_hat * (1.0 + START_INFLATION),
-            _required_z(start_u[tag], u_hat, z_hat) * (1.0 + START_INFLATION) + 1e-15,
-            np.full(N, 1e-12),
-        ])
-        v = 1.0 - (1.0 + u_hat) ** (-2.0)
-        dv = 2.0 * (1.0 + u_hat) ** (-3.0)
-        r = next(rows)
-        A[r, u_ix] = dv
-        A[r, z_ix] = -2.0 * z_hat
-        b.append(dv * u_hat - v - z_hat * z_hat)
-    for tag in tags:
-        w, u_hat, _ = hats[tag]
-        u_ix, l_ix = layout[f"u_{tag}"], layout[f"l_{tag}"]
-        d2_hat = sq_dists(ep.q_hat, w, cfg.H)
-        lb[u_ix], start[u_ix], reference[u_ix] = 0.0, start_u[tag], u_hat
-        lb[l_ix], reference[l_ix] = l_lo, d2_hat
-        start[l_ix] = np.maximum((1.0 - START_INFLATION) * d2_hat, 0.5 * (l_lo + d2_hat))
-        grad = 2.0 * (ep.q_hat - w[:2])
-        r = next(rows)
-        A[r, layout["q"][0::2]] = -grad[:, 0]
-        A[r, layout["q"][1::2]] = -grad[:, 1]
-        A[r, l_ix] = 1.0
-        b.append(d2_hat - grad[:, 0] * ep.q_hat[:, 0] - grad[:, 1] * ep.q_hat[:, 1])
-    return dict(layout=layout, lb=lb, start=start, reference=reference, c=c,
-                constant=constant, lin_A=A, lin_b=np.concatenate(b))
-
-
-@pytest.mark.parametrize("L", [400.0, math.inf])
-def test_trajectory_program_keeps_its_layout_and_rows(L):
-    # bit for bit, so that a change to the power subproblem cannot move the
-    # trajectory step's iterates
-    cfg = baseline_scenario(T=4.0, L=L, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
-    rng = np.random.default_rng(11)
+    receivers = (cfg.w_b, cfg.w_e) if math.isfinite(L) else (cfg.w_e,)
+    rng = np.random.default_rng(zlib.crc32(f"tight slacks L={L}".encode()))
+    held = {True: 0, False: 0}
     for _ in range(8):
         _, traj, pw = random_expansion(cfg, rng)
         p = pw.p.copy()
-        p[1] = 0.0
+        p[rng.random(cfg.N) < 0.3] = 0.0
         pw = PowerProfile(p=p)
+        ep = expansion_from(traj, pw, cfg)
         prog = build_trajectory_subproblem(traj, pw, cfg)
-        start_u = {tag: prog.start[prog.layout[f"u_{tag}"]]
-                   for tag in "be" if f"u_{tag}" in prog.layout}
-        want = _trajectory_arrays(traj, pw, cfg, start_u)
-        assert list(prog.layout) == list(want["layout"])
-        for name, idx in want["layout"].items():
-            assert np.array_equal(prog.layout[name], idx), name
-        for name in ("lb", "start", "reference", "c", "lin_b"):
-            assert getattr(prog, name).tobytes() == want[name].tobytes(), name
-        assert prog.constant == want["constant"]
-        assert prog.lin_A.toarray().tobytes() == want["lin_A"].tobytes()
+        assert prog.n == 2 * cfg.N and set(prog.layout) == {"q"}
+        assert prog.hyper_k.size == 0
+        for _ in range(40):
+            q = ep.q_hat + rng.uniform(-1.0, 1.0, size=ep.q_hat.shape) * rng.choice([25.0, 250.0])
+            x = q.ravel()
+            rows_hold = bool(np.all(prog.lin_A @ x <= prog.lin_b))
+            bounds_hold = all(np.all(linearized_sq_dist(ep, w, cfg, q) >= l_lo) for w in receivers)
+            assert rows_hold == bounds_hold
+            held[rows_hold] += 1
+            if rows_hold:
+                assert prog.objective_value(x) == pytest.approx(
+                    surrogate_value_q(ep, tight_point(ep, pw, cfg, q), pw, cfg), abs=1e-12
+                )
+    assert min(held.values()) >= 20
 
 
 def test_trajectory_optimum_moves_toward_bob_matches_grid_oracle():
@@ -439,7 +396,7 @@ def test_trajectory_optimum_moves_toward_bob_matches_grid_oracle():
         lo, hi = best - span, best + span
 
     assert sol.objective >= best_val - 1e-4
-    assert sol.objective > prog.objective_value(prog.reference) + 1e-3
+    assert sol.objective > prog.objective_value(prog.start) + 1e-3
     assert mid[0] < 200.0  # toward Bob, away from Eve
     assert np.linalg.norm(mid - best) < 2.0
 
@@ -510,9 +467,10 @@ def test_long_packet_limit_drops_dispersion_blocks():
     )
     _, traj, pw = random_expansion(cfg, np.random.default_rng(9))
     prog_q = build_trajectory_subproblem(traj, pw, cfg)
-    for name in ("z_b", "z_e", "u_b", "l_b"):
-        assert name not in prog_q.layout
-    assert "u_e" in prog_q.layout and "l_e" in prog_q.layout
+    # the slacks are substituted out, and only Eve's distance rows remain:
+    # Bob's SNR fed only his dispersion root
+    assert set(prog_q.layout) == {"q"} and prog_q.n == 2 * cfg.N
+    assert prog_q.lin_b.size == cfg.N
     sol = solve(prog_q)
     assert sol.status == "optimal"
     prog_p = build_power_subproblem(traj, pw, cfg)
@@ -522,6 +480,7 @@ def test_long_packet_limit_drops_dispersion_blocks():
     finite = baseline_scenario(
         T=3.0, L=400.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0),
     )
+    assert build_trajectory_subproblem(traj, pw, finite).lin_b.size == 2 * finite.N
     # the dispersion roots are substituted out, so the power program holds
     # the powers alone at every blocklength
     prog_p = build_power_subproblem(traj, pw, finite)
