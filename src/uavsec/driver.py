@@ -9,8 +9,9 @@ resulting design under the true short-packet objective.
 
 The design (trajectory and power) is the only state carried from one step
 to the next; each subproblem is built at the current design. The barrier
-solver runs the trajectory step from the current positions, the program's
-start, and the better of its iterate and that start is kept. The power step
+solver runs the trajectory step from the program's start, the current
+positions moved slightly toward the straight segment, and the better of
+its iterate and the current positions is kept. The power step
 is water-filled to its exact optimum, and each iteration logs its value,
 the true clamped AESR, and the fractional increase. Each surrogate touches
 the slack objective at the current design and under-estimates it
@@ -18,9 +19,10 @@ elsewhere, so the logged surrogate sequence is non-decreasing even at the
 solver's accuracy floor, except by the ``Z_MIN`` floor on the dispersion
 roots of silent slots.
 
-When the endpoints are a whole flight apart at V_max, the straight segment
-is the only trajectory and has no strict interior, so JTPO and FTP-Inf run
-only the power step there, as POFT does.
+When the endpoints are a whole flight apart at V_max, or within
+``FORCED_SLACK`` of it, the straight segment is the only trajectory, or
+leaves the trajectory step too thin an interior to converge in, so JTPO and
+FTP-Inf run only the power step there, as POFT does.
 
 A trajectory solve that ends ``numerical-failure`` stops the run; one that
 ends ``max-iter`` or ``stalled`` is used like an optimal one. All three are
@@ -43,6 +45,7 @@ from .model import (
     RunResult,
     ScenarioConfig,
     Trajectory,
+    line_segment_trajectory,
 )
 from .solver import solve, water_fill
 from .surrogate import (
@@ -51,6 +54,15 @@ from .surrogate import (
     expansion_from,
     slack_rate_objective,
 )
+
+
+# Relative speed slack at or below which the straight segment counts as
+# forced. Closer to the reach, the trajectory program's interior is so thin
+# that its solves can end ``max-iter``: sweeping the gap between the
+# endpoints' distance and the reach at T=21, the last such solve was at a
+# relative slack of 4.3e-7. Every trajectory this rules out stays within
+# (N - 1)/2 * h * sqrt(FORCED_SLACK) of the segment (7 cm at T=21).
+FORCED_SLACK = 5e-7
 
 
 class SchemeId(enum.Enum):
@@ -68,33 +80,22 @@ class SweepEntry:
     error: Optional[str] = None
 
 
-def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
-    """Constant-speed straight segment from q_I to q_F over N slots."""
-    if cfg.N == 1:
-        return Trajectory(points=cfg.q_I[:2][None, :].copy())
-    frac = np.linspace(0.0, 1.0, cfg.N)[:, None]
-    pts = cfg.q_I[:2][None, :] * (1.0 - frac) + cfg.q_F[:2][None, :] * frac
-    step = float(np.linalg.norm(cfg.q_F[:2] - cfg.q_I[:2])) / (cfg.N - 1)
-    if step > cfg.V_max * cfg.delta_t + model.SPEED_SLACK:
-        raise ValueError(
-            f"endpoints unreachable at V_max: segment step {step:.3f} m exceeds "
-            f"{cfg.V_max * cfg.delta_t:.3f} m"
-        )
-    return Trajectory(points=pts)
-
-
 def _segment_is_forced(cfg: ScenarioConfig) -> bool:
-    """Whether every speed row of the straight segment is tight (up to
-    ``model.SPEED_SLACK``), which leaves it the only trajectory."""
-    reach = cfg.V_max * cfg.delta_t * (cfg.N - 1)
-    return float(np.linalg.norm(cfg.q_F[:2] - cfg.q_I[:2])) >= reach - model.SPEED_SLACK
+    """Whether the straight segment leaves the trajectory step no usable
+    room: its speed slack h^2 - step^2, the same on every row, is at most
+    ``FORCED_SLACK`` * h^2 (or there is no speed row at all)."""
+    if cfg.N < 2:
+        return True
+    h = cfg.V_max * cfg.delta_t
+    step = float(np.linalg.norm(cfg.q_F[:2] - cfg.q_I[:2])) / (cfg.N - 1)
+    return h * h - step * step <= FORCED_SLACK * h * h
 
 
-def _take_better(prog, x: np.ndarray) -> np.ndarray:
-    """Keep the trajectory solver's iterate unless the start (the current
-    positions) scores higher."""
-    if prog.objective_value(prog.start) > prog.objective_value(x):
-        return prog.start.copy()
+def _take_better(prog, x: np.ndarray, design: np.ndarray) -> np.ndarray:
+    """Keep the trajectory solver's iterate unless the design it was
+    linearized at (the current positions) scores higher."""
+    if prog.objective_value(design) > prog.objective_value(x):
+        return design.copy()
     return x
 
 
@@ -117,6 +118,7 @@ def _alternating_run(
     records = [IterationRecord(0, j_prev, model.aesr(traj, pw, cfg_opt), math.inf)]
     failed = False
     nonoptimal = 0
+    newton_steps = 0
     optimize_trajectory = optimize_trajectory and not _segment_is_forced(cfg_opt)
 
     for r in range(1, cfg_opt.max_iter + 1):
@@ -124,10 +126,12 @@ def _alternating_run(
             prog_q = build_trajectory_subproblem(traj, pw, cfg_opt)
             sol = solve(prog_q)
             nonoptimal += sol.status != "optimal"
+            newton_steps += sol.newton_steps
             if sol.status == "numerical-failure":
                 failed = True
                 break
-            traj = Trajectory(points=_take_better(prog_q, sol.x).reshape(n, 2))
+            traj = Trajectory(
+                points=_take_better(prog_q, sol.x, traj.points.ravel()).reshape(n, 2))
 
         prog_p = build_power_subproblem(traj, pw, cfg_opt)
         pw = PowerProfile(p=water_fill(prog_p))
@@ -154,6 +158,7 @@ def _alternating_run(
         scheme=scheme.value,
         failed=failed,
         nonoptimal=nonoptimal,
+        newton_steps=newton_steps,
     )
 
 

@@ -214,6 +214,21 @@ class Trajectory:
         return np.concatenate([steps / delta_t, [0.0]])
 
 
+def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
+    """Constant-speed straight segment from q_I to q_F over N slots."""
+    if cfg.N == 1:
+        return Trajectory(points=cfg.q_I[:2][None, :].copy())
+    frac = np.linspace(0.0, 1.0, cfg.N)[:, None]
+    pts = cfg.q_I[:2][None, :] * (1.0 - frac) + cfg.q_F[:2][None, :] * frac
+    step = float(np.linalg.norm(cfg.q_F[:2] - cfg.q_I[:2])) / (cfg.N - 1)
+    if step > cfg.V_max * cfg.delta_t + SPEED_SLACK:
+        raise ValueError(
+            f"endpoints unreachable at V_max: segment step {step:.3f} m exceeds "
+            f"{cfg.V_max * cfg.delta_t:.3f} m"
+        )
+    return Trajectory(points=pts)
+
+
 @dataclass(frozen=True, eq=False)
 class PowerProfile:
     """Per-slot transmit powers in watts."""
@@ -248,6 +263,7 @@ class RunResult:
     scheme: str
     failed: bool = False
     nonoptimal: int = 0    # trajectory solves that ended with a status other than optimal
+    newton_steps: int = 0  # Newton steps of all trajectory solves
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,30 @@
 """Self-contained interior-point solver for StructuredConvexProgram.
 
 A primal log-barrier method: damped Newton with backtracking line search
-maximizes t*objective + sum(log slack) for a geometrically increasing
-barrier weight t, starting from the strictly feasible point bundled with
-the program. Speed rows use the barrier -log(h^2 - |x_j - x_i|^2) and
-hyperbolic rows -log(x_i x_j - k); both count with degree 2 toward the
-total barrier degree m, linear rows, the sum row and finite box bounds
-with degree 1. A linear row's reciprocal objective term -k/(s + o) is a
-function of the row's barrier slack s, so it adds to the weight of the
-row's own rank-one Hessian term and needs no entries of its own. The outer
-loop stops once the certified gap m/t falls below ``_GAP_TOL``.
+maximizes t*objective + sum(log slack) for a barrier weight t that grows
+by ``_MU`` per stage, starting from the strictly feasible point bundled
+with the program. The first weight is Boyd & Vandenberghe's least-squares
+choice (§11.3.1), floored by the objective's scale at the start. Speed
+rows use the barrier -log(h^2 - |x_j - x_i|^2) and hyperbolic rows
+-log(x_i x_j - k); both count with degree 2 toward the total barrier
+degree m, linear rows, the sum row and finite box bounds with degree 1. A
+linear row's reciprocal objective term -k/(s + o) is a function of the
+row's barrier slack s, so it adds to the weight of the row's own rank-one
+Hessian term and needs no entries of its own. The outer loop stops once
+the certified gap m/t falls below ``_GAP_TOL``.
 
 Fixed coordinates are held exactly by restricting Newton steps to the free
 coordinates. Newton systems are banded: ``_Work`` finds the half-bandwidth
 and the place of every Hessian entry in lower band storage once per
 program, and each step scatters the entry values there and factors with a
-banded Cholesky. The sum row couples every coordinate it names, so its
-rank-one term stays out of the band and is applied by Sherman-Morrison. In
-the subproblems' slot-major variable order the bandwidth does not grow with
-the slot count, so a step costs O(n). Everything is deterministic:
-identical inputs produce identical iterate sequences.
+banded Cholesky. Gradients are scattered the same way, by ``np.bincount``
+over index arrays fixed per program, and each trial point of the line
+search is evaluated once. The sum row couples every coordinate it names,
+so its rank-one term stays out of the band and is applied by
+Sherman-Morrison. In the subproblems' slot-major variable order the
+bandwidth does not grow with the slot count, so a step costs O(n).
+Everything is deterministic: identical inputs produce identical iterate
+sequences.
 
 ``water_fill`` solves the power subproblem in closed form instead.
 """
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
@@ -37,7 +42,7 @@ from .surrogate import StructuredConvexProgram
 
 _MAX_BACKTRACKS = 60
 _REG_ESCALATIONS = 9
-_MU = 10.0                  # barrier weight multiplier per stage
+_MU = 30.0                  # barrier weight multiplier per stage
 _GAP_TOL = 1e-8             # stop once the certified gap m/t falls below this
 _NEWTON_TOL = 1e-10         # half squared Newton decrement
 _MAX_NEWTON_PER_STAGE = 60
@@ -53,10 +58,27 @@ class Solution:
     newton_steps: int
     stages: int
     status: str              # "optimal" | "max-iter" | "stalled" | "numerical-failure"
+    t0: float                # first barrier weight
+
+
+class _Point(NamedTuple):
+    """What ``_Work.evaluate`` finds at a strictly feasible point: the
+    objective, the sum of log slacks, the speed-row differences and the
+    slack of every barrier family."""
+
+    f: float
+    logs: float
+    y: np.ndarray
+    slacks: tuple
+
+    def phi(self, t: float, fref: float) -> float:
+        """The shifted barrier objective t*(F - fref) + sum of log slacks."""
+        return t * (self.f - fref) + self.logs
 
 
 class _Work:
-    """Precomputed constraint structure and Hessian band layout for one program."""
+    """Precomputed constraint structure, gradient pattern and Hessian band
+    layout for one program."""
 
     def __init__(self, prog: StructuredConvexProgram):
         self.prog = prog
@@ -65,10 +87,12 @@ class _Work:
         self.lo_val = prog.lb[self.lo_idx]
         self.hi_idx = np.nonzero(np.isfinite(prog.ub))[0]
         self.hi_val = prog.ub[self.hi_idx]
-        self.A = prog.lin_A.tocsr()
-        self.AT = self.A.T.tocsr()
-        # the sum row as a coefficient vector, and its bound (empty if absent)
-        self.sum_v = np.bincount(prog.sum_i, minlength=self.n).astype(float)
+        # the linear rows as COO arrays: row, column and value of each nonzero
+        A = prog.lin_A.tocsr()
+        self.lin_row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        self.lin_col = A.indices
+        self.lin_val = A.data
+        # the sum row's bound (empty if the row is absent)
         self.sum_b = np.full(min(prog.sum_i.size, 1), float(prog.sum_b))
         # coordinates (x[i], x[j]) of every speed row, and the constant
         # curvature 2 A^T A of |x[j] - x[i]|^2, with A = [-I I]
@@ -79,23 +103,29 @@ class _Work:
         free = np.ones(self.n, dtype=bool)
         free[prog.fixed_idx] = False
         self.free = np.nonzero(free)[0]
-        self.ones = self.sum_v[self.free]
+        # the sum row's coefficients on the free coordinates
+        self.ones = np.bincount(prog.sum_i, minlength=self.n).astype(float)[self.free]
         self.nu = (
             self.lo_idx.size + self.hi_idx.size + prog.lin_b.size + self.sum_b.size
             + 2 * prog.speed_h.size + 2 * prog.hyper_k.size
         )
+        # Gradient pattern: the coordinate of every value ``assemble`` adds
+        # to the objective's gradient and to the barrier's, in the same order.
+        self.gf_idx = np.concatenate([prog.log_i, prog.quad_i, self.lin_col])
+        self.gb_idx = np.concatenate([
+            self.lo_idx, self.hi_idx, self.lin_col, prog.sum_i, self.sp_idx.ravel(),
+            prog.hyper_i, prog.hyper_j,
+        ])
 
         # Hessian pattern: one (row, col) entry per value ``assemble`` puts
         # in ``curvature``, in the same order. A linear row touches every
         # pair (left, right) of its nonzeros, with coefficient a_left a_right.
-        A = self.A
-        nz_row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        reps = np.diff(A.indptr)[nz_row]        # nonzeros in the row of each nonzero
+        reps = np.diff(A.indptr)[self.lin_row]  # nonzeros in the row of each nonzero
         left = np.repeat(np.arange(A.nnz), reps)
-        first = np.repeat(A.indptr[nz_row], reps)
+        first = np.repeat(A.indptr[self.lin_row], reps)
         right = first + np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps)
-        self.lin_row = nz_row[left]
-        self.lin_coef = A.data[left] * A.data[right]
+        self.pair_row = self.lin_row[left]
+        self.pair_coef = A.data[left] * A.data[right]
         sp = self.sp_idx
         rows = np.concatenate([
             prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, A.indices[left],
@@ -119,87 +149,77 @@ class _Work:
         self.band_size = self.band_shape[0] * self.band_shape[1]
         self.scatter = np.where(keep, (r - c) * self.free.size + c, self.band_size)
 
-    def objective(self, x: np.ndarray) -> float:
-        return self.prog.objective_value(x)
-
-    def _slacks(self, x: np.ndarray):
-        """Speed-row differences x[j] - x[i] and the slack of every barrier
-        family: lower boxes, upper boxes, linear, sum, speed, hyperbolic rows."""
+    def evaluate(self, x: np.ndarray) -> Optional[_Point]:
+        """Objective, log-slack sum, speed-row differences and barrier
+        slacks (lower boxes, upper boxes, linear, sum, speed, hyperbolic
+        rows) at x, or None if x is not strictly feasible. The objective
+        reuses the linear rows' slacks."""
         prog = self.prog
         y = x[prog.speed_j] - x[prog.speed_i]
-        return y, (
+        slacks = (
             x[self.lo_idx] - self.lo_val,
             self.hi_val - x[self.hi_idx],
-            prog.lin_b - self.A @ x,
-            self.sum_b - np.sum(x[prog.sum_i]),
-            self.sp_h2 - np.sum(y * y, axis=1),
+            prog.lin_b - np.bincount(self.lin_row, self.lin_val * x[self.lin_col],
+                                     minlength=prog.lin_b.size),
+            self.sum_b - x[prog.sum_i].sum(),
+            self.sp_h2 - (y * y).sum(axis=1),
             x[prog.hyper_i] * x[prog.hyper_j] - prog.hyper_k,
         )
-
-    def _phi(self, x: np.ndarray, t: float, fref: float, slacks) -> Optional[float]:
         s = np.concatenate(slacks)
-        if np.any(s <= 0.0):
+        if s.min(initial=math.inf) <= 0.0:
             return None
-        f = self.objective(x)
+        f = prog.objective_value(x, slacks[2])
         if not math.isfinite(f):
             return None
-        return t * (f - fref) + float(np.sum(np.log(s)))
+        return _Point(f, float(np.log(s).sum()), y, slacks)
 
-    def phi(self, x: np.ndarray, t: float, fref: float) -> Optional[float]:
-        """Shifted barrier objective t*(F - fref) + log slacks, or None if x
-        is not strictly feasible."""
-        return self._phi(x, t, fref, self._slacks(x)[1])
-
-    def assemble(self, x: np.ndarray, t: float, fref: float):
-        """Value and gradient of the shifted barrier objective, and its
-        negated Hessian on the free coordinates as a band plus the rank-one
-        sum-row term: (band, w) stands for B + w * ones ones^T."""
+    def assemble(self, x: np.ndarray, point: _Point, t: float):
+        """Gradients of the objective and of the log barrier at the
+        evaluated point x, and the negated Hessian of t*objective + barrier
+        on the free coordinates as a band plus the rank-one sum-row term:
+        (band, w) stands for B + w * ones ones^T."""
         prog = self.prog
-        y, slacks = self._slacks(x)
-        s_lo, s_hi, s_lin, s_sum, s_sp, s_hy = slacks
-        phi = self._phi(x, t, fref, slacks)
-        g = t * prog.c
+        y = point.y
+        s_lo, s_hi, s_lin, s_sum, s_sp, s_hy = point.slacks
 
         a = prog.log_a
         arg = 1.0 + a * x[prog.log_i]
-        ta = t * prog.log_alpha
-        np.add.at(g, prog.log_i, ta * a / arg)
-        tb = 2.0 * t * prog.quad_beta
-        np.add.at(g, prog.quad_i, -(tb * (x[prog.quad_i] - prog.quad_c)))
-
-        g[self.lo_idx] += 1.0 / s_lo
-        g[self.hi_idx] -= 1.0 / s_hi
-        # log(s) - t*k/(s + o) for each linear row's slack s: its gradient
-        # along the row, and its negated curvature weight
+        b2 = 2.0 * prog.quad_beta
+        # -k/(s + o) and log(s) for each linear row's slack s: their
+        # gradients along the row, and the negated curvature weight of
+        # t*(-k/(s + o)) + log(s)
         r_lin = s_lin + prog.lin_o
-        tk = t * prog.lin_k
-        g -= self.AT @ (1.0 / s_lin + tk / (r_lin * r_lin))
-        w_lin = 1.0 / (s_lin * s_lin) + 2.0 * tk / (r_lin * r_lin * r_lin)
-        g -= self.sum_v * np.sum(1.0 / s_sum)
+        k_r2 = prog.lin_k / (r_lin * r_lin)
+        w_lin = 1.0 / (s_lin * s_lin) + 2.0 * t * k_r2 / r_lin
+        gf = prog.c + np.bincount(self.gf_idx, np.concatenate([
+            prog.log_alpha * a / arg, -(b2 * (x[prog.quad_i] - prog.quad_c)),
+            -(self.lin_val * k_r2[self.lin_row]),
+        ]), minlength=self.n)
 
         # log(h^2 - |y|^2): gradient G/psi and negated Hessian
         # curv/psi + G G^T/psi^2 over the row's four coordinates (x[i], x[j])
         G = 2.0 * np.concatenate([y, -y], axis=1)
         psi = s_sp[:, None]
-        np.add.at(g, self.sp_idx, G / psi)
         block = self.sp_curv / psi[:, :, None] + G[:, :, None] * G[:, None, :] / (psi * psi)[:, :, None]
-
         xi = x[prog.hyper_i]
         xj = x[prog.hyper_j]
-        np.add.at(g, prog.hyper_i, xj / s_hy)
-        np.add.at(g, prog.hyper_j, xi / s_hy)
+        gb = np.bincount(self.gb_idx, np.concatenate([
+            1.0 / s_lo, -1.0 / s_hi, -(self.lin_val / s_lin[self.lin_row]),
+            np.repeat(-1.0 / s_sum, prog.sum_i.size), (G / psi).ravel(), xj / s_hy, xi / s_hy,
+        ]), minlength=self.n)
+
         psi2 = s_hy * s_hy
         off = prog.hyper_k / psi2
-
         curvature = np.concatenate([
-            ta * (a * a) / (arg * arg), tb, 1.0 / (s_lo * s_lo), 1.0 / (s_hi * s_hi),
-            self.lin_coef * w_lin[self.lin_row], block.ravel(),
+            t * prog.log_alpha * (a * a) / (arg * arg), t * b2,
+            1.0 / (s_lo * s_lo), 1.0 / (s_hi * s_hi),
+            self.pair_coef * w_lin[self.pair_row], block.ravel(),
             (xj * xj) / psi2, (xi * xi) / psi2, off, off,
         ])
         # (bincount returns integers when there are no entries at all)
         band = np.bincount(self.scatter, weights=curvature, minlength=self.band_size + 1)
         band = band[: self.band_size].reshape(self.band_shape).astype(float, copy=False)
-        return phi, g, band, float(np.sum(1.0 / (s_sum * s_sum)))
+        return gf, gb, band, float((1.0 / (s_sum * s_sum)).sum())
 
 
 def _newton_direction(
@@ -238,8 +258,7 @@ def _newton_direction(
 def solve(prog: StructuredConvexProgram) -> Solution:
     """Maximize the program's concave objective over its constraint set.
 
-    The first barrier weight is chosen so that the first centering's
-    certified gap matches the objective scale at the start. Raises
+    The first barrier weight comes from ``_first_weight``. Raises
     ValueError if the bundled start is not strictly feasible. Returns
     status "numerical-failure" with the last iterate if the Newton system
     cannot be solved even after diagonal regularization, and "max-iter" or
@@ -249,12 +268,12 @@ def solve(prog: StructuredConvexProgram) -> Solution:
     work = _Work(prog)
     x = np.asarray(prog.start, dtype=float).copy()
     x[prog.fixed_idx] = prog.fixed_val
-    if work.phi(x, 1.0, 0.0) is None:
+    point = work.evaluate(x)
+    if point is None:
         raise ValueError("program start point is not strictly feasible")
 
     nu = work.nu
-    f0 = work.objective(x)
-    t = min(max(max(nu, 1.0) / max(abs(f0), 1e-2), 1e-2), 1e8)
+    t = t0 = _first_weight(work, x, point)
     t_final = max(nu, 1.0) / _GAP_TOL
 
     total_steps = 0
@@ -275,12 +294,33 @@ def solve(prog: StructuredConvexProgram) -> Solution:
 
     return Solution(
         x=x,
-        objective=work.objective(x),
+        objective=prog.objective_value(x),
         gap_bound=nu / t,
         newton_steps=total_steps,
         stages=stages,
         status=status,
+        t0=t0,
     )
+
+
+def _first_weight(work: _Work, x: np.ndarray, point: _Point) -> float:
+    """First barrier weight at the start x (B&V 11.3.1).
+
+    The least-squares weight minimizes ||t grad F + grad barrier|| in the
+    norm of the barrier Hessian's inverse, which puts x as close to the
+    central path as one weight can; it costs one banded solve and is 0 if
+    that solve fails. It is floored by nu / max(|F(x)|, 1e-2), which
+    matches the first centering's certified gap to the objective scale,
+    and clamped to [1e-2, 1e8].
+    """
+    gf, gb, band, w = work.assemble(x, point, 0.0)
+    gf, gb = gf[work.free], gb[work.free]
+    d = _newton_direction(band, gf, work.ones, w)
+    t_ls = 0.0
+    if d is not None and (curv := float(gf @ d)) > 0.0:
+        t_ls = -float(gb @ d) / curv
+    floor = max(work.nu, 1.0) / max(abs(point.f), 1e-2)
+    return min(max(t_ls, floor, 1e-2), 1e8)
 
 
 def water_fill(prog: StructuredConvexProgram) -> np.ndarray:
@@ -310,8 +350,12 @@ def water_fill(prog: StructuredConvexProgram) -> np.ndarray:
 
 
 def _center(work: _Work, x: np.ndarray, t: float):
-    """Damped Newton until the decrement criterion holds at barrier weight t."""
-    fref = work.objective(x)
+    """Damped Newton until the decrement criterion holds at barrier weight t.
+
+    Each trial point is evaluated once: an accepted one carries its
+    evaluation to the next step's ``assemble``."""
+    point = work.evaluate(x)
+    fref = point.f
     # Below this squared-decrement level, computed phi differences drown in
     # rounding noise of t*F, so the sufficient-increase test is skipped and
     # (feasible) full Newton steps are trusted.
@@ -319,8 +363,9 @@ def _center(work: _Work, x: np.ndarray, t: float):
     steps = 0
     gd_full = math.inf      # the decrement before the last step, if that was a full one
     for _ in range(_MAX_NEWTON_PER_STAGE):
-        phi0, g, band, w = work.assemble(x, t, fref)
-        g = g[work.free]
+        phi0 = point.phi(t, fref)
+        gf, gb, band, w = work.assemble(x, point, t)
+        g = (t * gf + gb)[work.free]
         step = _newton_direction(band, g, work.ones, w)
         if step is None:
             return x, steps, "numerical-failure"
@@ -335,11 +380,11 @@ def _center(work: _Work, x: np.ndarray, t: float):
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             xn = x + s * d
-            phin = work.phi(xn, t, fref)
-            if phin is not None and (
-                not use_armijo or phin >= phi0 + _ARMIJO * s * gd
+            trial = work.evaluate(xn)
+            if trial is not None and (
+                not use_armijo or trial.phi(t, fref) >= phi0 + _ARMIJO * s * gd
             ):
-                x = xn
+                x, point = xn, trial
                 accepted = True
                 break
             s *= _BACKTRACK

@@ -28,6 +28,7 @@ from .model import (
     ScenarioConfig,
     Trajectory,
     dispersion,
+    line_segment_trajectory,
     penalty_coeffs,
     sq_dists,
 )
@@ -40,6 +41,12 @@ Z_MIN = 1e-6
 # altitude^2 relaxed by this relative margin, so a slot hovering exactly
 # above a receiver still leaves the bound a non-empty strict interior.
 L_LOWER_RELAX = 1e-6
+# A trajectory solve starts this fraction of the way from the design toward
+# the straight segment, a warm start off the boundary (Yildirim & Wright,
+# SIAM J. Optim. 2002). A solved design's speed rows are tight to about
+# 1e-6 m^2; the move lifts each speed slack to at least
+# START_SHIFT * h * (h - h_seg), where h_seg is the segment's step.
+START_SHIFT = 0.01
 # Empty index and coefficient arrays for the term and row families a
 # subproblem does not use.
 _NO_INDEX = np.zeros(0, dtype=int)
@@ -109,18 +116,22 @@ class StructuredConvexProgram:
     start: np.ndarray
     layout: dict
 
-    def objective_value(self, x: np.ndarray) -> float:
+    def objective_value(self, x: np.ndarray, lin_slack=None) -> float:
+        """The objective at x; -inf where a log or reciprocal term is
+        undefined. ``lin_slack``, if given, is lin_b - lin_A x at x."""
         x = np.asarray(x, dtype=float)
+        if lin_slack is None:
+            lin_slack = self.lin_b - self.lin_A @ x
         arg = 1.0 + self.log_a * x[self.log_i]
-        den = self.lin_b - self.lin_A @ x + self.lin_o
-        if np.any(arg <= 0.0) or np.any(den <= 0.0):
+        den = lin_slack + self.lin_o
+        if arg.min(initial=math.inf) <= 0.0 or den.min(initial=math.inf) <= 0.0:
             return -math.inf
         diff = x[self.quad_i] - self.quad_c
         return (
             self.constant + float(self.c @ x)
-            + float(np.sum(self.log_alpha * np.log(arg)))
-            - float(np.sum(self.quad_beta * (diff * diff)))
-            - float(np.sum(self.lin_k / den))
+            + float((self.log_alpha * np.log(arg)).sum())
+            - float((self.quad_beta * (diff * diff)).sum())
+            - float((self.lin_k / den).sum())
         )
 
 
@@ -211,7 +222,10 @@ def build_trajectory_subproblem(
     k >= 0, carried on the linear row l(q) >= l_lo that keeps the slack's
     lower bound; silent slots keep the row with k = 0. In the long-packet
     limit the dispersion penalties vanish, and with them Bob's rows, since
-    his SNR fed only his dispersion root.
+    his SNR fed only his dispersion root. The start is the design moved
+    ``START_SHIFT`` of the way toward the straight segment
+    (``_trajectory_start``), off the speed rows a solved design leaves
+    tight.
     """
     N = cfg.N
     ep = expansion_from(traj, pw, cfg)
@@ -255,22 +269,43 @@ def build_trajectory_subproblem(
          np.arange(0, 2 * rows + 1, 2)),
         shape=(rows, 2 * N),
     )
+    lin_b = np.concatenate(rhs)
+    h = cfg.V_max * cfg.delta_t
+    start = _trajectory_start(ep.q_hat, line_segment_trajectory(cfg).points, lin_A, lin_b, h)
 
     return StructuredConvexProgram(
         n=2 * N, lb=np.full(2 * N, -np.inf), ub=np.full(2 * N, np.inf), c=np.zeros(2 * N),
         constant=constant,
         log_i=_NO_INDEX, log_a=_NO_VALUE, log_alpha=_NO_VALUE,
         quad_i=quad_i, quad_c=quad_c, quad_beta=quad_beta,
-        lin_A=lin_A, lin_b=np.concatenate(rhs), lin_k=np.concatenate(lin_k),
+        lin_A=lin_A, lin_b=lin_b, lin_k=np.concatenate(lin_k),
         lin_o=np.full(rows, l_lo), sum_i=_NO_INDEX, sum_b=0.0,
-        speed_i=q_idx[:-1], speed_j=q_idx[1:],
-        speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),
+        speed_i=q_idx[:-1], speed_j=q_idx[1:], speed_h=np.full(N - 1, h),
         hyper_i=_NO_INDEX, hyper_j=_NO_INDEX, hyper_k=_NO_VALUE,
         fixed_idx=np.concatenate([q_idx[0], q_idx[N - 1]]),
         fixed_val=np.concatenate([cfg.q_I[:2], cfg.q_F[:2]]),
-        # the design itself, strictly inside every row
-        start=ep.q_hat.ravel(), layout={"q": q_idx.ravel()},
+        start=start, layout={"q": q_idx.ravel()},
     )
+
+
+def _trajectory_start(q_hat, segment, lin_A, lin_b, h) -> np.ndarray:
+    """The design q_hat moved ``START_SHIFT`` of the way toward the
+    segment, the shift halved until the point is strictly inside every
+    distance row lin_A x <= lin_b and speed row |step| <= h, or the design
+    itself if the shift reaches 0. The design is strictly inside, and so is
+    the segment unless it is forced, so every speed row of the moved point
+    is too; only a distance row can need a smaller shift."""
+    q = q_hat.ravel()
+    toward = segment.ravel() - q
+    theta = START_SHIFT
+    while theta > 0.0:
+        x = q + theta * toward
+        steps = np.diff(x.reshape(-1, 2), axis=0)
+        if ((lin_b - lin_A @ x).min(initial=math.inf) > 0.0
+                and (h * h - (steps * steps).sum(axis=1)).min(initial=math.inf) > 0.0):
+            return x
+        theta *= 0.5
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,13 @@ def test_criterion_4_convergence(runs):
                 "surrogate non-decreasing (1e-9), fractional increase < 1e-6 within 100 iters")
 
 
+def test_default_jtpo_newton_step_budget(runs):
+    # a deterministic count, so a change that makes the trajectory solves
+    # take more Newton steps shows here; the default run takes 767
+    res = runs.get(SchemeId.JTPO, 60.0, 400.0)
+    assert res.newton_steps <= 1.1 * 767, f"{res.newton_steps} Newton steps"
+
+
 # ---------------------------------------------------------------------------
 # Criterion 5: trajectory trends (hover vs max-speed transit)
 # ---------------------------------------------------------------------------
@@ -410,6 +417,7 @@ def test_trajectory_mirror_symmetry(runs):
 def test_criterion_7_aesr_grid_trends(runs):
     t0 = time.perf_counter()
     ok = False
+    steps = {}
     try:
         aesr = {}
         for T in T_GRID:
@@ -438,11 +446,14 @@ def test_criterion_7_aesr_grid_trends(runs):
 
         grid_compute = sum(runs.elapsed.values())
         assert grid_compute < 1800.0, f"grid runs took {grid_compute:.0f}s (budget 30min)"
+        steps = {scheme.value: sum(runs.get(scheme, T, L).newton_steps
+                                   for T in T_GRID for L in L_GRID)
+                 for scheme in (SchemeId.JTPO, SchemeId.POFT, SchemeId.FTP_INF)}
         ok = True
     finally:
         _report(7, ok, time.perf_counter() - t0,
                 "JTPO dominates both benchmarks, is monotone in T and L and certifies"
-                " every solve on the 4x3 grid")
+                f" every solve on the 4x3 grid; trajectory Newton steps {steps}")
 
 
 # ---------------------------------------------------------------------------

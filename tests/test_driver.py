@@ -16,6 +16,7 @@ from uavsec.driver import (
 )
 from uavsec.model import PowerProfile, baseline_scenario
 from uavsec.solver import solve
+from uavsec.surrogate import build_trajectory_subproblem
 
 
 def tiny_cfg(**overrides):
@@ -114,6 +115,23 @@ def test_jtpo_beats_poft_and_ftp_inf_on_tiny_scenario(tiny_jtpo):
     assert tiny_jtpo.aesr >= run_ftp_inf(cfg).aesr - 1e-6
 
 
+def test_take_better_falls_back_to_the_design_not_the_start():
+    cfg = tiny_cfg()
+    points = line_segment_trajectory(cfg).points.copy()
+    points[1:-1, 0] += 1.0      # off the segment, so the start is not the design
+    traj = model.Trajectory(points=points)
+    pw = PowerProfile(p=np.linspace(0.2, 1.8, cfg.N) * cfg.P_bar)
+    prog = build_trajectory_subproblem(traj, pw, cfg)
+    design = traj.points.ravel()
+    best = solve(prog).x
+    assert not np.array_equal(prog.start, design)
+    # past the design, away from the optimum, the concave objective is lower
+    worse = design + (design - best)
+    assert prog.objective_value(worse) < prog.objective_value(design)
+    assert np.array_equal(driver._take_better(prog, worse, design), design)
+    assert np.array_equal(driver._take_better(prog, best, design), best)
+
+
 # ---------------------------------------------------------------------------
 # POFT specifics
 # ---------------------------------------------------------------------------
@@ -198,11 +216,12 @@ def test_ftp_inf_final_design_feasible():
 
 
 def test_non_optimal_solves_are_counted(monkeypatch):
-    statuses = []
+    statuses, steps = [], []
 
     def recording_solve(prog):
         sol = solve(prog)
         statuses.append(sol.status)
+        steps.append(sol.newton_steps)
         return sol
 
     monkeypatch.setattr(driver, "solve", recording_solve)
@@ -212,12 +231,15 @@ def test_non_optimal_solves_are_counted(monkeypatch):
     ftp = run_ftp_inf(baseline_scenario(T=24.0))
     assert not ftp.failed
     assert ftp.nonoptimal == sum(s != "optimal" for s in statuses) == 0
+    assert ftp.newton_steps == sum(steps) > 0
     # every JTPO solve certifies its gap, also where the Newton decrement of
     # its last barrier stage stalls at its rounding floor
     statuses.clear()
+    steps.clear()
     jtpo = run_jtpo(baseline_scenario())
     assert not jtpo.failed
     assert jtpo.nonoptimal == sum(s != "optimal" for s in statuses) == 0
+    assert jtpo.newton_steps == sum(steps) > 0
     # with no backtracks allowed every trajectory solve stalls; each is
     # counted, and the run goes on from the current positions
     statuses.clear()
@@ -232,10 +254,13 @@ def test_non_optimal_solves_are_counted(monkeypatch):
 @pytest.mark.parametrize("overrides", [
     dict(T=21.0),   # default endpoints 200 m apart, 20 steps of V_max*delta_t
     dict(T=2.0, q_I=(30.0, 5.0, 100.0), q_F=(30.0, -5.0, 100.0)),
-], ids=["T=21", "N=2"])
+    # 1e-8 m short of the reach: each speed row's slack is 1e-10 h^2
+    dict(T=21.0, q_I=(200.0, 100.0, 100.0), q_F=(200.0, -100.0 + 1e-8, 100.0)),
+], ids=["T=21", "N=2", "gap=1e-8"])
 def test_forced_segment_runs_the_power_step_alone(overrides):
-    # every speed row of the segment is tight, so it is the only trajectory
-    # and the trajectory program would have no strict interior
+    # every speed row of the segment is tight, or within FORCED_SLACK of
+    # it, so the trajectory program would have no strict interior, or one
+    # too thin for its solves to converge in
     cfg = baseline_scenario(**overrides)
     segment = line_segment_trajectory(cfg).points
     for run in (run_jtpo, run_ftp_inf):

@@ -112,6 +112,37 @@ def test_stalled_centering_is_not_optimal(monkeypatch):
     assert np.array_equal(sol.x, prog.start)
 
 
+def test_first_weight_is_the_central_path_weight_of_the_start(monkeypatch):
+    # A start on the central path at a known weight t_star: the objective's
+    # linear part is chosen so that t_star * grad F + grad barrier = 0
+    # there. The constant makes |F| large, so the scale floor nu/|F| (5e-3)
+    # sits far below t_star.
+    t_star = 40.0
+    x0 = np.array([0.5, 1.2])
+    a, b = np.array([1.0, 0.5]), 2.0
+    quad_c, beta = np.array([3.0, -1.0]), 0.7
+    grad_barrier = 1.0 / x0 - 1.0 / (2.0 - x0) - a / (b - a @ x0)
+    c = -grad_barrier / t_star + 2.0 * beta * (x0 - quad_c)
+    prog = program(
+        2, lb=np.zeros(2), ub=np.full(2, 2.0), c=c, constant=1e3,
+        quad_i=np.arange(2), quad_c=quad_c, quad_beta=np.full(2, beta),
+        lin_A=sparse.csr_matrix(a[None, :]), lin_b=np.array([b]), start=x0,
+    )
+    stage_steps = []
+    center = solver._center
+
+    def recording_center(work, x, t):
+        out = center(work, x, t)
+        stage_steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "_center", recording_center)
+    sol = solve(prog)
+    assert sol.status == "optimal"
+    assert sol.t0 == pytest.approx(t_star, rel=1e-2)
+    assert stage_steps[0] <= 2
+
+
 def test_unbounded_direction_reports_max_iter():
     # maximize x with no constraints at all: no barrier, Newton cannot certify
     prog = program(1, c=np.array([1.0]), start=np.array([0.0]))
@@ -206,14 +237,14 @@ def test_assemble_matches_central_differences_of_phi(label, prog):
     x, _, flag = _center(work, x, 1.0)
     assert flag == "ok"
     t = 3.0
-    fref = work.objective(x)
-    phi0, g, band, w = work.assemble(x, t, fref)
-    assert phi0 == work.phi(x, t, fref)
+    point = work.evaluate(x)
+    gf, gb, band, w = work.assemble(x, point, t)
+    g = t * gf + gb
     free = work.free
     H = -_dense(band, work.ones, w)
 
     def phi(y):
-        return work.phi(y, t, fref)
+        return work.evaluate(y).phi(t, point.f)
 
     h = 1e-4 * np.maximum(1.0, np.abs(x))
     steps = np.diag(h)
@@ -240,8 +271,8 @@ def _step_cases():
         x = prog.start.copy()
         x[prog.fixed_idx] = prog.fixed_val
         x, _, _ = _center(work, x, 1.0)
-        _, g, band, w = work.assemble(x, 3.0, work.objective(x))
-        cases.append(pytest.param(band, g[work.free], work.ones, w, id=label))
+        gf, gb, band, w = work.assemble(x, work.evaluate(x), 3.0)
+        cases.append(pytest.param(band, (3.0 * gf + gb)[work.free], work.ones, w, id=label))
     # a tridiagonal block next to a coordinate without curvature, with a sum
     # row over the block: the first Cholesky fails and the retry adds the
     # first escalation to the diagonal

@@ -8,12 +8,14 @@ from uavsec.model import (
     PowerProfile,
     Trajectory,
     baseline_scenario,
+    line_segment_trajectory,
     penalty_coeffs,
     sq_dists,
 )
 from uavsec.solver import solve, water_fill
 from uavsec.surrogate import (
     L_LOWER_RELAX,
+    START_SHIFT,
     Z_MIN,
     ExpansionPoint,
     _required_z,
@@ -258,19 +260,56 @@ def test_trajectory_subproblem_pins_endpoints_for_two_slots():
 
 
 def test_trajectory_start_is_strictly_feasible_and_reference_feasible():
-    # the start is the design itself, which the driver keeps unless the
-    # solved iterate scores higher
+    # the start is the design moved at most START_SHIFT (1 %) of the way
+    # toward the straight segment, strictly inside every row
+    assert START_SHIFT == 0.01
     rng = np.random.default_rng(7)
-    for n in (2, 3, 6):
-        cfg = small_cfg(n)
-        _, traj, pw = random_expansion(cfg, rng)
+
+    def check_start(cfg, traj, pw):
         prog = build_trajectory_subproblem(traj, pw, cfg)
-        assert np.array_equal(prog.start, traj.points.ravel())
+        design = traj.points.ravel()
+        segment = line_segment_trajectory(cfg).points.ravel()
         assert max_violation(prog, prog.start) == 0.0
         margins = constraint_margins(prog, prog.start)
         # every barrier family strictly interior at the start
         n_fixed = prog.fixed_idx.size
         assert np.all(margins[: margins.size - n_fixed] > 0.0)
+        assert (np.linalg.norm(prog.start - design)
+                <= START_SHIFT * np.linalg.norm(segment - design) * (1.0 + 1e-12))
+        return prog
+
+    for n in (2, 3, 6):
+        cfg = small_cfg(n)
+        check_start(cfg, *random_expansion(cfg, rng)[1:])
+
+    # A zig-zag design whose every speed row is tight to 2e-9 h^2, as a
+    # solved design's are: the start lifts each speed slack h^2 - |step|^2
+    # to at least START_SHIFT * h * (h - h_seg).
+    for n in (3, 5, 7):
+        cfg = small_cfg(n)
+        h = cfg.V_max * cfg.delta_t
+        dy = 8.0 / (n - 1)
+        dx = math.sqrt((h * (1.0 - 1e-9)) ** 2 - dy * dy)
+        pts = np.column_stack([30.0 + dx * (np.arange(n) % 2), 4.0 - dy * np.arange(n)])
+        traj = Trajectory(points=pts)
+        pw = PowerProfile(p=rng.uniform(0.01, cfg.P_bar, size=n))
+        prog = check_start(cfg, traj, pw)
+        steps = np.diff(prog.start.reshape(n, 2), axis=0)
+        slack = h * h - np.sum(steps * steps, axis=1)
+        assert np.min(h * h - np.sum(np.diff(pts, axis=0) ** 2, axis=1)) <= 3e-9 * h * h
+        assert np.min(slack) >= START_SHIFT * h * (h - dy)
+
+    # A slot 0.1 m from Bob's foot, on the far side from the segment: the
+    # full move would cross Bob's distance row l(q) >= l_lo, so the shift
+    # is halved until it does not.
+    cfg = baseline_scenario(T=11.0, q_I=(40.0, 4.0, 100.0), q_F=(40.0, -4.0, 100.0))
+    frac = np.abs(np.linspace(-1.0, 1.0, 11))[:, None]
+    pts = np.column_stack([-0.1 + 40.1 * frac[:, 0], 4.0 * np.linspace(1.0, -1.0, 11)])
+    pts[[0, -1], 0] = 40.0
+    prog = check_start(cfg, Trajectory(points=pts), PowerProfile(p=np.full(11, cfg.P_bar)))
+    moved = np.linalg.norm(prog.start - pts.ravel())
+    assert 0.0 < moved < 0.5 * START_SHIFT * np.linalg.norm(
+        line_segment_trajectory(cfg).points - pts)
 
 
 def test_zero_power_slot_exerts_no_positional_force():
