@@ -7,22 +7,22 @@ with the program. The first weight is Boyd & Vandenberghe's least-squares
 choice (§11.3.1), floored by the objective's scale at the start. Speed
 rows use the barrier -log(h^2 - |x_j - x_i|^2) and hyperbolic rows
 -log(x_i x_j - k); both count with degree 2 toward the total barrier
-degree m, linear rows, the sum row and finite box bounds with degree 1. A
-linear row's reciprocal objective term -k/(s + o) is a function of the
-row's barrier slack s, so it adds to the weight of the row's own rank-one
-Hessian term and needs no entries of its own. The outer loop stops once
-the certified gap m/t falls below ``_GAP_TOL``.
+degree m, linear rows and finite box bounds with degree 1. A linear row's
+reciprocal objective term -k/(s + o) is a function of the row's barrier
+slack s, so it adds to the weight of the row's own Hessian block a a^T
+and needs no entries of its own. The outer loop stops once the certified
+gap m/t falls below ``_GAP_TOL``.
 
 Fixed coordinates are held exactly by restricting Newton steps to the free
 coordinates. Newton systems are banded: ``_Work`` finds the half-bandwidth
 and the place of every Hessian entry in lower band storage once per
 program, and each step scatters the entry values there and factors with a
-banded Cholesky. Gradients are scattered the same way, by ``np.bincount``
-over index arrays fixed per program, and each trial point of the line
-search is evaluated once. The sum row couples every coordinate it names,
-so its rank-one term stays out of the band and is applied by
-Sherman-Morrison. In the subproblems' slot-major variable order the
-bandwidth does not grow with the slot count, so a step costs O(n).
+banded Cholesky. Every row family is a fixed-arity block of coordinates,
+so its gradient and Hessian entries are scattered by ``np.bincount`` over
+index arrays fixed per program, and each trial point of the line search is
+evaluated once. In the trajectory program's slot-major variable order the
+bandwidth does not grow with the slot count, so a step costs O(n); the
+power program's budget row spans every coordinate, so its band is full.
 Everything is deterministic: identical inputs produce identical iterate
 sequences.
 
@@ -76,6 +76,14 @@ class _Point(NamedTuple):
         return t * (self.f - fref) + self.logs
 
 
+def _block_entries(idx: np.ndarray):
+    """Row and column of every entry of the k x k block over each row of
+    the (m, k) index array idx, block by block in row-major order."""
+    m, k = idx.shape
+    return (np.broadcast_to(idx[:, :, None], (m, k, k)).ravel(),
+            np.broadcast_to(idx[:, None, :], (m, k, k)).ravel())
+
+
 class _Work:
     """Precomputed constraint structure, gradient pattern and Hessian band
     layout for one program."""
@@ -87,13 +95,6 @@ class _Work:
         self.lo_val = prog.lb[self.lo_idx]
         self.hi_idx = np.nonzero(np.isfinite(prog.ub))[0]
         self.hi_val = prog.ub[self.hi_idx]
-        # the linear rows as COO arrays: row, column and value of each nonzero
-        A = prog.lin_A.tocsr()
-        self.lin_row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        self.lin_col = A.indices
-        self.lin_val = A.data
-        # the sum row's bound (empty if the row is absent)
-        self.sum_b = np.full(min(prog.sum_i.size, 1), float(prog.sum_b))
         # coordinates (x[i], x[j]) of every speed row, and the constant
         # curvature 2 A^T A of |x[j] - x[i]|^2, with A = [-I I]
         self.sp_idx = np.concatenate([prog.speed_i, prog.speed_j], axis=1)
@@ -103,38 +104,31 @@ class _Work:
         free = np.ones(self.n, dtype=bool)
         free[prog.fixed_idx] = False
         self.free = np.nonzero(free)[0]
-        # the sum row's coefficients on the free coordinates
-        self.ones = np.bincount(prog.sum_i, minlength=self.n).astype(float)[self.free]
         self.nu = (
-            self.lo_idx.size + self.hi_idx.size + prog.lin_b.size + self.sum_b.size
+            self.lo_idx.size + self.hi_idx.size + prog.lin_b.size
             + 2 * prog.speed_h.size + 2 * prog.hyper_k.size
         )
         # Gradient pattern: the coordinate of every value ``assemble`` adds
         # to the objective's gradient and to the barrier's, in the same order.
-        self.gf_idx = np.concatenate([prog.log_i, prog.quad_i, self.lin_col])
+        lin_i = prog.lin_i
+        self.gf_idx = np.concatenate([prog.log_i, prog.quad_i, lin_i.ravel()])
         self.gb_idx = np.concatenate([
-            self.lo_idx, self.hi_idx, self.lin_col, prog.sum_i, self.sp_idx.ravel(),
+            self.lo_idx, self.hi_idx, lin_i.ravel(), self.sp_idx.ravel(),
             prog.hyper_i, prog.hyper_j,
         ])
 
         # Hessian pattern: one (row, col) entry per value ``assemble`` puts
-        # in ``curvature``, in the same order. A linear row touches every
-        # pair (left, right) of its nonzeros, with coefficient a_left a_right.
-        reps = np.diff(A.indptr)[self.lin_row]  # nonzeros in the row of each nonzero
-        left = np.repeat(np.arange(A.nnz), reps)
-        first = np.repeat(A.indptr[self.lin_row], reps)
-        right = first + np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps)
-        self.pair_row = self.lin_row[left]
-        self.pair_coef = A.data[left] * A.data[right]
-        sp = self.sp_idx
+        # in ``curvature``, in the same order. A linear row of arity k
+        # touches the k x k block a a^T of its coordinates, times the row's
+        # weight; a speed row the 4 x 4 block of its two points.
+        self.lin_aa = prog.lin_a[:, :, None] * prog.lin_a[:, None, :]
+        (lin_r, lin_c), (sp_r, sp_c) = _block_entries(lin_i), _block_entries(self.sp_idx)
         rows = np.concatenate([
-            prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, A.indices[left],
-            np.broadcast_to(sp[:, :, None], (sp.shape[0], 4, 4)).ravel(),
+            prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, lin_r, sp_r,
             prog.hyper_i, prog.hyper_j, prog.hyper_i, prog.hyper_j,
         ])
         cols = np.concatenate([
-            prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, A.indices[right],
-            np.broadcast_to(sp[:, None, :], (sp.shape[0], 4, 4)).ravel(),
+            prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, lin_c, sp_c,
             prog.hyper_i, prog.hyper_j, prog.hyper_j, prog.hyper_i,
         ])
         # Lower band storage of the free block: entry (r, c), r >= c, sits
@@ -151,17 +145,15 @@ class _Work:
 
     def evaluate(self, x: np.ndarray) -> Optional[_Point]:
         """Objective, log-slack sum, speed-row differences and barrier
-        slacks (lower boxes, upper boxes, linear, sum, speed, hyperbolic
-        rows) at x, or None if x is not strictly feasible. The objective
-        reuses the linear rows' slacks."""
+        slacks (lower boxes, upper boxes, linear, speed, hyperbolic rows)
+        at x, or None if x is not strictly feasible. The objective reuses
+        the linear rows' slacks."""
         prog = self.prog
         y = x[prog.speed_j] - x[prog.speed_i]
         slacks = (
             x[self.lo_idx] - self.lo_val,
             self.hi_val - x[self.hi_idx],
-            prog.lin_b - np.bincount(self.lin_row, self.lin_val * x[self.lin_col],
-                                     minlength=prog.lin_b.size),
-            self.sum_b - x[prog.sum_i].sum(),
+            prog.lin_slack(x),
             self.sp_h2 - (y * y).sum(axis=1),
             x[prog.hyper_i] * x[prog.hyper_j] - prog.hyper_k,
         )
@@ -176,11 +168,10 @@ class _Work:
     def assemble(self, x: np.ndarray, point: _Point, t: float):
         """Gradients of the objective and of the log barrier at the
         evaluated point x, and the negated Hessian of t*objective + barrier
-        on the free coordinates as a band plus the rank-one sum-row term:
-        (band, w) stands for B + w * ones ones^T."""
+        on the free coordinates in lower band storage."""
         prog = self.prog
         y = point.y
-        s_lo, s_hi, s_lin, s_sum, s_sp, s_hy = point.slacks
+        s_lo, s_hi, s_lin, s_sp, s_hy = point.slacks
 
         a = prog.log_a
         arg = 1.0 + a * x[prog.log_i]
@@ -193,19 +184,20 @@ class _Work:
         w_lin = 1.0 / (s_lin * s_lin) + 2.0 * t * k_r2 / r_lin
         gf = prog.c + np.bincount(self.gf_idx, np.concatenate([
             prog.log_alpha * a / arg, -(b2 * (x[prog.quad_i] - prog.quad_c)),
-            -(self.lin_val * k_r2[self.lin_row]),
+            -(prog.lin_a * k_r2[:, None]).ravel(),
         ]), minlength=self.n)
 
         # log(h^2 - |y|^2): gradient G/psi and negated Hessian
         # curv/psi + G G^T/psi^2 over the row's four coordinates (x[i], x[j])
         G = 2.0 * np.concatenate([y, -y], axis=1)
         psi = s_sp[:, None]
-        block = self.sp_curv / psi[:, :, None] + G[:, :, None] * G[:, None, :] / (psi * psi)[:, :, None]
+        block = (self.sp_curv / psi[:, :, None]
+                 + G[:, :, None] * G[:, None, :] / (psi * psi)[:, :, None])
         xi = x[prog.hyper_i]
         xj = x[prog.hyper_j]
         gb = np.bincount(self.gb_idx, np.concatenate([
-            1.0 / s_lo, -1.0 / s_hi, -(self.lin_val / s_lin[self.lin_row]),
-            np.repeat(-1.0 / s_sum, prog.sum_i.size), (G / psi).ravel(), xj / s_hy, xi / s_hy,
+            1.0 / s_lo, -1.0 / s_hi, -(prog.lin_a / s_lin[:, None]).ravel(),
+            (G / psi).ravel(), xj / s_hy, xi / s_hy,
         ]), minlength=self.n)
 
         psi2 = s_hy * s_hy
@@ -213,42 +205,33 @@ class _Work:
         curvature = np.concatenate([
             t * prog.log_alpha * (a * a) / (arg * arg), t * b2,
             1.0 / (s_lo * s_lo), 1.0 / (s_hi * s_hi),
-            self.pair_coef * w_lin[self.pair_row], block.ravel(),
+            (self.lin_aa * w_lin[:, None, None]).ravel(), block.ravel(),
             (xj * xj) / psi2, (xi * xi) / psi2, off, off,
         ])
         # (bincount returns integers when there are no entries at all)
         band = np.bincount(self.scatter, weights=curvature, minlength=self.band_size + 1)
-        band = band[: self.band_size].reshape(self.band_shape).astype(float, copy=False)
-        return gf, gb, band, float((1.0 / (s_sum * s_sum)).sum())
+        return gf, gb, band[: self.band_size].reshape(self.band_shape).astype(float, copy=False)
 
 
-def _newton_direction(
-    band: np.ndarray, rhs: np.ndarray, ones: np.ndarray, w: float
-) -> Optional[np.ndarray]:
-    """Solve (B + w * ones ones^T) d = rhs, regularizing B on failure.
+def _newton_direction(band: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+    """Solve B d = rhs, regularizing B on failure.
 
-    B is given in lower band storage: ``band[k, j]`` holds B[j + k, j]. The
-    rank-one term is applied by a Sherman-Morrison correction, which costs
-    one more banded solve, with ``ones`` as its right-hand side.
+    B is given in lower band storage: ``band[k, j]`` holds B[j + k, j].
     """
-    if not (np.all(np.isfinite(band)) and np.all(np.isfinite(rhs)) and math.isfinite(w)):
+    if not (np.all(np.isfinite(band)) and np.all(np.isfinite(rhs))):
         return None
-    base = 1e-12 * (1.0 + float(np.max(np.abs(band[0] + w * ones * ones)))) if band.size else 1.0
-    cols = rhs if w == 0.0 else np.column_stack([rhs, ones])
+    base = 1e-12 * (1.0 + float(np.max(np.abs(band[0])))) if band.size else 1.0
     reg = 0.0
     for _ in range(_REG_ESCALATIONS):
         B = band.copy()
         B[0] += reg
         try:
             sol = cho_solve_banded(
-                (cholesky_banded(B, lower=True, check_finite=False), True), cols,
+                (cholesky_banded(B, lower=True, check_finite=False), True), rhs,
                 check_finite=False,
             )
         except (LinAlgError, ValueError):
             sol = None
-        if sol is not None and w != 0.0:
-            y, z = sol[:, 0], sol[:, 1]
-            sol = y - z * (w * float(ones @ y) / (1.0 + w * float(ones @ z)))
         if sol is not None and np.all(np.isfinite(sol)):
             return sol
         reg = base if reg == 0.0 else reg * 100.0
@@ -313,9 +296,9 @@ def _first_weight(work: _Work, x: np.ndarray, point: _Point) -> float:
     matches the first centering's certified gap to the objective scale,
     and clamped to [1e-2, 1e8].
     """
-    gf, gb, band, w = work.assemble(x, point, 0.0)
+    gf, gb, band = work.assemble(x, point, 0.0)
     gf, gb = gf[work.free], gb[work.free]
-    d = _newton_direction(band, gf, work.ones, w)
+    d = _newton_direction(band, gf)
     t_ls = 0.0
     if d is not None and (curv := float(gf @ d)) > 0.0:
         t_ls = -float(gb @ d) / curv
@@ -327,22 +310,24 @@ def water_fill(prog: StructuredConvexProgram) -> np.ndarray:
     """Water-filling maximizer of a power program (Boyd & Vandenberghe 5.5.3).
 
     The program is sum_k alpha_k ln(1 + a_k x_k) + c.x, c < 0, over the box
-    [0, ub] and the sum row, one log term per coordinate in order. For the
-    sum row's multiplier lam, x_k = clip(alpha_k/(lam - c_k) - 1/a_k, 0, ub_k).
-    lam is 0 if that fits the budget; otherwise it is bisected between 0 and
-    max(alpha*a + c), where x = 0, until the bracket stops shrinking, and the
-    point at the bracket's feasible end is returned.
+    [0, ub] and its one linear row, the budget sum_k x_k <= b, with one log
+    term per coordinate in order. For the budget's multiplier lam,
+    x_k = clip(alpha_k/(lam - c_k) - 1/a_k, 0, ub_k). lam is 0 if that fits
+    the budget; otherwise it is bisected between 0 and max(alpha*a + c),
+    where x = 0, until the bracket stops shrinking, and the point at the
+    bracket's feasible end is returned.
     """
     alpha, a, c = prog.log_alpha, prog.log_a, prog.c
+    budget = prog.lin_b[0]
 
     def point(lam):
         return np.clip(alpha / (lam - c) - 1.0 / a, 0.0, prog.ub)
 
     lo, hi = 0.0, float(np.max(alpha * a + c))
-    if np.sum(point(lo)) <= prog.sum_b:
+    if np.sum(point(lo)) <= budget:
         hi = lo
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if np.sum(point(mid)) <= prog.sum_b:
+        if np.sum(point(mid)) <= budget:
             hi = mid
         else:
             lo = mid
@@ -364,9 +349,9 @@ def _center(work: _Work, x: np.ndarray, t: float):
     gd_full = math.inf      # the decrement before the last step, if that was a full one
     for _ in range(_MAX_NEWTON_PER_STAGE):
         phi0 = point.phi(t, fref)
-        gf, gb, band, w = work.assemble(x, point, t)
+        gf, gb, band = work.assemble(x, point, t)
         g = (t * gf + gb)[work.free]
-        step = _newton_direction(band, g, work.ones, w)
+        step = _newton_direction(band, g)
         if step is None:
             return x, steps, "numerical-failure"
         gd = float(g @ step)

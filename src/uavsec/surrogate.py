@@ -3,12 +3,12 @@
 Given the current design (trajectory and power), this module builds the two
 convex subproblems of the alternating scheme as ``StructuredConvexProgram``
 instances: the trajectory subproblem (the 2N position coordinates, power
-fixed) and the power subproblem (the N powers, trajectory fixed), and the
-slack-reformulated objective they are tangent to. Each builder linearizes
-at the design's expansion point, whose slacks are tight
-(``expansion_from``), and substitutes every slack by the value at which it
-binds at the subproblem's optimum, so neither program carries a slack
-variable.
+fixed) and the power subproblem (the N powers, trajectory fixed, whose
+average-power budget is its one linear row), and the slack-reformulated
+objective they are tangent to. Each builder linearizes at the design's
+expansion point, whose slacks are tight (``expansion_from``), and
+substitutes every slack by the value at which it binds at the
+subproblem's optimum, so neither program carries a slack variable.
 
 Both subproblem objectives under-estimate the slack-reformulated objective
 everywhere and agree with it (value and gradient) at the expansion point.
@@ -17,10 +17,9 @@ everywhere and agree with it (value and gradient) at the expansion point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .model import (
     LN2,
@@ -47,42 +46,41 @@ L_LOWER_RELAX = 1e-6
 # 1e-6 m^2; the move lifts each speed slack to at least
 # START_SHIFT * h * (h - h_seg), where h_seg is the segment's step.
 START_SHIFT = 0.01
-# Empty index and coefficient arrays for the term and row families a
-# subproblem does not use.
-_NO_INDEX = np.zeros(0, dtype=int)
-_NO_PAIRS = np.zeros((0, 2), dtype=int)
-_NO_VALUE = np.zeros(0)
+
+
+def _empty(*shape, dtype=float):
+    """Default of a term or row family's array: no entries."""
+    return field(default_factory=lambda: np.zeros((0, *shape), dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
 # Canonical convex program container
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class StructuredConvexProgram:
-    """Concave maximization over linear, sum, box, speed, and hyperbolic rows.
+    """Concave maximization over linear, box, speed, and hyperbolic rows.
 
     objective(x) = constant + c.x
                    + sum_k log_alpha[k] * ln(1 + log_a[k] * x[log_i[k]])
                    - sum_k quad_beta[k] * (x[quad_i[k]] - quad_c[k])^2
-                   - sum_r lin_k[r] / (lin_b[r] - lin_A[r] x + lin_o[r])
-    subject to     lin_A x <= lin_b
-                   sum_k x[sum_i[k]] <= sum_b                     (sum row)
+                   - sum_r lin_k[r] / (lin_slack(x)[r] + lin_o[r])
+    subject to     sum_k lin_a[r, k] x[lin_i[r, k]] <= lin_b[r]  (linear rows)
                    |x[speed_j[k]] - x[speed_i[k]]| <= speed_h[k]   (speed rows)
                    x[i]*x[j] >= k, x[i] >= 0, x[j] >= 0  (hyperbolic rows)
                    lb <= x <= ub                          (boxes, +-inf allowed)
                    x[i] = v                               (fixed coordinates)
 
-    Every term and row family is a set of index and coefficient arrays. Log
-    and quad terms have one entry per coordinate, with log_alpha and
-    quad_beta >= 0. Each linear row r carries a reciprocal term of its slack
-    with lin_k[r] >= 0 and lin_o[r] > 0 (lin_k[r] = 0 for a plain row), so
-    the term is finite and concave wherever the row holds. A speed row
-    bounds the distance between two points whose coordinates are the index
-    pairs ``speed_i[k]`` and ``speed_j[k]`` (arrays of shape (m, 2)), with
-    ``speed_h > 0``. The sum row is absent when
-    ``sum_i`` is empty; it is kept out of ``lin_A`` because it couples every
-    coordinate it names, which the solver handles as a rank-one term.
+    Every term and row family is a set of index and coefficient arrays,
+    empty unless given. Log and quad terms have one entry per coordinate,
+    with log_alpha and quad_beta >= 0. The linear rows share one arity k:
+    ``lin_i`` and ``lin_a`` have shape (m, k) and hold each row's
+    coordinates and coefficients (a coordinate may repeat). Each row r
+    carries a reciprocal term of its slack with lin_k[r] >= 0 and
+    lin_o[r] > 0 (lin_k[r] = 0 for a plain row), so the term is finite and
+    concave wherever the row holds. A speed row bounds the distance between
+    two points whose coordinates are the index pairs ``speed_i[k]`` and
+    ``speed_j[k]`` (arrays of shape (m, 2)), with ``speed_h > 0``.
 
     ``start`` is a strictly feasible point. ``layout`` maps variable-block
     names to index arrays.
@@ -92,36 +90,39 @@ class StructuredConvexProgram:
     lb: np.ndarray
     ub: np.ndarray
     c: np.ndarray
-    constant: float
-    log_i: np.ndarray
-    log_a: np.ndarray
-    log_alpha: np.ndarray
-    quad_i: np.ndarray
-    quad_c: np.ndarray
-    quad_beta: np.ndarray
-    lin_A: sparse.csr_matrix
-    lin_b: np.ndarray
-    lin_k: np.ndarray
-    lin_o: np.ndarray
-    sum_i: np.ndarray
-    sum_b: float
-    speed_i: np.ndarray
-    speed_j: np.ndarray
-    speed_h: np.ndarray
-    hyper_i: np.ndarray
-    hyper_j: np.ndarray
-    hyper_k: np.ndarray
-    fixed_idx: np.ndarray
-    fixed_val: np.ndarray
+    constant: float = 0.0
+    log_i: np.ndarray = _empty(dtype=int)
+    log_a: np.ndarray = _empty()
+    log_alpha: np.ndarray = _empty()
+    quad_i: np.ndarray = _empty(dtype=int)
+    quad_c: np.ndarray = _empty()
+    quad_beta: np.ndarray = _empty()
+    lin_i: np.ndarray = _empty(0, dtype=int)
+    lin_a: np.ndarray = _empty(0)
+    lin_b: np.ndarray = _empty()
+    lin_k: np.ndarray = _empty()
+    lin_o: np.ndarray = _empty()
+    speed_i: np.ndarray = _empty(2, dtype=int)
+    speed_j: np.ndarray = _empty(2, dtype=int)
+    speed_h: np.ndarray = _empty()
+    hyper_i: np.ndarray = _empty(dtype=int)
+    hyper_j: np.ndarray = _empty(dtype=int)
+    hyper_k: np.ndarray = _empty()
+    fixed_idx: np.ndarray = _empty(dtype=int)
+    fixed_val: np.ndarray = _empty()
     start: np.ndarray
     layout: dict
 
+    def lin_slack(self, x: np.ndarray) -> np.ndarray:
+        """lin_b - (row sums of lin_a * x[lin_i]): each linear row's slack at x."""
+        return self.lin_b - (self.lin_a * x[self.lin_i]).sum(axis=1)
+
     def objective_value(self, x: np.ndarray, lin_slack=None) -> float:
         """The objective at x; -inf where a log or reciprocal term is
-        undefined. ``lin_slack``, if given, is lin_b - lin_A x at x."""
+        undefined. ``lin_slack``, if given, is ``self.lin_slack(x)``."""
         x = np.asarray(x, dtype=float)
         if lin_slack is None:
-            lin_slack = self.lin_b - self.lin_A @ x
+            lin_slack = self.lin_slack(x)
         arg = 1.0 + self.log_a * x[self.log_i]
         den = lin_slack + self.lin_o
         if arg.min(initial=math.inf) <= 0.0 or den.min(initial=math.inf) <= 0.0:
@@ -264,45 +265,35 @@ def build_trajectory_subproblem(
         grads.append(grad)
         rhs.append(sq_dists(ep.q_hat, w, cfg.H) - np.sum(grad * ep.q_hat, axis=1) - l_lo)
     rows = len(receivers) * N
-    lin_A = sparse.csr_matrix(
-        (-np.concatenate(grads).ravel(), np.tile(q_idx.ravel(), len(receivers)),
-         np.arange(0, 2 * rows + 1, 2)),
-        shape=(rows, 2 * N),
-    )
-    lin_b = np.concatenate(rhs)
-    h = cfg.V_max * cfg.delta_t
-    start = _trajectory_start(ep.q_hat, line_segment_trajectory(cfg).points, lin_A, lin_b, h)
-
-    return StructuredConvexProgram(
+    prog = StructuredConvexProgram(
         n=2 * N, lb=np.full(2 * N, -np.inf), ub=np.full(2 * N, np.inf), c=np.zeros(2 * N),
-        constant=constant,
-        log_i=_NO_INDEX, log_a=_NO_VALUE, log_alpha=_NO_VALUE,
-        quad_i=quad_i, quad_c=quad_c, quad_beta=quad_beta,
-        lin_A=lin_A, lin_b=lin_b, lin_k=np.concatenate(lin_k),
-        lin_o=np.full(rows, l_lo), sum_i=_NO_INDEX, sum_b=0.0,
-        speed_i=q_idx[:-1], speed_j=q_idx[1:], speed_h=np.full(N - 1, h),
-        hyper_i=_NO_INDEX, hyper_j=_NO_INDEX, hyper_k=_NO_VALUE,
+        constant=constant, quad_i=quad_i, quad_c=quad_c, quad_beta=quad_beta,
+        lin_i=np.tile(q_idx, (len(receivers), 1)), lin_a=-np.concatenate(grads),
+        lin_b=np.concatenate(rhs), lin_k=np.concatenate(lin_k), lin_o=np.full(rows, l_lo),
+        speed_i=q_idx[:-1], speed_j=q_idx[1:], speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),
         fixed_idx=np.concatenate([q_idx[0], q_idx[N - 1]]),
         fixed_val=np.concatenate([cfg.q_I[:2], cfg.q_F[:2]]),
-        start=start, layout={"q": q_idx.ravel()},
+        start=ep.q_hat.ravel(), layout={"q": q_idx.ravel()},
     )
+    prog.start = _trajectory_start(prog, line_segment_trajectory(cfg).points)
+    return prog
 
 
-def _trajectory_start(q_hat, segment, lin_A, lin_b, h) -> np.ndarray:
-    """The design q_hat moved ``START_SHIFT`` of the way toward the
-    segment, the shift halved until the point is strictly inside every
-    distance row lin_A x <= lin_b and speed row |step| <= h, or the design
-    itself if the shift reaches 0. The design is strictly inside, and so is
-    the segment unless it is forced, so every speed row of the moved point
-    is too; only a distance row can need a smaller shift."""
-    q = q_hat.ravel()
+def _trajectory_start(prog: StructuredConvexProgram, segment: np.ndarray) -> np.ndarray:
+    """The design ``prog.start`` moved ``START_SHIFT`` of the way toward
+    the segment, the shift halved until the point is strictly inside every
+    distance row and speed row, or the design itself if the shift reaches
+    0. The design is strictly inside, and so is the segment unless it is
+    forced, so every speed row of the moved point is too; only a distance
+    row can need a smaller shift."""
+    q = prog.start
     toward = segment.ravel() - q
     theta = START_SHIFT
     while theta > 0.0:
         x = q + theta * toward
-        steps = np.diff(x.reshape(-1, 2), axis=0)
-        if ((lin_b - lin_A @ x).min(initial=math.inf) > 0.0
-                and (h * h - (steps * steps).sum(axis=1)).min(initial=math.inf) > 0.0):
+        y = x[prog.speed_j] - x[prog.speed_i]
+        speed_slack = prog.speed_h * prog.speed_h - (y * y).sum(axis=1)
+        if min(prog.lin_slack(x).min(initial=math.inf), speed_slack.min(initial=math.inf)) > 0.0:
             return x
         theta *= 0.5
     return q
@@ -346,12 +337,9 @@ def build_power_subproblem(
         n=N, lb=np.zeros(N), ub=np.full(N, cfg.P_max), c=-scale * slope,
         constant=-float(np.sum(scale * loss0)),
         log_i=p_ix, log_a=g_b, log_alpha=np.full(N, scale / LN2),
-        quad_i=_NO_INDEX, quad_c=_NO_VALUE, quad_beta=_NO_VALUE,
-        lin_A=sparse.csr_matrix((0, N)), lin_b=_NO_VALUE, lin_k=_NO_VALUE, lin_o=_NO_VALUE,
-        sum_i=p_ix, sum_b=N * cfg.P_bar,   # average power budget
-        speed_i=_NO_PAIRS, speed_j=_NO_PAIRS, speed_h=_NO_VALUE,
-        hyper_i=_NO_INDEX, hyper_j=_NO_INDEX, hyper_k=_NO_VALUE,
-        fixed_idx=_NO_INDEX, fixed_val=_NO_VALUE,
+        # the average power budget: one row over every slot
+        lin_i=p_ix[None, :], lin_a=np.ones((1, N)), lin_b=np.array([N * cfg.P_bar]),
+        lin_k=np.zeros(1), lin_o=np.ones(1),
         # strictly feasible start for the barrier solver: uniform half-average power
         start=np.full(N, cfg.P_bar / 2.0), layout={"p": p_ix},
     )

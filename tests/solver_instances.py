@@ -6,7 +6,6 @@ a staged grid refinement pins the optimum to ~1e-6.
 """
 
 import numpy as np
-from scipy import sparse
 
 from uavsec.surrogate import StructuredConvexProgram
 
@@ -15,22 +14,21 @@ def program(n, **fields):
     """Program on n variables: every family not given in ``fields`` is empty,
     boxes are infinite, the objective is zero and the start is the origin.
     Unless given, the linear rows carry no reciprocal terms."""
-    kw = dict(
-        lb=np.full(n, -np.inf), ub=np.full(n, np.inf), c=np.zeros(n), constant=0.0,
-        log_i=np.zeros(0, dtype=int), log_a=np.zeros(0), log_alpha=np.zeros(0),
-        quad_i=np.zeros(0, dtype=int), quad_c=np.zeros(0), quad_beta=np.zeros(0),
-        lin_A=sparse.csr_matrix((0, n)), lin_b=np.zeros(0),
-        sum_i=np.zeros(0, dtype=int), sum_b=0.0,
-        speed_i=np.zeros((0, 2), dtype=int), speed_j=np.zeros((0, 2), dtype=int),
-        speed_h=np.zeros(0),
-        hyper_i=np.zeros(0, dtype=int), hyper_j=np.zeros(0, dtype=int), hyper_k=np.zeros(0),
-        fixed_idx=np.zeros(0, dtype=int), fixed_val=np.zeros(0),
-        start=np.zeros(n), layout={},
-    )
+    kw = dict(lb=np.full(n, -np.inf), ub=np.full(n, np.inf), c=np.zeros(n),
+              start=np.zeros(n), layout={})
     kw.update(fields)
-    kw.setdefault("lin_k", np.zeros(kw["lin_b"].size))
-    kw.setdefault("lin_o", np.ones(kw["lin_b"].size))
+    if "lin_b" in kw:
+        kw.setdefault("lin_k", np.zeros(kw["lin_b"].size))
+        kw.setdefault("lin_o", np.ones(kw["lin_b"].size))
     return StructuredConvexProgram(n=n, **kw)
+
+
+def dense_rows(A, b):
+    """Linear-row fields for the rows A x <= b, each row naming every
+    coordinate."""
+    A = np.asarray(A, dtype=float)
+    return dict(lin_i=np.tile(np.arange(A.shape[1]), (A.shape[0], 1)), lin_a=A,
+                lin_b=np.asarray(b, dtype=float))
 
 
 def _grid_max_1d(fn, lo, hi, stages=3, pts=4001):
@@ -63,12 +61,11 @@ def box_linear_instance(rng):
     for _ in range(int(rng.integers(1, 3))):
         a = rng.uniform(-1.0, 1.0, size=n)
         rows.append((a, float(a @ mid + rng.uniform(0.1, 1.0))))
-    A = sparse.csr_matrix(np.array([r[0] for r in rows]))
-    b = np.array([r[1] for r in rows])
     beta = float(rng.uniform(0.0, 2.0))
     center = rng.uniform(-1.0, 3.0, size=n)
     quad = dict(quad_i=np.arange(n), quad_c=center, quad_beta=np.full(n, beta)) if beta > 0 else {}
-    prog = program(n, lb=lb, ub=ub, c=c, lin_A=A, lin_b=b, start=mid, **quad)
+    prog = program(n, lb=lb, ub=ub, c=c, start=mid, **quad,
+                   **dense_rows([r[0] for r in rows], [r[1] for r in rows]))
 
     def value(x):
         val = float(c @ x)

@@ -79,18 +79,15 @@ def constraint_margins(prog: StructuredConvexProgram, x: np.ndarray) -> np.ndarr
     """Signed margins of every constraint at x (>= 0 means satisfied).
 
     Speed rows report the linear-scale margin h - |x[j] - x[i]|; fixed
-    coordinates, which come last, report -|x[i] - v|. The sum row reports
-    one margin when ``sum_i`` is non-empty and none otherwise.
+    coordinates, which come last, report -|x[i] - v|.
     """
     x = np.asarray(x, dtype=float)
     lo = np.isfinite(prog.lb)
     hi = np.isfinite(prog.ub)
-    sum_row = [prog.sum_b - float(np.sum(x[prog.sum_i]))] if prog.sum_i.size else []
     return np.concatenate([
         x[lo] - prog.lb[lo],
         prog.ub[hi] - x[hi],
-        prog.lin_b - prog.lin_A @ x,
-        sum_row,
+        prog.lin_slack(x),
         prog.speed_h - np.linalg.norm(x[prog.speed_j] - x[prog.speed_i], axis=1),
         x[prog.hyper_i] * x[prog.hyper_j] - prog.hyper_k,
         -np.abs(x[prog.fixed_idx] - prog.fixed_val),

@@ -3,7 +3,6 @@ import zlib
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from uavsec import solver
 from uavsec.driver import line_segment_trajectory
@@ -11,7 +10,7 @@ from uavsec.model import PowerProfile, Trajectory, baseline_scenario
 from uavsec.solver import _center, _newton_direction, _Work, solve, water_fill
 from uavsec.surrogate import build_power_subproblem, build_trajectory_subproblem
 
-from solver_instances import FAMILIES, program
+from solver_instances import FAMILIES, dense_rows, program
 from surrogate_reference import max_violation
 
 
@@ -126,7 +125,7 @@ def test_first_weight_is_the_central_path_weight_of_the_start(monkeypatch):
     prog = program(
         2, lb=np.zeros(2), ub=np.full(2, 2.0), c=c, constant=1e3,
         quad_i=np.arange(2), quad_c=quad_c, quad_beta=np.full(2, beta),
-        lin_A=sparse.csr_matrix(a[None, :]), lin_b=np.array([b]), start=x0,
+        **dense_rows(a[None, :], [b]), start=x0,
     )
     stage_steps = []
     center = solver._center
@@ -151,10 +150,9 @@ def test_unbounded_direction_reports_max_iter():
 
 
 def test_fixed_coordinates_are_held_exactly():
-    A = sparse.csr_matrix(np.array([[1.0, 2.0]]))
     prog = program(
         2, lb=np.array([-np.inf, 0.0]), c=np.array([1.0, 1.0]),
-        lin_A=A, lin_b=np.array([3.0]),
+        **dense_rows([[1.0, 2.0]], [3.0]),
         fixed_idx=np.array([0]), fixed_val=np.array([1.0]),
         start=np.array([1.0, 0.5]),
     )
@@ -169,25 +167,25 @@ def test_newton_direction_regularizes_singular_system():
     # by escalation
     band = np.array([[1.0, 0.0]])
     g = np.array([1.0, 0.0])
-    d = _newton_direction(band, g, np.zeros(2), 0.0)
+    d = _newton_direction(band, g)
     assert d is not None and np.all(np.isfinite(d))
 
 
 def test_newton_direction_rejects_non_finite_system():
     band = np.array([[np.nan, 1.0], [0.0, 0.0]])
     g = np.array([1.0, 1.0])
-    assert _newton_direction(band, g, np.zeros(2), 0.0) is None
+    assert _newton_direction(band, g) is None
 
 
-def _dense(band, ones, w):
-    """The symmetric matrix B + w * ones ones^T that (band, ones, w) stand for."""
+def _dense(band):
+    """The symmetric matrix whose lower band storage is ``band``."""
     m = band.shape[1]
     M = np.zeros((m, m))
     for k in range(band.shape[0]):
         j = np.arange(m - k)
         M[j + k, j] = band[k, : m - k]
         M[j, j + k] = band[k, : m - k]
-    return M + w * np.outer(ones, ones)
+    return M
 
 
 def _subproblem_programs(T):
@@ -218,15 +216,26 @@ def _reciprocal_row_program():
     speed rows'."""
     return ("reciprocal-row", program(
         2, lb=np.zeros(2), ub=np.full(2, 2.0), c=np.array([1.0, 0.5]),
-        lin_A=sparse.csr_matrix(np.array([[1.0, 2.0]])), lin_b=np.array([3.0]),
+        **dense_rows([[1.0, 2.0]], [3.0]),
         lin_k=np.array([5.0]), lin_o=np.array([0.5]), start=np.array([0.5, 0.5]),
+    ))
+
+
+def _repeated_index_row_program():
+    """One linear row of arity 3 that names coordinate 0 twice and gives
+    coordinate 1 a zero coefficient: the row is 2.5 x0 <= 3, so the scatter
+    must sum the repeated entries."""
+    return ("repeated-index-row", program(
+        2, lb=np.zeros(2), ub=np.full(2, 2.0), c=np.array([1.0, 0.5]),
+        lin_i=np.array([[0, 1, 0]]), lin_a=np.array([[1.0, 0.0, 1.5]]), lin_b=np.array([3.0]),
+        lin_k=np.array([2.0]), lin_o=np.array([0.5]), start=np.array([0.5, 0.5]),
     ))
 
 
 @pytest.mark.parametrize("label,prog", [
     pytest.param(label, prog, id=label.replace(" T=4", ""))
     for label, prog in (_subproblem_programs(4.0) + _family_programs()
-                        + [_reciprocal_row_program()])
+                        + [_reciprocal_row_program(), _repeated_index_row_program()])
 ])
 def test_assemble_matches_central_differences_of_phi(label, prog):
     work = _Work(prog)
@@ -238,10 +247,10 @@ def test_assemble_matches_central_differences_of_phi(label, prog):
     assert flag == "ok"
     t = 3.0
     point = work.evaluate(x)
-    gf, gb, band, w = work.assemble(x, point, t)
+    gf, gb, band = work.assemble(x, point, t)
     g = t * gf + gb
     free = work.free
-    H = -_dense(band, work.ones, w)
+    H = -_dense(band)
 
     def phi(y):
         return work.evaluate(y).phi(t, point.f)
@@ -262,8 +271,8 @@ def test_assemble_matches_central_differences_of_phi(label, prog):
 
 
 def _step_cases():
-    """(label, band, rhs, ones, w) Newton systems: each subproblem program and
-    solver family at its t=1 centre, evaluated at t=3."""
+    """(label, band, rhs) Newton systems: each subproblem program and solver
+    family at its t=1 centre, evaluated at t=3."""
     cases = []
     for label, prog in (_subproblem_programs(4.0) + _subproblem_programs(24.0)
                         + _family_programs()):
@@ -271,41 +280,37 @@ def _step_cases():
         x = prog.start.copy()
         x[prog.fixed_idx] = prog.fixed_val
         x, _, _ = _center(work, x, 1.0)
-        gf, gb, band, w = work.assemble(x, work.evaluate(x), 3.0)
-        cases.append(pytest.param(band, (3.0 * gf + gb)[work.free], work.ones, w, id=label))
-    # a tridiagonal block next to a coordinate without curvature, with a sum
-    # row over the block: the first Cholesky fails and the retry adds the
-    # first escalation to the diagonal
+        gf, gb, band = work.assemble(x, work.evaluate(x), 3.0)
+        cases.append(pytest.param(band, (3.0 * gf + gb)[work.free], id=label))
+    # a tridiagonal block next to a coordinate without curvature: the first
+    # Cholesky fails and the retry adds the first escalation to the diagonal
     band = np.array([[2.0, 2.0, 0.0], [-1.0, 0.0, 0.0]])
-    cases.append(pytest.param(band, np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 0.0]), 0.5,
-                              id="regularized"))
+    cases.append(pytest.param(band, np.array([1.0, 2.0, 3.0]), id="regularized"))
     return cases
 
 
-@pytest.mark.parametrize("band,rhs,ones,w", _step_cases())
-def test_banded_newton_step_matches_dense_solve(band, rhs, ones, w):
-    M = _dense(band, ones, w)
+@pytest.mark.parametrize("band,rhs", _step_cases())
+def test_banded_newton_step_matches_dense_solve(band, rhs):
+    M = _dense(band)
     try:
         np.linalg.cholesky(M)
         reg = 0.0
     except np.linalg.LinAlgError:
         # the first escalation: 1e-12 relative to the largest diagonal entry
         reg = 1e-12 * (1.0 + np.max(np.abs(np.diag(M))))
-    d = _newton_direction(band, rhs, ones, w)
+    d = _newton_direction(band, rhs)
     oracle = np.linalg.solve(M + reg * np.eye(M.shape[0]), rhs)
     np.testing.assert_allclose(d, oracle, rtol=1e-9, atol=1e-14 * np.linalg.norm(oracle))
 
 
 @pytest.mark.parametrize("L", [400.0, math.inf])
 def test_band_width_does_not_grow_with_slot_count(L):
-    # a speed row couples the four coordinates of two neighbouring slots;
-    # the power program's only coupling is its sum row, kept out of the band
+    # a speed row couples the four coordinates of two neighbouring slots
     for T in (24.0, 200.0):
         cfg = baseline_scenario(T=T, L=L)
         traj = line_segment_trajectory(cfg)
         pw = PowerProfile(p=np.full(cfg.N, cfg.P_bar))
         assert _Work(build_trajectory_subproblem(traj, pw, cfg)).kd == 3
-        assert _Work(build_power_subproblem(traj, pw, cfg)).kd == 0
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +350,11 @@ def test_water_fill_matches_barrier_solve(L):
 
 
 def _assert_kkt(prog, x):
-    """Some multiplier lam >= 0 of the sum row, zero unless the row is
+    """Some multiplier lam >= 0 of the budget row, zero unless the row is
     tight, satisfies every coordinate's KKT condition on its box, up to
     rounding relative to the linear coefficients."""
     gain = prog.log_alpha * prog.log_a / (1.0 + prog.log_a * x) + prog.c
-    tight = np.sum(x) >= prog.sum_b * (1.0 - 1e-12)
+    tight = np.sum(x) >= prog.lin_b[0] * (1.0 - 1e-12)
     lam_lo = max([0.0] + list(gain[x < prog.ub]))
     lam_hi = min(list(gain[x > 0.0]) + [math.inf if tight else 0.0])
     assert lam_lo <= lam_hi + 1e-9 * np.max(np.abs(prog.c))
@@ -374,7 +379,7 @@ def test_water_fill_kkt_when_caps_coincide():
     x = water_fill(prog)
     own = np.clip(prog.log_alpha / -prog.c - 1.0 / prog.log_a, 0.0, prog.ub)
     assert np.array_equal(x, own)
-    assert 0.0 < np.sum(x) < prog.sum_b
+    assert 0.0 < np.sum(x) < prog.lin_b[0]
     _assert_kkt(prog, x)
 
 
@@ -383,6 +388,6 @@ def test_water_fill_kkt_when_the_budget_binds():
     traj = line_segment_trajectory(cfg)
     prog = build_power_subproblem(traj, PowerProfile(p=np.full(cfg.N, cfg.P_bar)), cfg)
     x = water_fill(prog)
-    assert np.sum(x) == pytest.approx(prog.sum_b, rel=1e-12)
+    assert np.sum(x) == pytest.approx(prog.lin_b[0], rel=1e-12)
     assert np.any((x > 0.0) & (x < prog.ub))
     _assert_kkt(prog, x)
