@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 LN2 = math.log(2.0)
-_SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 # Numerical slack on the per-step speed check (meters).
 SPEED_SLACK = 1e-9
@@ -75,7 +74,8 @@ class ScenarioConfig:
     """All physical and algorithmic parameters of one scenario.
 
     ``N`` is derived from ``T`` and ``delta_t`` and validated to be exact.
-    ``L`` may be ``math.inf`` to describe the long-packet limit used by the
+    Positions, lengths, times, powers and ``xi0`` must be finite; ``L`` may
+    be ``math.inf`` to describe the long-packet limit used by the
     fixed-design benchmark.
     """
 
@@ -102,6 +102,9 @@ class ScenarioConfig:
         object.__setattr__(self, "w_e", _as_vec3("w_e", self.w_e))
         object.__setattr__(self, "q_I", _as_vec3("q_I", self.q_I))
         object.__setattr__(self, "q_F", _as_vec3("q_F", self.q_F))
+        for name in ("H", "T", "delta_t", "V_max", "P_max", "xi0", "w_b", "w_e", "q_I", "q_F"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta_t <= 0.0:
             raise ValueError(f"delta_t must be positive, got {self.delta_t}")
         if self.T <= 0.0:
@@ -271,30 +274,10 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 def q_inv(p: float) -> float:
-    """Inverse of the Gaussian tail function Q(x) = 0.5*erfc(x/sqrt(2)).
-
-    A rational initial guess (Abramowitz-Stegun 26.2.23) is polished with
-    Newton steps on erfc; absolute accuracy is far below 1e-9.
-    """
+    """Inverse of the Gaussian tail function Q(x) = 0.5*erfc(x/sqrt(2))."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"q_inv requires 0 < p < 1, got {p}")
-    if p == 0.5:
-        return 0.0
-    tail = min(p, 1.0 - p)
-    t = math.sqrt(-2.0 * math.log(tail))
-    x = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
-    )
-    for _ in range(60):
-        err = 0.5 * math.erfc(x / _SQRT2) - tail
-        pdf = math.exp(-0.5 * x * x) / _SQRT2PI
-        if pdf == 0.0:
-            break
-        dx = err / pdf
-        x += dx
-        if abs(dx) <= 1e-13 * (1.0 + abs(x)):
-            break
-    return x if p <= 0.5 else -x
+    return -NormalDist().inv_cdf(p)
 
 
 def penalty_coeffs(cfg: ScenarioConfig):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -161,6 +166,15 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_rejects_infinite_period(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, TINY.replace("T = 6", "T = inf"))
+    rc = main(["run", "--config", str(cfg_path), "--scheme", "jtpo", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "T must be finite" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_unwritable_out_dir(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, TINY)
     blocker = tmp_path / "blocked"
@@ -223,6 +237,28 @@ def test_sweep_records_row_errors_but_continues(tmp_path):
     assert len(bad) == 3 and all(r.split(",")[4] for r in bad)
     good = [r for r in rows if r.split(",")[2] == "400.0"]
     assert len(good) == 3 and all(not r.split(",")[4] for r in good)
+
+
+def test_sweep_gives_error_rows_for_an_infinite_period(tmp_path):
+    cfg_path = write_cfg(tmp_path, TINY)
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", str(cfg_path), "--param", "T",
+               "--values", "inf,6", "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().strip().splitlines()[1:]]
+    bad = [r for r in rows if r[2] == "inf"]
+    assert len(bad) == 3 and all("T must be finite" in r[4] for r in bad)
+    good = [r for r in rows if r[2] == "6.0"]
+    assert len(good) == 3 and all(not r[4] for r in good)
+
+
+def test_cli_import_does_not_load_scipy_sparse():
+    # the benchmark's setup time measures exactly this import
+    code = "import sys, uavsec.cli; print('scipy.sparse' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,24 @@ def test_config_rejects_wrong_altitudes():
         )
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", [
+    "H", "T", "delta_t", "V_max", "P_max", "xi0", "w_b", "w_e", "q_I", "q_F",
+])
+def test_config_rejects_non_finite_values_by_name(name, value):
+    kw = {name: value}
+    if name in ("w_b", "w_e"):
+        kw = {name: (value, 0.0, 0.0)}
+    elif name in ("q_I", "q_F"):
+        kw = {name: (200.0, value, 100.0)}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        baseline_scenario(**kw)
+
+
+def test_config_accepts_the_long_packet_limit():
+    assert math.isinf(baseline_scenario(L=math.inf).L)
+
+
 def test_config_rejects_negative_blocklength_and_tau():
     with pytest.raises(ValueError):
         baseline_scenario(L=0.5)
