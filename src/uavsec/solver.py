@@ -4,7 +4,10 @@ A primal log-barrier method: damped Newton with backtracking line search
 maximizes t*objective + sum(log slack) for a barrier weight t that grows
 by ``_MU`` per stage, starting from the strictly feasible point bundled
 with the program. The first weight is Boyd & Vandenberghe's least-squares
-choice (§11.3.1), floored by the objective's scale at the start. Speed
+choice (§11.3.1), floored by the objective's scale at the start. Each later
+stage starts from a predictor step: the central path is analytic in 1/t
+(Fiacco & McCormick, SUMT, 1968), and its tangent at a centred point costs
+one more column of the last Newton step's factorization. Speed
 rows use the barrier -log(h^2 - |x_j - x_i|^2) and hyperbolic rows
 -log(x_i x_j - k); both count with degree 2 toward the total barrier
 degree m, linear rows and finite box bounds with degree 1. A linear row's
@@ -16,13 +19,14 @@ gap m/t falls below ``_GAP_TOL``.
 Fixed coordinates are held exactly by restricting Newton steps to the free
 coordinates. Newton systems are banded: ``_Work`` finds the half-bandwidth
 and the place of every Hessian entry in lower band storage once per
-program, and each step scatters the entry values there and factors with a
-banded Cholesky. Every row family is a fixed-arity block of coordinates,
-so its gradient and Hessian entries are scattered by ``np.bincount`` over
-index arrays fixed per program, and each trial point of the line search is
-evaluated once. In the trajectory program's slot-major variable order the
-bandwidth does not grow with the slot count, so a step costs O(n); the
-power program's budget row spans every coordinate, so its band is full.
+program, and each step scatters the entry values there and factors with
+LAPACK's banded Cholesky (``pbtrf``/``pbtrs``). Every row family is a
+fixed-arity block of coordinates, so its gradient and Hessian entries are
+scattered by ``np.bincount`` over index arrays fixed per program, and each
+trial point of the line search is evaluated once. In the trajectory
+program's slot-major variable order the bandwidth does not grow with the
+slot count, so a step costs O(n); the power program's budget row spans
+every coordinate, so its band is full.
 Everything is deterministic: identical inputs produce identical iterate
 sequences.
 
@@ -36,9 +40,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import get_lapack_funcs
 
 from .surrogate import StructuredConvexProgram
+
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 _MAX_BACKTRACKS = 60
 _REG_ESCALATIONS = 9
@@ -214,34 +220,33 @@ class _Work:
 
 
 def _newton_direction(band: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """Solve B d = rhs, regularizing B on failure.
+    """Solve B d = rhs, rhs (n,) or (n, 2), regularizing B on failure.
 
     B is given in lower band storage: ``band[k, j]`` holds B[j + k, j].
     """
     if not (np.all(np.isfinite(band)) and np.all(np.isfinite(rhs))):
         return None
-    base = 1e-12 * (1.0 + float(np.max(np.abs(band[0])))) if band.size else 1.0
+    if rhs.shape[0] == 0:
+        return np.zeros_like(rhs)
     reg = 0.0
     for _ in range(_REG_ESCALATIONS):
-        B = band.copy()
+        B = np.array(band, order="F")
         B[0] += reg
-        try:
-            sol = cho_solve_banded(
-                (cholesky_banded(B, lower=True, check_finite=False), True), rhs,
-                check_finite=False,
-            )
-        except (LinAlgError, ValueError):
-            sol = None
-        if sol is not None and np.all(np.isfinite(sol)):
-            return sol
-        reg = base if reg == 0.0 else reg * 100.0
+        chol, info = _PBTRF(B, lower=1, overwrite_ab=1)
+        if info == 0:
+            sol, info = _PBTRS(chol, rhs, lower=1)
+            if info == 0 and np.all(np.isfinite(sol)):
+                return sol
+        reg = 1e-12 * (1.0 + float(np.max(np.abs(band[0])))) if reg == 0.0 else reg * 100.0
     return None
 
 
 def solve(prog: StructuredConvexProgram) -> Solution:
     """Maximize the program's concave objective over its constraint set.
 
-    The first barrier weight comes from ``_first_weight``. Raises
+    The first barrier weight comes from ``_first_weight``; every stage
+    but the last hands ``_center`` the next weight, so that a centring
+    that ends "ok" passes on ``_predict``'s point. Raises
     ValueError if the bundled start is not strictly feasible. Returns
     status "numerical-failure" with the last iterate if the Newton system
     cannot be solved even after diagonal regularization, and "max-iter" or
@@ -263,17 +268,19 @@ def solve(prog: StructuredConvexProgram) -> Solution:
     stages = 0
     status = "optimal"
     while True:
-        x, steps, flag = _center(work, x, t)
+        final = nu / t <= _GAP_TOL
+        t_next = None if final else min(t * _MU, t_final)
+        x, steps, flag = _center(work, x, t, t_next)
         stages += 1
         total_steps += steps
         if flag == "numerical-failure":
             status = flag
             break
-        if nu / t <= _GAP_TOL:
+        if final:
             if flag != "ok":
                 status = flag
             break
-        t = min(t * _MU, t_final)
+        t = t_next
 
     return Solution(
         x=x,
@@ -334,11 +341,14 @@ def water_fill(prog: StructuredConvexProgram) -> np.ndarray:
     return point(hi)
 
 
-def _center(work: _Work, x: np.ndarray, t: float):
+def _center(work: _Work, x: np.ndarray, t: float, t_next: Optional[float] = None):
     """Damped Newton until the decrement criterion holds at barrier weight t.
 
     Each trial point is evaluated once: an accepted one carries its
-    evaluation to the next step's ``assemble``."""
+    evaluation to the next step's ``assemble``. Each step also solves for
+    the path tangent B^-1 grad F; given the next stage's weight t_next, a
+    centring that ends "ok" returns ``_predict``'s point instead of the
+    centred one."""
     point = work.evaluate(x)
     fref = point.f
     # Below this squared-decrement level, computed phi differences drown in
@@ -351,12 +361,16 @@ def _center(work: _Work, x: np.ndarray, t: float):
         phi0 = point.phi(t, fref)
         gf, gb, band = work.assemble(x, point, t)
         g = (t * gf + gb)[work.free]
-        step = _newton_direction(band, g)
-        if step is None:
+        # the path tangent rides as a second column of the same factorization
+        sol = _newton_direction(band, np.array((g, gf[work.free])).T)
+        if sol is None:
             return x, steps, "numerical-failure"
+        step, tangent = sol.T
         gd = float(g @ step)
         # below the noise level, a full step that did not shrink gd shows its rounding floor
         if gd <= 2.0 * _NEWTON_TOL or gd_full <= gd <= noise:
+            if t_next is not None:
+                x = _predict(work, x, point, tangent, t, t_next)
             return x, steps, "ok"
         use_armijo = gd > noise
         d = np.zeros(work.n)
@@ -379,3 +393,26 @@ def _center(work: _Work, x: np.ndarray, t: float):
             return x, steps, "stalled"
         gd_full = gd if s == 1.0 else math.inf
     return x, steps, "max-iter"
+
+
+def _predict(work: _Work, x: np.ndarray, point: _Point, tangent: np.ndarray,
+             t: float, t_next: float) -> np.ndarray:
+    """Predictor from the point x centred at weight t toward weight t_next.
+
+    With ``tangent`` = B^-1 grad F on the free coordinates (B the negated
+    barrier Hessian at x), the central path's first-order move from 1/t to
+    1/t_next is t (1 - t/t_next) tangent. It is halved until the moved point
+    is strictly feasible and has a higher phi at t_next than x, both shifted
+    by F(x); x is returned if no trial passes.
+    """
+    dx = np.zeros(work.n)
+    dx[work.free] = t * (1.0 - t / t_next) * tangent
+    phi0 = point.phi(t_next, point.f)
+    s = 1.0
+    for _ in range(_MAX_BACKTRACKS):
+        xn = x + s * dx
+        trial = work.evaluate(xn)
+        if trial is not None and trial.phi(t_next, point.f) > phi0:
+            return xn
+        s *= _BACKTRACK
+    return x

@@ -130,8 +130,8 @@ def test_first_weight_is_the_central_path_weight_of_the_start(monkeypatch):
     stage_steps = []
     center = solver._center
 
-    def recording_center(work, x, t):
-        out = center(work, x, t)
+    def recording_center(work, x, t, t_next):
+        out = center(work, x, t, t_next)
         stage_steps.append(out[1])
         return out
 
@@ -140,6 +140,32 @@ def test_first_weight_is_the_central_path_weight_of_the_start(monkeypatch):
     assert sol.status == "optimal"
     assert sol.t0 == pytest.approx(t_star, rel=1e-2)
     assert stage_steps[0] <= 2
+
+
+def _predictor_programs():
+    """The default scenario's first trajectory program and the first 20
+    instances of each solver family."""
+    cfg = baseline_scenario()
+    pw = PowerProfile(p=np.full(cfg.N, cfg.P_bar))
+    progs = [("default trajectory",
+              build_trajectory_subproblem(line_segment_trajectory(cfg), pw, cfg))]
+    for name, make in FAMILIES:
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        progs += [(f"{name}[{k}]", make(rng)[0]) for k in range(20)]
+    return progs
+
+
+def test_predictor_keeps_the_optimum_and_saves_newton_steps(monkeypatch):
+    progs = _predictor_programs()
+    predicted = [solve(prog) for _, prog in progs]
+    monkeypatch.setattr(solver, "_predict", lambda work, x, *rest: x)
+    centred = [solve(prog) for _, prog in progs]
+    for (label, _), a, b in zip(progs, predicted, centred):
+        assert a.status == b.status == "optimal", label
+        assert abs(a.objective - b.objective) <= max(a.gap_bound, b.gap_bound), label
+    assert predicted[0].newton_steps < centred[0].newton_steps
+    assert (sum(sol.newton_steps for sol in predicted)
+            < sum(sol.newton_steps for sol in centred))
 
 
 def test_unbounded_direction_reports_max_iter():
@@ -169,6 +195,19 @@ def test_newton_direction_regularizes_singular_system():
     g = np.array([1.0, 0.0])
     d = _newton_direction(band, g)
     assert d is not None and np.all(np.isfinite(d))
+
+
+def test_every_coordinate_fixed_needs_no_factorization(capfd):
+    assert _newton_direction(np.zeros((1, 0)), np.zeros(0)).shape == (0,)
+    prog = program(
+        2, lb=np.zeros(2), ub=np.full(2, 2.0), c=np.array([1.0, 1.0]),
+        fixed_idx=np.array([0, 1]), fixed_val=np.array([1.0, 0.5]),
+        start=np.array([1.0, 0.5]),
+    )
+    sol = solve(prog)
+    assert sol.status == "optimal"
+    np.testing.assert_array_equal(sol.x, [1.0, 0.5])
+    assert capfd.readouterr().err == ""
 
 
 def test_newton_direction_rejects_non_finite_system():
@@ -281,7 +320,12 @@ def _step_cases():
         x[prog.fixed_idx] = prog.fixed_val
         x, _, _ = _center(work, x, 1.0)
         gf, gb, band = work.assemble(x, work.evaluate(x), 3.0)
-        cases.append(pytest.param(band, (3.0 * gf + gb)[work.free], id=label))
+        g = (3.0 * gf + gb)[work.free]
+        cases.append(pytest.param(band, g, id=label))
+        if label.startswith("trajectory"):
+            # the Newton step and the path tangent from one factorization
+            cases.append(pytest.param(band, np.array((g, gf[work.free])).T,
+                                      id=f"{label} with tangent"))
     # a tridiagonal block next to a coordinate without curvature: the first
     # Cholesky fails and the retry adds the first escalation to the diagonal
     band = np.array([[2.0, 2.0, 0.0], [-1.0, 0.0, 0.0]])
