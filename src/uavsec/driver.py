@@ -47,7 +47,7 @@ from .model import (
     Trajectory,
     line_segment_trajectory,
 )
-from .solver import solve, water_fill
+from .solver import Solution, solve, water_fill
 from .surrogate import (
     build_power_subproblem,
     build_trajectory_subproblem,
@@ -91,12 +91,12 @@ def _segment_is_forced(cfg: ScenarioConfig) -> bool:
     return h * h - step * step <= FORCED_SLACK * h * h
 
 
-def _take_better(prog, x: np.ndarray, design: np.ndarray) -> np.ndarray:
+def _take_better(prog, sol: Solution, design: np.ndarray) -> np.ndarray:
     """Keep the trajectory solver's iterate unless the design it was
     linearized at (the current positions) scores higher."""
-    if prog.objective_value(design) > prog.objective_value(x):
+    if prog.objective_value(design) > sol.objective:
         return design.copy()
-    return x
+    return sol.x
 
 
 def _alternating_run(
@@ -131,7 +131,7 @@ def _alternating_run(
                 failed = True
                 break
             traj = Trajectory(
-                points=_take_better(prog_q, sol.x, traj.points.ravel()).reshape(n, 2))
+                points=_take_better(prog_q, sol, traj.points.ravel()).reshape(n, 2))
 
         prog_p = build_power_subproblem(traj, pw, cfg_opt)
         pw = PowerProfile(p=water_fill(prog_p))
@@ -172,22 +172,31 @@ def run_poft(cfg: ScenarioConfig) -> RunResult:
     return _alternating_run(cfg, cfg, SchemeId.POFT, False)
 
 
-def run_ftp_inf(cfg: ScenarioConfig) -> RunResult:
+def run_ftp_inf(cfg: ScenarioConfig, long_packet: Optional[dict] = None) -> RunResult:
     """Optimize trajectory and power in the long-packet limit, then report
-    the design's AESR under the scenario's actual blocklength."""
-    cfg_inf = replace(cfg, L=math.inf)
-    return _alternating_run(cfg_inf, cfg, SchemeId.FTP_INF, True)
+    the design's AESR under the scenario's actual blocklength.
+
+    The design does not depend on L. ``long_packet``, if given, is a store
+    shared by runs whose scenarios differ at most in L: the first run keeps
+    its result there, and later runs re-score that design at their own L.
+    """
+    stored = None if long_packet is None else long_packet.get("run")
+    if stored is not None:
+        return replace(stored, aesr=model.aesr(stored.trajectory, stored.power, cfg))
+    result = _alternating_run(replace(cfg, L=math.inf), cfg, SchemeId.FTP_INF, True)
+    if long_packet is not None:
+        long_packet["run"] = result
+    return result
 
 
-_RUNNERS = {
-    SchemeId.JTPO: run_jtpo,
-    SchemeId.POFT: run_poft,
-    SchemeId.FTP_INF: run_ftp_inf,
-}
-
-
-def run_scheme(cfg: ScenarioConfig, scheme: SchemeId) -> RunResult:
-    return _RUNNERS[scheme](cfg)
+def run_scheme(cfg: ScenarioConfig, scheme: SchemeId,
+               long_packet: Optional[dict] = None) -> RunResult:
+    """Run one scheme; ``long_packet`` is passed on to ``run_ftp_inf``."""
+    if scheme is SchemeId.JTPO:
+        return run_jtpo(cfg)
+    if scheme is SchemeId.POFT:
+        return run_poft(cfg)
+    return run_ftp_inf(cfg, long_packet)
 
 
 def derive_config(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
@@ -208,9 +217,13 @@ def sweep(cfg: ScenarioConfig, parameter: str, values) -> list:
 
     Rows come back grouped by value in input order, schemes in the fixed
     order JTPO, POFT, FTP-Inf. A value that yields an invalid scenario or a
-    failing run produces error rows; the sweep continues.
+    failing run produces error rows; the sweep continues. Over L, FTP-Inf's
+    long-packet design is the same at every value: it is computed once per
+    call and re-scored at each value, with each row still produced by
+    ``run_scheme``.
     """
     out = []
+    long_packet = {} if parameter == "L" else None
     for value in values:
         try:
             cfg_v = derive_config(cfg, parameter, value)
@@ -223,7 +236,7 @@ def sweep(cfg: ScenarioConfig, parameter: str, values) -> list:
                 out.append(SweepEntry(scheme, parameter, float(value), math.nan, err))
                 continue
             try:
-                result = run_scheme(cfg_v, scheme)
+                result = run_scheme(cfg_v, scheme, long_packet)
             except ValueError as exc:
                 out.append(SweepEntry(scheme, parameter, float(value), math.nan, str(exc)))
                 continue

@@ -22,15 +22,21 @@ and the place of every Hessian entry in lower band storage once per
 program, and each step scatters the entry values there and factors with
 LAPACK's banded Cholesky (``pbtrf``/``pbtrs``). Every row family is a
 fixed-arity block of coordinates, so its gradient and Hessian entries are
-scattered by ``np.bincount`` over index arrays fixed per program, and each
-trial point of the line search is evaluated once. In the trajectory
+scattered by ``np.bincount`` over index arrays fixed per program. ``_Work``
+also notes once which term and row families the program has, and its
+evaluation and assembly touch only those. Each point's evaluation travels
+with it: from one Newton step to the next, from the predictor into the
+next stage, and into the returned objective. A backtracking trial that
+rounds to the trial before it, or to the current point, reuses that
+evaluation. In the trajectory
 program's slot-major variable order the bandwidth does not grow with the
 slot count, so a step costs O(n); the power program's budget row spans
 every coordinate, so its band is full.
 Everything is deterministic: identical inputs produce identical iterate
 sequences.
 
-``water_fill`` solves the power subproblem in closed form instead.
+``water_fill`` solves the power subproblem instead: in closed form given
+the budget's multiplier, which a bracketed Newton search on the dual finds.
 """
 
 from __future__ import annotations
@@ -69,13 +75,14 @@ class Solution:
 
 class _Point(NamedTuple):
     """What ``_Work.evaluate`` finds at a strictly feasible point: the
-    objective, the sum of log slacks, the speed-row differences and the
-    slack of every barrier family."""
+    objective, the sum of log slacks, the speed-row differences (None
+    without speed rows) and the slacks of each barrier family the program
+    has, by family name."""
 
     f: float
     logs: float
-    y: np.ndarray
-    slacks: tuple
+    y: Optional[np.ndarray]
+    slacks: dict
 
     def phi(self, t: float, fref: float) -> float:
         """The shifted barrier objective t*(F - fref) + sum of log slacks."""
@@ -90,6 +97,14 @@ def _block_entries(idx: np.ndarray):
             np.broadcast_to(idx[:, None, :], (m, k, k)).ravel())
 
 
+def _sum_at(idx: np.ndarray, parts: list, size: int) -> np.ndarray:
+    """The values of ``parts``, concatenated, summed into ``size`` bins at
+    the positions idx."""
+    if not parts:
+        return np.zeros(size)
+    return np.bincount(idx, np.concatenate(parts), minlength=size)
+
+
 class _Work:
     """Precomputed constraint structure, gradient pattern and Hessian band
     layout for one program."""
@@ -101,6 +116,15 @@ class _Work:
         self.lo_val = prog.lb[self.lo_idx]
         self.hi_idx = np.nonzero(np.isfinite(prog.ub))[0]
         self.hi_val = prog.ub[self.hi_idx]
+        # The term and row families the program has; ``evaluate`` and
+        # ``assemble`` skip the others.
+        self.has_log = prog.log_i.size > 0
+        self.has_quad = prog.quad_i.size > 0
+        self.has_lo = self.lo_idx.size > 0
+        self.has_hi = self.hi_idx.size > 0
+        self.has_lin = prog.lin_b.size > 0
+        self.has_speed = prog.speed_h.size > 0
+        self.has_hyper = prog.hyper_k.size > 0
         # coordinates (x[i], x[j]) of every speed row, and the constant
         # curvature 2 A^T A of |x[j] - x[i]|^2, with A = [-I I]
         self.sp_idx = np.concatenate([prog.speed_i, prog.speed_j], axis=1)
@@ -151,22 +175,27 @@ class _Work:
 
     def evaluate(self, x: np.ndarray) -> Optional[_Point]:
         """Objective, log-slack sum, speed-row differences and barrier
-        slacks (lower boxes, upper boxes, linear, speed, hyperbolic rows)
-        at x, or None if x is not strictly feasible. The objective reuses
-        the linear rows' slacks."""
+        slacks ("lo" and "hi" boxes, "lin", "speed" and "hyper" rows) at x,
+        or None if x is not strictly feasible. The objective reuses the
+        linear rows' slacks."""
         prog = self.prog
-        y = x[prog.speed_j] - x[prog.speed_i]
-        slacks = (
-            x[self.lo_idx] - self.lo_val,
-            self.hi_val - x[self.hi_idx],
-            prog.lin_slack(x),
-            self.sp_h2 - (y * y).sum(axis=1),
-            x[prog.hyper_i] * x[prog.hyper_j] - prog.hyper_k,
-        )
-        s = np.concatenate(slacks)
+        slacks = {}
+        if self.has_lo:
+            slacks["lo"] = x[self.lo_idx] - self.lo_val
+        if self.has_hi:
+            slacks["hi"] = self.hi_val - x[self.hi_idx]
+        if self.has_lin:
+            slacks["lin"] = prog.lin_slack(x)
+        y = None
+        if self.has_speed:
+            y = x[prog.speed_j] - x[prog.speed_i]
+            slacks["speed"] = self.sp_h2 - (y * y).sum(axis=1)
+        if self.has_hyper:
+            slacks["hyper"] = x[prog.hyper_i] * x[prog.hyper_j] - prog.hyper_k
+        s = np.concatenate(list(slacks.values())) if slacks else np.zeros(0)
         if s.min(initial=math.inf) <= 0.0:
             return None
-        f = prog.objective_value(x, slacks[2])
+        f = prog.objective_value(x, slacks.get("lin"))
         if not math.isfinite(f):
             return None
         return _Point(f, float(np.log(s).sum()), y, slacks)
@@ -176,47 +205,58 @@ class _Work:
         evaluated point x, and the negated Hessian of t*objective + barrier
         on the free coordinates in lower band storage."""
         prog = self.prog
-        y = point.y
-        s_lo, s_hi, s_lin, s_sp, s_hy = point.slacks
+        slacks = point.slacks
+        # each family's values, in the order of gf_idx, gb_idx and scatter
+        gf, gb, curvature = [], [], []
+        if self.has_log:
+            a = prog.log_a
+            arg = 1.0 + a * x[prog.log_i]
+            gf.append(prog.log_alpha * a / arg)
+            curvature.append(t * prog.log_alpha * (a * a) / (arg * arg))
+        if self.has_quad:
+            b2 = 2.0 * prog.quad_beta
+            gf.append(-(b2 * (x[prog.quad_i] - prog.quad_c)))
+            curvature.append(t * b2)
+        if self.has_lo:
+            s_lo = slacks["lo"]
+            gb.append(1.0 / s_lo)
+            curvature.append(1.0 / (s_lo * s_lo))
+        if self.has_hi:
+            s_hi = slacks["hi"]
+            gb.append(-1.0 / s_hi)
+            curvature.append(1.0 / (s_hi * s_hi))
+        if self.has_lin:
+            # -k/(s + o) and log(s) for each linear row's slack s: their
+            # gradients along the row, and the negated curvature weight of
+            # t*(-k/(s + o)) + log(s)
+            s_lin = slacks["lin"]
+            r_lin = s_lin + prog.lin_o
+            k_r2 = prog.lin_k / (r_lin * r_lin)
+            w_lin = 1.0 / (s_lin * s_lin) + 2.0 * t * k_r2 / r_lin
+            gf.append(-(prog.lin_a * k_r2[:, None]).ravel())
+            gb.append(-(prog.lin_a / s_lin[:, None]).ravel())
+            curvature.append((self.lin_aa * w_lin[:, None, None]).ravel())
+        if self.has_speed:
+            # log(h^2 - |y|^2): gradient G/psi and negated Hessian
+            # curv/psi + G G^T/psi^2 over the row's four coordinates (x[i], x[j])
+            y = point.y
+            G = 2.0 * np.concatenate([y, -y], axis=1)
+            psi = slacks["speed"][:, None]
+            gb.append((G / psi).ravel())
+            curvature.append((self.sp_curv / psi[:, :, None]
+                              + G[:, :, None] * G[:, None, :] / (psi * psi)[:, :, None]).ravel())
+        if self.has_hyper:
+            s_hy = slacks["hyper"]
+            xi = x[prog.hyper_i]
+            xj = x[prog.hyper_j]
+            psi2 = s_hy * s_hy
+            off = prog.hyper_k / psi2
+            gb += [xj / s_hy, xi / s_hy]
+            curvature += [(xj * xj) / psi2, (xi * xi) / psi2, off, off]
 
-        a = prog.log_a
-        arg = 1.0 + a * x[prog.log_i]
-        b2 = 2.0 * prog.quad_beta
-        # -k/(s + o) and log(s) for each linear row's slack s: their
-        # gradients along the row, and the negated curvature weight of
-        # t*(-k/(s + o)) + log(s)
-        r_lin = s_lin + prog.lin_o
-        k_r2 = prog.lin_k / (r_lin * r_lin)
-        w_lin = 1.0 / (s_lin * s_lin) + 2.0 * t * k_r2 / r_lin
-        gf = prog.c + np.bincount(self.gf_idx, np.concatenate([
-            prog.log_alpha * a / arg, -(b2 * (x[prog.quad_i] - prog.quad_c)),
-            -(prog.lin_a * k_r2[:, None]).ravel(),
-        ]), minlength=self.n)
-
-        # log(h^2 - |y|^2): gradient G/psi and negated Hessian
-        # curv/psi + G G^T/psi^2 over the row's four coordinates (x[i], x[j])
-        G = 2.0 * np.concatenate([y, -y], axis=1)
-        psi = s_sp[:, None]
-        block = (self.sp_curv / psi[:, :, None]
-                 + G[:, :, None] * G[:, None, :] / (psi * psi)[:, :, None])
-        xi = x[prog.hyper_i]
-        xj = x[prog.hyper_j]
-        gb = np.bincount(self.gb_idx, np.concatenate([
-            1.0 / s_lo, -1.0 / s_hi, -(prog.lin_a / s_lin[:, None]).ravel(),
-            (G / psi).ravel(), xj / s_hy, xi / s_hy,
-        ]), minlength=self.n)
-
-        psi2 = s_hy * s_hy
-        off = prog.hyper_k / psi2
-        curvature = np.concatenate([
-            t * prog.log_alpha * (a * a) / (arg * arg), t * b2,
-            1.0 / (s_lo * s_lo), 1.0 / (s_hi * s_hi),
-            (self.lin_aa * w_lin[:, None, None]).ravel(), block.ravel(),
-            (xj * xj) / psi2, (xi * xi) / psi2, off, off,
-        ])
-        # (bincount returns integers when there are no entries at all)
-        band = np.bincount(self.scatter, weights=curvature, minlength=self.band_size + 1)
-        return gf, gb, band[: self.band_size].reshape(self.band_shape).astype(float, copy=False)
+        band = _sum_at(self.scatter, curvature, self.band_size + 1)
+        return (prog.c + _sum_at(self.gf_idx, gf, self.n), _sum_at(self.gb_idx, gb, self.n),
+                band[: self.band_size].reshape(self.band_shape))
 
 
 def _newton_direction(band: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
@@ -224,7 +264,7 @@ def _newton_direction(band: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]
 
     B is given in lower band storage: ``band[k, j]`` holds B[j + k, j].
     """
-    if not (np.all(np.isfinite(band)) and np.all(np.isfinite(rhs))):
+    if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
         return None
     if rhs.shape[0] == 0:
         return np.zeros_like(rhs)
@@ -235,7 +275,7 @@ def _newton_direction(band: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]
         chol, info = _PBTRF(B, lower=1, overwrite_ab=1)
         if info == 0:
             sol, info = _PBTRS(chol, rhs, lower=1)
-            if info == 0 and np.all(np.isfinite(sol)):
+            if info == 0 and np.isfinite(sol).all():
                 return sol
         reg = 1e-12 * (1.0 + float(np.max(np.abs(band[0])))) if reg == 0.0 else reg * 100.0
     return None
@@ -270,7 +310,7 @@ def solve(prog: StructuredConvexProgram) -> Solution:
     while True:
         final = nu / t <= _GAP_TOL
         t_next = None if final else min(t * _MU, t_final)
-        x, steps, flag = _center(work, x, t, t_next)
+        x, point, steps, flag = _center(work, x, point, t, t_next)
         stages += 1
         total_steps += steps
         if flag == "numerical-failure":
@@ -284,7 +324,7 @@ def solve(prog: StructuredConvexProgram) -> Solution:
 
     return Solution(
         x=x,
-        objective=prog.objective_value(x),
+        objective=point.f,
         gap_bound=nu / t,
         newton_steps=total_steps,
         stages=stages,
@@ -320,36 +360,83 @@ def water_fill(prog: StructuredConvexProgram) -> np.ndarray:
     [0, ub] and its one linear row, the budget sum_k x_k <= b, with one log
     term per coordinate in order. For the budget's multiplier lam,
     x_k = clip(alpha_k/(lam - c_k) - 1/a_k, 0, ub_k). lam is 0 if that fits
-    the budget; otherwise it is bisected between 0 and max(alpha*a + c),
-    where x = 0, until the bracket stops shrinking, and the point at the
+    the budget; otherwise the bracket between 0 and max(alpha*a + c), where
+    x = 0, is shrunk until it stops shrinking, and the point at the
     bracket's feasible end is returned.
+
+    Each probe of the bracket is a Newton step on the dual, toward the
+    root of S(lam) = b, with S(lam) = sum_k x_k and S' = the sum of
+    -alpha_k/(lam - c_k)^2 over the coordinates strictly inside their box.
+    A step from a probe whose powers exceed the budget is doubled if the
+    probe before did too, so that the bracket closes from both ends; a step
+    that leaves the bracket is replaced by the bracket's midpoint. Each
+    computed x_k, and so the computed S, is non-increasing in lam, so the
+    bracket ends at the same lam as plain bisection: the smallest float
+    whose powers fit the budget.
     """
-    alpha, a, c = prog.log_alpha, prog.log_a, prog.c
+    alpha, a, c, ub = prog.log_alpha, prog.log_a, prog.c, prog.ub
     budget = prog.lin_b[0]
+    inv_a = 1.0 / a
 
     def point(lam):
-        return np.clip(alpha / (lam - c) - 1.0 / a, 0.0, prog.ub)
+        q = alpha / (lam - c)
+        return q, np.clip(q - inv_a, 0.0, ub)
 
     lo, hi = 0.0, float(np.max(alpha * a + c))
-    if np.sum(point(lo)) <= budget:
-        hi = lo
+    lam = lo
+    q, x = point(lam)
+    total = x.sum()
+    if total <= budget:
+        return x
+    short = False           # whether the probe before lam exceeded the budget too
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if np.sum(point(mid)) <= budget:
-            hi = mid
+        probe = mid
+        slope = float(np.dot(q * q, ((x > 0.0) & (x < ub)) / alpha))
+        if slope > 0.0:
+            step = float(total - budget) / slope
+            newton = lam + (2.0 * step if short and total > budget else step)
+            if lo < newton < hi:
+                probe = newton
+        short = total > budget
+        lam = probe
+        q, x = point(lam)
+        total = x.sum()
+        if total <= budget:
+            hi = lam
         else:
-            lo = mid
-    return point(hi)
+            lo = lam
+    return point(hi)[1]
 
 
-def _center(work: _Work, x: np.ndarray, t: float, t_next: Optional[float] = None):
-    """Damped Newton until the decrement criterion holds at barrier weight t.
+def _search(work: _Work, x: np.ndarray, point: _Point, d: np.ndarray, accept):
+    """Backtracking from x, evaluated as ``point``, along d: the first of
+    x + s d, s = 1, 1/2, 1/4, ... (at most ``_MAX_BACKTRACKS``) that is
+    strictly feasible and passes ``accept(trial, s)``, as (point,
+    evaluation, s), or None. A trial that rounds to the one before it, or
+    to x, reuses that evaluation."""
+    key, last = x.tobytes(), point
+    s = 1.0
+    for _ in range(_MAX_BACKTRACKS):
+        xn = x + s * d
+        if (k := xn.tobytes()) != key:
+            key, last = k, work.evaluate(xn)
+        if last is not None and accept(last, s):
+            return xn, last, s
+        s *= _BACKTRACK
+    return None
+
+
+def _center(work: _Work, x: np.ndarray, point: _Point, t: float,
+            t_next: Optional[float] = None):
+    """Damped Newton from x, evaluated as ``point``, until the decrement
+    criterion holds at barrier weight t. Returns the last point, its
+    evaluation, the Newton steps taken and the status.
 
     Each trial point is evaluated once: an accepted one carries its
     evaluation to the next step's ``assemble``. Each step also solves for
     the path tangent B^-1 grad F; given the next stage's weight t_next, a
     centring that ends "ok" returns ``_predict``'s point instead of the
     centred one."""
-    point = work.evaluate(x)
     fref = point.f
     # Below this squared-decrement level, computed phi differences drown in
     # rounding noise of t*F, so the sufficient-increase test is skipped and
@@ -364,55 +451,41 @@ def _center(work: _Work, x: np.ndarray, t: float, t_next: Optional[float] = None
         # the path tangent rides as a second column of the same factorization
         sol = _newton_direction(band, np.array((g, gf[work.free])).T)
         if sol is None:
-            return x, steps, "numerical-failure"
+            return x, point, steps, "numerical-failure"
         step, tangent = sol.T
         gd = float(g @ step)
         # below the noise level, a full step that did not shrink gd shows its rounding floor
         if gd <= 2.0 * _NEWTON_TOL or gd_full <= gd <= noise:
             if t_next is not None:
-                x = _predict(work, x, point, tangent, t, t_next)
-            return x, steps, "ok"
+                x, point = _predict(work, x, point, tangent, t, t_next)
+            return x, point, steps, "ok"
         use_armijo = gd > noise
         d = np.zeros(work.n)
         d[work.free] = step
-        s = 1.0
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            xn = x + s * d
-            trial = work.evaluate(xn)
-            if trial is not None and (
-                not use_armijo or trial.phi(t, fref) >= phi0 + _ARMIJO * s * gd
-            ):
-                x, point = xn, trial
-                accepted = True
-                break
-            s *= _BACKTRACK
+        found = _search(work, x, point, d, lambda trial, s: (
+            not use_armijo or trial.phi(t, fref) >= phi0 + _ARMIJO * s * gd))
         steps += 1
-        if not accepted:
+        if found is None:
             # No strictly feasible improving step at this precision.
-            return x, steps, "stalled"
+            return x, point, steps, "stalled"
+        x, point, s = found
         gd_full = gd if s == 1.0 else math.inf
-    return x, steps, "max-iter"
+    return x, point, steps, "max-iter"
 
 
 def _predict(work: _Work, x: np.ndarray, point: _Point, tangent: np.ndarray,
-             t: float, t_next: float) -> np.ndarray:
+             t: float, t_next: float):
     """Predictor from the point x centred at weight t toward weight t_next.
 
     With ``tangent`` = B^-1 grad F on the free coordinates (B the negated
     barrier Hessian at x), the central path's first-order move from 1/t to
     1/t_next is t (1 - t/t_next) tangent. It is halved until the moved point
     is strictly feasible and has a higher phi at t_next than x, both shifted
-    by F(x); x is returned if no trial passes.
+    by F(x). Returns the moved point and its evaluation, or x and ``point``
+    if no trial passes.
     """
     dx = np.zeros(work.n)
     dx[work.free] = t * (1.0 - t / t_next) * tangent
     phi0 = point.phi(t_next, point.f)
-    s = 1.0
-    for _ in range(_MAX_BACKTRACKS):
-        xn = x + s * dx
-        trial = work.evaluate(xn)
-        if trial is not None and trial.phi(t_next, point.f) > phi0:
-            return xn
-        s *= _BACKTRACK
-    return x
+    found = _search(work, x, point, dx, lambda trial, s: trial.phi(t_next, point.f) > phi0)
+    return (x, point) if found is None else found[:2]

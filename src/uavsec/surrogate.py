@@ -119,21 +119,24 @@ class StructuredConvexProgram:
 
     def objective_value(self, x: np.ndarray, lin_slack=None) -> float:
         """The objective at x; -inf where a log or reciprocal term is
-        undefined. ``lin_slack``, if given, is ``self.lin_slack(x)``."""
+        undefined. ``lin_slack``, if given, is ``self.lin_slack(x)``. A term
+        family the program does not have is skipped."""
         x = np.asarray(x, dtype=float)
-        if lin_slack is None:
-            lin_slack = self.lin_slack(x)
-        arg = 1.0 + self.log_a * x[self.log_i]
-        den = lin_slack + self.lin_o
-        if arg.min(initial=math.inf) <= 0.0 or den.min(initial=math.inf) <= 0.0:
-            return -math.inf
-        diff = x[self.quad_i] - self.quad_c
-        return (
-            self.constant + float(self.c @ x)
-            + float((self.log_alpha * np.log(arg)).sum())
-            - float((self.quad_beta * (diff * diff)).sum())
-            - float((self.lin_k / den).sum())
-        )
+        f = self.constant + float(self.c @ x)
+        if self.log_i.size:
+            arg = 1.0 + self.log_a * x[self.log_i]
+            if arg.min() <= 0.0:
+                return -math.inf
+            f += float((self.log_alpha * np.log(arg)).sum())
+        if self.quad_i.size:
+            diff = x[self.quad_i] - self.quad_c
+            f -= float((self.quad_beta * (diff * diff)).sum())
+        if self.lin_b.size:
+            den = (self.lin_slack(x) if lin_slack is None else lin_slack) + self.lin_o
+            if den.min() <= 0.0:
+                return -math.inf
+            f -= float((self.lin_k / den).sum())
+        return f
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,28 @@ def dense_rows(A, b):
                 lin_b=np.asarray(b, dtype=float))
 
 
+def bisection_water_fill(prog):
+    """The water-filling point of a power program (see ``solver.water_fill``)
+    with the budget's multiplier found by plain bisection between 0 and
+    max(alpha*a + c) until the bracket stops shrinking: the reference that
+    ``water_fill`` must match float for float."""
+    alpha, a, c = prog.log_alpha, prog.log_a, prog.c
+    budget = prog.lin_b[0]
+
+    def point(lam):
+        return np.clip(alpha / (lam - c) - 1.0 / a, 0.0, prog.ub)
+
+    lo, hi = 0.0, float(np.max(alpha * a + c))
+    if np.sum(point(lo)) <= budget:
+        hi = lo
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if np.sum(point(mid)) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    return point(hi)
+
+
 def _grid_max_1d(fn, lo, hi, stages=3, pts=4001):
     best_x, best = None, -np.inf
     for _ in range(stages):

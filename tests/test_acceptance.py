@@ -19,7 +19,7 @@ from uavsec import model
 from uavsec.cli import main as cli_main
 from uavsec.driver import SchemeId, run_scheme
 from uavsec.model import PowerProfile, Trajectory, baseline_scenario
-from uavsec.solver import solve
+from uavsec.solver import _Work, solve
 from uavsec.surrogate import expansion_from, slack_rate_objective
 
 from solver_instances import FAMILIES
@@ -323,6 +323,22 @@ def test_default_jtpo_newton_step_budget(runs):
     # take more Newton steps shows here; the default run takes 477
     res = runs.get(SchemeId.JTPO, 60.0, 400.0)
     assert res.newton_steps <= 1.1 * 477, f"{res.newton_steps} Newton steps"
+
+
+def test_default_jtpo_evaluation_budget(monkeypatch):
+    # a deterministic count of the solver's point evaluations, so a change
+    # that evaluates a point again, or more trial points, shows here; the
+    # default run evaluates 751
+    evaluate = _Work.evaluate
+    calls = []
+
+    def counting_evaluate(work, x):
+        calls.append(1)
+        return evaluate(work, x)
+
+    monkeypatch.setattr(_Work, "evaluate", counting_evaluate)
+    run_scheme(baseline_scenario(T=60.0, L=400.0), SchemeId.JTPO)
+    assert len(calls) <= 1.1 * 751, f"{len(calls)} evaluations"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,13 +124,14 @@ def test_take_better_falls_back_to_the_design_not_the_start():
     pw = PowerProfile(p=np.linspace(0.2, 1.8, cfg.N) * cfg.P_bar)
     prog = build_trajectory_subproblem(traj, pw, cfg)
     design = traj.points.ravel()
-    best = solve(prog).x
+    best = solve(prog)
     assert not np.array_equal(prog.start, design)
     # past the design, away from the optimum, the concave objective is lower
-    worse = design + (design - best)
-    assert prog.objective_value(worse) < prog.objective_value(design)
+    worse_x = design + (design - best.x)
+    worse = replace(best, x=worse_x, objective=prog.objective_value(worse_x))
+    assert worse.objective < prog.objective_value(design)
     assert np.array_equal(driver._take_better(prog, worse, design), design)
-    assert np.array_equal(driver._take_better(prog, best, design), best)
+    assert np.array_equal(driver._take_better(prog, best, design), best.x)
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +306,69 @@ def test_sweep_T_recomputes_slot_count():
     assert len(entries) == 6
     vals = {(e.scheme, e.value) for e in entries}
     assert (SchemeId.JTPO, 4.0) in vals and (SchemeId.FTP_INF, 6.0) in vals
+
+
+def _counting_alternating_run(monkeypatch, fail=None):
+    """Record the scheme of every ``_alternating_run`` call; FTP-Inf runs
+    raise ValueError if ``fail`` is "raise" and come back failed if it is
+    "failed"."""
+    calls = []
+    alternating_run = driver._alternating_run
+
+    def counting(cfg_opt, cfg_eval, scheme, optimize_trajectory):
+        calls.append(scheme)
+        if scheme is SchemeId.FTP_INF and fail == "raise":
+            raise ValueError("no long-packet design")
+        result = alternating_run(cfg_opt, cfg_eval, scheme, optimize_trajectory)
+        if scheme is SchemeId.FTP_INF and fail == "failed":
+            result = replace(result, failed=True)
+        return result
+
+    monkeypatch.setattr(driver, "_alternating_run", counting)
+    return calls
+
+
+def test_L_sweep_designs_ftp_inf_once_and_matches_single_runs(monkeypatch):
+    cfg = tiny_cfg()
+    values = [200.0, 400.0, 800.0]
+    calls = _counting_alternating_run(monkeypatch)
+    rows = []
+    run = driver.run_scheme
+
+    def logged_run_scheme(cfg, scheme, *args):
+        result = run(cfg, scheme, *args)
+        rows.append((scheme, result))
+        return result
+
+    monkeypatch.setattr(driver, "run_scheme", logged_run_scheme)
+    entries = sweep(cfg, "L", values)
+    assert calls.count(SchemeId.FTP_INF) == 1
+    assert calls.count(SchemeId.JTPO) == calls.count(SchemeId.POFT) == 3
+    # a wrapper of run_scheme still sees one call per row
+    assert [scheme for scheme, _ in rows] == [e.scheme for e in entries]
+    monkeypatch.setattr(driver, "run_scheme", run)
+    for entry, (_, logged) in zip(entries, rows):
+        alone = run_scheme(derive_config(cfg, "L", entry.value), entry.scheme)
+        assert entry.aesr.hex() == alone.aesr.hex() == logged.aesr.hex(), entry
+        assert entry.error is None and not alone.failed, entry
+        np.testing.assert_array_equal(logged.trajectory.points, alone.trajectory.points)
+        np.testing.assert_array_equal(logged.power.p, alone.power.p)
+        assert logged.iterations == alone.iterations
+    # the reuse is scoped to one sweep: the next one designs again
+    calls.clear()
+    sweep(cfg, "L", values[:2])
+    assert calls.count(SchemeId.FTP_INF) == 1
+    # a T-sweep designs once per value
+    calls.clear()
+    sweep(cfg, "T", [4.0, 6.0])
+    assert calls.count(SchemeId.FTP_INF) == 2
+
+
+@pytest.mark.parametrize("fail,error", [("raise", "no long-packet design"),
+                                        ("failed", "solver failure")])
+def test_L_sweep_reports_an_ftp_inf_failure_at_every_value(monkeypatch, fail, error):
+    _counting_alternating_run(monkeypatch, fail)
+    entries = sweep(tiny_cfg(), "L", [200.0, 800.0])
+    ftp = [e for e in entries if e.scheme is SchemeId.FTP_INF]
+    assert [e.error for e in ftp] == [error, error]
+    assert all(e.error is None for e in entries if e.scheme is not SchemeId.FTP_INF)

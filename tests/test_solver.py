@@ -1,16 +1,17 @@
 import math
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uavsec import solver
-from uavsec.driver import line_segment_trajectory
+from uavsec import driver, solver
+from uavsec.driver import SchemeId, line_segment_trajectory, run_scheme
 from uavsec.model import PowerProfile, Trajectory, baseline_scenario
 from uavsec.solver import _center, _newton_direction, _Work, solve, water_fill
 from uavsec.surrogate import build_power_subproblem, build_trajectory_subproblem
 
-from solver_instances import FAMILIES, dense_rows, program
+from solver_instances import FAMILIES, bisection_water_fill, dense_rows, program
 from surrogate_reference import max_violation
 
 
@@ -130,9 +131,9 @@ def test_first_weight_is_the_central_path_weight_of_the_start(monkeypatch):
     stage_steps = []
     center = solver._center
 
-    def recording_center(work, x, t, t_next):
-        out = center(work, x, t, t_next)
-        stage_steps.append(out[1])
+    def recording_center(work, x, point, t, t_next):
+        out = center(work, x, point, t, t_next)
+        stage_steps.append(out[2])
         return out
 
     monkeypatch.setattr(solver, "_center", recording_center)
@@ -158,7 +159,7 @@ def _predictor_programs():
 def test_predictor_keeps_the_optimum_and_saves_newton_steps(monkeypatch):
     progs = _predictor_programs()
     predicted = [solve(prog) for _, prog in progs]
-    monkeypatch.setattr(solver, "_predict", lambda work, x, *rest: x)
+    monkeypatch.setattr(solver, "_predict", lambda work, x, point, *rest: (x, point))
     centred = [solve(prog) for _, prog in progs]
     for (label, _), a, b in zip(progs, predicted, centred):
         assert a.status == b.status == "optimal", label
@@ -166,6 +167,31 @@ def test_predictor_keeps_the_optimum_and_saves_newton_steps(monkeypatch):
     assert predicted[0].newton_steps < centred[0].newton_steps
     assert (sum(sol.newton_steps for sol in predicted)
             < sum(sol.newton_steps for sol in centred))
+
+
+def test_solve_evaluates_each_point_once(monkeypatch):
+    # Every stage starts from a point that the previous stage, or the
+    # predictor, has already evaluated; a backtracking trial that rounds to
+    # the trial before it, or to the current point, reuses its evaluation;
+    # and the returned objective is the last evaluation's. (At rounding
+    # resolution a predictor trial can still land exactly on a point an
+    # earlier stage tried; only a record of every evaluated point would
+    # catch that.)
+    evaluate = _Work.evaluate
+    seen = []
+
+    def recording_evaluate(work, x):
+        seen.append(x.tobytes())
+        return evaluate(work, x)
+
+    monkeypatch.setattr(_Work, "evaluate", recording_evaluate)
+    progs = _predictor_programs()[:1] + _family_programs() + [_every_family_program()]
+    for label, prog in progs:
+        seen.clear()
+        sol = solve(prog)
+        assert sol.status == "optimal", label
+        assert len(seen) == len(set(seen)), f"{label}: {len(seen) - len(set(seen))} repeats"
+        assert sol.objective == prog.objective_value(sol.x), label
 
 
 def test_unbounded_direction_reports_max_iter():
@@ -271,10 +297,40 @@ def _repeated_index_row_program():
     ))
 
 
+def _every_family_program():
+    """One program with every term and row family at once: log and quad
+    terms, linear rows with reciprocal terms, a speed row, a hyperbolic row,
+    finite lower and upper boxes and a fixed coordinate. The speed row runs
+    from the point (x0, x1), x0 fixed, to (x2, x3); the hyperbolic row is
+    x4 * x5 >= 1."""
+    return ("every-family", program(
+        6, lb=np.array([-np.inf, -np.inf, -1.0, -np.inf, 0.0, 0.0]),
+        ub=np.array([np.inf, 2.0, np.inf, np.inf, 5.0, 4.0]),
+        c=np.array([0.0, 0.3, -0.2, 0.1, -0.5, 0.4]),
+        log_i=np.array([4]), log_a=np.array([3.0]), log_alpha=np.array([1.5]),
+        quad_i=np.array([1, 2, 3]), quad_c=np.array([0.5, 1.0, -0.5]),
+        quad_beta=np.array([0.4, 0.2, 0.3]),
+        lin_i=np.array([[3, 5], [2, 4]]), lin_a=np.array([[1.0, 0.5], [0.5, -1.0]]),
+        lin_b=np.array([3.0, 1.0]), lin_k=np.array([0.8, 0.3]), lin_o=np.array([0.5, 0.2]),
+        speed_i=np.array([[0, 1]]), speed_j=np.array([[2, 3]]), speed_h=np.array([2.0]),
+        hyper_i=np.array([4]), hyper_j=np.array([5]), hyper_k=np.array([1.0]),
+        fixed_idx=np.array([0]), fixed_val=np.array([0.2]),
+        start=np.array([0.2, 0.5, 0.8, 0.3, 2.0, 1.5]),
+    ))
+
+
+def test_every_family_program_has_every_family():
+    work = _Work(_every_family_program()[1])
+    assert all((work.has_log, work.has_quad, work.has_lo, work.has_hi, work.has_lin,
+                work.has_speed, work.has_hyper))
+    assert np.any(work.prog.lin_k > 0.0) and work.prog.fixed_idx.size == 1
+
+
 @pytest.mark.parametrize("label,prog", [
     pytest.param(label, prog, id=label.replace(" T=4", ""))
     for label, prog in (_subproblem_programs(4.0) + _family_programs()
-                        + [_reciprocal_row_program(), _repeated_index_row_program()])
+                        + [_reciprocal_row_program(), _repeated_index_row_program(),
+                           _every_family_program()])
 ])
 def test_assemble_matches_central_differences_of_phi(label, prog):
     work = _Work(prog)
@@ -282,10 +338,9 @@ def test_assemble_matches_central_differences_of_phi(label, prog):
     x[prog.fixed_idx] = prog.fixed_val
     # the centre at t=1 keeps every slack well away from zero; evaluating at
     # t=3 there leaves a gradient that is not near zero
-    x, _, flag = _center(work, x, 1.0)
+    x, point, _, flag = _center(work, x, work.evaluate(x), 1.0)
     assert flag == "ok"
     t = 3.0
-    point = work.evaluate(x)
     gf, gb, band = work.assemble(x, point, t)
     g = t * gf + gb
     free = work.free
@@ -314,12 +369,12 @@ def _step_cases():
     family at its t=1 centre, evaluated at t=3."""
     cases = []
     for label, prog in (_subproblem_programs(4.0) + _subproblem_programs(24.0)
-                        + _family_programs()):
+                        + _family_programs() + [_every_family_program()]):
         work = _Work(prog)
         x = prog.start.copy()
         x[prog.fixed_idx] = prog.fixed_val
-        x, _, _ = _center(work, x, 1.0)
-        gf, gb, band = work.assemble(x, work.evaluate(x), 3.0)
+        x, point, _, _ = _center(work, x, work.evaluate(x), 1.0)
+        gf, gb, band = work.assemble(x, point, 3.0)
         g = (3.0 * gf + gb)[work.free]
         cases.append(pytest.param(band, g, id=label))
         if label.startswith("trajectory"):
@@ -435,3 +490,60 @@ def test_water_fill_kkt_when_the_budget_binds():
     assert np.sum(x) == pytest.approx(prog.lin_b[0], rel=1e-12)
     assert np.any((x > 0.0) & (x < prog.ub))
     _assert_kkt(prog, x)
+
+
+def _grid_power_programs():
+    """Every power program that the acceptance grid's runs (T in 42..60 s,
+    L in 200..800, every scheme) water-fill."""
+    progs = []
+
+    def recording(prog):
+        progs.append(prog)
+        return water_fill(prog)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "water_fill", recording)
+        for T in (42.0, 48.0, 54.0, 60.0):
+            for L in (200.0, 400.0, 800.0):
+                for scheme in SchemeId:
+                    run_scheme(baseline_scenario(T=T, L=L), scheme)
+    return progs
+
+
+def _water_fill_edge_programs():
+    """(label, program): a slack budget, every slot at P_max, one slot, and
+    a budget of 1e-6 * N * P_bar."""
+    cfg = baseline_scenario(T=24.0, P_bar=0.1, P_max=0.1)
+    slack = build_power_subproblem(
+        line_segment_trajectory(cfg), PowerProfile(p=np.full(cfg.N, cfg.P_bar)), cfg)
+    # each slot's own optimum, 1/3 - 1/30, lies above the cap of 0.1
+    n = 5
+    capped = program(
+        n, lb=np.zeros(n), ub=np.full(n, 0.1), c=np.full(n, -3.0),
+        log_i=np.arange(n), log_a=np.full(n, 30.0), log_alpha=np.ones(n),
+        **dense_rows(np.ones((1, n)), [0.5]), start=np.full(n, 0.05))
+    cfg1 = baseline_scenario(T=1.0, q_I=(0.0, 0.0, 100.0), q_F=(0.0, 0.0, 100.0))
+    one = build_power_subproblem(Trajectory(points=np.zeros((1, 2))),
+                                 PowerProfile(p=np.array([cfg1.P_bar])), cfg1)
+    cfg = baseline_scenario(T=24.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
+    tight = build_power_subproblem(
+        line_segment_trajectory(cfg), PowerProfile(p=np.full(cfg.N, cfg.P_bar)), cfg)
+    return [
+        ("slack budget", slack),
+        ("every slot at P_max", capped),
+        ("every slot at P_max, budget just below", replace(capped, lin_b=np.array([0.4999]))),
+        ("one slot", one),
+        ("budget 1e-6 N P_bar", replace(tight, lin_b=tight.lin_b * 1e-6)),
+    ]
+
+
+def test_water_fill_matches_bisection_bit_for_bit():
+    progs = [("grid", prog) for prog in _grid_power_programs()] + _water_fill_edge_programs()
+    assert len(progs) > 400
+    for label, prog in progs:
+        assert np.array_equal(water_fill(prog), bisection_water_fill(prog)), label
+    slack, capped = progs[-5][1], progs[-4][1]
+    assert np.sum(water_fill(slack)) < slack.lin_b[0]
+    np.testing.assert_array_equal(water_fill(capped), capped.ub)
+    tiny = progs[-1][1]
+    assert 0.0 < np.sum(water_fill(tiny)) <= tiny.lin_b[0]
