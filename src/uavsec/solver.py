@@ -20,7 +20,9 @@ Fixed coordinates are held exactly by restricting Newton steps to the free
 coordinates. Newton systems are banded: ``_Work`` finds the half-bandwidth
 and the place of every Hessian entry in lower band storage once per
 program, and each step scatters the entry values there and factors with
-LAPACK's banded Cholesky (``pbtrf``/``pbtrs``). Every row family is a
+LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``), loaded from scipy's
+extension module by file location: importing ``scipy.linalg`` would cost
+more start-up than a default run takes to plan. Every row family is a
 fixed-arity block of coordinates, so its gradient and Hessian entries are
 scattered by ``np.bincount`` over index arrays fixed per program. ``_Work``
 also notes once which term and row families the program has, and its
@@ -42,15 +44,31 @@ the budget's multiplier, which a bracketed Newton search on the dual finds.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from importlib import machinery, util
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .surrogate import StructuredConvexProgram
 
-_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+
+def _load_flapack(directory: str):
+    """``dpbtrf`` and ``dpbtrs`` of scipy.linalg's LAPACK extension module in
+    ``directory``, loaded without the scipy and scipy.linalg package init."""
+    for suffix in machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.dpbtrf, module.dpbtrs
+    raise ImportError(f"scipy.linalg._flapack not found in {directory}")
+
+
+_PBTRF, _PBTRS = _load_flapack(
+    os.path.join(util.find_spec("scipy").submodule_search_locations[0], "linalg"))
 
 _MAX_BACKTRACKS = 60
 _REG_ESCALATIONS = 9

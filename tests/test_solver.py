@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,6 +404,42 @@ def test_banded_newton_step_matches_dense_solve(band, rhs):
     d = _newton_direction(band, rhs)
     oracle = np.linalg.solve(M + reg * np.eye(M.shape[0]), rhs)
     np.testing.assert_allclose(d, oracle, rtol=1e-9, atol=1e-14 * np.linalg.norm(oracle))
+
+
+_SAME_ROUTINES = """
+import sys
+import numpy as np
+from uavsec import solver
+assert "scipy.linalg" not in sys.modules
+from scipy.linalg import cholesky_banded, get_lapack_funcs
+pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+rng = np.random.default_rng(7)
+for n, kd in ((40, 3), (12, 11)):  # the trajectory band; the power program's full band
+    band = rng.uniform(-1.0, 1.0, (kd + 1, n))
+    band[0] = 1.0 + 2.0 * kd
+    rhs = rng.standard_normal((n, 2))
+    ours, _ = solver._PBTRF(np.array(band, order="F"), lower=1)
+    theirs, _ = pbtrf(np.array(band, order="F"), lower=1)
+    assert np.array_equal(ours, theirs)
+    assert np.array_equal(solver._PBTRS(ours, rhs, lower=1)[0], pbtrs(theirs, rhs, lower=1)[0])
+    assert np.array_equal(cholesky_banded(band, lower=True), theirs)
+print("ok")
+"""
+
+
+def test_loaded_lapack_routines_are_scipys_and_coexist_with_scipy_linalg():
+    # solver first, scipy.linalg after it, in one fresh process
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", _SAME_ROUTINES], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+
+
+def test_missing_lapack_extension_is_a_named_import_error(tmp_path):
+    with pytest.raises(ImportError, match="_flapack") as err:
+        solver._load_flapack(str(tmp_path))
+    assert str(tmp_path) in str(err.value)
 
 
 @pytest.mark.parametrize("L", [400.0, math.inf])
