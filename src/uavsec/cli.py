@@ -19,6 +19,7 @@ configs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -125,12 +126,6 @@ def scenario_echo_text(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _trajectory_csv(traj: Trajectory, cfg: ScenarioConfig) -> str:
     speeds = traj.speeds(cfg.delta_t)
     rows = ["n,x_m,y_m,speed_mps"]
@@ -165,16 +160,28 @@ def _sweep_csv(entries) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _prepare_out_dir(out_dir) -> Optional[Path]:
-    path = Path(out_dir)
+def _write_outputs(out_dir, files: dict) -> int:
+    """Write ``files`` (name -> text) into out_dir, made if missing, each
+    through a ``.tmp`` sibling renamed into place. On an OSError, remove
+    every file written so far and the failing file's ``.tmp``, and report
+    the error; returns EXIT_OK or EXIT_IO."""
+    out = Path(out_dir)
+    written = []
     try:
-        path.mkdir(parents=True, exist_ok=True)
-        probe = path / ".write-probe.tmp"
-        probe.write_text("", encoding="utf-8")
-        probe.unlink()
-    except OSError:
-        return None
-    return path
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            tmp = out / (name + ".tmp")
+            written.append(tmp)
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, out / name)
+            written[-1] = out / name
+    except OSError as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        print(f"error: output write failed, no output kept: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 def _load_config(config_path, max_iter: Optional[int], tol: Optional[float]):
@@ -205,28 +212,15 @@ def cmd_run(config_path, scheme_name, out_dir, max_iter=None, tol=None) -> int:
     if result.failed:
         print("error: subproblem solver failed; no output written", file=sys.stderr)
         return EXIT_FAILURE
-    out = _prepare_out_dir(out_dir)
-    if out is None:
-        print(f"error: cannot write to output directory {out_dir}", file=sys.stderr)
-        return EXIT_IO
-    bundle = {
+    rc = _write_outputs(out_dir, {
         ECHO_FILENAME: scenario_echo_text(cfg),
         "trajectory.csv": _trajectory_csv(result.trajectory, cfg),
         "power.csv": _power_csv(result.power),
         "iterations.csv": _iterations_csv(result),
-    }
-    written = []
-    try:
-        for name, text in bundle.items():
-            _atomic_write(out / name, text)
-            written.append(out / name)
-    except OSError as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
-        print(f"error: output write failed, partial files removed: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"{result.aesr:.6f}")
-    return EXIT_OK
+    })
+    if rc == EXIT_OK:
+        print(f"{result.aesr:.6f}")
+    return rc
 
 
 def cmd_sweep(config_path, parameter, values, out_dir, max_iter=None, tol=None) -> int:
@@ -239,12 +233,12 @@ def cmd_sweep(config_path, parameter, values, out_dir, max_iter=None, tol=None) 
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     entries = driver.sweep(cfg, parameter, values)
-    out = _prepare_out_dir(out_dir)
-    if out is None:
-        print(f"error: cannot write to output directory {out_dir}", file=sys.stderr)
-        return EXIT_IO
-    _atomic_write(out / ECHO_FILENAME, scenario_echo_text(cfg))
-    _atomic_write(out / "sweep.csv", _sweep_csv(entries))
+    rc = _write_outputs(out_dir, {
+        ECHO_FILENAME: scenario_echo_text(cfg),
+        "sweep.csv": _sweep_csv(entries),
+    })
+    if rc != EXIT_OK:
+        return rc
     for e in entries:
         status = "ok" if e.error is None else f"error: {e.error}"
         print(f"{e.scheme.value} {e.parameter}={e.value:g} aesr={e.aesr:.6f} {status}")

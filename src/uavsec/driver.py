@@ -3,9 +3,11 @@
 ``run_jtpo`` alternates the two convex subproblems until the fractional
 increase of the surrogate objective drops below the scenario threshold.
 ``run_poft`` keeps the straight-segment trajectory and runs only the
-closed-form power step. ``run_ftp_inf`` runs the full alternation in the
-long-packet limit (dispersion penalties removed) and then evaluates the
-resulting design under the true short-packet objective.
+closed-form power step. ``run_ftp_inf`` has one path: it re-scores a
+long-packet design, optimized by the full alternation with the dispersion
+penalties removed, under the true short-packet objective. The design is
+the one it is given, an earlier run at another blocklength, or one it
+computes.
 
 The design (trajectory and power) is the only state carried from one step
 to the next; each subproblem is built at the current design. The barrier
@@ -100,30 +102,27 @@ def _take_better(prog, sol: Solution, design: np.ndarray) -> np.ndarray:
 
 
 def _alternating_run(
-    cfg_opt: ScenarioConfig,
-    cfg_eval: ScenarioConfig,
-    scheme: SchemeId,
-    optimize_trajectory: bool,
+    cfg: ScenarioConfig, scheme: SchemeId, optimize_trajectory: bool
 ) -> RunResult:
-    """Core alternating loop; cfg_opt drives the subproblems, cfg_eval the
-    reported AESR of the final design."""
-    n = cfg_opt.N
-    traj = line_segment_trajectory(cfg_opt)
-    pw = PowerProfile(p=np.full(n, cfg_opt.P_bar))
-    ep = expansion_from(traj, pw, cfg_opt)
+    """Core alternating loop; cfg drives the subproblems and scores the final
+    design."""
+    n = cfg.N
+    traj = line_segment_trajectory(cfg)
+    pw = PowerProfile(p=np.full(n, cfg.P_bar))
+    ep = expansion_from(traj, pw, cfg)
 
     j_prev = slack_rate_objective(
-        traj.points, pw.p, ep.u_hat_e, ep.z_hat_b, ep.z_hat_e, cfg_opt
+        traj.points, pw.p, ep.u_hat_e, ep.z_hat_b, ep.z_hat_e, cfg
     )
-    records = [IterationRecord(0, j_prev, model.aesr(traj, pw, cfg_opt), math.inf)]
+    records = [IterationRecord(0, j_prev, model.aesr(traj, pw, cfg), math.inf)]
     failed = False
     nonoptimal = 0
     newton_steps = 0
-    optimize_trajectory = optimize_trajectory and not _segment_is_forced(cfg_opt)
+    optimize_trajectory = optimize_trajectory and not _segment_is_forced(cfg)
 
-    for r in range(1, cfg_opt.max_iter + 1):
+    for r in range(1, cfg.max_iter + 1):
         if optimize_trajectory:
-            prog_q = build_trajectory_subproblem(traj, pw, cfg_opt)
+            prog_q = build_trajectory_subproblem(traj, pw, cfg)
             sol = solve(prog_q)
             nonoptimal += sol.status != "optimal"
             newton_steps += sol.newton_steps
@@ -133,18 +132,18 @@ def _alternating_run(
             traj = Trajectory(
                 points=_take_better(prog_q, sol, traj.points.ravel()).reshape(n, 2))
 
-        prog_p = build_power_subproblem(traj, pw, cfg_opt)
+        prog_p = build_power_subproblem(traj, pw, cfg)
         pw = PowerProfile(p=water_fill(prog_p))
 
         j_r = prog_p.objective_value(pw.p)
         frac = (j_r - j_prev) / max(abs(j_prev), 1e-12)
-        records.append(IterationRecord(r, j_r, model.aesr(traj, pw, cfg_opt), frac))
+        records.append(IterationRecord(r, j_r, model.aesr(traj, pw, cfg), frac))
         j_prev = j_r
-        if frac < cfg_opt.tau:
+        if frac < cfg.tau:
             break
 
     # Slots whose pre-clamp rate is negative carry no secrecy; silence them.
-    rates = model.slot_rates_pre_clamp(traj, pw, cfg_opt)
+    rates = model.slot_rates_pre_clamp(traj, pw, cfg)
     if np.any(rates < 0.0):
         p_clean = pw.p.copy()
         p_clean[rates < 0.0] = 0.0
@@ -153,7 +152,7 @@ def _alternating_run(
     return RunResult(
         trajectory=traj,
         power=pw,
-        aesr=model.aesr(traj, pw, cfg_eval),
+        aesr=model.aesr(traj, pw, cfg),
         iterations=tuple(records),
         scheme=scheme.value,
         failed=failed,
@@ -164,33 +163,29 @@ def _alternating_run(
 
 def run_jtpo(cfg: ScenarioConfig) -> RunResult:
     """Alternate trajectory and power subproblems until tau-convergence."""
-    return _alternating_run(cfg, cfg, SchemeId.JTPO, True)
+    return _alternating_run(cfg, SchemeId.JTPO, True)
 
 
 def run_poft(cfg: ScenarioConfig) -> RunResult:
     """Optimize power only, on the fixed straight-segment trajectory."""
-    return _alternating_run(cfg, cfg, SchemeId.POFT, False)
+    return _alternating_run(cfg, SchemeId.POFT, False)
 
 
-def run_ftp_inf(cfg: ScenarioConfig, long_packet: Optional[dict] = None) -> RunResult:
-    """Optimize trajectory and power in the long-packet limit, then report
-    the design's AESR under the scenario's actual blocklength.
+def run_ftp_inf(cfg: ScenarioConfig, long_packet: Optional[RunResult] = None) -> RunResult:
+    """Report the AESR of a long-packet design under the scenario's actual
+    blocklength.
 
-    The design does not depend on L. ``long_packet``, if given, is a store
-    shared by runs whose scenarios differ at most in L: the first run keeps
-    its result there, and later runs re-score that design at their own L.
+    The design is ``long_packet``'s, a run whose scenario differs from cfg
+    at most in L, since the design does not depend on L; without one it is
+    optimized here, with the dispersion penalties removed.
     """
-    stored = None if long_packet is None else long_packet.get("run")
-    if stored is not None:
-        return replace(stored, aesr=model.aesr(stored.trajectory, stored.power, cfg))
-    result = _alternating_run(replace(cfg, L=math.inf), cfg, SchemeId.FTP_INF, True)
-    if long_packet is not None:
-        long_packet["run"] = result
-    return result
+    if long_packet is None:
+        long_packet = _alternating_run(replace(cfg, L=math.inf), SchemeId.FTP_INF, True)
+    return replace(long_packet, aesr=model.aesr(long_packet.trajectory, long_packet.power, cfg))
 
 
 def run_scheme(cfg: ScenarioConfig, scheme: SchemeId,
-               long_packet: Optional[dict] = None) -> RunResult:
+               long_packet: Optional[RunResult] = None) -> RunResult:
     """Run one scheme; ``long_packet`` is passed on to ``run_ftp_inf``."""
     if scheme is SchemeId.JTPO:
         return run_jtpo(cfg)
@@ -218,12 +213,13 @@ def sweep(cfg: ScenarioConfig, parameter: str, values) -> list:
     Rows come back grouped by value in input order, schemes in the fixed
     order JTPO, POFT, FTP-Inf. A value that yields an invalid scenario or a
     failing run produces error rows; the sweep continues. Over L, FTP-Inf's
-    long-packet design is the same at every value: it is computed once per
-    call and re-scored at each value, with each row still produced by
+    long-packet design is the same at every value: each FTP-Inf row after
+    the first re-scores the previous one's design, so it is computed once
+    per call unless a run raises. Each row is still produced by
     ``run_scheme``.
     """
     out = []
-    long_packet = {} if parameter == "L" else None
+    long_packet = None
     for value in values:
         try:
             cfg_v = derive_config(cfg, parameter, value)
@@ -240,6 +236,8 @@ def sweep(cfg: ScenarioConfig, parameter: str, values) -> list:
             except ValueError as exc:
                 out.append(SweepEntry(scheme, parameter, float(value), math.nan, str(exc)))
                 continue
+            if scheme is SchemeId.FTP_INF and parameter == "L":
+                long_packet = result
             if result.failed:
                 out.append(SweepEntry(
                     scheme, parameter, float(value), result.aesr, "solver failure"

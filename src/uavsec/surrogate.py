@@ -5,10 +5,11 @@ convex subproblems of the alternating scheme as ``StructuredConvexProgram``
 instances: the trajectory subproblem (the 2N position coordinates, power
 fixed) and the power subproblem (the N powers, trajectory fixed, whose
 average-power budget is its one linear row), and the slack-reformulated
-objective they are tangent to. Each builder linearizes at the design's
-expansion point, whose slacks are tight (``expansion_from``), and
-substitutes every slack by the value at which it binds at the
-subproblem's optimum, so neither program carries a slack variable.
+objective they are tangent to. ``expansion_from`` is the one place a
+design is linearized: it returns the tight slacks and each slot's loss
+bound, affine in the two SNRs. Each builder substitutes every slack by the
+value at which it binds at the subproblem's optimum, so neither program
+carries a slack variable.
 
 Both subproblem objectives under-estimate the slack-reformulated objective
 everywhere and agree with it (value and gradient) at the expansion point.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,51 +145,56 @@ class StructuredConvexProgram:
 # Expansion points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ExpansionPoint:
-    """Design, with its slacks, around which the surrogates are linearized."""
+class ExpansionPoint(NamedTuple):
+    """A design linearized by ``expansion_from``: its tight slacks, squared
+    distances, and each slot's loss bound loss0 + k_b*u_b + k_e*u_e."""
 
     q_hat: np.ndarray    # (N, 2)
     p_hat: np.ndarray    # (N,)
+    d2_b: np.ndarray
+    d2_e: np.ndarray
     u_hat_b: np.ndarray
     u_hat_e: np.ndarray
     z_hat_b: np.ndarray
     z_hat_e: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q_hat, dtype=float)
-        p = np.asarray(self.p_hat, dtype=float)
-        object.__setattr__(self, "q_hat", q)
-        object.__setattr__(self, "p_hat", p)
-        n = q.shape[0]
-        if q.ndim != 2 or q.shape[1] != 2:
-            raise ValueError(f"q_hat must have shape (N, 2), got {q.shape}")
-        for name in ("p_hat", "u_hat_b", "u_hat_e", "z_hat_b", "z_hat_e"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        if np.any(self.u_hat_b < 0.0) or np.any(self.u_hat_e < 0.0):
-            raise ValueError("expansion SNR slacks must be non-negative")
-        if np.any(self.z_hat_b < Z_MIN) or np.any(self.z_hat_e < Z_MIN):
-            raise ValueError(f"expansion dispersion roots must be >= {Z_MIN}")
+    loss0: np.ndarray
+    k_b: np.ndarray
+    k_e: np.ndarray
 
 
 def expansion_from(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> ExpansionPoint:
-    """Expansion point with tight slacks at the design (traj, pw).
+    """Linearize the slack-reformulated objective at the design (traj, pw).
 
-    u is the exact SNR and z the exact dispersion root floored at ``Z_MIN``.
-    Raises ValueError if the design and the scenario disagree on N.
+    The slacks are tight: d2 is each receiver's squared distance, u = xi0*p/d2
+    the exact SNR and z the exact dispersion root floored at ``Z_MIN``. Each
+    slot's loss, log2(1 + u_e) + pen_b*z_b + pen_e*z_e, is bounded above by
+    loss0 + k_b*u_b + k_e*u_e: Eve's log, which is concave, by its tangent
+    at u_hat_e, and each root z >= sqrt(V(u)) by ``_required_z(u)``, the
+    least z its linearized row allows. The bound is affine in the two SNRs
+    and tight at the design on every slot whose root is not floored; at
+    L = inf both penalties vanish and k_b is 0. Both subproblem builders read
+    it from here.
+
+    Raises ValueError if the design and the scenario disagree on N, or if
+    a power is negative.
     """
     if len(traj) != cfg.N or len(pw) != cfg.N:
         raise ValueError("trajectory, power profile, and scenario disagree on N")
-    u_b = cfg.xi0 * pw.p / sq_dists(traj.points, cfg.w_b, cfg.H)
-    u_e = cfg.xi0 * pw.p / sq_dists(traj.points, cfg.w_e, cfg.H)
-    return ExpansionPoint(
-        q_hat=traj.points, p_hat=pw.p, u_hat_b=u_b, u_hat_e=u_e,
-        z_hat_b=np.maximum(np.sqrt(dispersion(u_b)), Z_MIN),
-        z_hat_e=np.maximum(np.sqrt(dispersion(u_e)), Z_MIN),
-    )
+    if np.any(pw.p < 0.0):
+        raise ValueError("powers must be non-negative")
+    d2_b = sq_dists(traj.points, cfg.w_b, cfg.H)
+    d2_e = sq_dists(traj.points, cfg.w_e, cfg.H)
+    u_b = cfg.xi0 * pw.p / d2_b
+    u_e = cfg.xi0 * pw.p / d2_e
+    z_b = np.maximum(np.sqrt(dispersion(u_b)), Z_MIN)
+    z_e = np.maximum(np.sqrt(dispersion(u_e)), Z_MIN)
+    pen_b, pen_e = penalty_coeffs(cfg)
+    eve_slope = 1.0 / ((1.0 + u_e) * LN2)
+    loss0 = (np.log2(1.0 + u_e) - u_e * eve_slope
+             + pen_b * _required_z(0.0, u_b, z_b) + pen_e * _required_z(0.0, u_e, z_e))
+    k_b = pen_b * _disp_lin(u_b)[1] / (2.0 * z_b)
+    k_e = eve_slope + pen_e * _disp_lin(u_e)[1] / (2.0 * z_e)
+    return ExpansionPoint(traj.points, pw.p, d2_b, d2_e, u_b, u_e, z_b, z_e, loss0, k_b, k_e)
 
 
 def _disp_lin(u_hat: np.ndarray):
@@ -217,56 +224,41 @@ def build_trajectory_subproblem(
     The variables are the 2N coordinates of the positions, slot by slot.
     Bob's log rate is linearized in his squared distance, which stays exact
     (the quad terms). Each receiver's squared distance is under-estimated
-    by its linearization l(q) = d2_hat + grad.(q - q_hat), and the slacks
-    of the slack-reformulated objective are replaced by the values at which
-    they bind at any optimum, since the objective is monotone in each: the
-    squared-distance slack by l(q), the SNR slack u by xi0*p / l(q), and the
-    dispersion root z by ``_required_z(u)``, which is affine in u and never
-    negative. Each receiver's slot term is then a constant minus k / l(q),
-    k >= 0, carried on the linear row l(q) >= l_lo that keeps the slack's
-    lower bound; silent slots keep the row with k = 0. In the long-packet
-    limit the dispersion penalties vanish, and with them Bob's rows, since
-    his SNR fed only his dispersion root. The start is the design moved
-    ``START_SHIFT`` of the way toward the straight segment
+    by its linearization l(q) = d2_hat + grad.(q - q_hat), and each slot's
+    loss by the bound of ``expansion_from`` at u = xi0*p / l(q), so each
+    receiver's slot term is -k / l(q) with k = xi0*p*scale*k_r >= 0. It is
+    carried on the linear row l(q) >= l_lo, which silent slots keep with
+    k = 0. At L = inf, k_b is 0 and Bob's rows are left out. The start is
+    the design moved ``START_SHIFT`` of the way toward the straight segment
     (``_trajectory_start``), off the speed rows a solved design leaves
     tight.
     """
     N = cfg.N
     ep = expansion_from(traj, pw, cfg)
-    p = ep.p_hat
     scale = (1.0 - cfg.eps_b) / N
-    pen_b, pen_e = penalty_coeffs(cfg)
     q_idx = np.arange(2 * N).reshape(N, 2)
 
-    # Objective: Eve's log linearized in her SNR slack, and the exact log of
-    # Bob's rate linearized in the squared distance.
-    ue_hat = ep.u_hat_e
-    constant = float(np.sum(scale * (-np.log2(1.0 + ue_hat) + ue_hat / ((1.0 + ue_hat) * LN2))))
-    d2_b = sq_dists(ep.q_hat, cfg.w_b, cfg.H)
-    a_n = np.log2(1.0 + cfg.xi0 * p / d2_b)
-    b_n = cfg.xi0 * p / (d2_b * (d2_b + cfg.xi0 * p) * LN2)
-    constant += float(np.sum(scale * (a_n + b_n * d2_b - b_n * cfg.H * cfg.H)))
+    # Objective: the exact log of Bob's rate linearized in the squared
+    # distance, less the constant of each slot's loss bound.
+    xp = cfg.xi0 * ep.p_hat
+    b_n = xp / (ep.d2_b * (ep.d2_b + xp) * LN2)
+    a_n = np.log2(1.0 + ep.u_hat_b)
+    constant = float(np.sum(scale * (a_n + b_n * ep.d2_b - b_n * cfg.H * cfg.H)))
+    constant -= float(np.sum(scale * ep.loss0))
     curved = np.repeat(b_n > 0.0, 2)
     quad_i = q_idx.ravel()[curved]
     quad_c = np.tile(cfg.w_b[:2], N)[curved]
     quad_beta = np.repeat(scale * b_n, 2)[curved]
 
-    # Per receiver: the constant part of its dispersion penalty; k, which is
-    # xi0*p times the slope in u of its slot term (the penalty's, plus Eve's
-    # SNR term); and the row l(q) >= l_lo as
-    # -grad.q <= d2_hat - grad.q_hat - l_lo, whose slack plus l_lo is l(q).
+    # Per receiver, the row l(q) >= l_lo as -grad.q <= d2_hat - grad.q_hat - l_lo,
+    # whose slack plus l_lo is l(q).
     l_lo = cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)
-    receivers = [(cfg.w_e, ue_hat, ep.z_hat_e, pen_e, 1.0 / ((1.0 + ue_hat) * LN2))]
-    if math.isfinite(cfg.L):
-        receivers.insert(0, (cfg.w_b, ep.u_hat_b, ep.z_hat_b, pen_b, 0.0))
-    grads, rhs, lin_k = [], [], []
-    for w, u_hat, z_hat, pen, snr_slope in receivers:
-        _, dv_hat = _disp_lin(u_hat)
-        constant -= float(np.sum(scale * pen * _required_z(0.0, u_hat, z_hat)))
-        lin_k.append(cfg.xi0 * p * scale * (snr_slope + pen * dv_hat / (2.0 * z_hat)))
-        grad = 2.0 * (ep.q_hat - w[:2])
-        grads.append(grad)
-        rhs.append(sq_dists(ep.q_hat, w, cfg.H) - np.sum(grad * ep.q_hat, axis=1) - l_lo)
+    receivers = [(cfg.w_b, ep.d2_b, ep.k_b), (cfg.w_e, ep.d2_e, ep.k_e)]
+    if not math.isfinite(cfg.L):
+        del receivers[0]
+    grads = [2.0 * (ep.q_hat - w[:2]) for w, _, _ in receivers]
+    rhs = [d2 - np.sum(g * ep.q_hat, axis=1) - l_lo for (_, d2, _), g in zip(receivers, grads)]
+    lin_k = [xp * scale * k for _, _, k in receivers]
     rows = len(receivers) * N
     prog = StructuredConvexProgram(
         n=2 * N, lb=np.full(2 * N, -np.inf), ub=np.full(2 * N, np.inf), c=np.zeros(2 * N),
@@ -312,33 +304,20 @@ def build_power_subproblem(
     """Convex power subproblem linearized at the design (traj, pw), trajectory
     fixed.
 
-    The variables are the N powers. Bob's rate keeps its exact log in P and
-    Eve's log is linearized in her SNR g_e*P. Each dispersion root is set to
-    the bound its linearized row gives, ``_required_z``, which is affine in P
-    and never negative, so each slot's objective is alpha*ln(1 + g_b*P) + c*P
+    The variables are the N powers. Bob's rate keeps its exact log in P, and
+    each slot's loss is the bound of ``expansion_from`` at the SNRs g*P,
+    affine in P. Each slot's objective is then alpha*ln(1 + g_b*P) + c*P,
     and ``solver.water_fill`` solves the program in closed form.
     """
     N = cfg.N
     ep = expansion_from(traj, pw, cfg)
     scale = (1.0 - cfg.eps_b) / N
-    ue_hat = ep.u_hat_e
-    g_b = cfg.xi0 / sq_dists(traj.points, cfg.w_b, cfg.H)
-    g_e = cfg.xi0 / sq_dists(traj.points, cfg.w_e, cfg.H)
-    pen_b, pen_e = penalty_coeffs(cfg)
-    # per slot: alpha*ln(1 + g_b*P) - scale*(loss0 + slope*P); the penalties
-    # are 0 at L=inf
-    slope = g_e / ((1.0 + ue_hat) * LN2)
-    loss0 = np.log2(1.0 + ue_hat) - ue_hat / ((1.0 + ue_hat) * LN2)
-    for pen, g, u_hat, z_hat in ((pen_b, g_b, ep.u_hat_b, ep.z_hat_b),
-                                 (pen_e, g_e, ue_hat, ep.z_hat_e)):
-        _, dv_hat = _disp_lin(u_hat)
-        slope = slope + pen * dv_hat * g / (2.0 * z_hat)
-        loss0 = loss0 + pen * _required_z(0.0, u_hat, z_hat)
-
+    g_b = cfg.xi0 / ep.d2_b
+    g_e = cfg.xi0 / ep.d2_e
     p_ix = np.arange(N)
     return StructuredConvexProgram(
-        n=N, lb=np.zeros(N), ub=np.full(N, cfg.P_max), c=-scale * slope,
-        constant=-float(np.sum(scale * loss0)),
+        n=N, lb=np.zeros(N), ub=np.full(N, cfg.P_max), c=-scale * (g_b * ep.k_b + g_e * ep.k_e),
+        constant=-float(np.sum(scale * ep.loss0)),
         log_i=p_ix, log_a=g_b, log_alpha=np.full(N, scale / LN2),
         # the average power budget: one row over every slot
         lin_i=p_ix[None, :], lin_a=np.ones((1, N)), lin_b=np.array([N * cfg.P_bar]),

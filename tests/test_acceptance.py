@@ -325,6 +325,17 @@ def test_default_jtpo_newton_step_budget(runs):
     assert res.newton_steps <= 1.1 * 477, f"{res.newton_steps} Newton steps"
 
 
+def test_grid_newton_step_budget(runs):
+    # deterministic counts over the criterion-7 grid, so a change that makes
+    # the planner do more work shows here: JTPO and FTP-Inf take 8923
+    # trajectory Newton steps, and the 36 runs 398 alternations
+    grid = [runs.get(scheme, T, L) for T in T_GRID for L in L_GRID for scheme in SchemeId]
+    steps = sum(r.newton_steps for r in grid if r.scheme != SchemeId.POFT.value)
+    alternations = sum(len(r.iterations) - 1 for r in grid)
+    assert steps <= 1.1 * 8923, f"{steps} trajectory Newton steps"
+    assert alternations <= 1.1 * 398, f"{alternations} alternations"
+
+
 def test_default_jtpo_evaluation_budget(monkeypatch):
     # a deterministic count of the solver's point evaluations, so a change
     # that evaluates a point again, or more trial points, shows here; the

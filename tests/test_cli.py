@@ -186,6 +186,25 @@ def test_run_unwritable_out_dir(tmp_path, capsys):
     assert blocker.read_text() == "a file occupies the output path"
 
 
+@pytest.mark.parametrize("verb,args,blocked", [
+    ("run", ["--scheme", "jtpo"], "power.csv"),
+    ("sweep", ["--param", "L", "--values", "400"], "sweep.csv"),
+], ids=["run", "sweep"])
+def test_output_name_taken_by_a_directory_is_an_io_error(tmp_path, capsys, verb, args, blocked):
+    # the files written before the blocked one are removed again, and so is
+    # each file's temporary sibling
+    cfg_path = write_cfg(tmp_path, TINY)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    rc = main([verb, "--config", str(cfg_path), *args, "--out", str(out)])
+    assert rc == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert [path.name for path in out.iterdir()] == [blocked]
+    assert not any((out / blocked).iterdir())
+
+
 def test_run_is_byte_deterministic(tmp_path):
     cfg_path = write_cfg(tmp_path, TINY)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -315,11 +315,11 @@ def _counting_alternating_run(monkeypatch, fail=None):
     calls = []
     alternating_run = driver._alternating_run
 
-    def counting(cfg_opt, cfg_eval, scheme, optimize_trajectory):
+    def counting(cfg, scheme, optimize_trajectory):
         calls.append(scheme)
         if scheme is SchemeId.FTP_INF and fail == "raise":
             raise ValueError("no long-packet design")
-        result = alternating_run(cfg_opt, cfg_eval, scheme, optimize_trajectory)
+        result = alternating_run(cfg, scheme, optimize_trajectory)
         if scheme is SchemeId.FTP_INF and fail == "failed":
             result = replace(result, failed=True)
         return result

@@ -1,5 +1,6 @@
 import math
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from uavsec.model import (
     PowerProfile,
     Trajectory,
     baseline_scenario,
+    dispersion,
     line_segment_trajectory,
     penalty_coeffs,
     sq_dists,
@@ -17,7 +19,6 @@ from uavsec.surrogate import (
     L_LOWER_RELAX,
     START_SHIFT,
     Z_MIN,
-    ExpansionPoint,
     _required_z,
     build_power_subproblem,
     build_trajectory_subproblem,
@@ -110,14 +111,39 @@ def test_init_slacks_offset_geometry():
     assert ep.u_hat_e[0] == pytest.approx(1e5 / 60000.0, rel=1e-12)
 
 
-def test_expansion_point_rejects_tiny_z():
-    cfg = small_cfg(3)
-    ep, _, _ = random_expansion(cfg, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        ExpansionPoint(
-            q_hat=ep.q_hat, p_hat=ep.p_hat, u_hat_b=ep.u_hat_b, u_hat_e=ep.u_hat_e,
-            z_hat_b=np.full(cfg.N, Z_MIN / 2.0), z_hat_e=ep.z_hat_e,
-        )
+def test_expansion_loss_bound_is_tight_at_the_design_and_bounds_the_loss():
+    # each slot's loss log2(1 + u_e) + pen_b*z_b + pen_e*z_e, at the least
+    # roots z = sqrt(V(u)), lies under loss0 + k_b*u_b + k_e*u_e
+    rng = np.random.default_rng(11)
+    floored = 0
+    for L in (200.0, 400.0, 800.0, math.inf):
+        cfg = replace(small_cfg(6), L=L)
+        pen_b, pen_e = penalty_coeffs(cfg)
+        for _ in range(20):
+            _, traj, pw = random_expansion(cfg, rng)
+            p = pw.p * 10.0 ** rng.uniform(-12.0, 0.0, size=cfg.N)
+            p[rng.random(cfg.N) < 0.2] = 0.0
+            ep = expansion_from(traj, PowerProfile(p=p), cfg)
+
+            def bound(u_b, u_e):
+                return ep.loss0 + ep.k_b * u_b + ep.k_e * u_e
+
+            at_design = np.log2(1.0 + ep.u_hat_e) + pen_b * ep.z_hat_b + pen_e * ep.z_hat_e
+            tight = (ep.z_hat_b > Z_MIN) & (ep.z_hat_e > Z_MIN)
+            floored += int(np.sum(~tight))
+            np.testing.assert_allclose(bound(ep.u_hat_b, ep.u_hat_e)[tight], at_design[tight],
+                                       rtol=1e-12, atol=1e-15)
+            for _ in range(20):
+                u_b, u_e = 10.0 ** rng.uniform(-8.0, 4.0, size=(2, cfg.N))
+                u_b[rng.random(cfg.N) < 0.2] = 0.0
+                loss = (np.log2(1.0 + u_e) + pen_b * np.sqrt(dispersion(u_b))
+                        + pen_e * np.sqrt(dispersion(u_e)))
+                assert np.all(bound(u_b, u_e) >= loss - 1e-12 * (1.0 + np.abs(loss)))
+            if L == math.inf:
+                assert np.all(ep.k_b == 0.0)
+            else:
+                assert np.all(ep.k_b > 0.0)
+    assert floored > 0
 
 
 @pytest.mark.parametrize("build", [build_trajectory_subproblem, build_power_subproblem])
