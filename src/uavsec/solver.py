@@ -14,26 +14,29 @@ degree m, linear rows and finite box bounds with degree 1. A linear row's
 reciprocal objective term -k/(s + o) is a function of the row's barrier
 slack s, so it adds to the weight of the row's own Hessian block a a^T
 and needs no entries of its own. The outer loop stops once the certified
-gap m/t falls below ``_GAP_TOL``.
+gap m/t falls below ``_GAP_TOL``. Only that last stage's centre backs the
+certificate, so it alone is centred to ``_NEWTON_TOL``; the stages before
+it end at the looser ``_STAGE_TOL`` (long-step path following, Boyd &
+Vandenberghe §11.3.3).
 
 Fixed coordinates are held exactly by restricting Newton steps to the free
 coordinates. Newton systems are banded: ``_Work`` finds the half-bandwidth
-and the place of every Hessian entry in lower band storage once per
-program, and each step scatters the entry values there and factors with
-LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``), loaded from scipy's
-extension module by file location: importing ``scipy.linalg`` would cost
-more start-up than a default run takes to plan. Every row family is a
-fixed-arity block of coordinates, so its gradient and Hessian entries are
-scattered by ``np.bincount`` over index arrays fixed per program. ``_Work``
-also notes once which term and row families the program has, and its
-evaluation and assembly touch only those. Each point's evaluation travels
-with it: from one Newton step to the next, from the predictor into the
-next stage, and into the returned objective. A backtracking trial that
-rounds to the trial before it, or to the current point, reuses that
-evaluation. In the trajectory
-program's slot-major variable order the bandwidth does not grow with the
-slot count, so a step costs O(n); the power program's budget row spans
-every coordinate, so its band is full.
+and the place of every Hessian entry in lower band storage, column-major
+as LAPACK keeps it, once per program, and each step scatters the entry
+values there and factors with LAPACK's banded Cholesky
+(``dpbtrf``/``dpbtrs``), loaded from scipy's extension module by file
+location: importing ``scipy.linalg`` would cost more start-up than a
+default run takes to plan. Every row family is a fixed-arity block of
+coordinates, so its gradient and Hessian entries are scattered by
+``np.bincount`` over index arrays fixed per program. ``_Work`` also notes
+once which term and row families the program has, and its evaluation and
+assembly touch only those. Each point is evaluated once per solve:
+``_Work`` keeps every evaluation by the point's bytes, and the evaluation
+travels with the point from one Newton step to the next, from the
+predictor into the next stage, and into the returned objective. In the
+trajectory program's slot-major variable order the bandwidth does not grow
+with the slot count, so a step costs O(n); the power program's budget row
+spans every coordinate, so its band is full.
 Everything is deterministic: identical inputs produce identical iterate
 sequences.
 
@@ -72,12 +75,18 @@ _PBTRF, _PBTRS = _load_flapack(
 
 _MAX_BACKTRACKS = 60
 _REG_ESCALATIONS = 9
-_MU = 30.0                  # barrier weight multiplier per stage
+_MU = 10.0                  # barrier weight multiplier per stage
 _GAP_TOL = 1e-8             # stop once the certified gap m/t falls below this
-_NEWTON_TOL = 1e-10         # half squared Newton decrement
+_NEWTON_TOL = 1e-10         # half squared Newton decrement that ends the last stage
+_STAGE_TOL = 1e-3           # ... and every stage before it
 _MAX_NEWTON_PER_STAGE = 60
 _ARMIJO = 0.25              # sufficient-increase fraction
 _BACKTRACK = 0.5            # step shrink factor
+_EPS = float(np.finfo(float).eps)
+# the constant curvature 2 A^T A of a speed row's |x[j] - x[i]|^2, with
+# A = [-I I] over its coordinates (x[i], x[j])
+_SPEED_CURV = np.array([[2.0, 0.0, -2.0, 0.0], [0.0, 2.0, 0.0, -2.0],
+                        [-2.0, 0.0, 2.0, 0.0], [0.0, -2.0, 0.0, 2.0]])
 
 
 @dataclass(eq=False)
@@ -115,17 +124,9 @@ def _block_entries(idx: np.ndarray):
             np.broadcast_to(idx[:, None, :], (m, k, k)).ravel())
 
 
-def _sum_at(idx: np.ndarray, parts: list, size: int) -> np.ndarray:
-    """The values of ``parts``, concatenated, summed into ``size`` bins at
-    the positions idx."""
-    if not parts:
-        return np.zeros(size)
-    return np.bincount(idx, np.concatenate(parts), minlength=size)
-
-
 class _Work:
     """Precomputed constraint structure, gradient pattern and Hessian band
-    layout for one program."""
+    layout for one program, and the points evaluated in one solve of it."""
 
     def __init__(self, prog: StructuredConvexProgram):
         self.prog = prog
@@ -143,12 +144,9 @@ class _Work:
         self.has_lin = prog.lin_b.size > 0
         self.has_speed = prog.speed_h.size > 0
         self.has_hyper = prog.hyper_k.size > 0
-        # coordinates (x[i], x[j]) of every speed row, and the constant
-        # curvature 2 A^T A of |x[j] - x[i]|^2, with A = [-I I]
+        # coordinates (x[i], x[j]) of every speed row
         self.sp_idx = np.concatenate([prog.speed_i, prog.speed_j], axis=1)
         self.sp_h2 = prog.speed_h * prog.speed_h
-        eye = np.eye(2)
-        self.sp_curv = 2.0 * np.block([[eye, -eye], [-eye, eye]])
         free = np.ones(self.n, dtype=bool)
         free[prog.fixed_idx] = False
         self.free = np.nonzero(free)[0]
@@ -159,8 +157,8 @@ class _Work:
         # Gradient pattern: the coordinate of every value ``assemble`` adds
         # to the objective's gradient and to the barrier's, in the same order.
         lin_i = prog.lin_i
-        self.gf_idx = np.concatenate([prog.log_i, prog.quad_i, lin_i.ravel()])
-        self.gb_idx = np.concatenate([
+        gf_idx = np.concatenate([prog.log_i, prog.quad_i, lin_i.ravel()])
+        gb_idx = np.concatenate([
             self.lo_idx, self.hi_idx, lin_i.ravel(), self.sp_idx.ravel(),
             prog.hyper_i, prog.hyper_j,
         ])
@@ -170,6 +168,7 @@ class _Work:
         # touches the k x k block a a^T of its coordinates, times the row's
         # weight; a speed row the 4 x 4 block of its two points.
         self.lin_aa = prog.lin_a[:, :, None] * prog.lin_a[:, None, :]
+        self.neg_lin_a = -prog.lin_a
         (lin_r, lin_c), (sp_r, sp_c) = _block_entries(lin_i), _block_entries(self.sp_idx)
         rows = np.concatenate([
             prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, lin_r, sp_r,
@@ -179,17 +178,23 @@ class _Work:
             prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, lin_c, sp_c,
             prog.hyper_i, prog.hyper_j, prog.hyper_j, prog.hyper_i,
         ])
-        # Lower band storage of the free block: entry (r, c), r >= c, sits
-        # at band[r - c, c]. Entries above the diagonal or on a fixed
-        # coordinate go to one extra bin that is dropped.
+        # Lower band storage of the free block, column-major as LAPACK
+        # keeps it: entry (r, c), r >= c, sits at band[r - c, c]. Entries
+        # above the diagonal or on a fixed coordinate go to one extra bin
+        # that is dropped.
         pos = np.full(self.n, -1)
         pos[self.free] = np.arange(self.free.size)
         r, c = pos[rows], pos[cols]
         keep = (r >= c) & (c >= 0)
         self.kd = int(np.max(r[keep] - c[keep], initial=0))
-        self.band_shape = (self.kd + 1, self.free.size)
-        self.band_size = self.band_shape[0] * self.band_shape[1]
-        self.scatter = np.where(keep, (r - c) * self.free.size + c, self.band_size)
+        band_size = (self.kd + 1) * self.free.size
+        scatter = np.where(keep, c * (self.kd + 1) + (r - c), band_size)
+        # One bincount sums every value ``assemble`` finds: the objective's
+        # gradient into bins [0, n), the barrier's into [n, 2n) and the band
+        # after them.
+        self.sum_idx = np.concatenate([gf_idx, gb_idx + self.n, scatter + 2 * self.n])
+        self.band_end = 2 * self.n + band_size
+        self.points = {}    # x.tobytes() -> evaluate(x)
 
     def evaluate(self, x: np.ndarray) -> Optional[_Point]:
         """Objective, log-slack sum, speed-row differences and barrier
@@ -218,13 +223,21 @@ class _Work:
             return None
         return _Point(f, float(np.log(s).sum()), y, slacks)
 
+    def recall(self, x: np.ndarray) -> Optional[_Point]:
+        """``evaluate(x)``, evaluated once per point and solve."""
+        key = x.tobytes()
+        if key not in self.points:
+            self.points[key] = self.evaluate(x)
+        return self.points[key]
+
     def assemble(self, x: np.ndarray, point: _Point, t: float):
         """Gradients of the objective and of the log barrier at the
         evaluated point x, and the negated Hessian of t*objective + barrier
-        on the free coordinates in lower band storage."""
+        on the free coordinates in lower band storage, as an F-contiguous
+        (kd + 1, free count) view."""
         prog = self.prog
         slacks = point.slacks
-        # each family's values, in the order of gf_idx, gb_idx and scatter
+        # each family's values, in the order of sum_idx's three parts
         gf, gb, curvature = [], [], []
         if self.has_log:
             a = prog.log_a
@@ -251,18 +264,18 @@ class _Work:
             r_lin = s_lin + prog.lin_o
             k_r2 = prog.lin_k / (r_lin * r_lin)
             w_lin = 1.0 / (s_lin * s_lin) + 2.0 * t * k_r2 / r_lin
-            gf.append(-(prog.lin_a * k_r2[:, None]).ravel())
-            gb.append(-(prog.lin_a / s_lin[:, None]).ravel())
+            gf.append((self.neg_lin_a * k_r2[:, None]).ravel())
+            gb.append((self.neg_lin_a / s_lin[:, None]).ravel())
             curvature.append((self.lin_aa * w_lin[:, None, None]).ravel())
         if self.has_speed:
             # log(h^2 - |y|^2): gradient G/psi and negated Hessian
-            # curv/psi + G G^T/psi^2 over the row's four coordinates (x[i], x[j])
+            # curv/psi + (G/psi)(G/psi)^T over the row's four coordinates (x[i], x[j])
             y = point.y
-            G = 2.0 * np.concatenate([y, -y], axis=1)
             psi = slacks["speed"][:, None]
-            gb.append((G / psi).ravel())
-            curvature.append((self.sp_curv / psi[:, :, None]
-                              + G[:, :, None] * G[:, None, :] / (psi * psi)[:, :, None]).ravel())
+            Gp = 2.0 * np.concatenate([y, -y], axis=1) / psi
+            gb.append(Gp.ravel())
+            curvature.append((_SPEED_CURV / psi[:, :, None]
+                              + Gp[:, :, None] * Gp[:, None, :]).ravel())
         if self.has_hyper:
             s_hy = slacks["hyper"]
             xi = x[prog.hyper_i]
@@ -272,30 +285,35 @@ class _Work:
             gb += [xj / s_hy, xi / s_hy]
             curvature += [(xj * xj) / psi2, (xi * xi) / psi2, off, off]
 
-        band = _sum_at(self.scatter, curvature, self.band_size + 1)
-        return (prog.c + _sum_at(self.gf_idx, gf, self.n), _sum_at(self.gb_idx, gb, self.n),
-                band[: self.band_size].reshape(self.band_shape))
+        parts = gf + gb + curvature
+        n = self.n
+        total = (np.bincount(self.sum_idx, np.concatenate(parts), minlength=self.band_end + 1)
+                 if parts else np.zeros(self.band_end + 1))
+        return (prog.c + total[:n], total[n: 2 * n],
+                total[2 * n: self.band_end].reshape(self.free.size, self.kd + 1).T)
 
 
 def _newton_direction(band: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     """Solve B d = rhs, rhs (n,) or (n, 2), regularizing B on failure.
 
     B is given in lower band storage: ``band[k, j]`` holds B[j + k, j].
+    ``band`` is left unchanged; the factorization works on a copy, which
+    costs least when ``band`` is F-contiguous.
     """
     if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
         return None
     if rhs.shape[0] == 0:
         return np.zeros_like(rhs)
-    reg = 0.0
+    B, reg = band, 0.0
     for _ in range(_REG_ESCALATIONS):
-        B = np.array(band, order="F")
-        B[0] += reg
-        chol, info = _PBTRF(B, lower=1, overwrite_ab=1)
+        chol, info = _PBTRF(B, lower=1, overwrite_ab=0)
         if info == 0:
             sol, info = _PBTRS(chol, rhs, lower=1)
             if info == 0 and np.isfinite(sol).all():
                 return sol
         reg = 1e-12 * (1.0 + float(np.max(np.abs(band[0])))) if reg == 0.0 else reg * 100.0
+        B = np.array(band, order="F")
+        B[0] += reg
     return None
 
 
@@ -314,7 +332,7 @@ def solve(prog: StructuredConvexProgram) -> Solution:
     work = _Work(prog)
     x = np.asarray(prog.start, dtype=float).copy()
     x[prog.fixed_idx] = prog.fixed_val
-    point = work.evaluate(x)
+    point = work.recall(x)
     if point is None:
         raise ValueError("program start point is not strictly feasible")
 
@@ -430,36 +448,37 @@ def _search(work: _Work, x: np.ndarray, point: _Point, d: np.ndarray, accept):
     """Backtracking from x, evaluated as ``point``, along d: the first of
     x + s d, s = 1, 1/2, 1/4, ... (at most ``_MAX_BACKTRACKS``) that is
     strictly feasible and passes ``accept(trial, s)``, as (point,
-    evaluation, s), or None. A trial that rounds to the one before it, or
-    to x, reuses that evaluation."""
-    key, last = x.tobytes(), point
+    evaluation, s), or None. A trial that rounds to a point evaluated
+    before in this solve reuses that evaluation."""
     s = 1.0
     for _ in range(_MAX_BACKTRACKS):
         xn = x + s * d
-        if (k := xn.tobytes()) != key:
-            key, last = k, work.evaluate(xn)
-        if last is not None and accept(last, s):
-            return xn, last, s
+        trial = work.recall(xn)
+        if trial is not None and accept(trial, s):
+            return xn, trial, s
         s *= _BACKTRACK
     return None
 
 
 def _center(work: _Work, x: np.ndarray, point: _Point, t: float,
             t_next: Optional[float] = None):
-    """Damped Newton from x, evaluated as ``point``, until the decrement
-    criterion holds at barrier weight t. Returns the last point, its
-    evaluation, the Newton steps taken and the status.
+    """Damped Newton from x, evaluated as ``point``, until the half squared
+    decrement at barrier weight t is at most ``_NEWTON_TOL``, or, given the
+    next stage's weight t_next, at most ``_STAGE_TOL``: only the last
+    stage's centre backs the certified gap, so the stages before it are
+    centred loosely. Returns the last point, its evaluation, the Newton
+    steps taken and the status.
 
-    Each trial point is evaluated once: an accepted one carries its
-    evaluation to the next step's ``assemble``. Each step also solves for
-    the path tangent B^-1 grad F; given the next stage's weight t_next, a
-    centring that ends "ok" returns ``_predict``'s point instead of the
-    centred one."""
+    An accepted trial point carries its evaluation to the next step's
+    ``assemble``. Each step also solves for the path tangent B^-1 grad F;
+    given t_next, a centring that ends "ok" returns ``_predict``'s point
+    instead of the centred one."""
     fref = point.f
+    tol = _NEWTON_TOL if t_next is None else _STAGE_TOL
     # Below this squared-decrement level, computed phi differences drown in
     # rounding noise of t*F, so the sufficient-increase test is skipped and
     # (feasible) full Newton steps are trusted.
-    noise = 64.0 * t * (abs(fref) + 1.0) * np.finfo(float).eps
+    noise = 64.0 * t * (abs(fref) + 1.0) * _EPS
     steps = 0
     gd_full = math.inf      # the decrement before the last step, if that was a full one
     for _ in range(_MAX_NEWTON_PER_STAGE):
@@ -473,7 +492,7 @@ def _center(work: _Work, x: np.ndarray, point: _Point, t: float,
         step, tangent = sol.T
         gd = float(g @ step)
         # below the noise level, a full step that did not shrink gd shows its rounding floor
-        if gd <= 2.0 * _NEWTON_TOL or gd_full <= gd <= noise:
+        if gd <= 2.0 * tol or gd_full <= gd <= noise:
             if t_next is not None:
                 x, point = _predict(work, x, point, tangent, t, t_next)
             return x, point, steps, "ok"

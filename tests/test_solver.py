@@ -173,14 +173,21 @@ def test_predictor_keeps_the_optimum_and_saves_newton_steps(monkeypatch):
             < sum(sol.newton_steps for sol in centred))
 
 
+def _criterion_3_instances(name, trials):
+    """The criterion-3 instances ``name``[k], k in trials, as (label, program)."""
+    make = dict(FAMILIES)[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    progs = [make(rng)[0] for _ in range(max(trials) + 1)]
+    return [(f"{name}[{k}]", progs[k]) for k in trials]
+
+
 def test_solve_evaluates_each_point_once(monkeypatch):
     # Every stage starts from a point that the previous stage, or the
-    # predictor, has already evaluated; a backtracking trial that rounds to
-    # the trial before it, or to the current point, reuses its evaluation;
-    # and the returned objective is the last evaluation's. (At rounding
-    # resolution a predictor trial can still land exactly on a point an
-    # earlier stage tried; only a record of every evaluated point would
-    # catch that.)
+    # predictor, has already evaluated; a trial that rounds to any point
+    # evaluated before in the solve reuses its evaluation; and the returned
+    # objective is the last evaluation's. In the three criterion-3
+    # instances, a predictor trial next to a vertex rounds onto a point that
+    # an earlier stage's predictor tried.
     evaluate = _Work.evaluate
     seen = []
 
@@ -189,13 +196,65 @@ def test_solve_evaluates_each_point_once(monkeypatch):
         return evaluate(work, x)
 
     monkeypatch.setattr(_Work, "evaluate", recording_evaluate)
-    progs = _predictor_programs()[:1] + _family_programs() + [_every_family_program()]
+    progs = (_predictor_programs()[:1] + _family_programs() + [_every_family_program()]
+             + _criterion_3_instances("box-linear", [6])
+             + _criterion_3_instances("log-objective", [33])
+             + _criterion_3_instances("norm-row", [8]))
     for label, prog in progs:
         seen.clear()
         sol = solve(prog)
         assert sol.status == "optimal", label
         assert len(seen) == len(set(seen)), f"{label}: {len(seen) - len(set(seen))} repeats"
         assert sol.objective == prog.objective_value(sol.x), label
+
+
+def _record_stage_exits(monkeypatch):
+    """Patch ``solve``'s stages to append (t_next, exit decrement, noise
+    level, status) per stage to the returned list. The exit decrement is
+    g.B^-1 g of the stage's last Newton system, twice the half squared
+    decrement that ``_center`` tests; the noise level is ``_center``'s."""
+    exits, decrements = [], []
+    center, direction = solver._center, solver._newton_direction
+
+    def recording_direction(band, rhs):
+        sol = direction(band, rhs)
+        if sol is not None and rhs.ndim == 2:   # a step, with its path tangent
+            decrements.append(float(rhs[:, 0] @ sol[:, 0]))
+        return sol
+
+    def recording_center(work, x, point, t, t_next=None):
+        decrements.clear()
+        out = center(work, x, point, t, t_next)
+        noise = 64.0 * t * (abs(point.f) + 1.0) * solver._EPS
+        exits.append((t_next, decrements[-1], noise, out[3]))
+        return out
+
+    monkeypatch.setattr(solver, "_newton_direction", recording_direction)
+    monkeypatch.setattr(solver, "_center", recording_center)
+    return exits
+
+
+def test_only_the_last_stage_is_centred_tightly(monkeypatch):
+    progs = _predictor_programs() + _family_programs()
+    exits = _record_stage_exits(monkeypatch)
+    loose = []
+    for label, prog in progs:
+        exits.clear()
+        loose.append(solve(prog))
+        assert loose[-1].status == "optimal", label
+        assert len(exits) == loose[-1].stages >= 2, label
+        for k, (t_next, gd, noise, status) in enumerate(exits):
+            final = k == len(exits) - 1
+            assert (t_next is None) == final, label
+            assert status == "ok", f"{label} stage {k}"
+            tol = solver._NEWTON_TOL if final else solver._STAGE_TOL
+            assert gd <= 2.0 * tol or gd <= noise, f"{label} stage {k}: {gd:.3g}"
+    # centring every stage tightly finds the same optimum
+    monkeypatch.setattr(solver, "_STAGE_TOL", solver._NEWTON_TOL)
+    for (label, prog), a in zip(progs, loose):
+        b = solve(prog)
+        assert b.status == "optimal", label
+        assert abs(a.objective - b.objective) <= max(a.gap_bound, b.gap_bound), label
 
 
 def test_unbounded_direction_reports_max_iter():
@@ -218,13 +277,27 @@ def test_fixed_coordinates_are_held_exactly():
     assert sol.x[1] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_newton_direction_regularizes_singular_system():
-    # singular Hessian diag(1, 0) as a band: the zero row must be absorbed
-    # by escalation
-    band = np.array([[1.0, 0.0]])
-    g = np.array([1.0, 0.0])
+def test_newton_direction_regularizes_singular_system(monkeypatch):
+    # singular Hessian diag(2, 0, 1) as a band: the second pivot is zero, so
+    # the first factorization fails and the retry factors B + reg I with the
+    # first escalation reg; the caller's band stays as it was
+    band = np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 0.0]], order="F")
+    kept = band.copy()
+    infos = []
+    pbtrf = solver._PBTRF
+
+    def recording_pbtrf(ab, **kw):
+        out = pbtrf(ab, **kw)
+        infos.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "_PBTRF", recording_pbtrf)
+    g = np.array([1.0, 2.0, 3.0])
     d = _newton_direction(band, g)
-    assert d is not None and np.all(np.isfinite(d))
+    assert infos == [2, 0]
+    np.testing.assert_array_equal(band, kept)
+    reg = 1e-12 * (1.0 + 2.0)
+    np.testing.assert_allclose(d, g / (band[0] + reg), rtol=1e-12)
 
 
 def test_every_coordinate_fixed_needs_no_factorization(capfd):
@@ -404,6 +477,34 @@ def test_banded_newton_step_matches_dense_solve(band, rhs):
     d = _newton_direction(band, rhs)
     oracle = np.linalg.solve(M + reg * np.eye(M.shape[0]), rhs)
     np.testing.assert_allclose(d, oracle, rtol=1e-9, atol=1e-14 * np.linalg.norm(oracle))
+
+
+def _random_spd_band(rng, m, kd):
+    """Lower band storage, F-contiguous, of a random well-conditioned SPD
+    matrix of order m and half-bandwidth kd."""
+    band = np.zeros((kd + 1, m), order="F")
+    band[1:] = rng.uniform(-1.0, 1.0, (kd, m))
+    for k in range(1, kd + 1):
+        band[k, m - k:] = 0.0
+    band[0] = 2.0 * (kd + 1) + rng.uniform(0.0, 1.0, m)
+    return band
+
+
+@pytest.mark.parametrize("kd", [3, 29])
+def test_newton_direction_solves_band_systems_and_keeps_the_band(kd):
+    # kd = 3 is the trajectory programs' band; kd = m - 1 a full band, as
+    # the power programs have
+    rng = np.random.default_rng(kd)
+    m = 30
+    for order in ("F", "C"):
+        band = np.array(_random_spd_band(rng, m, kd), order=order)
+        kept = band.copy()
+        M = _dense(band)
+        for rhs in (rng.normal(size=m), rng.normal(size=(m, 2))):
+            d = _newton_direction(band, rhs)
+            oracle = np.linalg.solve(M, rhs)
+            assert np.max(np.abs(d - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+            np.testing.assert_array_equal(band, kept)
 
 
 _SAME_ROUTINES = """
