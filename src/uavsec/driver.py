@@ -10,7 +10,7 @@ the one it is given, an earlier run at another blocklength, or one it
 computes.
 
 The design (trajectory and power) is the only state carried from one step
-to the next; each subproblem is built at the current design. The barrier
+to the next; each subproblem is built at the current design. The interior-point
 solver runs the trajectory step from the program's start, the current
 positions moved slightly toward the straight segment, and the better of
 its iterate and the current positions is kept. The power step

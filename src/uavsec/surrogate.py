@@ -322,7 +322,7 @@ def build_power_subproblem(
         # the average power budget: one row over every slot
         lin_i=p_ix[None, :], lin_a=np.ones((1, N)), lin_b=np.array([N * cfg.P_bar]),
         lin_k=np.zeros(1), lin_o=np.ones(1),
-        # strictly feasible start for the barrier solver: uniform half-average power
+        # strictly feasible start for the interior-point solver: uniform half-average power
         start=np.full(N, cfg.P_bar / 2.0), layout={"p": p_ix},
     )
 

@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from uavsec import model
+from uavsec import model, solver
 from uavsec.cli import main as cli_main
 from uavsec.driver import SchemeId, run_scheme
 from uavsec.model import PowerProfile, Trajectory, baseline_scenario
@@ -320,26 +320,27 @@ def test_criterion_4_convergence(runs):
 
 def test_default_jtpo_newton_step_budget(runs):
     # a deterministic count, so a change that makes the trajectory solves
-    # take more Newton steps shows here; the default run takes 364
+    # take more Newton steps shows here; the default run takes 134
+    # (primal-dual iterations and centring steps)
     res = runs.get(SchemeId.JTPO, 60.0, 400.0)
-    assert res.newton_steps <= 1.1 * 364, f"{res.newton_steps} Newton steps"
+    assert res.newton_steps <= 1.1 * 134, f"{res.newton_steps} Newton steps"
 
 
 def test_grid_newton_step_budget(runs):
     # deterministic counts over the criterion-7 grid, so a change that makes
-    # the planner do more work shows here: JTPO and FTP-Inf take 6751
+    # the planner do more work shows here: JTPO and FTP-Inf take 2557
     # trajectory Newton steps, and the 36 runs 398 alternations
     grid = [runs.get(scheme, T, L) for T in T_GRID for L in L_GRID for scheme in SchemeId]
     steps = sum(r.newton_steps for r in grid if r.scheme != SchemeId.POFT.value)
     alternations = sum(len(r.iterations) - 1 for r in grid)
-    assert steps <= 1.1 * 6751, f"{steps} trajectory Newton steps"
+    assert steps <= 1.1 * 2557, f"{steps} trajectory Newton steps"
     assert alternations <= 1.1 * 398, f"{alternations} alternations"
 
 
 def test_default_jtpo_evaluation_budget(monkeypatch):
     # a deterministic count of the solver's point evaluations, so a change
     # that evaluates a point again, or more trial points, shows here; the
-    # default run evaluates 560
+    # default run evaluates 150
     evaluate = _Work.evaluate
     calls = []
 
@@ -349,7 +350,26 @@ def test_default_jtpo_evaluation_budget(monkeypatch):
 
     monkeypatch.setattr(_Work, "evaluate", counting_evaluate)
     run_scheme(baseline_scenario(T=60.0, L=400.0), SchemeId.JTPO)
-    assert len(calls) <= 1.1 * 560, f"{len(calls)} evaluations"
+    assert len(calls) <= 1.1 * 150, f"{len(calls)} evaluations"
+
+
+def test_grid_factorization_budget(monkeypatch):
+    # a deterministic count of the banded Cholesky factorizations, the work
+    # each solver iteration is built around: JTPO and FTP-Inf over the
+    # criterion-7 grid factor 2871 times (POFT solves no trajectory program)
+    pbtrf = solver._PBTRF
+    calls = []
+
+    def counting_pbtrf(*args, **kwargs):
+        calls.append(1)
+        return pbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_PBTRF", counting_pbtrf)
+    for T in T_GRID:
+        for L in L_GRID:
+            for scheme in (SchemeId.JTPO, SchemeId.FTP_INF):
+                run_scheme(baseline_scenario(T=T, L=L), scheme)
+    assert len(calls) <= 1.1 * 2871, f"{len(calls)} factorizations"
 
 
 # ---------------------------------------------------------------------------

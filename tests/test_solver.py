@@ -116,37 +116,6 @@ def test_stalled_centering_is_not_optimal(monkeypatch):
     assert np.array_equal(sol.x, prog.start)
 
 
-def test_first_weight_is_the_central_path_weight_of_the_start(monkeypatch):
-    # A start on the central path at a known weight t_star: the objective's
-    # linear part is chosen so that t_star * grad F + grad barrier = 0
-    # there. The constant makes |F| large, so the scale floor nu/|F| (5e-3)
-    # sits far below t_star.
-    t_star = 40.0
-    x0 = np.array([0.5, 1.2])
-    a, b = np.array([1.0, 0.5]), 2.0
-    quad_c, beta = np.array([3.0, -1.0]), 0.7
-    grad_barrier = 1.0 / x0 - 1.0 / (2.0 - x0) - a / (b - a @ x0)
-    c = -grad_barrier / t_star + 2.0 * beta * (x0 - quad_c)
-    prog = program(
-        2, lb=np.zeros(2), ub=np.full(2, 2.0), c=c, constant=1e3,
-        quad_i=np.arange(2), quad_c=quad_c, quad_beta=np.full(2, beta),
-        **dense_rows(a[None, :], [b]), start=x0,
-    )
-    stage_steps = []
-    center = solver._center
-
-    def recording_center(work, x, point, t, t_next):
-        out = center(work, x, point, t, t_next)
-        stage_steps.append(out[2])
-        return out
-
-    monkeypatch.setattr(solver, "_center", recording_center)
-    sol = solve(prog)
-    assert sol.status == "optimal"
-    assert sol.t0 == pytest.approx(t_star, rel=1e-2)
-    assert stage_steps[0] <= 2
-
-
 def _predictor_programs():
     """The default scenario's first trajectory program and the first 20
     instances of each solver family."""
@@ -160,19 +129,6 @@ def _predictor_programs():
     return progs
 
 
-def test_predictor_keeps_the_optimum_and_saves_newton_steps(monkeypatch):
-    progs = _predictor_programs()
-    predicted = [solve(prog) for _, prog in progs]
-    monkeypatch.setattr(solver, "_predict", lambda work, x, point, *rest: (x, point))
-    centred = [solve(prog) for _, prog in progs]
-    for (label, _), a, b in zip(progs, predicted, centred):
-        assert a.status == b.status == "optimal", label
-        assert abs(a.objective - b.objective) <= max(a.gap_bound, b.gap_bound), label
-    assert predicted[0].newton_steps < centred[0].newton_steps
-    assert (sum(sol.newton_steps for sol in predicted)
-            < sum(sol.newton_steps for sol in centred))
-
-
 def _criterion_3_instances(name, trials):
     """The criterion-3 instances ``name``[k], k in trials, as (label, program)."""
     make = dict(FAMILIES)[name]
@@ -182,12 +138,11 @@ def _criterion_3_instances(name, trials):
 
 
 def test_solve_evaluates_each_point_once(monkeypatch):
-    # Every stage starts from a point that the previous stage, or the
-    # predictor, has already evaluated; a trial that rounds to any point
-    # evaluated before in the solve reuses its evaluation; and the returned
-    # objective is the last evaluation's. In the three criterion-3
-    # instances, a predictor trial next to a vertex rounds onto a point that
-    # an earlier stage's predictor tried.
+    # Every step starts from the point the step before accepted, the
+    # centring from the last primal-dual iterate; a trial that rounds to any
+    # point evaluated before in the solve reuses its evaluation; and the
+    # returned objective is the last evaluation's. The three criterion-3
+    # instances once evaluated a point twice under the barrier path.
     evaluate = _Work.evaluate
     seen = []
 
@@ -208,53 +163,89 @@ def test_solve_evaluates_each_point_once(monkeypatch):
         assert sol.objective == prog.objective_value(sol.x), label
 
 
-def _record_stage_exits(monkeypatch):
-    """Patch ``solve``'s stages to append (t_next, exit decrement, noise
-    level, status) per stage to the returned list. The exit decrement is
-    g.B^-1 g of the stage's last Newton system, twice the half squared
-    decrement that ``_center`` tests; the noise level is ``_center``'s."""
+def test_primal_dual_iterates_keep_every_slack_and_dual_positive(monkeypatch):
+    # every primal-dual iteration assembles its reduced matrix at weight 1
+    # with the iterate's duals as row weights
+    iterates = []
+    assemble = _Work.assemble
+
+    def recording_assemble(work, x, point, t, w):
+        if t == 1.0:
+            iterates.append((point.s.copy(), w.copy()))
+        return assemble(work, x, point, t, w)
+
+    monkeypatch.setattr(_Work, "assemble", recording_assemble)
+    for label, prog in _predictor_programs() + _family_programs():
+        iterates.clear()
+        sol = solve(prog)
+        assert sol.status == "optimal", label
+        assert 0 < len(iterates) <= sol.newton_steps, label
+        for k, (slacks, duals) in enumerate(iterates):
+            assert slacks.min() > 0.0 and duals.min() > 0.0, f"{label} iteration {k}"
+
+
+def test_certifying_centring_ends_tightly_at_the_final_weight(monkeypatch):
+    # One barrier centring per solve, at t_final = nu/_GAP_TOL, whose last
+    # Newton system's g.B^-1 g (twice the half squared decrement that
+    # ``_center`` tests) is at most 2 _NEWTON_TOL or at the centring's noise
+    # level; the certified gap is nu/t_final.
     exits, decrements = [], []
     center, direction = solver._center, solver._newton_direction
 
     def recording_direction(band, rhs):
         sol = direction(band, rhs)
-        if sol is not None and rhs.ndim == 2:   # a step, with its path tangent
-            decrements.append(float(rhs[:, 0] @ sol[:, 0]))
+        if sol is not None:
+            decrements.append(float(rhs @ sol))
         return sol
 
-    def recording_center(work, x, point, t, t_next=None):
+    def recording_center(work, x, point, t):
         decrements.clear()
-        out = center(work, x, point, t, t_next)
+        out = center(work, x, point, t)
         noise = 64.0 * t * (abs(point.f) + 1.0) * solver._EPS
-        exits.append((t_next, decrements[-1], noise, out[3]))
+        exits.append((t, decrements[-1], noise, out[3]))
         return out
 
     monkeypatch.setattr(solver, "_newton_direction", recording_direction)
     monkeypatch.setattr(solver, "_center", recording_center)
-    return exits
-
-
-def test_only_the_last_stage_is_centred_tightly(monkeypatch):
-    progs = _predictor_programs() + _family_programs()
-    exits = _record_stage_exits(monkeypatch)
-    loose = []
-    for label, prog in progs:
+    for label, prog in _predictor_programs() + _family_programs():
         exits.clear()
-        loose.append(solve(prog))
-        assert loose[-1].status == "optimal", label
-        assert len(exits) == loose[-1].stages >= 2, label
-        for k, (t_next, gd, noise, status) in enumerate(exits):
-            final = k == len(exits) - 1
-            assert (t_next is None) == final, label
-            assert status == "ok", f"{label} stage {k}"
-            tol = solver._NEWTON_TOL if final else solver._STAGE_TOL
-            assert gd <= 2.0 * tol or gd <= noise, f"{label} stage {k}: {gd:.3g}"
-    # centring every stage tightly finds the same optimum
-    monkeypatch.setattr(solver, "_STAGE_TOL", solver._NEWTON_TOL)
-    for (label, prog), a in zip(progs, loose):
-        b = solve(prog)
-        assert b.status == "optimal", label
-        assert abs(a.objective - b.objective) <= max(a.gap_bound, b.gap_bound), label
+        sol = solve(prog)
+        nu = _Work(prog).pattern.nu
+        t_final = max(nu, 1.0) / solver._GAP_TOL
+        assert sol.status == "optimal" and sol.stages == 1, label
+        assert len(exits) == 1, label
+        t, gd, noise, status = exits[0]
+        assert t == t_final and status == "ok", label
+        assert gd <= 2.0 * solver._NEWTON_TOL or gd <= noise, f"{label}: {gd:.3g}"
+        assert sol.gap_bound == nu / t_final, label
+
+
+def _staged_barrier(prog):
+    """Reference optimum of prog: ``_center`` run stage by stage from the
+    bundled start, the weight growing tenfold from nu/max(|F|, 1e-2) to
+    nu/_GAP_TOL, each stage centred to ``_NEWTON_TOL``. Returns the last
+    stage's objective and status."""
+    work = _Work(prog)
+    x = prog.start.copy()
+    x[prog.fixed_idx] = prog.fixed_val
+    point = work.evaluate(x)
+    nu = work.pattern.nu
+    t, t_final = nu / max(abs(point.f), 1e-2), nu / solver._GAP_TOL
+    while True:
+        t = min(t, t_final)
+        x, point, _, status = _center(work, x, point, t)
+        if t == t_final or status != "ok":
+            return point.f, status
+        t *= 10.0
+
+
+def test_objective_is_within_the_gap_of_a_staged_barrier_reference():
+    for label, prog in _predictor_programs() + _family_programs():
+        sol = solve(prog)
+        reference, status = _staged_barrier(prog)
+        assert sol.status == "optimal" and status == "ok", label
+        assert abs(sol.objective - reference) <= sol.gap_bound, (
+            f"{label}: {sol.objective!r} vs {reference!r}")
 
 
 def test_unbounded_direction_reports_max_iter():
@@ -317,6 +308,10 @@ def test_newton_direction_rejects_non_finite_system():
     band = np.array([[np.nan, 1.0], [0.0, 0.0]])
     g = np.array([1.0, 1.0])
     assert _newton_direction(band, g) is None
+    # a finite band with a NaN right-hand side: the solution is not finite
+    band = np.array([[2.0, 2.0], [-1.0, 0.0]])
+    assert _newton_direction(band, np.array([1.0, np.nan])) is None
+    assert _newton_direction(band, np.array([[1.0, 1.0], [np.nan, 0.0]])) is None
 
 
 def _dense(band):
@@ -398,8 +393,9 @@ def _every_family_program():
 
 def test_every_family_program_has_every_family():
     work = _Work(_every_family_program()[1])
-    assert all((work.has_log, work.has_quad, work.has_lo, work.has_hi, work.has_lin,
-                work.has_speed, work.has_hyper))
+    pat = work.pattern
+    assert all((pat.has_log, pat.has_quad, pat.has_lo, pat.has_hi, pat.has_lin,
+                pat.has_speed, pat.has_hyper))
     assert np.any(work.prog.lin_k > 0.0) and work.prog.fixed_idx.size == 1
 
 
@@ -418,9 +414,9 @@ def test_assemble_matches_central_differences_of_phi(label, prog):
     x, point, _, flag = _center(work, x, work.evaluate(x), 1.0)
     assert flag == "ok"
     t = 3.0
-    gf, gb, band = work.assemble(x, point, t)
+    gf, gb, band, _ = work.assemble(x, point, t, 1.0 / point.s)
     g = t * gf + gb
-    free = work.free
+    free = work.pattern.free
     H = -_dense(band)
 
     def phi(y):
@@ -451,12 +447,14 @@ def _step_cases():
         x = prog.start.copy()
         x[prog.fixed_idx] = prog.fixed_val
         x, point, _, _ = _center(work, x, work.evaluate(x), 1.0)
-        gf, gb, band = work.assemble(x, point, 3.0)
-        g = (3.0 * gf + gb)[work.free]
+        gf, gb, band, _ = work.assemble(x, point, 3.0, 1.0 / point.s)
+        free = work.pattern.free
+        g = (3.0 * gf + gb)[free]
         cases.append(pytest.param(band, g, id=label))
         if label.startswith("trajectory"):
-            # the Newton step and the path tangent from one factorization
-            cases.append(pytest.param(band, np.array((g, gf[work.free])).T,
+            # the Newton step and the path tangent B^-1 grad F from one
+            # factorization, two columns as each primal-dual iteration solves
+            cases.append(pytest.param(band, np.array((g, gf[free])).T,
                                       id=f"{label} with tangent"))
     # a tridiagonal block next to a coordinate without curvature: the first
     # Cholesky fails and the retry adds the first escalation to the diagonal
@@ -543,6 +541,37 @@ def test_missing_lapack_extension_is_a_named_import_error(tmp_path):
     assert str(tmp_path) in str(err.value)
 
 
+def test_pattern_is_built_once_per_structure():
+    # The trajectory programs of one scenario share their structure at any
+    # design with no silent slot, so the second gets the first one's
+    # pattern; another slot count, L = inf (no rows for Bob) or a silent
+    # slot (no quad terms for it) gets a fresh one. Solves through a reused
+    # pattern and a fresh one are identical.
+    cfg = baseline_scenario(T=24.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
+    rng = np.random.default_rng(1)
+
+    def program_at_random_design(cfg, silent=()):
+        traj = _random_design(cfg, rng)[0]
+        p = np.full(cfg.N, cfg.P_bar)
+        p[list(silent)] = 0.0
+        return build_trajectory_subproblem(traj, PowerProfile(p=p), cfg)
+
+    first, second = program_at_random_design(cfg), program_at_random_design(cfg)
+    assert not np.array_equal(first.lin_a, second.lin_a)
+    pattern = _Work(first).pattern
+    reused = solve(second)
+    assert _Work(second).pattern is pattern
+    for prog in (program_at_random_design(replace(cfg, T=25.0)),
+                 program_at_random_design(replace(cfg, L=math.inf)),
+                 program_at_random_design(cfg, silent=[5])):
+        fresh = _Work(prog).pattern
+        assert fresh is not pattern and fresh.key != pattern.key
+        assert solve(prog).status == "optimal"
+    again = solve(second)
+    assert _Work(second).pattern is not pattern
+    assert np.array_equal(reused.x, again.x) and reused.newton_steps == again.newton_steps
+
+
 @pytest.mark.parametrize("L", [400.0, math.inf])
 def test_band_width_does_not_grow_with_slot_count(L):
     # a speed row couples the four coordinates of two neighbouring slots
@@ -550,7 +579,7 @@ def test_band_width_does_not_grow_with_slot_count(L):
         cfg = baseline_scenario(T=T, L=L)
         traj = line_segment_trajectory(cfg)
         pw = PowerProfile(p=np.full(cfg.N, cfg.P_bar))
-        assert _Work(build_trajectory_subproblem(traj, pw, cfg)).kd == 3
+        assert _Work(build_trajectory_subproblem(traj, pw, cfg)).pattern.kd == 3
 
 
 # ---------------------------------------------------------------------------
