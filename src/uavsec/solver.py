@@ -341,8 +341,8 @@ class _Work:
         return np.bincount(pat.jac_idx, jac * v[pat.jac_row], minlength=pat.n)[pat.free]
 
     def max_step(self, point: _Point, d: np.ndarray, dc: np.ndarray) -> float:
-        """The largest step a <= 1 along d that keeps every row's slack at
-        least ``_KEEP`` of its value: c_i(x + a d) >= _KEEP c_i(x), exactly.
+        """The largest step a <= 1 along d that keeps every row's slack (at
+        least one) at least ``_KEEP`` of its value: c_i(x + a d) >= _KEEP c_i(x), exactly.
         dc is J d. Along d each slack is c + a dc + a^2 q, with q = 0 for
         the box and linear rows, -|d_j - d_i|^2 for a speed row and
         d_i d_j for a hyperbolic row; the step is the least positive root
@@ -351,15 +351,16 @@ class _Work:
         q = np.zeros(pat.m)
         if pat.has_speed:
             e = d[prog.speed_j] - d[prog.speed_i]
-            q[pat.sp0: pat.hy0] = -(e * e).sum(axis=1)
+            q[pat.sp0: pat.hy0] = -np.einsum("ij,ij->i", e, e)
         if pat.has_hyper:
             q[pat.hy0:] = d[prog.hyper_i] * d[prog.hyper_j]
         room = (1.0 - _KEEP) * point.s
         disc = dc * dc - 4.0 * q * room
-        # with 2 room / (-dc + sqrt(disc)), the root that cancels nothing
-        den = -dc + np.sqrt(np.maximum(disc, 0.0))
-        hit = (den > 0.0) & (disc >= 0.0)
-        return float(np.min(2.0 * room[hit] / den[hit], initial=1.0))
+        # the root is 2 room / (-dc + sqrt(disc)), the form that cancels
+        # nothing; a row without a positive root (disc < 0, or a
+        # denominator <= 0) limits nothing
+        den = np.where(disc >= 0.0, np.sqrt(np.abs(disc)) - dc, 0.0)
+        return 1.0 / max(1.0, float((den / (2.0 * room)).max()))
 
 
 def _cholesky(band: np.ndarray) -> Optional[np.ndarray]:
@@ -444,9 +445,8 @@ def solve(prog: StructuredConvexProgram) -> Solution:
 
 
 def _fraction_to_zero(v: np.ndarray, dv: np.ndarray, keep: float) -> float:
-    """The largest a <= 1 with v + a dv >= keep v, for v > 0."""
-    falling = dv < 0.0
-    return float(np.min((keep - 1.0) * v[falling] / dv[falling], initial=1.0))
+    """The largest a <= 1 with v + a dv >= keep v, for v > 0 (not empty)."""
+    return 1.0 / max(1.0, -float((dv / v).min()) / (1.0 - keep))
 
 
 def _primal_dual(work: _Work, x: np.ndarray, point: _Point, t0: float, t_final: float):

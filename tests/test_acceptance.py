@@ -328,12 +328,12 @@ def test_default_jtpo_newton_step_budget(runs):
 
 def test_grid_newton_step_budget(runs):
     # deterministic counts over the criterion-7 grid, so a change that makes
-    # the planner do more work shows here: JTPO and FTP-Inf take 2557
+    # the planner do more work shows here: JTPO and FTP-Inf take 2563
     # trajectory Newton steps, and the 36 runs 398 alternations
     grid = [runs.get(scheme, T, L) for T in T_GRID for L in L_GRID for scheme in SchemeId]
     steps = sum(r.newton_steps for r in grid if r.scheme != SchemeId.POFT.value)
     alternations = sum(len(r.iterations) - 1 for r in grid)
-    assert steps <= 1.1 * 2557, f"{steps} trajectory Newton steps"
+    assert steps <= 1.1 * 2563, f"{steps} trajectory Newton steps"
     assert alternations <= 1.1 * 398, f"{alternations} alternations"
 
 
@@ -356,7 +356,7 @@ def test_default_jtpo_evaluation_budget(monkeypatch):
 def test_grid_factorization_budget(monkeypatch):
     # a deterministic count of the banded Cholesky factorizations, the work
     # each solver iteration is built around: JTPO and FTP-Inf over the
-    # criterion-7 grid factor 2871 times (POFT solves no trajectory program)
+    # criterion-7 grid factor 2877 times (POFT solves no trajectory program)
     pbtrf = solver._PBTRF
     calls = []
 
@@ -369,7 +369,7 @@ def test_grid_factorization_budget(monkeypatch):
         for L in L_GRID:
             for scheme in (SchemeId.JTPO, SchemeId.FTP_INF):
                 run_scheme(baseline_scenario(T=T, L=L), scheme)
-    assert len(calls) <= 1.1 * 2871, f"{len(calls)} factorizations"
+    assert len(calls) <= 1.1 * 2877, f"{len(calls)} factorizations"
 
 
 # ---------------------------------------------------------------------------
