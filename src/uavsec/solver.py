@@ -180,10 +180,10 @@ class _Pattern:
             self.lo_idx, self.hi_idx, lin_i.ravel(), self.sp_idx.ravel(),
             prog.hyper_i, prog.hyper_j,
         ])
-        rows = np.arange(self.m)
+        row = np.arange(self.m)
         self.jac_row = np.concatenate([
-            rows[: first[2]], np.repeat(rows[first[2]: first[3]], lin_i.shape[1]),
-            np.repeat(rows[first[3]: first[4]], 4), rows[first[4]:], rows[first[4]:],
+            row[: first[2]], np.repeat(row[first[2]: first[3]], lin_i.shape[1]),
+            np.repeat(row[first[3]: first[4]], 4), row[first[4]:], row[first[4]:],
         ])
         gf_idx = np.concatenate([prog.log_i, prog.quad_i, lin_i.ravel()])
 
@@ -230,7 +230,7 @@ class _Work:
         self.sp_h2 = prog.speed_h * prog.speed_h
         self.lin_aa = prog.lin_a[:, :, None] * prog.lin_a[:, None, :]
         # the Jacobian values of the box and linear rows, which are constant
-        self.jac_lin = np.concatenate([
+        self.jac_const = np.concatenate([
             np.ones(pat.lo_idx.size), -np.ones(pat.hi_idx.size), -prog.lin_a.ravel()])
         self.points = {}    # x.tobytes() -> evaluate(x)
 
@@ -282,7 +282,7 @@ class _Work:
         prog, pat = self.prog, self.pattern
         wc = w / point.s
         # each family's values, in the order of sum_idx's three parts
-        gf, jac, curvature = [], [self.jac_lin], []
+        gf, jac, curvature = [], [self.jac_const], []
         if pat.has_log:
             a = prog.log_a
             arg = 1.0 + a * x[prog.log_i]
