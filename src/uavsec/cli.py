@@ -184,28 +184,21 @@ def _write_outputs(out_dir, files: dict) -> int:
     return EXIT_OK
 
 
-def _load_config(config_path, max_iter: Optional[int], tol: Optional[float]):
+def _load_config(config_path, max_iter: Optional[int]):
     cfg = parse_config(config_path)
     if max_iter is not None:
         cfg = replace(cfg, max_iter=max_iter)
-    if tol is not None:
-        cfg = replace(cfg, tau=tol)
     return cfg
 
 
-def cmd_run(config_path, scheme_name, out_dir, max_iter=None, tol=None) -> int:
+def cmd_run(config_path, scheme_name, out_dir, max_iter=None) -> int:
     try:
-        cfg = _load_config(config_path, max_iter, tol)
+        cfg = _load_config(config_path, max_iter)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        scheme = driver.SchemeId(scheme_name)
-    except ValueError:
-        print(f"error: unknown scheme {scheme_name!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = driver.run_scheme(cfg, scheme)
+        result = driver.run_scheme(cfg, driver.SchemeId(scheme_name))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -223,12 +216,12 @@ def cmd_run(config_path, scheme_name, out_dir, max_iter=None, tol=None) -> int:
     return rc
 
 
-def cmd_sweep(config_path, parameter, values, out_dir, max_iter=None, tol=None) -> int:
+def cmd_sweep(config_path, parameter, values, out_dir, max_iter=None) -> int:
     if not values:
         print("error: sweep needs a non-empty --values list", file=sys.stderr)
         return EXIT_USAGE
     try:
-        cfg = _load_config(config_path, max_iter, tol)
+        cfg = _load_config(config_path, max_iter)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -288,10 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one scheme and write CSV outputs")
     run_p.add_argument("--config", required=True, help="flat key=value scenario file")
-    run_p.add_argument("--scheme", required=True, choices=["jtpo", "poft", "ftp-inf"])
+    run_p.add_argument("--scheme", required=True, choices=[s.value for s in driver.SchemeId])
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--max-iter", type=int, default=None)
-    run_p.add_argument("--tol", type=float, default=None)
 
     sweep_p = sub.add_parser("sweep", help="run all schemes over a parameter grid")
     sweep_p.add_argument("--config", required=True)
@@ -299,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     sweep_p.add_argument("--out", required=True)
     sweep_p.add_argument("--max-iter", type=int, default=None)
-    sweep_p.add_argument("--tol", type=float, default=None)
 
     val_p = sub.add_parser("validate", help="check a trajectory/power CSV pair")
     val_p.add_argument("--config", required=True)
@@ -311,17 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.verb == "run":
-        return cmd_run(args.config, args.scheme, args.out, args.max_iter, args.tol)
+        return cmd_run(args.config, args.scheme, args.out, args.max_iter)
     if args.verb == "sweep":
         try:
             values = _parse_values(args.values)
         except ValueError:
             print(f"error: cannot parse --values {args.values!r}", file=sys.stderr)
             return EXIT_USAGE
-        return cmd_sweep(args.config, args.param, values, args.out, args.max_iter, args.tol)
-    if args.verb == "validate":
-        return cmd_validate(args.config, args.trajectory, args.power)
-    return EXIT_USAGE
+        return cmd_sweep(args.config, args.param, values, args.out, args.max_iter)
+    return cmd_validate(args.config, args.trajectory, args.power)
 
 
 if __name__ == "__main__":

@@ -27,9 +27,8 @@ there with one ``np.bincount`` and factors with LAPACK's banded Cholesky
 (``dpbtrf``/``dpbtrs``), loaded from scipy's extension module by file
 location: importing ``scipy.linalg`` would cost more start-up than a
 default run takes to plan. ``_Work`` touches only the term and row
-families the program has. Each point is evaluated once per solve: ``_Work``
-keeps every evaluation by the point's bytes, and the evaluation travels
-with the point from one step to the next and into the returned objective.
+families the program has. A point's evaluation travels with it from one
+step to the next and into the returned objective.
 In the trajectory program's slot-major variable order the bandwidth does
 not grow with the slot count, so a step costs O(n); the power program's
 budget row spans every coordinate, so its band is full.
@@ -93,7 +92,6 @@ class Solution:
     newton_steps: int        # primal-dual iterations and centring Newton steps
     stages: int              # barrier centrings: 1, or 0 if the primal-dual phase failed
     status: str              # "optimal" | "max-iter" | "stalled" | "numerical-failure"
-    t0: float                # central-path weight 1/mu of the starting duals
 
 
 class _Point(NamedTuple):
@@ -219,8 +217,7 @@ class _Pattern:
 
 
 class _Work:
-    """One program's pattern and coefficients, and the points evaluated in
-    one solve of it."""
+    """One program's pattern and coefficients."""
 
     def __init__(self, prog: StructuredConvexProgram):
         self.prog = prog
@@ -232,7 +229,6 @@ class _Work:
         # the Jacobian values of the box and linear rows, which are constant
         self.jac_const = np.concatenate([
             np.ones(pat.lo_idx.size), -np.ones(pat.hi_idx.size), -prog.lin_a.ravel()])
-        self.points = {}    # x.tobytes() -> evaluate(x)
 
     def evaluate(self, x: np.ndarray) -> Optional[_Point]:
         """Objective, log-slack sum, speed-row differences and row slacks
@@ -260,13 +256,6 @@ class _Work:
         if not math.isfinite(f):
             return None
         return _Point(f, float(np.log(s).sum()), y, s)
-
-    def recall(self, x: np.ndarray) -> Optional[_Point]:
-        """``evaluate(x)``, evaluated once per point and solve."""
-        key = x.tobytes()
-        if key not in self.points:
-            self.points[key] = self.evaluate(x)
-        return self.points[key]
 
     def assemble(self, x: np.ndarray, point: _Point, t: float, w: np.ndarray):
         """At the evaluated point x, with objective weight t and one weight
@@ -420,7 +409,7 @@ def solve(prog: StructuredConvexProgram) -> Solution:
     work = _Work(prog)
     x = np.asarray(prog.start, dtype=float).copy()
     x[prog.fixed_idx] = prog.fixed_val
-    point = work.recall(x)
+    point = work.evaluate(x)
     if point is None:
         raise ValueError("program start point is not strictly feasible")
 
@@ -440,7 +429,6 @@ def solve(prog: StructuredConvexProgram) -> Solution:
         newton_steps=steps,
         stages=stages,
         status="optimal" if status == "ok" else status,
-        t0=t0,
     )
 
 
@@ -587,12 +575,11 @@ def _search(work: _Work, x: np.ndarray, point: _Point, d: np.ndarray, accept):
     """Backtracking from x, evaluated as ``point``, along d: the first of
     x + s d, s = 1, 1/2, 1/4, ... (at most ``_MAX_BACKTRACKS``) that is
     strictly feasible and passes ``accept(trial, s)``, as (point,
-    evaluation, s), or None. A trial that rounds to a point evaluated
-    before in this solve reuses that evaluation."""
+    evaluation, s), or None."""
     s = 1.0
     for _ in range(_MAX_BACKTRACKS):
         xn = x + s * d
-        trial = work.recall(xn)
+        trial = work.evaluate(xn)
         if trial is not None and accept(trial, s):
             return xn, trial, s
         s *= _BACKTRACK

@@ -223,12 +223,14 @@ def build_trajectory_subproblem(
 
     The variables are the 2N coordinates of the positions, slot by slot.
     Bob's log rate is linearized in his squared distance, which stays exact
-    (the quad terms). Each receiver's squared distance is under-estimated
-    by its linearization l(q) = d2_hat + grad.(q - q_hat), and each slot's
-    loss by the bound of ``expansion_from`` at u = xi0*p / l(q), so each
-    receiver's slot term is -k / l(q) with k = xi0*p*scale*k_r >= 0. It is
-    carried on the linear row l(q) >= l_lo, which silent slots keep with
-    k = 0. At L = inf, k_b is 0 and Bob's rows are left out. The start is
+    (one quad term per coordinate). Each receiver's squared distance is
+    under-estimated by its linearization l(q) = d2_hat + grad.(q - q_hat),
+    and each slot's loss by the bound of ``expansion_from`` at
+    u = xi0*p / l(q), so each receiver's slot term is -k / l(q) with
+    k = xi0*p*scale*k_r >= 0. It is carried on the linear row l(q) >= l_lo.
+    Silent slots keep their quad terms with weight 0 and their rows with
+    k = 0, so the program's structure depends only on N and on whether L is
+    finite. At L = inf, k_b is 0 and Bob's rows are left out. The start is
     the design moved ``START_SHIFT`` of the way toward the straight segment
     (``_trajectory_start``), off the speed rows a solved design leaves
     tight.
@@ -245,10 +247,6 @@ def build_trajectory_subproblem(
     a_n = np.log2(1.0 + ep.u_hat_b)
     constant = float(np.sum(scale * (a_n + b_n * ep.d2_b - b_n * cfg.H * cfg.H)))
     constant -= float(np.sum(scale * ep.loss0))
-    curved = np.repeat(b_n > 0.0, 2)
-    quad_i = q_idx.ravel()[curved]
-    quad_c = np.tile(cfg.w_b[:2], N)[curved]
-    quad_beta = np.repeat(scale * b_n, 2)[curved]
 
     # Per receiver, the row l(q) >= l_lo as -grad.q <= d2_hat - grad.q_hat - l_lo,
     # whose slack plus l_lo is l(q).
@@ -262,7 +260,8 @@ def build_trajectory_subproblem(
     rows = len(receivers) * N
     prog = StructuredConvexProgram(
         n=2 * N, lb=np.full(2 * N, -np.inf), ub=np.full(2 * N, np.inf), c=np.zeros(2 * N),
-        constant=constant, quad_i=quad_i, quad_c=quad_c, quad_beta=quad_beta,
+        constant=constant, quad_i=q_idx.ravel(), quad_c=np.tile(cfg.w_b[:2], N),
+        quad_beta=np.repeat(scale * b_n, 2),
         lin_i=np.tile(q_idx, (len(receivers), 1)), lin_a=-np.concatenate(grads),
         lin_b=np.concatenate(rhs), lin_k=np.concatenate(lin_k), lin_o=np.full(rows, l_lo),
         speed_i=q_idx[:-1], speed_j=q_idx[1:], speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),

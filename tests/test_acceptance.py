@@ -63,31 +63,29 @@ def runs():
 # Criterion 1: formula oracle suite
 # ---------------------------------------------------------------------------
 
-def _q_inv_oracle(p: float) -> float:
-    """Bisection on Q(x) = p with mpmath's complementary error function.
+def _q_inv_oracle(p: float):
+    """Q^-1(p) as an mpmath number, by Newton's method on Q(x) = p with
+    mpmath's complementary error function.
 
-    The bracket is the standard library's inverse normal CDF +- 1e-6; that it
-    holds the root is asserted with mpmath before 34 halvings shrink it to
-    about 1e-16.
+    Two Newton steps start from the standard library's inverse normal CDF;
+    that the result is within 2^-50 max(1, |x|) of the root is asserted
+    with mpmath, as a bracket across which Q - p changes sign.
     """
-    sign = 1.0
+    sign = 1
     if p > 0.5:
-        p, sign = 1.0 - p, -1.0
-    x0 = -NormalDist().inv_cdf(p)
-    lo, hi = mp.mpf(x0 - 1e-6), mp.mpf(x0 + 1e-6)
+        p, sign = 1.0 - p, -1
     target = mp.mpf(p)
 
     def tail(x):
         return mp.erfc(x / mp.sqrt(2)) / 2
 
-    assert tail(lo) > target > tail(hi), f"bracket misses Q^-1({p})"
-    for _ in range(34):
-        mid = (lo + hi) / 2
-        if tail(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return sign * float((lo + hi) / 2)
+    x = mp.mpf(-NormalDist().inv_cdf(p))
+    for _ in range(2):
+        # Q'(x) = -exp(-x^2/2)/sqrt(2 pi)
+        x += (tail(x) - target) * mp.sqrt(2 * mp.pi) * mp.exp(x * x / 2)
+    half = mp.mpf(2) ** -50 * max(1, abs(x))
+    assert tail(x - half) > target > tail(x + half), f"bracket misses Q^-1({p})"
+    return sign * x
 
 
 def test_criterion_1_formula_oracles():
@@ -106,7 +104,7 @@ def test_criterion_1_formula_oracles():
         assert ps.size >= 1000
         worst_q = 0.0
         for p in ps:
-            err = abs(model.q_inv(float(p)) - _q_inv_oracle(float(p)))
+            err = abs(model.q_inv(float(p)) - float(_q_inv_oracle(float(p))))
             worst_q = max(worst_q, err)
         assert worst_q <= 1e-9, f"q_inv worst error {worst_q:.2e}"
 
@@ -126,12 +124,10 @@ def test_criterion_1_formula_oracles():
         ln2 = mp.log(2)
 
         def rate_oracle(gb, ge, L, eb, ee):
-            def qi(p):
-                return mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(p))
             val = (
                 mp.log(1 + gb) / ln2 - mp.log(1 + ge) / ln2
-                - mp.sqrt((1 - (1 + mp.mpf(gb)) ** -2) / L) * qi(eb) / ln2
-                - mp.sqrt((1 - (1 + mp.mpf(ge)) ** -2) / L) * qi(ee) / ln2
+                - mp.sqrt((1 - (1 + mp.mpf(gb)) ** -2) / L) * _q_inv_oracle(eb) / ln2
+                - mp.sqrt((1 - (1 + mp.mpf(ge)) ** -2) / L) * _q_inv_oracle(ee) / ln2
             )
             return float(max(val, mp.mpf(0)))
 

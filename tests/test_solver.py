@@ -12,7 +12,7 @@ import pytest
 from uavsec import driver, solver
 from uavsec.driver import SchemeId, line_segment_trajectory, run_scheme
 from uavsec.model import PowerProfile, Trajectory, baseline_scenario
-from uavsec.solver import _center, _newton_direction, _Work, solve, water_fill
+from uavsec.solver import _center, _newton_direction, _Pattern, _Work, solve, water_fill
 from uavsec.surrogate import build_power_subproblem, build_trajectory_subproblem
 
 from solver_instances import FAMILIES, bisection_water_fill, dense_rows, program
@@ -138,11 +138,11 @@ def _criterion_3_instances(name, trials):
 
 
 def test_solve_evaluates_each_point_once(monkeypatch):
-    # Every step starts from the point the step before accepted, the
-    # centring from the last primal-dual iterate; a trial that rounds to any
-    # point evaluated before in the solve reuses its evaluation; and the
-    # returned objective is the last evaluation's. The three criterion-3
-    # instances once evaluated a point twice under the barrier path.
+    # Every step starts from the point the step before accepted, with its
+    # evaluation, the centring from the last primal-dual iterate, and the
+    # returned objective is the last evaluation's, so no point is evaluated
+    # twice. The three criterion-3 instances once evaluated a point twice
+    # under the barrier path.
     evaluate = _Work.evaluate
     seen = []
 
@@ -543,9 +543,9 @@ def test_missing_lapack_extension_is_a_named_import_error(tmp_path):
 
 def test_pattern_is_built_once_per_structure():
     # The trajectory programs of one scenario share their structure at any
-    # design with no silent slot, so the second gets the first one's
-    # pattern; another slot count, L = inf (no rows for Bob) or a silent
-    # slot (no quad terms for it) gets a fresh one. Solves through a reused
+    # design, a silent slot included (its quad terms stay, with weight 0),
+    # so later ones get the first one's pattern; another slot count or
+    # L = inf (no rows for Bob) gets a fresh one. Solves through a reused
     # pattern and a fresh one are identical.
     cfg = baseline_scenario(T=24.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
     rng = np.random.default_rng(1)
@@ -561,15 +561,32 @@ def test_pattern_is_built_once_per_structure():
     pattern = _Work(first).pattern
     reused = solve(second)
     assert _Work(second).pattern is pattern
+    assert _Work(program_at_random_design(cfg, silent=[5])).pattern is pattern
     for prog in (program_at_random_design(replace(cfg, T=25.0)),
-                 program_at_random_design(replace(cfg, L=math.inf)),
-                 program_at_random_design(cfg, silent=[5])):
+                 program_at_random_design(replace(cfg, L=math.inf))):
         fresh = _Work(prog).pattern
         assert fresh is not pattern and fresh.key != pattern.key
         assert solve(prog).status == "optimal"
     again = solve(second)
     assert _Work(second).pattern is not pattern
     assert np.array_equal(reused.x, again.x) and reused.newton_steps == again.newton_steps
+
+
+def test_default_jtpo_run_builds_one_pattern(monkeypatch):
+    # every trajectory program of a run has one structure, whichever slots
+    # the power steps silence
+    built = []
+    init = _Pattern.__init__
+
+    def counting_init(pattern, *args):
+        built.append(1)
+        init(pattern, *args)
+
+    monkeypatch.setattr(_Pattern, "_last", None)
+    monkeypatch.setattr(_Pattern, "__init__", counting_init)
+    res = run_scheme(baseline_scenario(), SchemeId.JTPO)
+    assert res.nonoptimal == 0 and len(res.iterations) > 2
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("L", [400.0, math.inf])

@@ -345,9 +345,10 @@ def test_zero_power_slot_exerts_no_positional_force():
     p = pw0.p.copy()
     p[2] = 0.0
     prog = build_trajectory_subproblem(traj, PowerProfile(p=p), cfg)
-    # no curvature coefficient references slot 2's position
+    # slot 2's position keeps its curvature terms, with weight 0
     q_slot = list(prog.layout["q"].reshape(cfg.N, 2)[2])
-    assert not (set(prog.quad_i) & set(q_slot))
+    on_slot = np.isin(prog.quad_i, q_slot)
+    assert on_slot.sum() == 2 and np.all(prog.quad_beta[on_slot] == 0.0)
     # and the objective is flat in that position
     x = prog.start.copy()
     base = prog.objective_value(x)
