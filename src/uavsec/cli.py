@@ -37,11 +37,6 @@ EXIT_FAILURE = 1
 EXIT_IO = 2
 EXIT_USAGE = 64
 
-_SCALAR_KEYS = ("T", "delta_t", "H", "V_max", "L", "eps_b", "eps_e", "tau")
-_POWER_KEYS = ("P_max", "P_bar")
-_VEC_KEYS = ("w_b", "w_e", "q_I", "q_F")
-_ALL_KEYS = _SCALAR_KEYS + _POWER_KEYS + _VEC_KEYS + ("xi0", "max_iter")
-
 ECHO_FILENAME = "scenario.txt"
 
 
@@ -68,12 +63,12 @@ def _parse_vec3(raw: str):
     return tuple(float(p) for p in parts)
 
 
-# value parser per key; every other key is a plain float
-_PARSERS = {
-    **{key: _parse_power for key in _POWER_KEYS},
-    **{key: _parse_vec3 for key in _VEC_KEYS},
-    "xi0": _parse_ratio,
-    "max_iter": int,
+# every config key, in the echo's order, with the parser of its value
+_KEYS = {
+    "T": float, "delta_t": float, "H": float, "V_max": float,
+    "P_max": _parse_power, "P_bar": _parse_power, "xi0": _parse_ratio,
+    "L": float, "eps_b": float, "eps_e": float, "tau": float, "max_iter": int,
+    "w_b": _parse_vec3, "w_e": _parse_vec3, "q_I": _parse_vec3, "q_F": _parse_vec3,
 }
 
 
@@ -94,12 +89,12 @@ def parse_config(path) -> ScenarioConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"line {lineno}: unknown configuration key {key!r}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _PARSERS.get(key, float)(raw)
+            values[key] = _KEYS[key](raw)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
     return model.baseline_scenario(**values)
@@ -112,52 +107,23 @@ def _fmt(x: float) -> str:
 def scenario_echo_text(cfg: ScenarioConfig) -> str:
     """Resolved parameters in the config format (canonical units)."""
     lines = ["# resolved scenario parameters (watts, meters, seconds, linear ratios)"]
-    for key in ("T", "delta_t", "H", "V_max"):
-        lines.append(f"{key} = {_fmt(getattr(cfg, key))}")
-    lines.append(f"P_max = {_fmt(cfg.P_max)}")
-    lines.append(f"P_bar = {_fmt(cfg.P_bar)}")
-    lines.append(f"xi0 = {_fmt(cfg.xi0)}")
-    for key in ("L", "eps_b", "eps_e", "tau"):
-        lines.append(f"{key} = {_fmt(getattr(cfg, key))}")
-    lines.append(f"max_iter = {cfg.max_iter}")
-    for key in _VEC_KEYS:
-        vec = getattr(cfg, key)
-        lines.append(f"{key} = {_fmt(vec[0])},{_fmt(vec[1])},{_fmt(vec[2])}")
+    for key, parse in _KEYS.items():
+        value = getattr(cfg, key)
+        if parse is _parse_vec3:
+            value = ",".join(map(_fmt, value))
+        elif parse is not int:
+            value = _fmt(value)
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
-def _trajectory_csv(traj: Trajectory, cfg: ScenarioConfig) -> str:
-    speeds = traj.speeds(cfg.delta_t)
-    rows = ["n,x_m,y_m,speed_mps"]
-    for n in range(len(traj)):
-        rows.append(
-            f"{n + 1},{_fmt(traj.points[n, 0])},{_fmt(traj.points[n, 1])},{_fmt(speeds[n])}"
-        )
-    return "\n".join(rows) + "\n"
-
-
-def _power_csv(pw: PowerProfile) -> str:
-    rows = ["n,p_watt,p_dbm"]
-    for n, p in enumerate(pw.p):
-        rows.append(f"{n + 1},{_fmt(p)},{_fmt(model.watt_to_dbm(float(p)))}")
-    return "\n".join(rows) + "\n"
-
-
-def _iterations_csv(result) -> str:
-    rows = ["iter,surrogate_bpcu,aesr_bpcu,frac_increase"]
-    for rec in result.iterations:
-        rows.append(
-            f"{rec.index},{_fmt(rec.surrogate)},{_fmt(rec.aesr)},{_fmt(rec.frac_increase)}"
-        )
-    return "\n".join(rows) + "\n"
-
-
-def _sweep_csv(entries) -> str:
-    rows = ["scheme,param_name,param_value,aesr_bpcu,error"]
-    for e in entries:
-        err = "" if e.error is None else e.error.replace("\n", " ").replace(",", ";")
-        rows.append(f"{e.scheme.value},{e.parameter},{_fmt(e.value)},{_fmt(e.aesr)},{err}")
-    return "\n".join(rows) + "\n"
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row; float fields through ``_fmt``,
+    ints and strings as they are."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def _write_outputs(out_dir, files: dict) -> int:
@@ -205,11 +171,15 @@ def cmd_run(config_path, scheme_name, out_dir, max_iter=None) -> int:
     if result.failed:
         print("error: subproblem solver failed; no output written", file=sys.stderr)
         return EXIT_FAILURE
+    points = result.trajectory.points
     rc = _write_outputs(out_dir, {
         ECHO_FILENAME: scenario_echo_text(cfg),
-        "trajectory.csv": _trajectory_csv(result.trajectory, cfg),
-        "power.csv": _power_csv(result.power),
-        "iterations.csv": _iterations_csv(result),
+        "trajectory.csv": _csv("n,x_m,y_m,speed_mps", zip(
+            range(1, len(points) + 1), points[:, 0], points[:, 1],
+            result.trajectory.speeds(cfg.delta_t))),
+        "power.csv": _csv("n,p_watt,p_dbm", (
+            (n, p, model.watt_to_dbm(float(p))) for n, p in enumerate(result.power.p, start=1))),
+        "iterations.csv": _csv("iter,surrogate_bpcu,aesr_bpcu,frac_increase", result.iterations),
     })
     if rc == EXIT_OK:
         print(f"{result.aesr:.6f}")
@@ -228,7 +198,10 @@ def cmd_sweep(config_path, parameter, values, out_dir, max_iter=None) -> int:
     entries = driver.sweep(cfg, parameter, values)
     rc = _write_outputs(out_dir, {
         ECHO_FILENAME: scenario_echo_text(cfg),
-        "sweep.csv": _sweep_csv(entries),
+        "sweep.csv": _csv("scheme,param_name,param_value,aesr_bpcu,error", (
+            (e.scheme.value, e.parameter, e.value, e.aesr,
+             "" if e.error is None else e.error.replace("\n", " ").replace(",", ";"))
+            for e in entries)),
     })
     if rc != EXIT_OK:
         return rc

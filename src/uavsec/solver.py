@@ -90,23 +90,26 @@ class Solution:
     objective: float
     gap_bound: float         # certified distance to the optimum (nu/t of the centring)
     newton_steps: int        # primal-dual iterations and centring Newton steps
-    stages: int              # barrier centrings: 1, or 0 if the primal-dual phase failed
     status: str              # "optimal" | "max-iter" | "stalled" | "numerical-failure"
+
+    @property
+    def stages(self) -> int:
+        """Barrier centrings that ran to an end: 1, or 0 after a numerical failure."""
+        return int(self.status != "numerical-failure")
 
 
 class _Point(NamedTuple):
     """What ``_Work.evaluate`` finds at a strictly feasible point: the
-    objective, the sum of log slacks, the speed-row differences (None
-    without speed rows) and every row's slack, in the pattern's row order."""
+    objective, the speed-row differences (None without speed rows) and
+    every row's slack, in the pattern's row order."""
 
     f: float
-    logs: float
     y: Optional[np.ndarray]
     s: np.ndarray
 
     def phi(self, t: float, fref: float) -> float:
         """The shifted barrier objective t*(F - fref) + sum of log slacks."""
-        return t * (self.f - fref) + self.logs
+        return t * (self.f - fref) + float(np.log(self.s).sum())
 
 
 def _block_entries(idx: np.ndarray):
@@ -210,10 +213,9 @@ class _Pattern:
         band_size = (self.kd + 1) * self.free.size
         scatter = np.where(keep, c * (self.kd + 1) + (r - c), band_size)
         # One bincount sums every value ``assemble`` finds: the objective's
-        # gradient into bins [0, n), J^T w into [n, 2n) and the band after
-        # them.
-        self.sum_idx = np.concatenate([gf_idx, self.jac_idx + n, scatter + 2 * n])
-        self.band_end = 2 * n + band_size
+        # gradient into bins [0, n) and the band after them.
+        self.sum_idx = np.concatenate([gf_idx, scatter + n])
+        self.band_end = n + band_size
 
 
 class _Work:
@@ -231,9 +233,9 @@ class _Work:
             np.ones(pat.lo_idx.size), -np.ones(pat.hi_idx.size), -prog.lin_a.ravel()])
 
     def evaluate(self, x: np.ndarray) -> Optional[_Point]:
-        """Objective, log-slack sum, speed-row differences and row slacks
-        (boxes, linear, speed and hyperbolic rows) at x, or None if x is not
-        strictly feasible. The objective reuses the linear rows' slacks."""
+        """Objective, speed-row differences and row slacks (boxes, linear,
+        speed and hyperbolic rows) at x, or None if x is not strictly
+        feasible. The objective reuses the linear rows' slacks."""
         prog, pat = self.prog, self.pattern
         slacks = []
         if pat.has_lo:
@@ -255,22 +257,22 @@ class _Work:
         f = prog.objective_value(x, lin)
         if not math.isfinite(f):
             return None
-        return _Point(f, float(np.log(s).sum()), y, s)
+        return _Point(f, y, s)
 
     def assemble(self, x: np.ndarray, point: _Point, t: float, w: np.ndarray):
         """At the evaluated point x, with objective weight t and one weight
-        w_i per row c_i >= 0: the objective's gradient, J^T w, the matrix
+        w_i per row c_i >= 0: the objective's gradient, the matrix
 
             t (-Hess F) + sum_i w_i (-Hess c_i) + sum_i (w_i / c_i) grad c_i grad c_i^T
 
         on the free coordinates in lower band storage, as an F-contiguous
         (kd + 1, free count) view, and the values of J's entries in the
-        pattern's order. With w = 1/c these are the gradient of the log
-        barrier and the negated Hessian of t*F + barrier; with w the rows'
-        duals at t = 1, the primal-dual system's reduced matrix."""
+        pattern's order. With w = 1/c the matrix is the negated Hessian of
+        t*F + log barrier; with w the rows' duals at t = 1, the primal-dual
+        system's reduced matrix."""
         prog, pat = self.prog, self.pattern
         wc = w / point.s
-        # each family's values, in the order of sum_idx's three parts
+        # each family's values, in the order of sum_idx's two parts
         gf, jac, curvature = [], [self.jac_const], []
         if pat.has_log:
             a = prog.log_a
@@ -310,14 +312,14 @@ class _Work:
             jac += [xj, xi]
             curvature += [wc_hy * (xj * xj), wc_hy * (xi * xi), off, off]
 
-        jac = np.concatenate(jac)
-        parts = gf + [jac * w[pat.jac_row]] + curvature
+        parts = gf + curvature
+        values = np.concatenate(parts) if parts else np.zeros(0)
         n = pat.n
         # (bincount of no values at all comes back as integers)
-        total = np.bincount(pat.sum_idx, np.concatenate(parts),
+        total = np.bincount(pat.sum_idx, values,
                             minlength=pat.band_end + 1).astype(float, copy=False)
-        return (prog.c + total[:n], total[n: 2 * n],
-                total[2 * n: pat.band_end].reshape(pat.free.size, pat.kd + 1).T, jac)
+        return (prog.c + total[:n], total[n: pat.band_end].reshape(pat.free.size, pat.kd + 1).T,
+                np.concatenate(jac))
 
     def jac_dot(self, jac: np.ndarray, d: np.ndarray) -> np.ndarray:
         """J d: each row's directional derivative along d (all n coordinates)."""
@@ -329,13 +331,15 @@ class _Work:
         pat = self.pattern
         return np.bincount(pat.jac_idx, jac * v[pat.jac_row], minlength=pat.n)[pat.free]
 
-    def max_step(self, point: _Point, d: np.ndarray, dc: np.ndarray) -> float:
-        """The largest step a <= 1 along d that keeps every row's slack (at
-        least one) at least ``_KEEP`` of its value: c_i(x + a d) >= _KEEP c_i(x), exactly.
+    def max_step(self, point: _Point, d: np.ndarray, dc: np.ndarray,
+                 lam: np.ndarray, dl: np.ndarray) -> float:
+        """The largest step a <= 1 along (d, dl) that keeps every row's slack
+        (at least one) and every dual lam at least ``_KEEP`` of its value:
+        c_i(x + a d) >= _KEEP c_i(x), exactly, and lam + a dl >= _KEEP lam.
         dc is J d. Along d each slack is c + a dc + a^2 q, with q = 0 for
         the box and linear rows, -|d_j - d_i|^2 for a speed row and
-        d_i d_j for a hyperbolic row; the step is the least positive root
-        of c (1 - _KEEP) + a dc + a^2 q."""
+        d_i d_j for a hyperbolic row; the slacks' bound is the least
+        positive root of c (1 - _KEEP) + a dc + a^2 q."""
         prog, pat = self.prog, self.pattern
         q = np.zeros(pat.m)
         if pat.has_speed:
@@ -349,7 +353,8 @@ class _Work:
         # nothing; a row without a positive root (disc < 0, or a
         # denominator <= 0) limits nothing
         den = np.where(disc >= 0.0, np.sqrt(np.abs(disc)) - dc, 0.0)
-        return 1.0 / max(1.0, float((den / (2.0 * room)).max()))
+        return 1.0 / max(1.0, float((den / (2.0 * room)).max()),
+                         -float((dl / lam).min()) / (1.0 - _KEEP))
 
 
 def _cholesky(band: np.ndarray) -> Optional[np.ndarray]:
@@ -384,13 +389,6 @@ def _back_solve(chol: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     return sol if info == 0 and np.isfinite(sol).all() else None
 
 
-def _newton_direction(band: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """Solve B d = rhs, B in lower band storage, regularizing B if it does
-    not factor (``_cholesky``); None if that fails or d is not finite."""
-    chol = _cholesky(band)
-    return None if chol is None else _back_solve(chol, rhs)
-
-
 def solve(prog: StructuredConvexProgram) -> Solution:
     """Maximize the program's concave objective over its constraint set.
 
@@ -398,8 +396,7 @@ def solve(prog: StructuredConvexProgram) -> Solution:
     central-path weight t0 = nu/max(|F(start)|, 1e-2), and ``_center``
     centres its last point on the log barrier at t_final = nu/``_GAP_TOL``,
     which certifies ``gap_bound`` = nu/t_final. ``newton_steps`` counts the
-    primal-dual iterations and the centring's Newton steps; ``stages`` is 1,
-    the certifying centring, or 0 if the primal-dual phase failed. Raises
+    primal-dual iterations and the centring's Newton steps. Raises
     ValueError if the bundled start is not strictly feasible. Returns status
     "numerical-failure" with the last iterate if a Newton system cannot be
     solved even after diagonal regularization, and "max-iter" or "stalled"
@@ -417,17 +414,14 @@ def solve(prog: StructuredConvexProgram) -> Solution:
     t_final = max(nu, 1.0) / _GAP_TOL
     t0 = max(nu, 1.0) / max(abs(point.f), 1e-2)
     x, point, steps, status = _primal_dual(work, x, point, t0, t_final)
-    stages = 0
     if status != "numerical-failure":
         x, point, centring, status = _center(work, x, point, t_final)
         steps += centring
-        stages = 1
     return Solution(
         x=x,
         objective=point.f,
         gap_bound=nu / t_final,
         newton_steps=steps,
-        stages=stages,
         status="optimal" if status == "ok" else status,
     )
 
@@ -475,7 +469,7 @@ def _primal_dual(work: _Work, x: np.ndarray, point: _Point, t0: float, t_final: 
     for _ in range(_MAX_PD):
         c = point.s
         mu = float(lam @ c) / pat.m
-        gf, _, band, jac = work.assemble(x, point, 1.0, lam)
+        gf, band, jac = work.assemble(x, point, 1.0, lam)
         chol = _cholesky(band)
         r = gf[pat.free]
         u = work.jac_t_dot(jac, 1.0 / c)
@@ -504,7 +498,7 @@ def _primal_dual(work: _Work, x: np.ndarray, point: _Point, t0: float, t_final: 
             v = target / c
         dc = work.jac_dot(jac, d)
         dl = v - lam - lc * dc
-        a = min(work.max_step(point, d, dc), _fraction_to_zero(lam, dl, _KEEP))
+        a = work.max_step(point, d, dc, lam, dl)
         found = _search(work, x, point, a * d, lambda trial, s: True)
         steps += 1
         if found is None:
@@ -602,9 +596,11 @@ def _center(work: _Work, x: np.ndarray, point: _Point, t: float):
     free = work.pattern.free
     for _ in range(_MAX_NEWTON):
         phi0 = point.phi(t, fref)
-        gf, gb, band, _ = work.assemble(x, point, t, 1.0 / point.s)
-        g = (t * gf + gb)[free]
-        step = _newton_direction(band, g)
+        w = 1.0 / point.s
+        gf, band, jac = work.assemble(x, point, t, w)
+        g = t * gf[free] + work.jac_t_dot(jac, w)
+        chol = _cholesky(band)
+        step = None if chol is None else _back_solve(chol, g)
         if step is None:
             return x, point, steps, "numerical-failure"
         gd = float(g @ step)

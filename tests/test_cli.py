@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uavsec import cli, driver
 from uavsec.cli import (
     EXIT_FAILURE,
     EXIT_IO,
@@ -17,7 +19,8 @@ from uavsec.cli import (
     scenario_echo_text,
 )
 from uavsec.driver import line_segment_trajectory
-from uavsec.model import baseline_scenario
+from uavsec.model import ScenarioConfig, baseline_scenario
+from uavsec.solver import Solution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TINY = """
@@ -108,6 +111,12 @@ def test_unparsable_value_names_line_and_key(tmp_path, line):
         parse_config(write_cfg(tmp_path, f"# scenario\n{line}\n"))
 
 
+def test_key_table_names_every_scenario_field():
+    # a ScenarioConfig field without a config key could be neither set nor echoed
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig) if f.init}
+    assert set(cli._KEYS) == fields
+
+
 def test_echo_round_trip(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, TINY))
     echo = tmp_path / "echo.txt"
@@ -174,6 +183,43 @@ def test_run_rejects_infinite_period(tmp_path, capsys):
     assert rc == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error:") and "T must be finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_max_iter_caps_the_alternation(tmp_path):
+    # uncapped, this JTPO run takes four alternations
+    cfg_path = write_cfg(tmp_path, TINY)
+    out = tmp_path / "o"
+    rc = main(["run", "--config", str(cfg_path), "--scheme", "jtpo", "--max-iter", "1",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = (out / "iterations.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["0", "1"]
+    assert "max_iter = 1\n" in (out / "scenario.txt").read_text()
+
+
+def test_run_reports_a_scheme_error(tmp_path, capsys, monkeypatch):
+    def failing_run_scheme(cfg, scheme):
+        raise ValueError("no design")
+
+    monkeypatch.setattr(driver, "run_scheme", failing_run_scheme)
+    cfg_path = write_cfg(tmp_path, TINY)
+    rc = main(["run", "--config", str(cfg_path), "--scheme", "jtpo", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_FAILURE
+    assert capsys.readouterr().err == "error: no design\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_writes_nothing_after_a_solver_failure(tmp_path, capsys, monkeypatch):
+    def failing_solve(prog):
+        return Solution(x=prog.start.copy(), objective=np.nan, gap_bound=np.inf,
+                        newton_steps=0, status="numerical-failure")
+
+    monkeypatch.setattr(driver, "solve", failing_solve)
+    cfg_path = write_cfg(tmp_path, TINY)
+    rc = main(["run", "--config", str(cfg_path), "--scheme", "jtpo", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_FAILURE
+    assert "solver failed" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -245,6 +291,43 @@ def test_sweep_empty_values_is_usage_error(tmp_path, capsys):
     rc = main(["sweep", "--config", str(cfg_path), "--param", "L",
                "--values", " , ", "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
+
+
+def test_sweep_unparsable_values_is_usage_error(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, TINY)
+    rc = main(["sweep", "--config", str(cfg_path), "--param", "L",
+               "--values", "1,x", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: cannot parse --values")
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_rejects_bad_config(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, "eps_b = 0.9\n")
+    rc = main(["sweep", "--config", str(cfg_path), "--param", "L",
+               "--values", "400", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_IO
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_max_iter_caps_every_run(tmp_path, monkeypatch):
+    # uncapped, every scheme takes more than one alternation at T=24
+    iterations = []
+    run = driver.run_scheme
+
+    def recording_run_scheme(cfg, scheme, *args):
+        result = run(cfg, scheme, *args)
+        iterations.append((scheme, cfg.max_iter, len(result.iterations)))
+        return result
+
+    monkeypatch.setattr(driver, "run_scheme", recording_run_scheme)
+    cfg_path = write_cfg(tmp_path, "T = 24\n")
+    rc = main(["sweep", "--config", str(cfg_path), "--param", "L",
+               "--values", "200,800", "--max-iter", "1", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_OK
+    assert [(max_iter, n) for _, max_iter, n in iterations] == [(1, 2)] * 6
+    assert [scheme.value for scheme, _, _ in iterations] == ["jtpo", "poft", "ftp-inf"] * 2
 
 
 def test_sweep_records_row_errors_but_continues(tmp_path):

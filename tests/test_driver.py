@@ -16,7 +16,7 @@ from uavsec.driver import (
     sweep,
 )
 from uavsec.model import PowerProfile, baseline_scenario
-from uavsec.solver import solve
+from uavsec.solver import Solution, solve
 from uavsec.surrogate import build_trajectory_subproblem
 
 
@@ -54,8 +54,8 @@ def test_segment_degenerate_endpoints():
 def test_unreachable_endpoints_rejected_before_segment_construction():
     import dataclasses
     cfg = baseline_scenario(T=30.0)
-    # the scenario invariant already rejects endpoints beyond reach, so the
-    # segment constructor's own guard is a defensive backstop
+    # the scenario invariant rejects endpoints beyond reach, so the segment
+    # constructor needs no check of its own
     with pytest.raises(ValueError):
         dataclasses.replace(cfg, V_max=5.0)
     assert len(line_segment_trajectory(cfg)) == 30
@@ -251,6 +251,24 @@ def test_non_optimal_solves_are_counted(monkeypatch):
     assert stalled.nonoptimal == len(statuses) >= 1
     np.testing.assert_array_equal(
         stalled.trajectory.points, line_segment_trajectory(baseline_scenario(T=24.0)).points)
+
+
+def test_numerical_failure_stops_the_run(monkeypatch):
+    calls = []
+
+    def failing_solve(prog):
+        calls.append(prog)
+        return Solution(x=prog.start.copy(), objective=np.nan, gap_bound=np.inf,
+                        newton_steps=0, status="numerical-failure")
+
+    monkeypatch.setattr(driver, "solve", failing_solve)
+    res = run_jtpo(tiny_cfg())
+    # the first trajectory solve fails: no alternation is recorded after
+    # the start, and the start design is returned
+    assert res.failed and res.nonoptimal == 1 and len(calls) == 1
+    assert [r.index for r in res.iterations] == [0]
+    np.testing.assert_array_equal(res.trajectory.points,
+                                  line_segment_trajectory(tiny_cfg()).points)
 
 
 @pytest.mark.parametrize("overrides", [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,6 +300,21 @@ def test_config_rejects_bad_powers():
 def test_config_rejects_unreachable_endpoints():
     with pytest.raises(ValueError):
         baseline_scenario(T=10.0)  # 200 m apart but only 90 m reachable
+
+
+@pytest.mark.parametrize("overrides,field", [
+    (dict(delta_t=0.0), "delta_t"),
+    (dict(T=-1.0), "T"),
+    (dict(T=0.4), "T/delta_t"),
+    (dict(H=0.0), "H"),
+    (dict(V_max=0.0), "V_max"),
+    (dict(xi0=0.0), "xi0"),
+    (dict(max_iter=0), "max_iter"),
+    (dict(w_e=(400.0, 0.0)), "w_e"),
+], ids=["delta_t", "T", "no-slots", "H", "V_max", "xi0", "max_iter", "vec3"])
+def test_config_rejection_names_its_field(overrides, field):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} "):
+        baseline_scenario(**overrides)
 
 
 def test_config_rejects_wrong_altitudes():

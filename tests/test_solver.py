@@ -12,7 +12,7 @@ import pytest
 from uavsec import driver, solver
 from uavsec.driver import SchemeId, line_segment_trajectory, run_scheme
 from uavsec.model import PowerProfile, Trajectory, baseline_scenario
-from uavsec.solver import _center, _newton_direction, _Pattern, _Work, solve, water_fill
+from uavsec.solver import _center, _Pattern, _Work, solve, water_fill
 from uavsec.surrogate import build_power_subproblem, build_trajectory_subproblem
 
 from solver_instances import FAMILIES, bisection_water_fill, dense_rows, program
@@ -190,11 +190,11 @@ def test_certifying_centring_ends_tightly_at_the_final_weight(monkeypatch):
     # ``_center`` tests) is at most 2 _NEWTON_TOL or at the centring's noise
     # level; the certified gap is nu/t_final.
     exits, decrements = [], []
-    center, direction = solver._center, solver._newton_direction
+    center, back_solve = solver._center, solver._back_solve
 
-    def recording_direction(band, rhs):
-        sol = direction(band, rhs)
-        if sol is not None:
+    def recording_back_solve(chol, rhs):
+        sol = back_solve(chol, rhs)
+        if sol is not None and rhs.ndim == 1:
             decrements.append(float(rhs @ sol))
         return sol
 
@@ -205,7 +205,7 @@ def test_certifying_centring_ends_tightly_at_the_final_weight(monkeypatch):
         exits.append((t, decrements[-1], noise, out[3]))
         return out
 
-    monkeypatch.setattr(solver, "_newton_direction", recording_direction)
+    monkeypatch.setattr(solver, "_back_solve", recording_back_solve)
     monkeypatch.setattr(solver, "_center", recording_center)
     for label, prog in _predictor_programs() + _family_programs():
         exits.clear()
@@ -266,6 +266,13 @@ def test_fixed_coordinates_are_held_exactly():
     assert sol.status == "optimal"
     assert sol.x[0] == 1.0
     assert sol.x[1] == pytest.approx(1.0, abs=1e-6)
+
+
+def _newton_direction(band, rhs):
+    """Solve B d = rhs as the solver's Newton steps do: ``_cholesky``, then
+    ``_back_solve``; None if either fails."""
+    chol = solver._cholesky(band)
+    return None if chol is None else solver._back_solve(chol, rhs)
 
 
 def test_newton_direction_regularizes_singular_system(monkeypatch):
@@ -414,9 +421,9 @@ def test_assemble_matches_central_differences_of_phi(label, prog):
     x, point, _, flag = _center(work, x, work.evaluate(x), 1.0)
     assert flag == "ok"
     t = 3.0
-    gf, gb, band, _ = work.assemble(x, point, t, 1.0 / point.s)
-    g = t * gf + gb
+    gf, band, jac = work.assemble(x, point, t, 1.0 / point.s)
     free = work.pattern.free
+    g = t * gf[free] + work.jac_t_dot(jac, 1.0 / point.s)
     H = -_dense(band)
 
     def phi(y):
@@ -430,7 +437,6 @@ def test_assemble_matches_central_differences_of_phi(label, prog):
          - phi(x - steps[i] + steps[j]) + phi(x - steps[i] - steps[j])) / (4.0 * h[i] * h[j])
         for j in free] for i in free])
     # errors in the units of each coordinate's own curvature
-    g = g[free]
     scale = np.sqrt(np.abs(np.diag(H)))
     assert np.all(scale > 0.0), label
     assert np.max(np.abs(g - g_fd) / np.maximum(np.abs(g), scale)) <= 1e-5, label
@@ -447,9 +453,9 @@ def _step_cases():
         x = prog.start.copy()
         x[prog.fixed_idx] = prog.fixed_val
         x, point, _, _ = _center(work, x, work.evaluate(x), 1.0)
-        gf, gb, band, _ = work.assemble(x, point, 3.0, 1.0 / point.s)
+        gf, band, jac = work.assemble(x, point, 3.0, 1.0 / point.s)
         free = work.pattern.free
-        g = (3.0 * gf + gb)[free]
+        g = 3.0 * gf[free] + work.jac_t_dot(jac, 1.0 / point.s)
         cases.append(pytest.param(band, g, id=label))
         if label.startswith("trajectory"):
             # the Newton step and the path tangent B^-1 grad F from one
