@@ -274,6 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "max_iter", None) is not None and args.max_iter < 1:
+        print(f"error: --max-iter must be >= 1, got {args.max_iter}", file=sys.stderr)
+        return EXIT_USAGE
     if args.verb == "run":
         return cmd_run(args.config, args.scheme, args.out, args.max_iter)
     if args.verb == "sweep":

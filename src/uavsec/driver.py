@@ -10,7 +10,9 @@ the one it is given, an earlier run at another blocklength, or one it
 computes.
 
 The design (trajectory and power) is the only state carried from one step
-to the next; each subproblem is built at the current design. The interior-point
+to the next; each subproblem is built at the current design, linearized
+once (``expansion_from``) for its record, the next build and the final
+silencing of slots. The interior-point
 solver runs the trajectory step from the program's start, the current
 positions moved slightly toward the straight segment, and the better of
 its iterate and the current positions is kept. The power step
@@ -114,7 +116,7 @@ def _alternating_run(
     j_prev = slack_rate_objective(
         traj.points, pw.p, ep.u_hat_e, ep.z_hat_b, ep.z_hat_e, cfg
     )
-    records = [IterationRecord(0, j_prev, model.aesr(traj, pw, cfg), math.inf)]
+    records = [IterationRecord(0, j_prev, model.aesr(traj, pw, cfg, ep.rates), math.inf)]
     failed = False
     nonoptimal = 0
     newton_steps = 0
@@ -122,7 +124,7 @@ def _alternating_run(
 
     for r in range(1, cfg.max_iter + 1):
         if optimize_trajectory:
-            prog_q = build_trajectory_subproblem(traj, pw, cfg)
+            prog_q = build_trajectory_subproblem(traj, pw, cfg, ep)
             sol = solve(prog_q)
             nonoptimal += sol.status != "optimal"
             newton_steps += sol.newton_steps
@@ -132,18 +134,19 @@ def _alternating_run(
             traj = Trajectory(
                 points=_take_better(prog_q, sol, traj.points.ravel()).reshape(n, 2))
 
-        prog_p = build_power_subproblem(traj, pw, cfg)
+        prog_p = build_power_subproblem(traj, pw, cfg, None if optimize_trajectory else ep)
         pw = PowerProfile(p=water_fill(prog_p))
+        ep = expansion_from(traj, pw, cfg)
 
         j_r = prog_p.objective_value(pw.p)
         frac = (j_r - j_prev) / max(abs(j_prev), 1e-12)
-        records.append(IterationRecord(r, j_r, model.aesr(traj, pw, cfg), frac))
+        records.append(IterationRecord(r, j_r, model.aesr(traj, pw, cfg, ep.rates), frac))
         j_prev = j_r
         if frac < cfg.tau:
             break
 
     # Slots whose pre-clamp rate is negative carry no secrecy; silence them.
-    rates = model.slot_rates_pre_clamp(traj, pw, cfg)
+    rates = ep.rates
     if np.any(rates < 0.0):
         p_clean = pw.p.copy()
         p_clean[rates < 0.0] = 0.0

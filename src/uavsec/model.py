@@ -96,6 +96,7 @@ class ScenarioConfig:
     tau: float               # convergence threshold (fractional increase)
     max_iter: int = 100      # iteration cap for the alternating loop
     N: int = field(init=False)
+    pen: tuple = field(init=False, repr=False)   # ``penalty_coeffs``, derived once
 
     def __post_init__(self):
         object.__setattr__(self, "w_b", _as_vec3("w_b", self.w_b))
@@ -150,6 +151,9 @@ class ScenarioConfig:
                 f"endpoints unreachable: |q_I - q_F| = {dist:.3f} m exceeds "
                 f"V_max*delta_t*(N-1) = {reach:.3f} m"
             )
+        # at L = inf, root is inf and both coefficients are 0.0
+        root = math.sqrt(self.L) * LN2
+        object.__setattr__(self, "pen", (q_inv(self.eps_b) / root, q_inv(self.eps_e) / root))
 
 
 def baseline_scenario(
@@ -277,12 +281,9 @@ def q_inv(p: float) -> float:
 def penalty_coeffs(cfg: ScenarioConfig):
     """Coefficients Qinv(eps)/(sqrt(L) ln2) on the dispersion roots.
 
-    Both vanish in the long-packet limit L = inf.
+    Both vanish in the long-packet limit L = inf; the scenario derives them once.
     """
-    if math.isinf(cfg.L):
-        return 0.0, 0.0
-    root = math.sqrt(cfg.L) * LN2
-    return q_inv(cfg.eps_b) / root, q_inv(cfg.eps_e) / root
+    return cfg.pen
 
 
 def snr(P: float, q, w, xi0: float) -> float:
@@ -349,9 +350,10 @@ def slot_rates_pre_clamp(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig
     return secrecy_rate_lb(gb, ge, cfg, clamp=False)
 
 
-def aesr(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> float:
-    """Average effective secrecy rate: mean clamped slot rate times (1 - eps_b)."""
-    rates = slot_rates_pre_clamp(traj, pw, cfg)
+def aesr(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig, rates=None) -> float:
+    """Average effective secrecy rate: mean clamped slot rate times (1 - eps_b);
+    ``rates``, if given, is ``slot_rates_pre_clamp(traj, pw, cfg)``."""
+    rates = slot_rates_pre_clamp(traj, pw, cfg) if rates is None else rates
     return float(np.mean(np.maximum(rates, 0.0)) * (1.0 - cfg.eps_b))
 
 

@@ -27,8 +27,9 @@ there with one ``np.bincount`` and factors with LAPACK's banded Cholesky
 (``dpbtrf``/``dpbtrs``), loaded from scipy's extension module by file
 location: importing ``scipy.linalg`` would cost more start-up than a
 default run takes to plan. ``_Work`` touches only the term and row
-families the program has. A point's evaluation travels with it from one
-step to the next and into the returned objective.
+families the program has, and fills one value buffer in place. A point's
+evaluation travels with it from one step to the next; primal-dual trial
+points are checked for feasibility only.
 In the trajectory program's slot-major variable order the bandwidth does
 not grow with the slot count, so a step costs O(n); the power program's
 budget row spans every coordinate, so its band is full.
@@ -120,14 +121,6 @@ def _block_entries(idx: np.ndarray):
             np.broadcast_to(idx[:, None, :], (m, k, k)).ravel())
 
 
-def _structure(prog: StructuredConvexProgram) -> tuple:
-    """The index arrays that fix a program's ``_Pattern``, as a key."""
-    arrays = (np.isfinite(prog.lb), np.isfinite(prog.ub), prog.log_i, prog.quad_i,
-              prog.lin_i, prog.speed_i, prog.speed_j, prog.hyper_i, prog.hyper_j,
-              prog.fixed_idx)
-    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
-
-
 class _Pattern:
     """Where each row's Jacobian entries and each Hessian entry of one
     program structure go: the rows, the free coordinates, and the gradient
@@ -142,10 +135,17 @@ class _Pattern:
 
     @classmethod
     def of(cls, prog: StructuredConvexProgram) -> "_Pattern":
-        key = _structure(prog)
-        if cls._last is None or cls._last.key != key:
-            cls._last = cls(prog, key)
-        return cls._last
+        """prog's pattern; read-only arrays that are the last program's own are not compared."""
+        struct = (prog.lb, prog.ub, prog.log_i, prog.quad_i, prog.lin_i, prog.speed_i,
+                  prog.speed_j, prog.hyper_i, prog.hyper_j, prog.fixed_idx)
+        pat = cls._last
+        if not (pat and all(a is b and not a.flags.writeable for a, b in zip(struct, pat.struct))):
+            key = tuple((a.dtype.str, a.shape, a.tobytes())
+                        for a in (np.isfinite(prog.lb), np.isfinite(prog.ub), *struct[2:]))
+            if not pat or pat.key != key:
+                pat = cls._last = cls(prog, key)
+            pat.struct = struct
+        return pat
 
     def __init__(self, prog: StructuredConvexProgram, key: tuple):
         self.key = key
@@ -154,13 +154,9 @@ class _Pattern:
         self.hi_idx = np.nonzero(np.isfinite(prog.ub))[0]
         # The term and row families the program has; ``evaluate`` and
         # ``assemble`` skip the others.
-        self.has_log = prog.log_i.size > 0
-        self.has_quad = prog.quad_i.size > 0
-        self.has_lo = self.lo_idx.size > 0
-        self.has_hi = self.hi_idx.size > 0
-        self.has_lin = prog.lin_b.size > 0
-        self.has_speed = prog.speed_h.size > 0
-        self.has_hyper = prog.hyper_k.size > 0
+        (self.has_log, self.has_quad, self.has_lo, self.has_hi, self.has_lin, self.has_speed,
+         self.has_hyper) = (a.size > 0 for a in (prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx,
+                                                 prog.lin_b, prog.speed_h, prog.hyper_k))
         # coordinates (x[i], x[j]) of every speed row
         self.sp_idx = np.concatenate([prog.speed_i, prog.speed_j], axis=1)
         free = np.ones(n, dtype=bool)
@@ -177,30 +173,23 @@ class _Pattern:
         # Jacobian pattern: the coordinate and the row of every entry of the
         # rows' Jacobian J, in the order of ``assemble``'s Jacobian values
         lin_i = prog.lin_i
-        self.jac_idx = np.concatenate([
-            self.lo_idx, self.hi_idx, lin_i.ravel(), self.sp_idx.ravel(),
-            prog.hyper_i, prog.hyper_j,
-        ])
+        self.jac_idx = np.concatenate([self.lo_idx, self.hi_idx, lin_i.ravel(),
+                                       self.sp_idx.ravel(), prog.hyper_i, prog.hyper_j])
         row = np.arange(self.m)
         self.jac_row = np.concatenate([
             row[: first[2]], np.repeat(row[first[2]: first[3]], lin_i.shape[1]),
-            np.repeat(row[first[3]: first[4]], 4), row[first[4]:], row[first[4]:],
-        ])
+            np.repeat(row[first[3]: first[4]], 4), row[first[4]:], row[first[4]:]])
         gf_idx = np.concatenate([prog.log_i, prog.quad_i, lin_i.ravel()])
 
         # Hessian pattern: one (row, col) entry per value ``assemble`` puts
-        # in ``curvature``, in the same order. A linear row of arity k
+        # in its curvature views, in the same order. A linear row of arity k
         # touches the k x k block a a^T of its coordinates, times the row's
         # weight; a speed row the 4 x 4 block of its two points.
         (lin_r, lin_c), (sp_r, sp_c) = _block_entries(lin_i), _block_entries(self.sp_idx)
-        rows = np.concatenate([
-            prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, lin_r, sp_r,
-            prog.hyper_i, prog.hyper_j, prog.hyper_i, prog.hyper_j,
-        ])
-        cols = np.concatenate([
-            prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, lin_c, sp_c,
-            prog.hyper_i, prog.hyper_j, prog.hyper_j, prog.hyper_i,
-        ])
+        rows = np.concatenate([prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, lin_r, sp_r,
+                               prog.hyper_i, prog.hyper_j, prog.hyper_i, prog.hyper_j])
+        cols = np.concatenate([prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, lin_c, sp_c,
+                               prog.hyper_i, prog.hyper_j, prog.hyper_j, prog.hyper_i])
         # Lower band storage of the free block, column-major as LAPACK
         # keeps it: entry (r, c), r >= c, sits at band[r - c, c]. Entries
         # above the diagonal or on a fixed coordinate go to one extra bin
@@ -216,48 +205,63 @@ class _Pattern:
         # gradient into bins [0, n) and the band after them.
         self.sum_idx = np.concatenate([gf_idx, scatter + n])
         self.band_end = n + band_size
+        # ``_Work``'s views of its value buffer, (start, stop, shape): each family's
+        # values in sum_idx's order, then J's in jac_idx's order
+        (m_lin, k), m_sp, n_hy, box = lin_i.shape, prog.speed_h.size, prog.hyper_k.size, self.boxes
+        n_log, n_quad = prog.log_i.size, prog.quad_i.size
+        shapes = [(n_log,), (n_quad,), (m_lin, k), (n_log,), (n_quad,), (box,), (m_lin, k, k),
+                  (m_sp, 4, 4), (4, n_hy), (box + m_lin * k,), (m_sp, 4), (2, n_hy)]
+        stops = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        self.views = [(stop - math.prod(shape), stop, shape) for stop, shape in zip(stops, shapes)]
 
 
 class _Work:
-    """One program's pattern and coefficients."""
+    """One program's pattern and coefficients, and the value buffer that
+    ``assemble`` fills in place, one view per term or row family."""
 
     def __init__(self, prog: StructuredConvexProgram):
         self.prog = prog
         pat = self.pattern = _Pattern.of(prog)
-        self.lo_val = prog.lb[pat.lo_idx]
-        self.hi_val = prog.ub[pat.hi_idx]
+        self.lo_val, self.hi_val = prog.lb[pat.lo_idx], prog.ub[pat.hi_idx]
         self.sp_h2 = prog.speed_h * prog.speed_h
         self.lin_aa = prog.lin_a[:, :, None] * prog.lin_a[:, None, :]
-        # the Jacobian values of the box and linear rows, which are constant
-        self.jac_const = np.concatenate([
-            np.ones(pat.lo_idx.size), -np.ones(pat.hi_idx.size), -prog.lin_a.ravel()])
+        self.neg_lin_a, self.neg_b2, self.quad_t = -prog.lin_a, -2.0 * prog.quad_beta, None
+        self.q = np.zeros(pat.m)   # ``max_step``'s a^2 terms: 0 but on speed and hyperbolic rows
+        buf = np.empty(pat.views[-1][1])
+        self.values, self.jac = buf[: pat.sum_idx.size], buf[pat.sum_idx.size:]
+        self.sp_outer = np.empty((prog.speed_h.size, 4, 4))   # scratch
+        (self.log_g, self.quad_g, self.lin_g, self.log_h, self.quad_h, self.box_h, self.lin_h,
+         self.sp_h, self.hy_h, jac_const, self.sp_jac, self.hy_jac) = (
+            buf[start: stop].reshape(shape) for start, stop, shape in pat.views)
+        jac_const[: pat.boxes] = np.repeat((1.0, -1.0), (pat.lo_idx.size, pat.hi_idx.size))
+        jac_const[pat.boxes:] = self.neg_lin_a.ravel()
 
-    def evaluate(self, x: np.ndarray) -> Optional[_Point]:
+    def evaluate(self, x: np.ndarray, objective: bool = True) -> Optional[_Point]:
         """Objective, speed-row differences and row slacks (boxes, linear,
         speed and hyperbolic rows) at x, or None if x is not strictly
-        feasible. The objective reuses the linear rows' slacks."""
+        feasible. The objective reuses the linear rows' slacks; without
+        ``objective`` f is None unless log terms make it decide feasibility."""
         prog, pat = self.prog, self.pattern
-        slacks = []
-        if pat.has_lo:
-            slacks.append(x[pat.lo_idx] - self.lo_val)
-        if pat.has_hi:
-            slacks.append(self.hi_val - x[pat.hi_idx])
+        s = np.empty(pat.m)
+        n_lo = pat.lo_idx.size
         lin = y = None
+        if pat.has_lo:
+            np.subtract(x[pat.lo_idx], self.lo_val, out=s[:n_lo])
+        if pat.has_hi:
+            np.subtract(self.hi_val, x[pat.hi_idx], out=s[n_lo: pat.boxes])
         if pat.has_lin:
-            lin = prog.lin_slack(x)
-            slacks.append(lin)
+            s[pat.boxes: pat.sp0] = lin = prog.lin_slack(x)
         if pat.has_speed:
             y = x[prog.speed_j] - x[prog.speed_i]
-            slacks.append(self.sp_h2 - (y * y).sum(axis=1))
+            np.subtract(self.sp_h2, np.add.reduce(y * y, axis=1), out=s[pat.sp0: pat.hy0])
         if pat.has_hyper:
-            slacks.append(x[prog.hyper_i] * x[prog.hyper_j] - prog.hyper_k)
-        s = np.concatenate(slacks) if slacks else np.zeros(0)
-        if s.min(initial=math.inf) <= 0.0:
+            np.subtract(x[prog.hyper_i] * x[prog.hyper_j], prog.hyper_k, out=s[pat.hy0:])
+        if np.minimum.reduce(s, initial=math.inf) <= 0.0:
             return None
+        if not (objective or pat.has_log):
+            return _Point(None, y, s)
         f = prog.objective_value(x, lin)
-        if not math.isfinite(f):
-            return None
-        return _Point(f, y, s)
+        return _Point(f, y, s) if math.isfinite(f) else None
 
     def assemble(self, x: np.ndarray, point: _Point, t: float, w: np.ndarray):
         """At the evaluated point x, with objective weight t and one weight
@@ -266,60 +270,59 @@ class _Work:
             t (-Hess F) + sum_i w_i (-Hess c_i) + sum_i (w_i / c_i) grad c_i grad c_i^T
 
         on the free coordinates in lower band storage, as an F-contiguous
-        (kd + 1, free count) view, and the values of J's entries in the
-        pattern's order. With w = 1/c the matrix is the negated Hessian of
-        t*F + log barrier; with w the rows' duals at t = 1, the primal-dual
-        system's reduced matrix."""
+        (kd + 1, free count) view, the values of J's entries in the
+        pattern's order, and w/c. With w = 1/c the matrix is the negated
+        Hessian of t*F + log barrier; with w the rows' duals at t = 1, the
+        primal-dual system's reduced matrix. J's values are a view of the
+        buffer, which the next call overwrites."""
         prog, pat = self.prog, self.pattern
         wc = w / point.s
-        # each family's values, in the order of sum_idx's two parts
-        gf, jac, curvature = [], [self.jac_const], []
         if pat.has_log:
             a = prog.log_a
             arg = 1.0 + a * x[prog.log_i]
-            gf.append(prog.log_alpha * a / arg)
-            curvature.append(t * prog.log_alpha * (a * a) / (arg * arg))
+            np.divide(prog.log_alpha * a, arg, out=self.log_g)
+            np.divide(t * prog.log_alpha * (a * a), arg * arg, out=self.log_h)
         if pat.has_quad:
-            b2 = 2.0 * prog.quad_beta
-            gf.append(-(b2 * (x[prog.quad_i] - prog.quad_c)))
-            curvature.append(t * b2)
+            # -(2 beta (x - c)), and its constant curvature 2 beta t
+            np.multiply(self.neg_b2, np.subtract(x[prog.quad_i], prog.quad_c, out=self.quad_g),
+                        out=self.quad_g)
+            if t != self.quad_t:
+                np.multiply(t, -self.neg_b2, out=self.quad_h)
+                self.quad_t = t
         if pat.has_lo or pat.has_hi:
-            curvature.append(wc[: pat.boxes])
+            self.box_h[:] = wc[: pat.boxes]
         if pat.has_lin:
             # -k/(s + o) for each linear row's slack s: its gradient along
             # the row, and its negated curvature weight
             r_lin = point.s[pat.boxes: pat.sp0] + prog.lin_o
             k_r2 = prog.lin_k / (r_lin * r_lin)
+            np.multiply(self.neg_lin_a, k_r2[:, None], out=self.lin_g)
             w_lin = wc[pat.boxes: pat.sp0] + 2.0 * t * k_r2 / r_lin
-            gf.append((prog.lin_a * -k_r2[:, None]).ravel())
-            curvature.append((self.lin_aa * w_lin[:, None, None]).ravel())
+            np.multiply(self.lin_aa, w_lin[:, None, None], out=self.lin_h)
         if pat.has_speed:
             # h^2 - |y|^2: gradient G and negated Hessian _SPEED_CURV over
             # the row's four coordinates (x[i], x[j])
-            y = point.y
-            G = 2.0 * np.concatenate([y, -y], axis=1)
+            G = self.sp_jac
+            np.multiply(2.0, point.y, out=G[:, :2])
+            np.negative(G[:, :2], out=G[:, 2:])
             sp = slice(pat.sp0, pat.hy0)
-            jac.append(G.ravel())
-            curvature.append((_SPEED_CURV * w[sp, None, None]
-                              + G[:, :, None] * (G * wc[sp, None])[:, None, :]).ravel())
+            np.multiply(_SPEED_CURV, w[sp, None, None], out=self.sp_h)
+            np.multiply(G[:, :, None], (G * wc[sp, None])[:, None, :], out=self.sp_outer)
+            self.sp_h += self.sp_outer
         if pat.has_hyper:
             # x_i x_j - k: gradient (x_j, x_i); the weighted block is
             # (w/c) [[x_j^2, k], [k, x_i^2]]
-            xi = x[prog.hyper_i]
-            xj = x[prog.hyper_j]
-            wc_hy = wc[pat.hy0:]
-            off = wc_hy * prog.hyper_k
-            jac += [xj, xi]
-            curvature += [wc_hy * (xj * xj), wc_hy * (xi * xi), off, off]
+            xj, xi = self.hy_jac
+            np.take(x, prog.hyper_j, out=xj)
+            np.take(x, prog.hyper_i, out=xi)
+            np.multiply(wc[pat.hy0:], (xj * xj, xi * xi, prog.hyper_k, prog.hyper_k), out=self.hy_h)
 
-        parts = gf + curvature
-        values = np.concatenate(parts) if parts else np.zeros(0)
         n = pat.n
         # (bincount of no values at all comes back as integers)
-        total = np.bincount(pat.sum_idx, values,
+        total = np.bincount(pat.sum_idx, self.values,
                             minlength=pat.band_end + 1).astype(float, copy=False)
         return (prog.c + total[:n], total[n: pat.band_end].reshape(pat.free.size, pat.kd + 1).T,
-                np.concatenate(jac))
+                self.jac, wc)
 
     def jac_dot(self, jac: np.ndarray, d: np.ndarray) -> np.ndarray:
         """J d: each row's directional derivative along d (all n coordinates)."""
@@ -340,21 +343,22 @@ class _Work:
         the box and linear rows, -|d_j - d_i|^2 for a speed row and
         d_i d_j for a hyperbolic row; the slacks' bound is the least
         positive root of c (1 - _KEEP) + a dc + a^2 q."""
-        prog, pat = self.prog, self.pattern
-        q = np.zeros(pat.m)
+        prog, pat, q = self.prog, self.pattern, self.q
         if pat.has_speed:
             e = d[prog.speed_j] - d[prog.speed_i]
-            q[pat.sp0: pat.hy0] = -np.einsum("ij,ij->i", e, e)
+            np.negative(np.einsum("ij,ij->i", e, e), out=q[pat.sp0: pat.hy0])
         if pat.has_hyper:
-            q[pat.hy0:] = d[prog.hyper_i] * d[prog.hyper_j]
-        room = (1.0 - _KEEP) * point.s
-        disc = dc * dc - 4.0 * q * room
+            np.multiply(d[prog.hyper_i], d[prog.hyper_j], out=q[pat.hy0:])
+        # twice the room (1 - _KEEP) c, exactly: 4 q room = q (2 room2), 2 room = room2
+        room2 = (2.0 * (1.0 - _KEEP)) * point.s
+        disc = dc * dc - q * (room2 + room2)
         # the root is 2 room / (-dc + sqrt(disc)), the form that cancels
-        # nothing; a row without a positive root (disc < 0, or a
-        # denominator <= 0) limits nothing
-        den = np.where(disc >= 0.0, np.sqrt(np.abs(disc)) - dc, 0.0)
-        return 1.0 / max(1.0, float((den / (2.0 * room)).max()),
-                         -float((dl / lam).min()) / (1.0 - _KEEP))
+        # nothing; a row without a positive root (disc < 0, which only a
+        # hyperbolic row's q > 0 allows, or a denominator <= 0) limits nothing
+        den = (np.where(disc >= 0.0, np.sqrt(np.abs(disc)) - dc, 0.0) if pat.has_hyper
+               else np.sqrt(disc) - dc)
+        return 1.0 / max(1.0, float(np.maximum.reduce(den / room2)),
+                         -float(np.minimum.reduce(dl / lam)) / (1.0 - _KEEP))
 
 
 def _cholesky(band: np.ndarray) -> Optional[np.ndarray]:
@@ -414,21 +418,18 @@ def solve(prog: StructuredConvexProgram) -> Solution:
     t_final = max(nu, 1.0) / _GAP_TOL
     t0 = max(nu, 1.0) / max(abs(point.f), 1e-2)
     x, point, steps, status = _primal_dual(work, x, point, t0, t_final)
+    if point.f is None:     # the primal-dual loop checks its trial points for feasibility only
+        point = point._replace(f=prog.objective_value(x))
     if status != "numerical-failure":
         x, point, centring, status = _center(work, x, point, t_final)
         steps += centring
-    return Solution(
-        x=x,
-        objective=point.f,
-        gap_bound=nu / t_final,
-        newton_steps=steps,
-        status="optimal" if status == "ok" else status,
-    )
+    return Solution(x=x, objective=point.f, gap_bound=nu / t_final, newton_steps=steps,
+                    status="optimal" if status == "ok" else status)
 
 
 def _fraction_to_zero(v: np.ndarray, dv: np.ndarray, keep: float) -> float:
     """The largest a <= 1 with v + a dv >= keep v, for v > 0 (not empty)."""
-    return 1.0 / max(1.0, -float((dv / v).min()) / (1.0 - keep))
+    return 1.0 / max(1.0, -float(np.minimum.reduce(dv / v)) / (1.0 - keep))
 
 
 def _primal_dual(work: _Work, x: np.ndarray, point: _Point, t0: float, t_final: float):
@@ -469,7 +470,7 @@ def _primal_dual(work: _Work, x: np.ndarray, point: _Point, t0: float, t_final: 
     for _ in range(_MAX_PD):
         c = point.s
         mu = float(lam @ c) / pat.m
-        gf, band, jac = work.assemble(x, point, 1.0, lam)
+        gf, band, jac, lc = work.assemble(x, point, 1.0, lam)
         chol = _cholesky(band)
         r = gf[pat.free]
         u = work.jac_t_dot(jac, 1.0 / c)
@@ -477,9 +478,9 @@ def _primal_dual(work: _Work, x: np.ndarray, point: _Point, t0: float, t_final: 
         if sol is None:
             return x, point, steps, "numerical-failure"
         dx_a, w = sol.T
-        lc = lam / c
         target = max(mu, mu_final)
-        if float((r + target * u) @ (dx_a + target * w)) <= target * pat.nu:
+        step = dx_a + target * w
+        if float((r + target * u) @ step) <= target * pat.nu:
             # Mehrotra's predictor and corrector
             d[pat.free] = dx_a
             dc = work.jac_dot(jac, d)
@@ -494,12 +495,12 @@ def _primal_dual(work: _Work, x: np.ndarray, point: _Point, t0: float, t_final: 
             d[pat.free] = dx_a + target * w - dx_2
             v = target / c - second
         else:
-            d[pat.free] = dx_a + target * w
+            d[pat.free] = step
             v = target / c
         dc = work.jac_dot(jac, d)
         dl = v - lam - lc * dc
         a = work.max_step(point, d, dc, lam, dl)
-        found = _search(work, x, point, a * d, lambda trial, s: True)
+        found = _search(work, x, a * d)
         steps += 1
         if found is None:
             return x, point, steps, "stalled"
@@ -525,10 +526,12 @@ def water_fill(prog: StructuredConvexProgram) -> np.ndarray:
     root of S(lam) = b, with S(lam) = sum_k x_k and S' = the sum of
     -alpha_k/(lam - c_k)^2 over the coordinates strictly inside their box.
     A step from a probe whose powers exceed the budget is doubled if the
-    probe before did too, so that the bracket closes from both ends; a step
-    that leaves the bracket is replaced by the bracket's midpoint. Each
-    computed x_k, and so the computed S, is non-increasing in lam, so the
-    bracket ends at the same lam as plain bisection: the smallest float
+    probe before did too, so that the bracket closes from both ends. A step
+    that leaves the bracket is replaced by a probe inside the end it points
+    past, by its overshoot (at least a float spacing, doubling while steps
+    keep leaving), or by the midpoint if that is nearer. Each computed x_k,
+    and so the computed S, is non-increasing in lam, so the bracket ends at
+    the same lam as plain bisection, whatever the probes: the smallest float
     whose powers fit the budget.
     """
     alpha, a, c, ub = prog.log_alpha, prog.log_a, prog.c, prog.ub
@@ -537,15 +540,16 @@ def water_fill(prog: StructuredConvexProgram) -> np.ndarray:
 
     def point(lam):
         q = alpha / (lam - c)
-        return q, np.clip(q - inv_a, 0.0, ub)
+        return q, np.minimum(np.maximum(q - inv_a, 0.0), ub)   # np.clip, minus its dispatch
 
     lo, hi = 0.0, float(np.max(alpha * a + c))
     lam = lo
     q, x = point(lam)
-    total = x.sum()
+    total = np.add.reduce(x)
     if total <= budget:
         return x
     short = False           # whether the probe before lam exceeded the budget too
+    reach = 0.0             # the last replacement probe's distance from its end
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         probe = mid
         slope = float(np.dot(q * q, ((x > 0.0) & (x < ub)) / alpha))
@@ -553,11 +557,16 @@ def water_fill(prog: StructuredConvexProgram) -> np.ndarray:
             step = float(total - budget) / slope
             newton = lam + (2.0 * step if short and total > budget else step)
             if lo < newton < hi:
-                probe = newton
+                probe, reach = newton, 0.0
+            else:
+                end = hi if newton >= hi else lo
+                reach = max(2.0 * reach, abs(newton - end), float(np.spacing(end)))
+                if reach < 0.5 * (hi - lo):
+                    probe = end - reach if end == hi else end + reach
         short = total > budget
         lam = probe
         q, x = point(lam)
-        total = x.sum()
+        total = np.add.reduce(x)
         if total <= budget:
             hi = lam
         else:
@@ -565,16 +574,16 @@ def water_fill(prog: StructuredConvexProgram) -> np.ndarray:
     return point(hi)[1]
 
 
-def _search(work: _Work, x: np.ndarray, point: _Point, d: np.ndarray, accept):
-    """Backtracking from x, evaluated as ``point``, along d: the first of
-    x + s d, s = 1, 1/2, 1/4, ... (at most ``_MAX_BACKTRACKS``) that is
-    strictly feasible and passes ``accept(trial, s)``, as (point,
-    evaluation, s), or None."""
+def _search(work: _Work, x: np.ndarray, d: np.ndarray, accept=None):
+    """Backtracking from x along d: the first of x + s d, s = 1, 1/2,
+    1/4, ... (at most ``_MAX_BACKTRACKS``) that is strictly feasible and
+    passes ``accept(trial, s)``, as (point, evaluation, s), or None;
+    without ``accept``, the first strictly feasible one, maybe without f."""
     s = 1.0
     for _ in range(_MAX_BACKTRACKS):
-        xn = x + s * d
-        trial = work.evaluate(xn)
-        if trial is not None and accept(trial, s):
+        xn = x + d if s == 1.0 else x + s * d
+        trial = work.evaluate(xn, accept is not None)
+        if trial is not None and (accept is None or accept(trial, s)):
             return xn, trial, s
         s *= _BACKTRACK
     return None
@@ -595,9 +604,8 @@ def _center(work: _Work, x: np.ndarray, point: _Point, t: float):
     gd_full = math.inf      # the decrement before the last step, if that was a full one
     free = work.pattern.free
     for _ in range(_MAX_NEWTON):
-        phi0 = point.phi(t, fref)
         w = 1.0 / point.s
-        gf, band, jac = work.assemble(x, point, t, w)
+        gf, band, jac, _ = work.assemble(x, point, t, w)
         g = t * gf[free] + work.jac_t_dot(jac, w)
         chol = _cholesky(band)
         step = None if chol is None else _back_solve(chol, g)
@@ -608,9 +616,10 @@ def _center(work: _Work, x: np.ndarray, point: _Point, t: float):
         if gd <= 2.0 * _NEWTON_TOL or gd_full <= gd <= noise:
             return x, point, steps, "ok"
         use_armijo = gd > noise
+        phi0 = point.phi(t, fref) if use_armijo else None
         d = np.zeros(work.pattern.n)
         d[free] = step
-        found = _search(work, x, point, d, lambda trial, s: (
+        found = _search(work, x, d, lambda trial, s: (
             not use_armijo or trial.phi(t, fref) >= phi0 + _ARMIJO * s * gd))
         steps += 1
         if found is None:

@@ -28,7 +28,6 @@ from .model import (
     PowerProfile,
     ScenarioConfig,
     Trajectory,
-    dispersion,
     line_segment_trajectory,
     penalty_coeffs,
     sq_dists,
@@ -51,8 +50,11 @@ START_SHIFT = 0.01
 
 
 def _empty(*shape, dtype=float):
-    """Default of a term or row family's array: no entries."""
-    return field(default_factory=lambda: np.zeros((0, *shape), dtype=dtype))
+    """Default of a term or row family's array: no entries, one read-only
+    array that every program without the family shares."""
+    empty = np.zeros((0, *shape), dtype=dtype)
+    empty.flags.writeable = False
+    return field(default_factory=lambda: empty)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +119,7 @@ class StructuredConvexProgram:
 
     def lin_slack(self, x: np.ndarray) -> np.ndarray:
         """lin_b - (row sums of lin_a * x[lin_i]): each linear row's slack at x."""
-        return self.lin_b - (self.lin_a * x[self.lin_i]).sum(axis=1)
+        return self.lin_b - np.add.reduce(self.lin_a * x[self.lin_i], axis=1)
 
     def objective_value(self, x: np.ndarray, lin_slack=None) -> float:
         """The objective at x; -inf where a log or reciprocal term is
@@ -147,7 +149,7 @@ class StructuredConvexProgram:
 
 class ExpansionPoint(NamedTuple):
     """A design linearized by ``expansion_from``: its tight slacks, squared
-    distances, and each slot's loss bound loss0 + k_b*u_b + k_e*u_e."""
+    distances, each slot's loss bound loss0 + k_b*u_b + k_e*u_e, and rates."""
 
     q_hat: np.ndarray    # (N, 2)
     p_hat: np.ndarray    # (N,)
@@ -160,6 +162,7 @@ class ExpansionPoint(NamedTuple):
     loss0: np.ndarray
     k_b: np.ndarray
     k_e: np.ndarray
+    rates: np.ndarray    # model.slot_rates_pre_clamp of the design
 
 
 def expansion_from(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> ExpansionPoint:
@@ -173,7 +176,7 @@ def expansion_from(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> E
     least z its linearized row allows. The bound is affine in the two SNRs
     and tight at the design on every slot whose root is not floored; at
     L = inf both penalties vanish and k_b is 0. Both subproblem builders read
-    it from here.
+    it from here; ``rates`` equals ``model.slot_rates_pre_clamp`` bit for bit.
 
     Raises ValueError if the design and the scenario disagree on N, or if
     a power is negative.
@@ -182,32 +185,36 @@ def expansion_from(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> E
         raise ValueError("trajectory, power profile, and scenario disagree on N")
     if np.any(pw.p < 0.0):
         raise ValueError("powers must be non-negative")
-    d2_b = sq_dists(traj.points, cfg.w_b, cfg.H)
-    d2_e = sq_dists(traj.points, cfg.w_e, cfg.H)
-    u_b = cfg.xi0 * pw.p / d2_b
-    u_e = cfg.xi0 * pw.p / d2_e
-    z_b = np.maximum(np.sqrt(dispersion(u_b)), Z_MIN)
-    z_e = np.maximum(np.sqrt(dispersion(u_e)), Z_MIN)
-    pen_b, pen_e = penalty_coeffs(cfg)
-    eve_slope = 1.0 / ((1.0 + u_e) * LN2)
-    loss0 = (np.log2(1.0 + u_e) - u_e * eve_slope
-             + pen_b * _required_z(0.0, u_b, z_b) + pen_e * _required_z(0.0, u_e, z_e))
-    k_b = pen_b * _disp_lin(u_b)[1] / (2.0 * z_b)
-    k_e = eve_slope + pen_e * _disp_lin(u_e)[1] / (2.0 * z_e)
-    return ExpansionPoint(traj.points, pw.p, d2_b, d2_e, u_b, u_e, z_b, z_e, loss0, k_b, k_e)
+    # Bob in row 0 and Eve in row 1, each element computed as ``model.sq_dists`` does
+    receivers, pen = _parts(cfg)[:2]
+    offs = traj.points - receivers
+    d2 = np.add.reduce(offs * offs, axis=2) + cfg.H * cfg.H
+    u = cfg.xi0 * pw.p / d2
+    v, dv = _disp_lin(u)
+    root = np.sqrt(v)
+    z = np.maximum(root, Z_MIN)
+    eve_slope = 1.0 / ((1.0 + u[1]) * LN2)
+    logs = np.log2(1.0 + u)
+    pen_z = pen * _required_z(0.0, u, z, (v, dv))
+    loss0 = logs[1] - u[1] * eve_slope + pen_z[0] + pen_z[1]
+    k = pen * dv / (2.0 * z)
+    pen_root = root * pen
+    rates = logs[0] - logs[1] - pen_root[0] - pen_root[1]
+    return ExpansionPoint(traj.points, pw.p, d2[0], d2[1], u[0], u[1], z[0], z[1], loss0,
+                          k[0], eve_slope + k[1], rates)
 
 
 def _disp_lin(u_hat: np.ndarray):
     """Value and slope of the dispersion 1-(1+u)^-2 at u_hat."""
-    v = 1.0 - (1.0 + u_hat) ** (-2.0)
-    dv = 2.0 * (1.0 + u_hat) ** (-3.0)
-    return v, dv
+    w = 1.0 + u_hat
+    return 1.0 - w ** (-2.0), 2.0 * w ** (-3.0)
 
 
-def _required_z(u: np.ndarray, u_hat: np.ndarray, z_hat: np.ndarray) -> np.ndarray:
+def _required_z(u: np.ndarray, u_hat: np.ndarray, z_hat: np.ndarray, lin=None) -> np.ndarray:
     """Smallest z satisfying the linearized dispersion row at u: affine in u,
-    and >= 0 at u = 0 because v is concave with v(0) = 0."""
-    v, dv = _disp_lin(u_hat)
+    and >= 0 at u = 0 because v is concave with v(0) = 0. ``lin``, if
+    given, is ``_disp_lin(u_hat)``."""
+    v, dv = _disp_lin(u_hat) if lin is None else lin
     return (v + dv * (u - u_hat) + z_hat * z_hat) / (2.0 * z_hat)
 
 
@@ -216,10 +223,10 @@ def _required_z(u: np.ndarray, u_hat: np.ndarray, z_hat: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 def build_trajectory_subproblem(
-    traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig
+    traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig, ep: ExpansionPoint = None
 ) -> StructuredConvexProgram:
     """Convex trajectory subproblem linearized at the design (traj, pw),
-    power fixed.
+    power fixed; ``ep``, if given, is ``expansion_from(traj, pw, cfg)``.
 
     The variables are the 2N coordinates of the positions, slot by slot.
     Bob's log rate is linearized in his squared distance, which stays exact
@@ -230,47 +237,62 @@ def build_trajectory_subproblem(
     k = xi0*p*scale*k_r >= 0. It is carried on the linear row l(q) >= l_lo.
     Silent slots keep their quad terms with weight 0 and their rows with
     k = 0, so the program's structure depends only on N and on whether L is
-    finite. At L = inf, k_b is 0 and Bob's rows are left out. The start is
-    the design moved ``START_SHIFT`` of the way toward the straight segment
-    (``_trajectory_start``), off the speed rows a solved design leaves
-    tight.
+    finite, and every field that no design changes is the scenario's own
+    (``_parts``). At L = inf, k_b is 0 and Bob's rows are left out. The
+    start is the design moved ``START_SHIFT`` of the way toward the straight
+    segment (``_trajectory_start``), off the speed rows a solved design
+    leaves tight.
     """
     N = cfg.N
-    ep = expansion_from(traj, pw, cfg)
+    ep = expansion_from(traj, pw, cfg) if ep is None else ep
+    receivers, _, fields, segment = _parts(cfg)
     scale = (1.0 - cfg.eps_b) / N
-    q_idx = np.arange(2 * N).reshape(N, 2)
 
     # Objective: the exact log of Bob's rate linearized in the squared
     # distance, less the constant of each slot's loss bound.
     xp = cfg.xi0 * ep.p_hat
     b_n = xp / (ep.d2_b * (ep.d2_b + xp) * LN2)
     a_n = np.log2(1.0 + ep.u_hat_b)
-    constant = float(np.sum(scale * (a_n + b_n * ep.d2_b - b_n * cfg.H * cfg.H)))
-    constant -= float(np.sum(scale * ep.loss0))
+    constant = float(np.add.reduce(scale * (a_n + b_n * ep.d2_b - b_n * cfg.H * cfg.H)))
+    constant -= float(np.add.reduce(scale * ep.loss0))
 
-    # Per receiver, the row l(q) >= l_lo as -grad.q <= d2_hat - grad.q_hat - l_lo,
-    # whose slack plus l_lo is l(q).
-    l_lo = cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)
-    receivers = [(cfg.w_b, ep.d2_b, ep.k_b), (cfg.w_e, ep.d2_e, ep.k_e)]
-    if not math.isfinite(cfg.L):
-        del receivers[0]
-    grads = [2.0 * (ep.q_hat - w[:2]) for w, _, _ in receivers]
-    rhs = [d2 - np.sum(g * ep.q_hat, axis=1) - l_lo for (_, d2, _), g in zip(receivers, grads)]
-    lin_k = [xp * scale * k for _, _, k in receivers]
-    rows = len(receivers) * N
+    # Per receiver w, the row l(q) >= l_lo as -grad.q <= d2_hat - grad.q_hat - l_lo,
+    # whose slack plus l_lo is l(q); lin_a is -grad. The receivers are Bob
+    # and Eve, or Eve alone at L = inf.
+    rows = slice(0 if math.isfinite(cfg.L) else 1, 2)
+    lin_a = -2.0 * (ep.q_hat - receivers[rows])
+    d2 = np.array((ep.d2_b, ep.d2_e)[rows])
+    lin_b = (d2 + np.add.reduce(lin_a * ep.q_hat, axis=2)).ravel() - fields["lin_o"]
+    lin_k = xp * scale * np.array((ep.k_b, ep.k_e)[rows])
     prog = StructuredConvexProgram(
-        n=2 * N, lb=np.full(2 * N, -np.inf), ub=np.full(2 * N, np.inf), c=np.zeros(2 * N),
-        constant=constant, quad_i=q_idx.ravel(), quad_c=np.tile(cfg.w_b[:2], N),
-        quad_beta=np.repeat(scale * b_n, 2),
-        lin_i=np.tile(q_idx, (len(receivers), 1)), lin_a=-np.concatenate(grads),
-        lin_b=np.concatenate(rhs), lin_k=np.concatenate(lin_k), lin_o=np.full(rows, l_lo),
-        speed_i=q_idx[:-1], speed_j=q_idx[1:], speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),
-        fixed_idx=np.concatenate([q_idx[0], q_idx[N - 1]]),
-        fixed_val=np.concatenate([cfg.q_I[:2], cfg.q_F[:2]]),
-        start=ep.q_hat.ravel(), layout={"q": q_idx.ravel()},
+        n=2 * N, constant=constant, quad_beta=(scale * b_n).repeat(2),
+        lin_a=lin_a.reshape(-1, 2), lin_b=lin_b, lin_k=lin_k.ravel(),
+        start=ep.q_hat.ravel(), layout={"q": fields["quad_i"]}, **fields,
     )
-    prog.start = _trajectory_start(prog, line_segment_trajectory(cfg).points)
+    prog.start = _trajectory_start(prog, segment)
     return prog
+
+
+def _parts(cfg: ScenarioConfig) -> tuple:
+    """What no design changes, read-only and kept on the scenario from its first call
+    on: receivers (2, 1, 2), ``penalty_coeffs`` (2, 1), trajectory fields, segment."""
+    if "_parts" in vars(cfg):
+        return vars(cfg)["_parts"]
+    N, rows = cfg.N, 2 if math.isfinite(cfg.L) else 1
+    q_idx = np.arange(2 * N).reshape(N, 2)
+    fields = dict(
+        lb=np.full(2 * N, -np.inf), ub=np.full(2 * N, np.inf), c=np.zeros(2 * N),
+        quad_i=q_idx.ravel(), quad_c=np.tile(cfg.w_b[:2], N), lin_i=np.tile(q_idx, (rows, 1)),
+        lin_o=np.full(rows * N, cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)),
+        speed_i=q_idx[:-1], speed_j=q_idx[1:], speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),
+        fixed_idx=q_idx[[0, N - 1]].ravel(), fixed_val=np.concatenate([cfg.q_I[:2], cfg.q_F[:2]]))
+    pen = np.array(penalty_coeffs(cfg))[:, None]
+    parts = (np.array((cfg.w_b[:2], cfg.w_e[:2]))[:, None, :], pen, fields,
+             line_segment_trajectory(cfg).points.ravel())
+    for a in (*parts[:2], parts[3], *fields.values()):
+        a.flags.writeable = False
+    object.__setattr__(cfg, "_parts", parts)
+    return parts
 
 
 def _trajectory_start(prog: StructuredConvexProgram, segment: np.ndarray) -> np.ndarray:
@@ -281,7 +303,7 @@ def _trajectory_start(prog: StructuredConvexProgram, segment: np.ndarray) -> np.
     forced, so every speed row of the moved point is too; only a distance
     row can need a smaller shift."""
     q = prog.start
-    toward = segment.ravel() - q
+    toward = segment - q
     theta = START_SHIFT
     while theta > 0.0:
         x = q + theta * toward
@@ -298,10 +320,10 @@ def _trajectory_start(prog: StructuredConvexProgram, segment: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 
 def build_power_subproblem(
-    traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig
+    traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig, ep: ExpansionPoint = None
 ) -> StructuredConvexProgram:
     """Convex power subproblem linearized at the design (traj, pw), trajectory
-    fixed.
+    fixed; ``ep``, if given, is ``expansion_from(traj, pw, cfg)``.
 
     The variables are the N powers. Bob's rate keeps its exact log in P, and
     each slot's loss is the bound of ``expansion_from`` at the SNRs g*P,
@@ -309,14 +331,14 @@ def build_power_subproblem(
     and ``solver.water_fill`` solves the program in closed form.
     """
     N = cfg.N
-    ep = expansion_from(traj, pw, cfg)
+    ep = expansion_from(traj, pw, cfg) if ep is None else ep
     scale = (1.0 - cfg.eps_b) / N
     g_b = cfg.xi0 / ep.d2_b
     g_e = cfg.xi0 / ep.d2_e
     p_ix = np.arange(N)
     return StructuredConvexProgram(
         n=N, lb=np.zeros(N), ub=np.full(N, cfg.P_max), c=-scale * (g_b * ep.k_b + g_e * ep.k_e),
-        constant=-float(np.sum(scale * ep.loss0)),
+        constant=-float(np.add.reduce(scale * ep.loss0)),
         log_i=p_ix, log_a=g_b, log_alpha=np.full(N, scale / LN2),
         # the average power budget: one row over every slot
         lin_i=p_ix[None, :], lin_a=np.ones((1, N)), lin_b=np.array([N * cfg.P_bar]),

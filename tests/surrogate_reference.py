@@ -1,14 +1,30 @@
 """Standalone evaluators of the surrogate objectives and of program
-constraint margins, used by the property tests as references for what the
-subproblem builders and the solver compute."""
+constraint margins, and a trajectory-program builder that makes every
+array afresh, used by the tests as references for what the subproblem
+builders and the solver compute."""
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from uavsec.model import LN2, PowerProfile, ScenarioConfig, Trajectory, penalty_coeffs, sq_dists
-from uavsec.surrogate import ExpansionPoint, StructuredConvexProgram
+from uavsec.model import (
+    LN2,
+    PowerProfile,
+    ScenarioConfig,
+    Trajectory,
+    line_segment_trajectory,
+    penalty_coeffs,
+    sq_dists,
+)
+from uavsec.surrogate import (
+    L_LOWER_RELAX,
+    ExpansionPoint,
+    StructuredConvexProgram,
+    _trajectory_start,
+    expansion_from,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,3 +113,39 @@ def constraint_margins(prog: StructuredConvexProgram, x: np.ndarray) -> np.ndarr
 def max_violation(prog: StructuredConvexProgram, x: np.ndarray) -> float:
     m = constraint_margins(prog, x)
     return float(max(0.0, -np.min(m))) if m.size else 0.0
+
+
+def trajectory_program_reference(traj: Trajectory, pw: PowerProfile,
+                                 cfg: ScenarioConfig) -> StructuredConvexProgram:
+    """The trajectory subproblem at the design (traj, pw), every array made
+    afresh, the way ``build_trajectory_subproblem`` made it before the
+    scenario kept the fields that no design changes."""
+    N = cfg.N
+    ep = expansion_from(traj, pw, cfg)
+    scale = (1.0 - cfg.eps_b) / N
+    q_idx = np.arange(2 * N).reshape(N, 2)
+    xp = cfg.xi0 * ep.p_hat
+    b_n = xp / (ep.d2_b * (ep.d2_b + xp) * LN2)
+    a_n = np.log2(1.0 + ep.u_hat_b)
+    constant = float(np.sum(scale * (a_n + b_n * ep.d2_b - b_n * cfg.H * cfg.H)))
+    constant -= float(np.sum(scale * ep.loss0))
+    l_lo = cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)
+    receivers = [(cfg.w_b, ep.d2_b, ep.k_b), (cfg.w_e, ep.d2_e, ep.k_e)]
+    if not math.isfinite(cfg.L):
+        del receivers[0]
+    grads = [2.0 * (ep.q_hat - w[:2]) for w, _, _ in receivers]
+    rhs = [d2 - np.sum(g * ep.q_hat, axis=1) - l_lo for (_, d2, _), g in zip(receivers, grads)]
+    prog = StructuredConvexProgram(
+        n=2 * N, lb=np.full(2 * N, -np.inf), ub=np.full(2 * N, np.inf), c=np.zeros(2 * N),
+        constant=constant, quad_i=q_idx.ravel(), quad_c=np.tile(cfg.w_b[:2], N),
+        quad_beta=np.repeat(scale * b_n, 2),
+        lin_i=np.tile(q_idx, (len(receivers), 1)), lin_a=-np.concatenate(grads),
+        lin_b=np.concatenate(rhs), lin_k=np.concatenate([xp * scale * k for _, _, k in receivers]),
+        lin_o=np.full(len(receivers) * N, l_lo),
+        speed_i=q_idx[:-1], speed_j=q_idx[1:], speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),
+        fixed_idx=np.concatenate([q_idx[0], q_idx[N - 1]]),
+        fixed_val=np.concatenate([cfg.q_I[:2], cfg.q_F[:2]]),
+        start=ep.q_hat.ravel(), layout={"q": q_idx.ravel()},
+    )
+    prog.start = _trajectory_start(prog, line_segment_trajectory(cfg).points.ravel())
+    return prog

@@ -7,6 +7,7 @@ each cache entry remembers its own compute time and the runtime assertions
 charge those times to the criteria that require the runs.
 """
 
+import sys
 import time
 import zlib
 from statistics import NormalDist
@@ -15,7 +16,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from uavsec import model, solver
+from uavsec import driver, model, solver
 from uavsec.cli import main as cli_main
 from uavsec.driver import SchemeId, run_scheme
 from uavsec.model import PowerProfile, Trajectory, baseline_scenario
@@ -340,13 +341,45 @@ def test_default_jtpo_evaluation_budget(monkeypatch):
     evaluate = _Work.evaluate
     calls = []
 
-    def counting_evaluate(work, x):
+    def counting_evaluate(work, x, *args):
         calls.append(1)
-        return evaluate(work, x)
+        return evaluate(work, x, *args)
 
     monkeypatch.setattr(_Work, "evaluate", counting_evaluate)
     run_scheme(baseline_scenario(T=60.0, L=400.0), SchemeId.JTPO)
     assert len(calls) <= 1.1 * 150, f"{len(calls)} evaluations"
+
+
+def test_default_jtpo_c_calls_per_factorization_budget(monkeypatch):
+    # a deterministic count of the fixed work of a solver iteration: the
+    # C-function calls (``sys.setprofile`` c_call events; NumPy's ufunc
+    # calls and array operators are not among them) that the default JTPO
+    # run's trajectory solves make per banded Cholesky factorization,
+    # 27.67 (49.49 before each solve filled one value buffer in place)
+    pbtrf, solve_ = solver._PBTRF, driver.solve
+    factorizations, calls = [], []
+
+    def counting_pbtrf(*args, **kwargs):
+        factorizations.append(1)
+        return pbtrf(*args, **kwargs)
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            calls.append(1)
+
+    def profiled_solve(prog):
+        sys.setprofile(profile)
+        try:
+            return solve_(prog)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(solver, "_PBTRF", counting_pbtrf)
+    monkeypatch.setattr(driver, "solve", profiled_solve)
+    run_scheme(baseline_scenario(T=60.0, L=400.0), SchemeId.JTPO)
+    assert len(factorizations) == 150
+    per = len(calls) / len(factorizations)
+    assert per <= 1.1 * 27.67, f"{per:.2f} C calls per factorization"
 
 
 def test_grid_factorization_budget(monkeypatch):

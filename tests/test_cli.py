@@ -330,6 +330,18 @@ def test_sweep_max_iter_caps_every_run(tmp_path, monkeypatch):
     assert [scheme.value for scheme, _, _ in iterations] == ["jtpo", "poft", "ftp-inf"] * 2
 
 
+@pytest.mark.parametrize("verb,max_iter", [("run", "0"), ("sweep", "-3")])
+def test_max_iter_below_one_is_usage_error(tmp_path, capsys, verb, max_iter):
+    # rejected before the config is read: the config file does not exist
+    argv = {"run": ["run", "--scheme", "poft"],
+            "sweep": ["sweep", "--param", "L", "--values", "400"]}[verb]
+    rc = main(argv + ["--config", str(tmp_path / "missing.cfg"), "--max-iter", max_iter,
+                      "--out", str(tmp_path / "o")])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --max-iter must be >= 1, got {max_iter}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_records_row_errors_but_continues(tmp_path):
     cfg_path = write_cfg(tmp_path, TINY)
     out = tmp_path / "sweep"

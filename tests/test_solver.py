@@ -140,15 +140,16 @@ def _criterion_3_instances(name, trials):
 def test_solve_evaluates_each_point_once(monkeypatch):
     # Every step starts from the point the step before accepted, with its
     # evaluation, the centring from the last primal-dual iterate, and the
-    # returned objective is the last evaluation's, so no point is evaluated
-    # twice. The three criterion-3 instances once evaluated a point twice
-    # under the barrier path.
+    # returned objective is the last evaluation's (or, for a primal-dual
+    # trial point checked for feasibility only, one objective-only call's),
+    # so no point is evaluated twice. The three criterion-3 instances once
+    # evaluated a point twice under the barrier path.
     evaluate = _Work.evaluate
     seen = []
 
-    def recording_evaluate(work, x):
+    def recording_evaluate(work, x, *args):
         seen.append(x.tobytes())
-        return evaluate(work, x)
+        return evaluate(work, x, *args)
 
     monkeypatch.setattr(_Work, "evaluate", recording_evaluate)
     progs = (_predictor_programs()[:1] + _family_programs() + [_every_family_program()]
@@ -421,7 +422,7 @@ def test_assemble_matches_central_differences_of_phi(label, prog):
     x, point, _, flag = _center(work, x, work.evaluate(x), 1.0)
     assert flag == "ok"
     t = 3.0
-    gf, band, jac = work.assemble(x, point, t, 1.0 / point.s)
+    gf, band, jac, _ = work.assemble(x, point, t, 1.0 / point.s)
     free = work.pattern.free
     g = t * gf[free] + work.jac_t_dot(jac, 1.0 / point.s)
     H = -_dense(band)
@@ -453,7 +454,7 @@ def _step_cases():
         x = prog.start.copy()
         x[prog.fixed_idx] = prog.fixed_val
         x, point, _, _ = _center(work, x, work.evaluate(x), 1.0)
-        gf, band, jac = work.assemble(x, point, 3.0, 1.0 / point.s)
+        gf, band, jac, _ = work.assemble(x, point, 3.0, 1.0 / point.s)
         free = work.pattern.free
         g = 3.0 * gf[free] + work.jac_t_dot(jac, 1.0 / point.s)
         cases.append(pytest.param(band, g, id=label))
@@ -593,6 +594,36 @@ def test_default_jtpo_run_builds_one_pattern(monkeypatch):
     res = run_scheme(baseline_scenario(), SchemeId.JTPO)
     assert res.nonoptimal == 0 and len(res.iterations) > 2
     assert len(built) == 1
+
+
+def test_works_sharing_a_pattern_assemble_into_their_own_buffers():
+    # Two programs of one structure share a _Pattern, while each _Work
+    # fills its own value buffer; assembled in turn, at the primal-dual
+    # weight t = 1 and at another t, each returns what a _Work of its own
+    # program returns assembled alone. The returned J values are a view of
+    # the buffer, so a shared buffer would show here.
+    cfg = baseline_scenario(T=24.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
+    rng = np.random.default_rng(5)
+    trajectory = [build_trajectory_subproblem(*_random_design(cfg, rng), cfg) for _ in range(2)]
+    every = _every_family_program()[1]
+    other = replace(every, c=every.c + 0.1, quad_beta=2.0 * every.quad_beta,
+                    lin_k=3.0 * every.lin_k, hyper_k=0.5 * every.hyper_k)
+    for progs in (trajectory, [every, other]):
+        works = [_Work(prog) for prog in progs]
+        assert works[0].pattern is works[1].pattern
+        points = []
+        for work, prog in zip(works, progs):
+            x = prog.start.copy()
+            x[prog.fixed_idx] = prog.fixed_val
+            points.append((x, work.evaluate(x)))
+        for t in (1.0, 3.0, 1.0):
+            alone = [[a.copy() for a in _Work(prog).assemble(x, point, t, 1.0 / point.s)]
+                     for prog, (x, point) in zip(progs, points)]
+            turns = [work.assemble(x, point, t, 1.0 / point.s)
+                     for work, (x, point) in zip(works, points)]
+            assert not np.array_equal(alone[0][1], alone[1][1])
+            for got, want in zip(turns, alone):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), t
 
 
 @pytest.mark.parametrize("L", [400.0, math.inf])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import zlib
 from dataclasses import replace
@@ -5,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uavsec import driver
+from uavsec.driver import SchemeId, run_scheme
 from uavsec.model import (
     PowerProfile,
     Trajectory,
@@ -32,6 +35,7 @@ from surrogate_reference import (
     max_violation,
     surrogate_value_p,
     surrogate_value_q,
+    trajectory_program_reference,
 )
 
 
@@ -553,3 +557,38 @@ def test_long_packet_limit_drops_dispersion_blocks():
     prog_p = build_power_subproblem(traj, pw, finite)
     assert set(prog_p.layout) == {"p"} and prog_p.n == finite.N
     assert prog_p.lin_b.size == 1
+
+
+@pytest.mark.parametrize("L", [400.0, math.inf])
+def test_run_trajectory_programs_equal_fresh_ones_and_share_constant_fields(monkeypatch, L):
+    # Every trajectory program of a JTPO run (or of FTP-Inf's long-packet
+    # run) equals, field for field, the one a builder that makes every array
+    # afresh gives at the same design. The fields that no design changes,
+    # index arrays included, are made once per run: every program holds the
+    # same read-only arrays.
+    built = []
+    build = driver.build_trajectory_subproblem
+
+    def recording_build(traj, pw, cfg, *args):
+        built.append((traj, pw, cfg, build(traj, pw, cfg, *args)))
+        return built[-1][3]
+
+    monkeypatch.setattr(driver, "build_trajectory_subproblem", recording_build)
+    scheme = SchemeId.JTPO if math.isfinite(L) else SchemeId.FTP_INF
+    res = run_scheme(baseline_scenario(L=L), scheme)
+    assert len(built) == len(res.iterations) - 1 > 2
+    for traj, pw, cfg, prog in built:
+        ref = trajectory_program_reference(traj, pw, cfg)
+        for f in dataclasses.fields(prog):
+            got, want = getattr(prog, f.name), getattr(ref, f.name)
+            if f.name == "layout":
+                assert got.keys() == want.keys()
+                assert all(np.array_equal(got[k], want[k]) for k in got)
+            else:
+                assert np.array_equal(got, want), f.name
+    first = built[0][3]
+    for name in ("lb", "ub", "c", "quad_i", "quad_c", "lin_i", "lin_o", "speed_i", "speed_j",
+                 "speed_h", "fixed_idx", "fixed_val"):
+        array = getattr(first, name)
+        assert not array.flags.writeable, name
+        assert all(getattr(prog, name) is array for *_, prog in built), name
