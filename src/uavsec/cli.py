@@ -25,7 +25,6 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -150,19 +149,7 @@ def _write_outputs(out_dir, files: dict) -> int:
     return EXIT_OK
 
 
-def _load_config(config_path, max_iter: Optional[int]):
-    cfg = parse_config(config_path)
-    if max_iter is not None:
-        cfg = replace(cfg, max_iter=max_iter)
-    return cfg
-
-
-def cmd_run(config_path, scheme_name, out_dir, max_iter=None) -> int:
-    try:
-        cfg = _load_config(config_path, max_iter)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+def cmd_run(cfg: ScenarioConfig, scheme_name, out_dir) -> int:
     try:
         result = driver.run_scheme(cfg, driver.SchemeId(scheme_name))
     except ValueError as exc:
@@ -186,15 +173,7 @@ def cmd_run(config_path, scheme_name, out_dir, max_iter=None) -> int:
     return rc
 
 
-def cmd_sweep(config_path, parameter, values, out_dir, max_iter=None) -> int:
-    if not values:
-        print("error: sweep needs a non-empty --values list", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = _load_config(config_path, max_iter)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+def cmd_sweep(cfg: ScenarioConfig, parameter, values, out_dir) -> int:
     entries = driver.sweep(cfg, parameter, values)
     rc = _write_outputs(out_dir, {
         ECHO_FILENAME: scenario_echo_text(cfg),
@@ -219,17 +198,14 @@ def _read_csv_column(path, column) -> np.ndarray:
         return np.array([float(row[column]) for row in reader])
 
 
-def cmd_validate(config_path, trajectory_csv, power_csv) -> int:
-    try:
-        cfg = parse_config(config_path)
-        x = _read_csv_column(trajectory_csv, "x_m")
-        y = _read_csv_column(trajectory_csv, "y_m")
-        p = _read_csv_column(power_csv, "p_watt")
-        traj = Trajectory(points=np.column_stack([x, y]))
-        pw = PowerProfile(p=p)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+def _read_design(trajectory_csv, power_csv) -> tuple:
+    x = _read_csv_column(trajectory_csv, "x_m")
+    y = _read_csv_column(trajectory_csv, "y_m")
+    p = _read_csv_column(power_csv, "p_watt")
+    return Trajectory(points=np.column_stack([x, y])), PowerProfile(p=p)
+
+
+def cmd_validate(cfg: ScenarioConfig, traj: Trajectory, pw: PowerProfile) -> int:
     violations = model.validate(traj, pw, cfg)
     for v in violations:
         print(v)
@@ -274,19 +250,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "max_iter", None) is not None and args.max_iter < 1:
-        print(f"error: --max-iter must be >= 1, got {args.max_iter}", file=sys.stderr)
+    max_iter = getattr(args, "max_iter", None)
+    if max_iter is not None and max_iter < 1:
+        print(f"error: --max-iter must be >= 1, got {max_iter}", file=sys.stderr)
         return EXIT_USAGE
-    if args.verb == "run":
-        return cmd_run(args.config, args.scheme, args.out, args.max_iter)
     if args.verb == "sweep":
         try:
             values = _parse_values(args.values)
         except ValueError:
             print(f"error: cannot parse --values {args.values!r}", file=sys.stderr)
             return EXIT_USAGE
-        return cmd_sweep(args.config, args.param, values, args.out, args.max_iter)
-    return cmd_validate(args.config, args.trajectory, args.power)
+        if not values:
+            print("error: sweep needs a non-empty --values list", file=sys.stderr)
+            return EXIT_USAGE
+    # every input is read here, so any unreadable or invalid one exits EXIT_IO
+    try:
+        cfg = parse_config(args.config)
+        if max_iter is not None:
+            cfg = replace(cfg, max_iter=max_iter)
+        if args.verb == "validate":
+            design = _read_design(args.trajectory, args.power)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    if args.verb == "run":
+        return cmd_run(cfg, args.scheme, args.out)
+    if args.verb == "sweep":
+        return cmd_sweep(cfg, args.param, values, args.out)
+    return cmd_validate(cfg, *design)
 
 
 if __name__ == "__main__":

@@ -10,12 +10,12 @@ the one it is given, an earlier run at another blocklength, or one it
 computes.
 
 The design (trajectory and power) is the only state carried from one step
-to the next; each subproblem is built at the current design, linearized
-once (``expansion_from``) for its record, the next build and the final
-silencing of slots. The interior-point
-solver runs the trajectory step from the program's start, the current
-positions moved slightly toward the straight segment, and the better of
-its iterate and the current positions is kept. The power step
+to the next. Each design is linearized once (``expansion_from``), and
+each subproblem is built from the current design's linearization, which
+also gives the record's AESR and the final silencing of slots. The
+interior-point solver runs the trajectory step from the program's start,
+the current positions moved slightly toward the straight segment, and the
+better of its iterate and the current positions is kept. The power step
 is water-filled to its exact optimum, and each iteration logs its value,
 the true clamped AESR, and the fractional increase. Each surrogate touches
 the slack objective at the current design and under-estimates it
@@ -124,7 +124,7 @@ def _alternating_run(
 
     for r in range(1, cfg.max_iter + 1):
         if optimize_trajectory:
-            prog_q = build_trajectory_subproblem(traj, pw, cfg, ep)
+            prog_q = build_trajectory_subproblem(ep, cfg)
             sol = solve(prog_q)
             nonoptimal += sol.status != "optimal"
             newton_steps += sol.newton_steps
@@ -133,8 +133,9 @@ def _alternating_run(
                 break
             traj = Trajectory(
                 points=_take_better(prog_q, sol, traj.points.ravel()).reshape(n, 2))
+            ep = expansion_from(traj, pw, cfg)
 
-        prog_p = build_power_subproblem(traj, pw, cfg, None if optimize_trajectory else ep)
+        prog_p = build_power_subproblem(ep, cfg)
         pw = PowerProfile(p=water_fill(prog_p))
         ep = expansion_from(traj, pw, cfg)
 
@@ -146,11 +147,7 @@ def _alternating_run(
             break
 
     # Slots whose pre-clamp rate is negative carry no secrecy; silence them.
-    rates = ep.rates
-    if np.any(rates < 0.0):
-        p_clean = pw.p.copy()
-        p_clean[rates < 0.0] = 0.0
-        pw = PowerProfile(p=p_clean)
+    pw = PowerProfile(p=np.where(ep.rates < 0.0, 0.0, pw.p))
 
     return RunResult(
         trajectory=traj,
@@ -224,27 +221,14 @@ def sweep(cfg: ScenarioConfig, parameter: str, values) -> list:
     out = []
     long_packet = None
     for value in values:
-        try:
-            cfg_v = derive_config(cfg, parameter, value)
-            err = None
-        except ValueError as exc:
-            cfg_v = None
-            err = str(exc)
         for scheme in (SchemeId.JTPO, SchemeId.POFT, SchemeId.FTP_INF):
-            if cfg_v is None:
-                out.append(SweepEntry(scheme, parameter, float(value), math.nan, err))
-                continue
             try:
-                result = run_scheme(cfg_v, scheme, long_packet)
+                result = run_scheme(derive_config(cfg, parameter, value), scheme, long_packet)
             except ValueError as exc:
                 out.append(SweepEntry(scheme, parameter, float(value), math.nan, str(exc)))
                 continue
             if scheme is SchemeId.FTP_INF and parameter == "L":
                 long_packet = result
-            if result.failed:
-                out.append(SweepEntry(
-                    scheme, parameter, float(value), result.aesr, "solver failure"
-                ))
-            else:
-                out.append(SweepEntry(scheme, parameter, float(value), result.aesr))
+            out.append(SweepEntry(scheme, parameter, float(value), result.aesr,
+                                  "solver failure" if result.failed else None))
     return out

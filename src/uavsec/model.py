@@ -96,7 +96,8 @@ class ScenarioConfig:
     tau: float               # convergence threshold (fractional increase)
     max_iter: int = 100      # iteration cap for the alternating loop
     N: int = field(init=False)
-    pen: tuple = field(init=False, repr=False)   # ``penalty_coeffs``, derived once
+    pen: tuple = field(init=False, repr=False)   # Qinv(eps)/(sqrt(L) ln2), Bob's and Eve's
+    receivers: np.ndarray = field(init=False, repr=False)   # (2, 1, 2): Bob's xy, Eve's xy
 
     def __post_init__(self):
         object.__setattr__(self, "w_b", _as_vec3("w_b", self.w_b))
@@ -134,7 +135,7 @@ class ScenarioConfig:
             raise ValueError(f"blocklength L must be >= 1, got {self.L}")
         if self.xi0 <= 0.0:
             raise ValueError(f"xi0 must be positive, got {self.xi0}")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -154,6 +155,9 @@ class ScenarioConfig:
         # at L = inf, root is inf and both coefficients are 0.0
         root = math.sqrt(self.L) * LN2
         object.__setattr__(self, "pen", (q_inv(self.eps_b) / root, q_inv(self.eps_e) / root))
+        receivers = np.array((self.w_b[:2], self.w_e[:2]))[:, None, :]
+        receivers.flags.writeable = False
+        object.__setattr__(self, "receivers", receivers)
 
 
 def baseline_scenario(
@@ -215,8 +219,6 @@ class Trajectory:
 
     def speeds(self, delta_t: float) -> np.ndarray:
         """Per-slot speeds |q[n+1] - q[n]| / delta_t; the last slot gets 0."""
-        if len(self) == 1:
-            return np.zeros(1)
         steps = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
         return np.concatenate([steps / delta_t, [0.0]])
 
@@ -278,14 +280,6 @@ def q_inv(p: float) -> float:
     return -NormalDist().inv_cdf(p)
 
 
-def penalty_coeffs(cfg: ScenarioConfig):
-    """Coefficients Qinv(eps)/(sqrt(L) ln2) on the dispersion roots.
-
-    Both vanish in the long-packet limit L = inf; the scenario derives them once.
-    """
-    return cfg.pen
-
-
 def snr(P: float, q, w, xi0: float) -> float:
     """Received SNR xi0 * P / |q - w|^2 for transmit power P at position q."""
     if P < 0.0:
@@ -301,10 +295,10 @@ def snr(P: float, q, w, xi0: float) -> float:
 def dispersion(gamma):
     """Channel dispersion 1 - (1 + gamma)^-2; maps [0, inf) into [0, 1)."""
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0):
+    if (g < 0.0).any():
         raise ValueError("SNR must be non-negative")
     out = 1.0 - (1.0 + g) ** (-2.0)
-    return float(out) if np.isscalar(gamma) or out.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def secrecy_rate_lb(gamma_b, gamma_e, cfg: ScenarioConfig, clamp: bool = True):
@@ -318,9 +312,7 @@ def secrecy_rate_lb(gamma_b, gamma_e, cfg: ScenarioConfig, clamp: bool = True):
     ge = np.asarray(gamma_e, dtype=float)
     if np.any(gb < 0.0) or np.any(ge < 0.0):
         raise ValueError("SNRs must be non-negative")
-    pen_b, pen_e = penalty_coeffs(cfg)
-    rate = (np.log2(1.0 + gb) - np.log2(1.0 + ge)
-            - np.sqrt(dispersion(gb)) * pen_b - np.sqrt(dispersion(ge)) * pen_e)
+    rate = _rate_terms(np.stack(np.broadcast_arrays(gb, ge)), cfg)[3]
     if clamp:
         rate = np.maximum(rate, 0.0)
     if np.isscalar(gamma_b) and np.isscalar(gamma_e):
@@ -329,25 +321,48 @@ def secrecy_rate_lb(gamma_b, gamma_e, cfg: ScenarioConfig, clamp: bool = True):
 
 
 def sq_dists(points: np.ndarray, w: np.ndarray, H: float) -> np.ndarray:
-    """Squared 3-D distances from UAV slots (x, y, H) to a ground node w."""
+    """Squared 3-D distances from UAV slots (x, y, H) to a ground node w, or
+    to each of a stack of nodes whose last axis is the position."""
     pts = np.asarray(points, dtype=float)
-    offs = pts - np.asarray(w, dtype=float)[:2]
-    return np.sum(offs * offs, axis=1) + H * H
+    offs = pts - np.asarray(w, dtype=float)[..., :2]
+    return np.add.reduce(offs * offs, axis=-1) + H * H
 
 
-def slot_snrs(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig):
-    """Per-slot SNR arrays (gamma_b, gamma_e)."""
-    if len(traj) != len(pw):
-        raise ValueError(f"trajectory has {len(traj)} slots but power has {len(pw)}")
-    gb = cfg.xi0 * pw.p / sq_dists(traj.points, cfg.w_b, cfg.H)
-    ge = cfg.xi0 * pw.p / sq_dists(traj.points, cfg.w_e, cfg.H)
-    return gb, ge
+class Link(NamedTuple):
+    """A design's link quantities, Bob's in row 0 and Eve's in row 1 of each
+    (2, N) array."""
+
+    d2: np.ndarray      # squared distances
+    u: np.ndarray       # SNRs
+    v: np.ndarray       # channel dispersions
+    root: np.ndarray    # their square roots
+    logs: np.ndarray    # log2(1 + u)
+    rates: np.ndarray   # (N,) secrecy-rate lower bounds before the clamp at zero
+
+
+def link(points: np.ndarray, p: np.ndarray, cfg: ScenarioConfig) -> Link:
+    """The link model at the positions ``points`` (N, 2) and powers ``p``:
+    SNR u = xi0*p/d2 at each receiver, dispersion V = 1 - (1+u)^-2 and each
+    slot's rate log2(1+u_b) - log2(1+u_e) - pen_b*sqrt(V_b) - pen_e*sqrt(V_e)."""
+    d2 = sq_dists(points, cfg.receivers, cfg.H)
+    u = cfg.xi0 * p / d2
+    return Link(d2, u, *_rate_terms(u, cfg))
+
+
+def _rate_terms(u: np.ndarray, cfg: ScenarioConfig) -> tuple:
+    """``Link``'s v, root, logs and rates for the SNRs u, Bob's in u[0] and Eve's in u[1]."""
+    v = dispersion(u)
+    root = np.sqrt(v)
+    logs = np.log2(1.0 + u)
+    pen_b, pen_e = cfg.pen
+    return v, root, logs, logs[0] - logs[1] - root[0] * pen_b - root[1] * pen_e
 
 
 def slot_rates_pre_clamp(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> np.ndarray:
     """Per-slot secrecy-rate lower bounds before the clamp at zero."""
-    gb, ge = slot_snrs(traj, pw, cfg)
-    return secrecy_rate_lb(gb, ge, cfg, clamp=False)
+    if len(traj) != len(pw):
+        raise ValueError(f"trajectory has {len(traj)} slots but power has {len(pw)}")
+    return link(traj.points, pw.p, cfg).rates
 
 
 def aesr(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig, rates=None) -> float:
@@ -381,6 +396,10 @@ def validate(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> list:
             f"endpoint: slot {cfg.N} position {traj.points[-1].tolist()} differs from q_F "
             f"{cfg.q_F[:2].tolist()}"
         )
+    for n in np.nonzero(~np.isfinite(traj.points).all(axis=1))[0]:
+        out.append(f"non-finite: slot {n + 1} position {traj.points[n].tolist()}")
+    for n in np.nonzero(~np.isfinite(pw.p))[0]:
+        out.append(f"non-finite: slot {n + 1} power {pw.p[n]} W")
     limit = cfg.V_max * cfg.delta_t
     steps = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
     for n in np.nonzero(steps > limit + SPEED_SLACK)[0]:

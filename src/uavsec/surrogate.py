@@ -6,10 +6,11 @@ instances: the trajectory subproblem (the 2N position coordinates, power
 fixed) and the power subproblem (the N powers, trajectory fixed, whose
 average-power budget is its one linear row), and the slack-reformulated
 objective they are tangent to. ``expansion_from`` is the one place a
-design is linearized: it returns the tight slacks and each slot's loss
-bound, affine in the two SNRs. Each builder substitutes every slack by the
-value at which it binds at the subproblem's optimum, so neither program
-carries a slack variable.
+design is linearized: from ``model.link``'s values at the design it
+returns the tight slacks and each slot's loss bound, affine in the two
+SNRs. Each builder takes only that linearization and substitutes every
+slack by the value at which it binds at the subproblem's optimum, so
+neither program carries a slack variable.
 
 Both subproblem objectives under-estimate the slack-reformulated objective
 everywhere and agree with it (value and gradient) at the expansion point.
@@ -29,8 +30,7 @@ from .model import (
     ScenarioConfig,
     Trajectory,
     line_segment_trajectory,
-    penalty_coeffs,
-    sq_dists,
+    link,
 )
 
 # Floor on dispersion-root expansion values. The linearized dispersion
@@ -169,64 +169,51 @@ def expansion_from(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> E
     """Linearize the slack-reformulated objective at the design (traj, pw).
 
     The slacks are tight: d2 is each receiver's squared distance, u = xi0*p/d2
-    the exact SNR and z the exact dispersion root floored at ``Z_MIN``. Each
-    slot's loss, log2(1 + u_e) + pen_b*z_b + pen_e*z_e, is bounded above by
-    loss0 + k_b*u_b + k_e*u_e: Eve's log, which is concave, by its tangent
-    at u_hat_e, and each root z >= sqrt(V(u)) by ``_required_z(u)``, the
-    least z its linearized row allows. The bound is affine in the two SNRs
-    and tight at the design on every slot whose root is not floored; at
-    L = inf both penalties vanish and k_b is 0. Both subproblem builders read
-    it from here; ``rates`` equals ``model.slot_rates_pre_clamp`` bit for bit.
+    the exact SNR and z the exact dispersion root floored at ``Z_MIN``, all
+    from ``model.link``. Each slot's loss, log2(1 + u_e) + pen_b*z_b + pen_e*z_e,
+    is bounded above by loss0 + k_b*u_b + k_e*u_e: Eve's log, which is
+    concave, by its tangent at u_hat_e, and each root z >= sqrt(V(u)) by
+    ``_required_z(u)``, the least z its linearized row allows. The bound is
+    affine in the two SNRs and tight at the design on every slot whose root
+    is not floored; at L = inf both penalties vanish and k_b is 0. Both
+    subproblem builders read it from here.
 
     Raises ValueError if the design and the scenario disagree on N, or if
     a power is negative.
     """
     if len(traj) != cfg.N or len(pw) != cfg.N:
         raise ValueError("trajectory, power profile, and scenario disagree on N")
-    if np.any(pw.p < 0.0):
-        raise ValueError("powers must be non-negative")
-    # Bob in row 0 and Eve in row 1, each element computed as ``model.sq_dists`` does
-    receivers, pen = _parts(cfg)[:2]
-    offs = traj.points - receivers
-    d2 = np.add.reduce(offs * offs, axis=2) + cfg.H * cfg.H
-    u = cfg.xi0 * pw.p / d2
-    v, dv = _disp_lin(u)
-    root = np.sqrt(v)
+    d2, u, v, root, logs, rates = link(traj.points, pw.p, cfg)
     z = np.maximum(root, Z_MIN)
+    dv = _disp_slope(u)
     eve_slope = 1.0 / ((1.0 + u[1]) * LN2)
-    logs = np.log2(1.0 + u)
-    pen_z = pen * _required_z(0.0, u, z, (v, dv))
+    pen = np.array(cfg.pen)[:, None]
+    pen_z = pen * _required_z(0.0, u, z, v, dv)
     loss0 = logs[1] - u[1] * eve_slope + pen_z[0] + pen_z[1]
     k = pen * dv / (2.0 * z)
-    pen_root = root * pen
-    rates = logs[0] - logs[1] - pen_root[0] - pen_root[1]
     return ExpansionPoint(traj.points, pw.p, d2[0], d2[1], u[0], u[1], z[0], z[1], loss0,
                           k[0], eve_slope + k[1], rates)
 
 
-def _disp_lin(u_hat: np.ndarray):
-    """Value and slope of the dispersion 1-(1+u)^-2 at u_hat."""
-    w = 1.0 + u_hat
-    return 1.0 - w ** (-2.0), 2.0 * w ** (-3.0)
+def _disp_slope(u_hat: np.ndarray) -> np.ndarray:
+    """Slope of the dispersion 1-(1+u)^-2 at u_hat."""
+    return 2.0 * (1.0 + u_hat) ** (-3.0)
 
 
-def _required_z(u: np.ndarray, u_hat: np.ndarray, z_hat: np.ndarray, lin=None) -> np.ndarray:
-    """Smallest z satisfying the linearized dispersion row at u: affine in u,
-    and >= 0 at u = 0 because v is concave with v(0) = 0. ``lin``, if
-    given, is ``_disp_lin(u_hat)``."""
-    v, dv = _disp_lin(u_hat) if lin is None else lin
-    return (v + dv * (u - u_hat) + z_hat * z_hat) / (2.0 * z_hat)
+def _required_z(u, u_hat: np.ndarray, z_hat: np.ndarray, v_hat: np.ndarray,
+                dv_hat: np.ndarray) -> np.ndarray:
+    """Smallest z satisfying the linearized dispersion row at u, where the
+    dispersion has value v_hat and slope dv_hat at u_hat: affine in u, and
+    >= 0 at u = 0 because the dispersion is concave and 0 at 0."""
+    return (v_hat + dv_hat * (u - u_hat) + z_hat * z_hat) / (2.0 * z_hat)
 
 
 # ---------------------------------------------------------------------------
 # Trajectory subproblem
 # ---------------------------------------------------------------------------
 
-def build_trajectory_subproblem(
-    traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig, ep: ExpansionPoint = None
-) -> StructuredConvexProgram:
-    """Convex trajectory subproblem linearized at the design (traj, pw),
-    power fixed; ``ep``, if given, is ``expansion_from(traj, pw, cfg)``.
+def build_trajectory_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> StructuredConvexProgram:
+    """Convex trajectory subproblem at the linearized design ``ep``, power fixed.
 
     The variables are the 2N coordinates of the positions, slot by slot.
     Bob's log rate is linearized in his squared distance, which stays exact
@@ -244,8 +231,7 @@ def build_trajectory_subproblem(
     leaves tight.
     """
     N = cfg.N
-    ep = expansion_from(traj, pw, cfg) if ep is None else ep
-    receivers, _, fields, segment = _parts(cfg)
+    fields, segment = _parts(cfg)
     scale = (1.0 - cfg.eps_b) / N
 
     # Objective: the exact log of Bob's rate linearized in the squared
@@ -260,7 +246,7 @@ def build_trajectory_subproblem(
     # whose slack plus l_lo is l(q); lin_a is -grad. The receivers are Bob
     # and Eve, or Eve alone at L = inf.
     rows = slice(0 if math.isfinite(cfg.L) else 1, 2)
-    lin_a = -2.0 * (ep.q_hat - receivers[rows])
+    lin_a = -2.0 * (ep.q_hat - cfg.receivers[rows])
     d2 = np.array((ep.d2_b, ep.d2_e)[rows])
     lin_b = (d2 + np.add.reduce(lin_a * ep.q_hat, axis=2)).ravel() - fields["lin_o"]
     lin_k = xp * scale * np.array((ep.k_b, ep.k_e)[rows])
@@ -275,7 +261,7 @@ def build_trajectory_subproblem(
 
 def _parts(cfg: ScenarioConfig) -> tuple:
     """What no design changes, read-only and kept on the scenario from its first call
-    on: receivers (2, 1, 2), ``penalty_coeffs`` (2, 1), trajectory fields, segment."""
+    on: the trajectory program's fields and the straight segment."""
     if "_parts" in vars(cfg):
         return vars(cfg)["_parts"]
     N, rows = cfg.N, 2 if math.isfinite(cfg.L) else 1
@@ -286,10 +272,8 @@ def _parts(cfg: ScenarioConfig) -> tuple:
         lin_o=np.full(rows * N, cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)),
         speed_i=q_idx[:-1], speed_j=q_idx[1:], speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),
         fixed_idx=q_idx[[0, N - 1]].ravel(), fixed_val=np.concatenate([cfg.q_I[:2], cfg.q_F[:2]]))
-    pen = np.array(penalty_coeffs(cfg))[:, None]
-    parts = (np.array((cfg.w_b[:2], cfg.w_e[:2]))[:, None, :], pen, fields,
-             line_segment_trajectory(cfg).points.ravel())
-    for a in (*parts[:2], parts[3], *fields.values()):
+    parts = (fields, line_segment_trajectory(cfg).points.ravel())
+    for a in (parts[1], *fields.values()):
         a.flags.writeable = False
     object.__setattr__(cfg, "_parts", parts)
     return parts
@@ -319,11 +303,8 @@ def _trajectory_start(prog: StructuredConvexProgram, segment: np.ndarray) -> np.
 # Power subproblem
 # ---------------------------------------------------------------------------
 
-def build_power_subproblem(
-    traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig, ep: ExpansionPoint = None
-) -> StructuredConvexProgram:
-    """Convex power subproblem linearized at the design (traj, pw), trajectory
-    fixed; ``ep``, if given, is ``expansion_from(traj, pw, cfg)``.
+def build_power_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> StructuredConvexProgram:
+    """Convex power subproblem at the linearized design ``ep``, trajectory fixed.
 
     The variables are the N powers. Bob's rate keeps its exact log in P, and
     each slot's loss is the bound of ``expansion_from`` at the SNRs g*P,
@@ -331,7 +312,6 @@ def build_power_subproblem(
     and ``solver.water_fill`` solves the program in closed form.
     """
     N = cfg.N
-    ep = expansion_from(traj, pw, cfg) if ep is None else ep
     scale = (1.0 - cfg.eps_b) / N
     g_b = cfg.xi0 / ep.d2_b
     g_e = cfg.xi0 / ep.d2_e
@@ -358,13 +338,11 @@ def slack_rate_objective(q_points, p, u_e, z_b, z_e, cfg: ScenarioConfig) -> flo
     (1/N) sum (1-eps_b) [log2(1 + xi0 P / |q-w_b|^2) - log2(1+u_e)
                          - pen_b z_b - pen_e z_e]
     """
-    pen_b, pen_e = penalty_coeffs(cfg)
-    d2_b = sq_dists(np.asarray(q_points, dtype=float), cfg.w_b, cfg.H)
-    p = np.asarray(p, dtype=float)
-    u_e = np.asarray(u_e, dtype=float)
+    pen_b, pen_e = cfg.pen
+    logs = link(np.asarray(q_points, dtype=float), np.asarray(p, dtype=float), cfg).logs
     terms = (
-        np.log2(1.0 + cfg.xi0 * p / d2_b)
-        - np.log2(1.0 + u_e)
+        logs[0]
+        - np.log2(1.0 + np.asarray(u_e, dtype=float))
         - pen_b * np.asarray(z_b, dtype=float)
         - pen_e * np.asarray(z_e, dtype=float)
     )

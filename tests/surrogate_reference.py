@@ -15,7 +15,6 @@ from uavsec.model import (
     ScenarioConfig,
     Trajectory,
     line_segment_trajectory,
-    penalty_coeffs,
     sq_dists,
 )
 from uavsec.surrogate import (
@@ -52,7 +51,7 @@ def surrogate_value_q(
     """Trajectory-surrogate objective at an arbitrary point."""
     if point.q is None:
         raise ValueError("trajectory surrogate needs point.q")
-    pen_b, pen_e = penalty_coeffs(cfg)
+    pen_b, pen_e = cfg.pen
     p = np.asarray(pw.p, dtype=float)
     scale = (1.0 - cfg.eps_b) / cfg.N
     d2_hat = sq_dists(ep.q_hat, cfg.w_b, cfg.H)
@@ -76,7 +75,7 @@ def surrogate_value_p(
     """Power-surrogate objective at an arbitrary point."""
     if point.p is None:
         raise ValueError("power surrogate needs point.p")
-    pen_b, pen_e = penalty_coeffs(cfg)
+    pen_b, pen_e = cfg.pen
     scale = (1.0 - cfg.eps_b) / cfg.N
     d2_b = sq_dists(traj.points, cfg.w_b, cfg.H)
     p = np.asarray(point.p, dtype=float)

@@ -423,6 +423,26 @@ def test_validate_flags_corrupted_power(tiny_run, tmp_path, capsys):
     assert "P_max" in capsys.readouterr().out
 
 
+def test_validate_flags_non_finite_cells(tmp_path, capsys):
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text("T = 24\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--scheme", "poft", "--out", str(out)]) == EXIT_OK
+    for name, row, col in (("trajectory.csv", 6, 1), ("power.csv", 8, 1)):
+        rows = (out / name).read_text(encoding="utf-8").splitlines()
+        cells = rows[row].split(",")
+        cells[col] = "nan"
+        rows[row] = ",".join(cells)
+        (out / name).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["validate", "--config", str(cfg_path), "--trajectory", str(out / "trajectory.csv"),
+               "--power", str(out / "power.csv")])
+    assert rc == EXIT_FAILURE
+    text = capsys.readouterr().out
+    assert "non-finite: slot 6 position [nan, " in text
+    assert "non-finite: slot 8 power nan W" in text
+
+
 def test_validate_missing_column(tiny_run, tmp_path):
     rc, cfg_path, out = tiny_run
     bad = tmp_path / "power.csv"

@@ -17,7 +17,7 @@ from uavsec.driver import (
 )
 from uavsec.model import PowerProfile, baseline_scenario
 from uavsec.solver import Solution, solve
-from uavsec.surrogate import build_trajectory_subproblem
+from uavsec.surrogate import build_trajectory_subproblem, expansion_from
 
 
 def tiny_cfg(**overrides):
@@ -122,7 +122,7 @@ def test_take_better_falls_back_to_the_design_not_the_start():
     points[1:-1, 0] += 1.0      # off the segment, so the start is not the design
     traj = model.Trajectory(points=points)
     pw = PowerProfile(p=np.linspace(0.2, 1.8, cfg.N) * cfg.P_bar)
-    prog = build_trajectory_subproblem(traj, pw, cfg)
+    prog = build_trajectory_subproblem(expansion_from(traj, pw, cfg), cfg)
     design = traj.points.ravel()
     best = solve(prog)
     assert not np.array_equal(prog.start, design)

@@ -265,6 +265,22 @@ def test_validate_flags_power_box_and_endpoints():
     assert "endpoint" in msgs
 
 
+def test_validate_names_non_finite_positions_and_powers():
+    # NaN fails no comparison with a bound, so each non-finite value is named
+    cfg = baseline_scenario(T=24.0)
+    traj, pw = _feasible_pair(cfg)
+    pts, p = traj.points.copy(), pw.p.copy()
+    pts[5, 0] = math.nan
+    p[7] = math.nan
+    out = validate(Trajectory(points=pts), PowerProfile(p=p), cfg)
+    assert len(out) == 2
+    assert out[0].startswith("non-finite: slot 6 position [nan, ")
+    assert out[1] == "non-finite: slot 8 power nan W"
+    p[7] = math.inf
+    out = validate(traj, PowerProfile(p=p), cfg)
+    assert "non-finite: slot 8 power inf W" in out
+
+
 def test_validate_length_mismatch():
     cfg = baseline_scenario(T=3.0, q_I=(0.0, 10.0, 100.0), q_F=(0.0, -10.0, 100.0))
     out = validate(Trajectory(points=np.zeros((2, 2))), PowerProfile(p=np.zeros(3)), cfg)
@@ -311,7 +327,8 @@ def test_config_rejects_unreachable_endpoints():
     (dict(xi0=0.0), "xi0"),
     (dict(max_iter=0), "max_iter"),
     (dict(w_e=(400.0, 0.0)), "w_e"),
-], ids=["delta_t", "T", "no-slots", "H", "V_max", "xi0", "max_iter", "vec3"])
+    (dict(tau=math.nan), "tau"),
+], ids=["delta_t", "T", "no-slots", "H", "V_max", "xi0", "max_iter", "vec3", "tau-nan"])
 def test_config_rejection_names_its_field(overrides, field):
     with pytest.raises(ValueError, match=f"^{re.escape(field)} "):
         baseline_scenario(**overrides)

@@ -13,7 +13,7 @@ from uavsec import driver, solver
 from uavsec.driver import SchemeId, line_segment_trajectory, run_scheme
 from uavsec.model import PowerProfile, Trajectory, baseline_scenario
 from uavsec.solver import _center, _Pattern, _Work, solve, water_fill
-from uavsec.surrogate import build_power_subproblem, build_trajectory_subproblem
+from uavsec.surrogate import build_power_subproblem, build_trajectory_subproblem, expansion_from
 
 from solver_instances import FAMILIES, bisection_water_fill, dense_rows, program
 from surrogate_reference import max_violation
@@ -121,8 +121,8 @@ def _predictor_programs():
     instances of each solver family."""
     cfg = baseline_scenario()
     pw = PowerProfile(p=np.full(cfg.N, cfg.P_bar))
-    progs = [("default trajectory",
-              build_trajectory_subproblem(line_segment_trajectory(cfg), pw, cfg))]
+    ep = expansion_from(line_segment_trajectory(cfg), pw, cfg)
+    progs = [("default trajectory", build_trajectory_subproblem(ep, cfg))]
     for name, make in FAMILIES:
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         progs += [(f"{name}[{k}]", make(rng)[0]) for k in range(20)]
@@ -345,8 +345,9 @@ def _subproblem_programs(T):
         pts[0], pts[-1] = cfg.q_I[:2], cfg.q_F[:2]
         traj = Trajectory(points=pts)
         pw = PowerProfile(p=np.full(cfg.N, cfg.P_bar))
-        progs.append((f"trajectory T={T:g} L={L}", build_trajectory_subproblem(traj, pw, cfg)))
-        progs.append((f"power T={T:g} L={L}", build_power_subproblem(traj, pw, cfg)))
+        ep = expansion_from(traj, pw, cfg)
+        progs.append((f"trajectory T={T:g} L={L}", build_trajectory_subproblem(ep, cfg)))
+        progs.append((f"power T={T:g} L={L}", build_power_subproblem(ep, cfg)))
     return progs
 
 
@@ -561,7 +562,7 @@ def test_pattern_is_built_once_per_structure():
         traj = _random_design(cfg, rng)[0]
         p = np.full(cfg.N, cfg.P_bar)
         p[list(silent)] = 0.0
-        return build_trajectory_subproblem(traj, PowerProfile(p=p), cfg)
+        return build_trajectory_subproblem(expansion_from(traj, PowerProfile(p=p), cfg), cfg)
 
     first, second = program_at_random_design(cfg), program_at_random_design(cfg)
     assert not np.array_equal(first.lin_a, second.lin_a)
@@ -604,7 +605,8 @@ def test_works_sharing_a_pattern_assemble_into_their_own_buffers():
     # the buffer, so a shared buffer would show here.
     cfg = baseline_scenario(T=24.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
     rng = np.random.default_rng(5)
-    trajectory = [build_trajectory_subproblem(*_random_design(cfg, rng), cfg) for _ in range(2)]
+    trajectory = [build_trajectory_subproblem(expansion_from(*_random_design(cfg, rng), cfg), cfg)
+                  for _ in range(2)]
     every = _every_family_program()[1]
     other = replace(every, c=every.c + 0.1, quad_beta=2.0 * every.quad_beta,
                     lin_k=3.0 * every.lin_k, hyper_k=0.5 * every.hyper_k)
@@ -633,7 +635,8 @@ def test_band_width_does_not_grow_with_slot_count(L):
         cfg = baseline_scenario(T=T, L=L)
         traj = line_segment_trajectory(cfg)
         pw = PowerProfile(p=np.full(cfg.N, cfg.P_bar))
-        assert _Work(build_trajectory_subproblem(traj, pw, cfg)).pattern.kd == 3
+        ep = expansion_from(traj, pw, cfg)
+        assert _Work(build_trajectory_subproblem(ep, cfg)).pattern.kd == 3
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +663,7 @@ def test_water_fill_matches_barrier_solve(L):
         cfg = baseline_scenario(T=float(rng.integers(2, 40)), L=L,
                                 q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
         traj, pw = _random_design(cfg, rng)
-        prog = build_power_subproblem(traj, pw, cfg)
+        prog = build_power_subproblem(expansion_from(traj, pw, cfg), cfg)
         sol = solve(prog)
         assert sol.status == "optimal", trial
         x = water_fill(prog)
@@ -687,7 +690,8 @@ def test_water_fill_kkt_on_one_slot():
     # hovering above Bob, one slot: the average cap binds below P_max
     cfg = baseline_scenario(T=1.0, q_I=(0.0, 0.0, 100.0), q_F=(0.0, 0.0, 100.0))
     pw = PowerProfile(p=np.array([cfg.P_bar]))
-    prog = build_power_subproblem(Trajectory(points=np.zeros((1, 2))), pw, cfg)
+    prog = build_power_subproblem(expansion_from(Trajectory(points=np.zeros((1, 2))), pw, cfg),
+                                  cfg)
     x = water_fill(prog)
     assert x[0] == pytest.approx(cfg.P_bar, rel=1e-12) and x[0] <= cfg.P_bar
     _assert_kkt(prog, x)
@@ -697,8 +701,8 @@ def test_water_fill_kkt_when_caps_coincide():
     # with P_bar = P_max the box implies the budget, so lam = 0 and every
     # slot takes its own clipped stationary point
     cfg = baseline_scenario(T=24.0, P_bar=0.1, P_max=0.1)
-    traj = line_segment_trajectory(cfg)
-    prog = build_power_subproblem(traj, PowerProfile(p=np.full(cfg.N, cfg.P_bar)), cfg)
+    pw = PowerProfile(p=np.full(cfg.N, cfg.P_bar))
+    prog = build_power_subproblem(expansion_from(line_segment_trajectory(cfg), pw, cfg), cfg)
     x = water_fill(prog)
     own = np.clip(prog.log_alpha / -prog.c - 1.0 / prog.log_a, 0.0, prog.ub)
     assert np.array_equal(x, own)
@@ -708,8 +712,8 @@ def test_water_fill_kkt_when_caps_coincide():
 
 def test_water_fill_kkt_when_the_budget_binds():
     cfg = baseline_scenario(T=24.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
-    traj = line_segment_trajectory(cfg)
-    prog = build_power_subproblem(traj, PowerProfile(p=np.full(cfg.N, cfg.P_bar)), cfg)
+    pw = PowerProfile(p=np.full(cfg.N, cfg.P_bar))
+    prog = build_power_subproblem(expansion_from(line_segment_trajectory(cfg), pw, cfg), cfg)
     x = water_fill(prog)
     assert np.sum(x) == pytest.approx(prog.lin_b[0], rel=1e-12)
     assert np.any((x > 0.0) & (x < prog.ub))
@@ -738,8 +742,8 @@ def _water_fill_edge_programs():
     """(label, program): a slack budget, every slot at P_max, one slot, and
     a budget of 1e-6 * N * P_bar."""
     cfg = baseline_scenario(T=24.0, P_bar=0.1, P_max=0.1)
-    slack = build_power_subproblem(
-        line_segment_trajectory(cfg), PowerProfile(p=np.full(cfg.N, cfg.P_bar)), cfg)
+    slack = build_power_subproblem(expansion_from(
+        line_segment_trajectory(cfg), PowerProfile(p=np.full(cfg.N, cfg.P_bar)), cfg), cfg)
     # each slot's own optimum, 1/3 - 1/30, lies above the cap of 0.1
     n = 5
     capped = program(
@@ -747,11 +751,11 @@ def _water_fill_edge_programs():
         log_i=np.arange(n), log_a=np.full(n, 30.0), log_alpha=np.ones(n),
         **dense_rows(np.ones((1, n)), [0.5]), start=np.full(n, 0.05))
     cfg1 = baseline_scenario(T=1.0, q_I=(0.0, 0.0, 100.0), q_F=(0.0, 0.0, 100.0))
-    one = build_power_subproblem(Trajectory(points=np.zeros((1, 2))),
-                                 PowerProfile(p=np.array([cfg1.P_bar])), cfg1)
+    one = build_power_subproblem(expansion_from(Trajectory(points=np.zeros((1, 2))),
+                                                PowerProfile(p=np.array([cfg1.P_bar])), cfg1), cfg1)
     cfg = baseline_scenario(T=24.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
-    tight = build_power_subproblem(
-        line_segment_trajectory(cfg), PowerProfile(p=np.full(cfg.N, cfg.P_bar)), cfg)
+    tight = build_power_subproblem(expansion_from(
+        line_segment_trajectory(cfg), PowerProfile(p=np.full(cfg.N, cfg.P_bar)), cfg), cfg)
     return [
         ("slack budget", slack),
         ("every slot at P_max", capped),

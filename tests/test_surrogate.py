@@ -14,7 +14,6 @@ from uavsec.model import (
     baseline_scenario,
     dispersion,
     line_segment_trajectory,
-    penalty_coeffs,
     sq_dists,
 )
 from uavsec.solver import solve, water_fill
@@ -22,6 +21,7 @@ from uavsec.surrogate import (
     L_LOWER_RELAX,
     START_SHIFT,
     Z_MIN,
+    _disp_slope,
     _required_z,
     build_power_subproblem,
     build_trajectory_subproblem,
@@ -69,6 +69,11 @@ def linearized_sq_dist(ep, w, cfg, q):
     return d2_hat + np.sum(2.0 * (ep.q_hat - w[:2]) * (q - ep.q_hat), axis=1)
 
 
+def required_z(u, u_hat, z_hat):
+    """``_required_z`` at u for the expansion values (u_hat, z_hat)."""
+    return _required_z(u, u_hat, z_hat, dispersion(u_hat), _disp_slope(u_hat))
+
+
 def tight_point(ep, pw, cfg, q):
     """Trajectory-surrogate point at the positions q whose slacks bind: each
     squared-distance slack at l(q), each SNR slack at xi0 p / l(q), each
@@ -76,8 +81,8 @@ def tight_point(ep, pw, cfg, q):
     u_b = cfg.xi0 * pw.p / linearized_sq_dist(ep, cfg.w_b, cfg, q)
     u_e = cfg.xi0 * pw.p / linearized_sq_dist(ep, cfg.w_e, cfg, q)
     return SurrogatePoint(
-        q=q, u_e=u_e, z_b=_required_z(u_b, ep.u_hat_b, ep.z_hat_b),
-        z_e=_required_z(u_e, ep.u_hat_e, ep.z_hat_e),
+        q=q, u_e=u_e, z_b=required_z(u_b, ep.u_hat_b, ep.z_hat_b),
+        z_e=required_z(u_e, ep.u_hat_e, ep.z_hat_e),
     )
 
 
@@ -122,7 +127,7 @@ def test_expansion_loss_bound_is_tight_at_the_design_and_bounds_the_loss():
     floored = 0
     for L in (200.0, 400.0, 800.0, math.inf):
         cfg = replace(small_cfg(6), L=L)
-        pen_b, pen_e = penalty_coeffs(cfg)
+        pen_b, pen_e = cfg.pen
         for _ in range(20):
             _, traj, pw = random_expansion(cfg, rng)
             p = pw.p * 10.0 ** rng.uniform(-12.0, 0.0, size=cfg.N)
@@ -150,14 +155,14 @@ def test_expansion_loss_bound_is_tight_at_the_design_and_bounds_the_loss():
     assert floored > 0
 
 
-@pytest.mark.parametrize("build", [build_trajectory_subproblem, build_power_subproblem])
-def test_builders_reject_mismatched_or_negative_design(build):
+def test_expansion_rejects_mismatched_or_negative_design():
+    # the builders take only a linearization, so this is where a design is checked
     cfg = small_cfg(3)
     _, traj, pw = random_expansion(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError, match="disagree on N"):
-        build(traj, PowerProfile(p=np.append(pw.p, 0.0)), cfg)
+        expansion_from(traj, PowerProfile(p=np.append(pw.p, 0.0)), cfg)
     with pytest.raises(ValueError, match="non-negative"):
-        build(traj, PowerProfile(p=-pw.p), cfg)
+        expansion_from(traj, PowerProfile(p=-pw.p), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +186,8 @@ def test_program_objectives_match_standalone_evaluators():
     rng = np.random.default_rng(2)
     cfg = small_cfg(4)
     ep, traj, pw = random_expansion(cfg, rng)
-    prog_q = build_trajectory_subproblem(traj, pw, cfg)
-    prog_p = build_power_subproblem(traj, pw, cfg)
+    prog_q = build_trajectory_subproblem(ep, cfg)
+    prog_p = build_power_subproblem(ep, cfg)
     # the trajectory program has no slack either: each one sits where it binds
     for _ in range(20):
         q = ep.q_hat + rng.uniform(-5.0, 5.0, size=ep.q_hat.shape)
@@ -197,8 +202,8 @@ def test_program_objectives_match_standalone_evaluators():
         p = rng.uniform(0.0, cfg.P_max, size=cfg.N)
         pt = SurrogatePoint(
             p=p, u_e=u_e * p,
-            z_b=_required_z(u_b * p, ep.u_hat_b, ep.z_hat_b),
-            z_e=_required_z(u_e * p, ep.u_hat_e, ep.z_hat_e),
+            z_b=required_z(u_b * p, ep.u_hat_b, ep.z_hat_b),
+            z_e=required_z(u_e * p, ep.u_hat_e, ep.z_hat_e),
         )
         assert prog_p.objective_value(p) == pytest.approx(
             surrogate_value_p(traj, ep, pt, cfg), abs=1e-12
@@ -218,7 +223,7 @@ def test_required_root_is_non_negative_at_zero_power():
         p[rng.random(cfg.N) < 0.2] = 0.0
         ep = expansion_from(traj, PowerProfile(p=p), cfg)
         for u_hat, z_hat in ((ep.u_hat_b, ep.z_hat_b), (ep.u_hat_e, ep.z_hat_e)):
-            assert np.all(_required_z(0.0, u_hat, z_hat) >= 0.0)
+            assert np.all(required_z(0.0, u_hat, z_hat) >= 0.0)
             floored += int(np.sum(z_hat == Z_MIN))
     assert floored > 0
 
@@ -281,7 +286,7 @@ def test_squared_distance_linearization_underestimates():
 def test_trajectory_subproblem_pins_endpoints_for_two_slots():
     cfg = small_cfg(2, spread=4.0)
     _, traj, pw = random_expansion(cfg, np.random.default_rng(6))
-    prog = build_trajectory_subproblem(traj, pw, cfg)
+    prog = build_trajectory_subproblem(expansion_from(traj, pw, cfg), cfg)
     sol = solve(prog)
     assert sol.status == "optimal"
     q = sol.x[prog.layout["q"]].reshape(2, 2)
@@ -296,7 +301,7 @@ def test_trajectory_start_is_strictly_feasible_and_reference_feasible():
     rng = np.random.default_rng(7)
 
     def check_start(cfg, traj, pw):
-        prog = build_trajectory_subproblem(traj, pw, cfg)
+        prog = build_trajectory_subproblem(expansion_from(traj, pw, cfg), cfg)
         design = traj.points.ravel()
         segment = line_segment_trajectory(cfg).points.ravel()
         assert max_violation(prog, prog.start) == 0.0
@@ -348,7 +353,7 @@ def test_zero_power_slot_exerts_no_positional_force():
     _, traj, pw0 = random_expansion(cfg, rng)
     p = pw0.p.copy()
     p[2] = 0.0
-    prog = build_trajectory_subproblem(traj, PowerProfile(p=p), cfg)
+    prog = build_trajectory_subproblem(expansion_from(traj, PowerProfile(p=p), cfg), cfg)
     # slot 2's position keeps its curvature terms, with weight 0
     q_slot = list(prog.layout["q"].reshape(cfg.N, 2)[2])
     on_slot = np.isin(prog.quad_i, q_slot)
@@ -382,7 +387,7 @@ def test_trajectory_program_is_the_slack_program_at_tight_slacks(L):
         p[rng.random(cfg.N) < 0.3] = 0.0
         pw = PowerProfile(p=p)
         ep = expansion_from(traj, pw, cfg)
-        prog = build_trajectory_subproblem(traj, pw, cfg)
+        prog = build_trajectory_subproblem(ep, cfg)
         assert prog.n == 2 * cfg.N and set(prog.layout) == {"q"}
         assert prog.hyper_k.size == 0
         for _ in range(40):
@@ -408,14 +413,14 @@ def test_trajectory_optimum_moves_toward_bob_matches_grid_oracle():
     pw = PowerProfile(p=np.full(3, 0.05))
     traj = Trajectory(points=np.array([[200.0, 100.0], [200.0, 0.0], [200.0, -100.0]]))
     ep = expansion_from(traj, pw, cfg)
-    prog = build_trajectory_subproblem(traj, pw, cfg)
+    prog = build_trajectory_subproblem(ep, cfg)
     sol = solve(prog)
     assert sol.status == "optimal"
     mid = sol.x[prog.layout["q"]].reshape(3, 2)[1]
 
     # oracle: scan the free midpoint on a grid, setting each slack to the
     # tightest value the linearized rows allow, then refine around the best
-    pen_b, pen_e = penalty_coeffs(cfg)
+    pen_b, pen_e = cfg.pen
     scale = (1.0 - cfg.eps_b) / cfg.N
     d2b_hat = sq_dists(ep.q_hat, cfg.w_b, cfg.H)
     d2e_hat = sq_dists(ep.q_hat, cfg.w_e, cfg.H)
@@ -482,12 +487,12 @@ def test_power_subproblem_saturates_average_budget_when_hovering():
     traj = Trajectory(points=np.zeros((1, 2)))
     pw = PowerProfile(p=np.array([cfg.P_bar]))
     ep = expansion_from(traj, pw, cfg)
-    prog = build_power_subproblem(traj, pw, cfg)
+    prog = build_power_subproblem(ep, cfg)
     sol = solve(prog)
     assert sol.status == "optimal"
 
     # 1-D oracle over P with slacks tightened against the linearized rows
-    pen_b, pen_e = penalty_coeffs(cfg)
+    pen_b, pen_e = cfg.pen
     d2b = float(sq_dists(traj.points, cfg.w_b, cfg.H)[0])
     d2e = float(sq_dists(traj.points, cfg.w_e, cfg.H)[0])
 
@@ -524,7 +529,7 @@ def test_power_subproblem_prefers_zero_when_bob_is_remote():
     frac = np.linspace(0.0, 1.0, 2)[:, None]
     traj = Trajectory(points=cfg.q_I[:2] * (1 - frac) + cfg.q_F[:2] * frac)
     pw = PowerProfile(p=np.full(2, cfg.P_bar))
-    prog = build_power_subproblem(traj, pw, cfg)
+    prog = build_power_subproblem(expansion_from(traj, pw, cfg), cfg)
     sol = solve(prog)
     assert sol.status == "optimal"
     assert np.all(sol.x[prog.layout["p"]] < 1e-6)
@@ -535,26 +540,27 @@ def test_long_packet_limit_drops_dispersion_blocks():
     cfg = baseline_scenario(
         T=3.0, L=math.inf, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0),
     )
-    _, traj, pw = random_expansion(cfg, np.random.default_rng(9))
-    prog_q = build_trajectory_subproblem(traj, pw, cfg)
+    ep, traj, pw = random_expansion(cfg, np.random.default_rng(9))
+    prog_q = build_trajectory_subproblem(ep, cfg)
     # the slacks are substituted out, and only Eve's distance rows remain:
     # Bob's SNR fed only his dispersion root
     assert set(prog_q.layout) == {"q"} and prog_q.n == 2 * cfg.N
     assert prog_q.lin_b.size == cfg.N
     sol = solve(prog_q)
     assert sol.status == "optimal"
-    prog_p = build_power_subproblem(traj, pw, cfg)
+    prog_p = build_power_subproblem(ep, cfg)
     assert set(prog_p.layout) == {"p"}
     sol = solve(prog_p)
     assert sol.status == "optimal"
     finite = baseline_scenario(
         T=3.0, L=400.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0),
     )
-    assert build_trajectory_subproblem(traj, pw, finite).lin_b.size == 2 * finite.N
+    ep = expansion_from(traj, pw, finite)
+    assert build_trajectory_subproblem(ep, finite).lin_b.size == 2 * finite.N
     # the dispersion roots are substituted out, so the power program holds
     # the powers alone at every blocklength, and its one linear row is the
     # average power budget
-    prog_p = build_power_subproblem(traj, pw, finite)
+    prog_p = build_power_subproblem(ep, finite)
     assert set(prog_p.layout) == {"p"} and prog_p.n == finite.N
     assert prog_p.lin_b.size == 1
 
@@ -569,16 +575,18 @@ def test_run_trajectory_programs_equal_fresh_ones_and_share_constant_fields(monk
     built = []
     build = driver.build_trajectory_subproblem
 
-    def recording_build(traj, pw, cfg, *args):
-        built.append((traj, pw, cfg, build(traj, pw, cfg, *args)))
-        return built[-1][3]
+    def recording_build(ep, cfg):
+        built.append((ep, cfg, build(ep, cfg)))
+        return built[-1][2]
 
     monkeypatch.setattr(driver, "build_trajectory_subproblem", recording_build)
     scheme = SchemeId.JTPO if math.isfinite(L) else SchemeId.FTP_INF
     res = run_scheme(baseline_scenario(L=L), scheme)
     assert len(built) == len(res.iterations) - 1 > 2
-    for traj, pw, cfg, prog in built:
-        ref = trajectory_program_reference(traj, pw, cfg)
+    for ep, cfg, prog in built:
+        # the reference linearizes the design itself
+        ref = trajectory_program_reference(Trajectory(points=ep.q_hat), PowerProfile(p=ep.p_hat),
+                                           cfg)
         for f in dataclasses.fields(prog):
             got, want = getattr(prog, f.name), getattr(ref, f.name)
             if f.name == "layout":
@@ -586,7 +594,7 @@ def test_run_trajectory_programs_equal_fresh_ones_and_share_constant_fields(monk
                 assert all(np.array_equal(got[k], want[k]) for k in got)
             else:
                 assert np.array_equal(got, want), f.name
-    first = built[0][3]
+    first = built[0][2]
     for name in ("lb", "ub", "c", "quad_i", "quad_c", "lin_i", "lin_o", "speed_i", "speed_j",
                  "speed_h", "fixed_idx", "fixed_val"):
         array = getattr(first, name)
