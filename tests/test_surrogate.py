@@ -155,14 +155,15 @@ def test_expansion_loss_bound_is_tight_at_the_design_and_bounds_the_loss():
     assert floored > 0
 
 
-def test_expansion_rejects_mismatched_or_negative_design():
-    # the builders take only a linearization, so this is where a design is checked
+@pytest.mark.parametrize("build", [build_trajectory_subproblem, build_power_subproblem])
+def test_builders_reject_mismatched_or_negative_design(build):
+    # the builders take only a linearization, so a design is checked by expansion_from
     cfg = small_cfg(3)
     _, traj, pw = random_expansion(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError, match="disagree on N"):
-        expansion_from(traj, PowerProfile(p=np.append(pw.p, 0.0)), cfg)
+        build(expansion_from(traj, PowerProfile(p=np.append(pw.p, 0.0)), cfg), cfg)
     with pytest.raises(ValueError, match="non-negative"):
-        expansion_from(traj, PowerProfile(p=-pw.p), cfg)
+        build(expansion_from(traj, PowerProfile(p=-pw.p), cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
