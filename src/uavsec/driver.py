@@ -25,8 +25,9 @@ roots of silent slots.
 
 When the endpoints are a whole flight apart at V_max, or within
 ``FORCED_SLACK`` of it, the straight segment is the only trajectory, or
-leaves the trajectory step too thin an interior to converge in, so JTPO and
-FTP-Inf run only the power step there, as POFT does.
+leaves the trajectory step too thin an interior to converge in; with fewer
+than three slots every position is an endpoint. JTPO and FTP-Inf run only
+the power step there, as POFT does.
 
 A trajectory solve that ends ``numerical-failure`` stops the run; one that
 ends ``max-iter`` or ``stalled`` is used like an optimal one. All three are
@@ -87,8 +88,8 @@ class SweepEntry:
 def _segment_is_forced(cfg: ScenarioConfig) -> bool:
     """Whether the straight segment leaves the trajectory step no usable
     room: its speed slack h^2 - step^2, the same on every row, is at most
-    ``FORCED_SLACK`` * h^2 (or there is no speed row at all)."""
-    if cfg.N < 2:
+    ``FORCED_SLACK`` * h^2, or N < 3 and every position is an endpoint."""
+    if cfg.N < 3:
         return True
     h = cfg.V_max * cfg.delta_t
     step = float(np.linalg.norm(cfg.q_F[:2] - cfg.q_I[:2])) / (cfg.N - 1)

@@ -225,8 +225,6 @@ class Trajectory:
 
 def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
     """Constant-speed straight segment from q_I to q_F over N slots."""
-    if cfg.N == 1:
-        return Trajectory(points=cfg.q_I[:2][None, :].copy())
     frac = np.linspace(0.0, 1.0, cfg.N)[:, None]
     pts = cfg.q_I[:2][None, :] * (1.0 - frac) + cfg.q_F[:2][None, :] * frac
     return Trajectory(points=pts)

@@ -1,21 +1,21 @@
-"""Self-contained interior-point solver for StructuredConvexProgram.
+"""Self-contained interior-point solver for the trajectory program.
 
-``solve`` maximizes a concave objective F over rows c_i(x) >= 0 (finite
-boxes, linear rows, speed rows h^2 - |x_j - x_i|^2 and hyperbolic rows
-x_i x_j - k) in two phases, from the strictly feasible start bundled with
-the program. The first is a primal-dual method with Mehrotra's
-predictor-corrector (Mehrotra, SIAM J. Optim. 1992; Nocedal & Wright,
-Numerical Optimization, ch. 19) on the exact rows, so every iterate stays
-strictly feasible; ``_primal_dual`` describes its iteration, step rule and
-safeguard. The second certifies the result: the log barrier
+``solve`` maximizes the concave objective F of a
+``StructuredConvexProgram`` over its rows c_i(x) >= 0 (linear rows and
+speed rows h^2 - |x_j - x_i|^2) in two phases, from the strictly feasible
+start bundled with the program. The first is a primal-dual method with
+Mehrotra's predictor-corrector (Mehrotra, SIAM J. Optim. 1992; Nocedal &
+Wright, Numerical Optimization, ch. 19) on the exact rows, so every
+iterate stays strictly feasible; ``_primal_dual`` describes its iteration,
+step rule and safeguard. The second certifies the result: the log barrier
 t*F + sum(log c_i) at t_final = nu/``_GAP_TOL`` is centred by damped Newton
 with backtracking until the half squared decrement is at most
 ``_NEWTON_TOL``, so the returned point is within nu/t_final of the optimum
-(Boyd & Vandenberghe §11.2). Speed and hyperbolic rows count with degree 2
-toward the total barrier degree nu, linear rows and finite box bounds with
-degree 1. A linear row's reciprocal objective term -k/(s + o) is a function
-of the row's slack s, so it adds to the weight of the row's own block
-a a^T and needs no entries of its own.
+(Boyd & Vandenberghe §11.2). Speed rows count with degree 2 toward the
+total barrier degree nu, linear rows with degree 1. A linear row's
+reciprocal objective term -k/(s + o) is a function of the row's slack s,
+so it adds to the weight of the row's own block a a^T and needs no
+entries of its own.
 
 Fixed coordinates are held exactly by restricting steps to the free
 coordinates. Newton systems are banded. A ``_Pattern`` holds the
@@ -26,18 +26,16 @@ as it does over a run's alternations. Each step scatters the entry values
 there with one ``np.bincount`` and factors with LAPACK's banded Cholesky
 (``dpbtrf``/``dpbtrs``), loaded from scipy's extension module by file
 location: importing ``scipy.linalg`` would cost more start-up than a
-default run takes to plan. ``_Work`` touches only the term and row
-families the program has, and fills one value buffer in place. A point's
-evaluation travels with it from one step to the next; primal-dual trial
-points are checked for feasibility only.
-In the trajectory program's slot-major variable order the bandwidth does
-not grow with the slot count, so a step costs O(n); the power program's
-budget row spans every coordinate, so its band is full.
-Everything is deterministic: identical inputs produce identical iterate
-sequences.
+default run takes to plan. ``_Work`` fills one value buffer in place. A
+point's evaluation travels with it from one step to the next; primal-dual
+trial points are checked for feasibility only. In the trajectory program's
+slot-major variable order the bandwidth does not grow with the slot count,
+so a step costs O(n). Everything is deterministic: identical inputs produce
+identical iterate sequences.
 
-``water_fill`` solves the power subproblem instead: in closed form given
-the budget's multiplier, which a bracketed Newton search on the dual finds.
+``water_fill`` solves the power program, a ``PowerProgram``: in closed form
+given the budget's multiplier, which a bracketed Newton search on the dual
+finds.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .surrogate import StructuredConvexProgram
+from .surrogate import PowerProgram, StructuredConvexProgram
 
 
 def _load_flapack(directory: str):
@@ -101,11 +99,11 @@ class Solution:
 
 class _Point(NamedTuple):
     """What ``_Work.evaluate`` finds at a strictly feasible point: the
-    objective, the speed-row differences (None without speed rows) and
-    every row's slack, in the pattern's row order."""
+    objective, the speed-row differences and every row's slack, in the
+    pattern's row order."""
 
     f: float
-    y: Optional[np.ndarray]
+    y: np.ndarray
     s: np.ndarray
 
     def phi(self, t: float, fref: float) -> float:
@@ -126,22 +124,19 @@ class _Pattern:
     program structure go: the rows, the free coordinates, and the gradient
     and band positions that ``_Work.assemble`` scatters values to.
 
-    The rows are the finite lower and upper boxes, the linear, the speed and
-    the hyperbolic rows, in this order. ``of`` keeps the last pattern it
-    built and hands it out again while the structure repeats, as it does
-    from one alternation of a run to the next."""
+    The rows are the linear rows, then the speed rows. ``of`` keeps the last
+    pattern it built and hands it out again while the structure repeats, as
+    it does from one alternation of a run to the next."""
 
     _last = None
 
     @classmethod
     def of(cls, prog: StructuredConvexProgram) -> "_Pattern":
         """prog's pattern; read-only arrays that are the last program's own are not compared."""
-        struct = (prog.lb, prog.ub, prog.log_i, prog.quad_i, prog.lin_i, prog.speed_i,
-                  prog.speed_j, prog.hyper_i, prog.hyper_j, prog.fixed_idx)
+        struct = (prog.quad_i, prog.lin_i, prog.speed_i, prog.speed_j, prog.fixed_idx)
         pat = cls._last
         if not (pat and all(a is b and not a.flags.writeable for a, b in zip(struct, pat.struct))):
-            key = tuple((a.dtype.str, a.shape, a.tobytes())
-                        for a in (np.isfinite(prog.lb), np.isfinite(prog.ub), *struct[2:]))
+            key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in struct)
             if not pat or pat.key != key:
                 pat = cls._last = cls(prog, key)
             pat.struct = struct
@@ -150,46 +145,30 @@ class _Pattern:
     def __init__(self, prog: StructuredConvexProgram, key: tuple):
         self.key = key
         n = self.n = prog.n
-        self.lo_idx = np.nonzero(np.isfinite(prog.lb))[0]
-        self.hi_idx = np.nonzero(np.isfinite(prog.ub))[0]
-        # The term and row families the program has; ``evaluate`` and
-        # ``assemble`` skip the others.
-        (self.has_log, self.has_quad, self.has_lo, self.has_hi, self.has_lin, self.has_speed,
-         self.has_hyper) = (a.size > 0 for a in (prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx,
-                                                 prog.lin_b, prog.speed_h, prog.hyper_k))
         # coordinates (x[i], x[j]) of every speed row
         self.sp_idx = np.concatenate([prog.speed_i, prog.speed_j], axis=1)
         free = np.ones(n, dtype=bool)
         free[prog.fixed_idx] = False
         self.free = np.nonzero(free)[0]
-        sizes = (self.lo_idx.size, self.hi_idx.size, prog.lin_b.size,
-                 prog.speed_h.size, prog.hyper_k.size)
-        self.m = sum(sizes)
-        self.nu = self.m + prog.speed_h.size + prog.hyper_k.size
-        first = np.cumsum((0,) + sizes)
-        # rows [0, boxes) are the boxes, [boxes, sp0) the linear rows,
-        # [sp0, hy0) the speed rows and [hy0, m) the hyperbolic rows
-        self.boxes, self.sp0, self.hy0 = (int(k) for k in first[2:5])
+        lin_i = prog.lin_i
+        (m_lin, k), m_sp = lin_i.shape, prog.speed_h.size
+        # rows [0, sp0) are the linear rows and [sp0, m) the speed rows
+        self.sp0, self.m = m_lin, m_lin + m_sp
+        self.nu = self.m + m_sp
         # Jacobian pattern: the coordinate and the row of every entry of the
         # rows' Jacobian J, in the order of ``assemble``'s Jacobian values
-        lin_i = prog.lin_i
-        self.jac_idx = np.concatenate([self.lo_idx, self.hi_idx, lin_i.ravel(),
-                                       self.sp_idx.ravel(), prog.hyper_i, prog.hyper_j])
+        self.jac_idx = np.concatenate([lin_i.ravel(), self.sp_idx.ravel()])
         row = np.arange(self.m)
-        self.jac_row = np.concatenate([
-            row[: first[2]], np.repeat(row[first[2]: first[3]], lin_i.shape[1]),
-            np.repeat(row[first[3]: first[4]], 4), row[first[4]:], row[first[4]:]])
-        gf_idx = np.concatenate([prog.log_i, prog.quad_i, lin_i.ravel()])
+        self.jac_row = np.concatenate([np.repeat(row[:m_lin], k), np.repeat(row[m_lin:], 4)])
+        gf_idx = np.concatenate([prog.quad_i, lin_i.ravel()])
 
         # Hessian pattern: one (row, col) entry per value ``assemble`` puts
         # in its curvature views, in the same order. A linear row of arity k
         # touches the k x k block a a^T of its coordinates, times the row's
         # weight; a speed row the 4 x 4 block of its two points.
         (lin_r, lin_c), (sp_r, sp_c) = _block_entries(lin_i), _block_entries(self.sp_idx)
-        rows = np.concatenate([prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, lin_r, sp_r,
-                               prog.hyper_i, prog.hyper_j, prog.hyper_i, prog.hyper_j])
-        cols = np.concatenate([prog.log_i, prog.quad_i, self.lo_idx, self.hi_idx, lin_c, sp_c,
-                               prog.hyper_i, prog.hyper_j, prog.hyper_j, prog.hyper_i])
+        rows = np.concatenate([prog.quad_i, lin_r, sp_r])
+        cols = np.concatenate([prog.quad_i, lin_c, sp_c])
         # Lower band storage of the free block, column-major as LAPACK
         # keeps it: entry (r, c), r >= c, sits at band[r - c, c]. Entries
         # above the diagonal or on a fixed coordinate go to one extra bin
@@ -207,10 +186,9 @@ class _Pattern:
         self.band_end = n + band_size
         # ``_Work``'s views of its value buffer, (start, stop, shape): each family's
         # values in sum_idx's order, then J's in jac_idx's order
-        (m_lin, k), m_sp, n_hy, box = lin_i.shape, prog.speed_h.size, prog.hyper_k.size, self.boxes
-        n_log, n_quad = prog.log_i.size, prog.quad_i.size
-        shapes = [(n_log,), (n_quad,), (m_lin, k), (n_log,), (n_quad,), (box,), (m_lin, k, k),
-                  (m_sp, 4, 4), (4, n_hy), (box + m_lin * k,), (m_sp, 4), (2, n_hy)]
+        n_quad = prog.quad_i.size
+        shapes = [(n_quad,), (m_lin, k), (n_quad,), (m_lin, k, k), (m_sp, 4, 4),
+                  (m_lin * k,), (m_sp, 4)]
         stops = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
         self.views = [(stop - math.prod(shape), stop, shape) for stop, shape in zip(stops, shapes)]
 
@@ -222,43 +200,30 @@ class _Work:
     def __init__(self, prog: StructuredConvexProgram):
         self.prog = prog
         pat = self.pattern = _Pattern.of(prog)
-        self.lo_val, self.hi_val = prog.lb[pat.lo_idx], prog.ub[pat.hi_idx]
         self.sp_h2 = prog.speed_h * prog.speed_h
         self.lin_aa = prog.lin_a[:, :, None] * prog.lin_a[:, None, :]
         self.neg_lin_a, self.neg_b2, self.quad_t = -prog.lin_a, -2.0 * prog.quad_beta, None
-        self.q = np.zeros(pat.m)   # ``max_step``'s a^2 terms: 0 but on speed and hyperbolic rows
+        self.q = np.zeros(pat.m)   # ``max_step``'s a^2 terms: 0 but on speed rows
         buf = np.empty(pat.views[-1][1])
         self.values, self.jac = buf[: pat.sum_idx.size], buf[pat.sum_idx.size:]
         self.sp_outer = np.empty((prog.speed_h.size, 4, 4))   # scratch
-        (self.log_g, self.quad_g, self.lin_g, self.log_h, self.quad_h, self.box_h, self.lin_h,
-         self.sp_h, self.hy_h, jac_const, self.sp_jac, self.hy_jac) = (
+        (self.quad_g, self.lin_g, self.quad_h, self.lin_h, self.sp_h, lin_jac, self.sp_jac) = (
             buf[start: stop].reshape(shape) for start, stop, shape in pat.views)
-        jac_const[: pat.boxes] = np.repeat((1.0, -1.0), (pat.lo_idx.size, pat.hi_idx.size))
-        jac_const[pat.boxes:] = self.neg_lin_a.ravel()
+        lin_jac[:] = self.neg_lin_a.ravel()
 
     def evaluate(self, x: np.ndarray, objective: bool = True) -> Optional[_Point]:
-        """Objective, speed-row differences and row slacks (boxes, linear,
-        speed and hyperbolic rows) at x, or None if x is not strictly
-        feasible. The objective reuses the linear rows' slacks; without
-        ``objective`` f is None unless log terms make it decide feasibility."""
+        """Objective, speed-row differences and row slacks (linear, then
+        speed rows) at x, or None if x is not strictly feasible. The
+        objective reuses the linear rows' slacks; without ``objective`` f is
+        None."""
         prog, pat = self.prog, self.pattern
         s = np.empty(pat.m)
-        n_lo = pat.lo_idx.size
-        lin = y = None
-        if pat.has_lo:
-            np.subtract(x[pat.lo_idx], self.lo_val, out=s[:n_lo])
-        if pat.has_hi:
-            np.subtract(self.hi_val, x[pat.hi_idx], out=s[n_lo: pat.boxes])
-        if pat.has_lin:
-            s[pat.boxes: pat.sp0] = lin = prog.lin_slack(x)
-        if pat.has_speed:
-            y = x[prog.speed_j] - x[prog.speed_i]
-            np.subtract(self.sp_h2, np.add.reduce(y * y, axis=1), out=s[pat.sp0: pat.hy0])
-        if pat.has_hyper:
-            np.subtract(x[prog.hyper_i] * x[prog.hyper_j], prog.hyper_k, out=s[pat.hy0:])
+        s[: pat.sp0] = lin = prog.lin_slack(x)
+        y = x[prog.speed_j] - x[prog.speed_i]
+        np.subtract(self.sp_h2, np.add.reduce(y * y, axis=1), out=s[pat.sp0:])
         if np.minimum.reduce(s, initial=math.inf) <= 0.0:
             return None
-        if not (objective or pat.has_log):
+        if not objective:
             return _Point(None, y, s)
         f = prog.objective_value(x, lin)
         return _Point(f, y, s) if math.isfinite(f) else None
@@ -277,51 +242,34 @@ class _Work:
         buffer, which the next call overwrites."""
         prog, pat = self.prog, self.pattern
         wc = w / point.s
-        if pat.has_log:
-            a = prog.log_a
-            arg = 1.0 + a * x[prog.log_i]
-            np.divide(prog.log_alpha * a, arg, out=self.log_g)
-            np.divide(t * prog.log_alpha * (a * a), arg * arg, out=self.log_h)
-        if pat.has_quad:
-            # -(2 beta (x - c)), and its constant curvature 2 beta t
-            np.multiply(self.neg_b2, np.subtract(x[prog.quad_i], prog.quad_c, out=self.quad_g),
-                        out=self.quad_g)
-            if t != self.quad_t:
-                np.multiply(t, -self.neg_b2, out=self.quad_h)
-                self.quad_t = t
-        if pat.has_lo or pat.has_hi:
-            self.box_h[:] = wc[: pat.boxes]
-        if pat.has_lin:
-            # -k/(s + o) for each linear row's slack s: its gradient along
-            # the row, and its negated curvature weight
-            r_lin = point.s[pat.boxes: pat.sp0] + prog.lin_o
-            k_r2 = prog.lin_k / (r_lin * r_lin)
-            np.multiply(self.neg_lin_a, k_r2[:, None], out=self.lin_g)
-            w_lin = wc[pat.boxes: pat.sp0] + 2.0 * t * k_r2 / r_lin
-            np.multiply(self.lin_aa, w_lin[:, None, None], out=self.lin_h)
-        if pat.has_speed:
-            # h^2 - |y|^2: gradient G and negated Hessian _SPEED_CURV over
-            # the row's four coordinates (x[i], x[j])
-            G = self.sp_jac
-            np.multiply(2.0, point.y, out=G[:, :2])
-            np.negative(G[:, :2], out=G[:, 2:])
-            sp = slice(pat.sp0, pat.hy0)
-            np.multiply(_SPEED_CURV, w[sp, None, None], out=self.sp_h)
-            np.multiply(G[:, :, None], (G * wc[sp, None])[:, None, :], out=self.sp_outer)
-            self.sp_h += self.sp_outer
-        if pat.has_hyper:
-            # x_i x_j - k: gradient (x_j, x_i); the weighted block is
-            # (w/c) [[x_j^2, k], [k, x_i^2]]
-            xj, xi = self.hy_jac
-            np.take(x, prog.hyper_j, out=xj)
-            np.take(x, prog.hyper_i, out=xi)
-            np.multiply(wc[pat.hy0:], (xj * xj, xi * xi, prog.hyper_k, prog.hyper_k), out=self.hy_h)
+        # -(2 beta (x - c)), and its constant curvature 2 beta t
+        np.multiply(self.neg_b2, np.subtract(x[prog.quad_i], prog.quad_c, out=self.quad_g),
+                    out=self.quad_g)
+        if t != self.quad_t:
+            np.multiply(t, -self.neg_b2, out=self.quad_h)
+            self.quad_t = t
+        # -k/(s + o) for each linear row's slack s: its gradient along the
+        # row, and its negated curvature weight
+        r_lin = point.s[: pat.sp0] + prog.lin_o
+        k_r2 = prog.lin_k / (r_lin * r_lin)
+        np.multiply(self.neg_lin_a, k_r2[:, None], out=self.lin_g)
+        w_lin = wc[: pat.sp0] + 2.0 * t * k_r2 / r_lin
+        np.multiply(self.lin_aa, w_lin[:, None, None], out=self.lin_h)
+        # h^2 - |y|^2: gradient G and negated Hessian _SPEED_CURV over the
+        # row's four coordinates (x[i], x[j])
+        G = self.sp_jac
+        np.multiply(2.0, point.y, out=G[:, :2])
+        np.negative(G[:, :2], out=G[:, 2:])
+        sp = slice(pat.sp0, None)
+        np.multiply(_SPEED_CURV, w[sp, None, None], out=self.sp_h)
+        np.multiply(G[:, :, None], (G * wc[sp, None])[:, None, :], out=self.sp_outer)
+        self.sp_h += self.sp_outer
 
         n = pat.n
         # (bincount of no values at all comes back as integers)
         total = np.bincount(pat.sum_idx, self.values,
                             minlength=pat.band_end + 1).astype(float, copy=False)
-        return (prog.c + total[:n], total[n: pat.band_end].reshape(pat.free.size, pat.kd + 1).T,
+        return (total[:n], total[n: pat.band_end].reshape(pat.free.size, pat.kd + 1).T,
                 self.jac, wc)
 
     def jac_dot(self, jac: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -339,24 +287,19 @@ class _Work:
         """The largest step a <= 1 along (d, dl) that keeps every row's slack
         (at least one) and every dual lam at least ``_KEEP`` of its value:
         c_i(x + a d) >= _KEEP c_i(x), exactly, and lam + a dl >= _KEEP lam.
-        dc is J d. Along d each slack is c + a dc + a^2 q, with q = 0 for
-        the box and linear rows, -|d_j - d_i|^2 for a speed row and
-        d_i d_j for a hyperbolic row; the slacks' bound is the least
-        positive root of c (1 - _KEEP) + a dc + a^2 q."""
+        dc is J d. Along d each slack is c + a dc + a^2 q, with q = 0 for a
+        linear row and -|d_j - d_i|^2 <= 0 for a speed row; the slacks'
+        bound is the least positive root of c (1 - _KEEP) + a dc + a^2 q."""
         prog, pat, q = self.prog, self.pattern, self.q
-        if pat.has_speed:
-            e = d[prog.speed_j] - d[prog.speed_i]
-            np.negative(np.einsum("ij,ij->i", e, e), out=q[pat.sp0: pat.hy0])
-        if pat.has_hyper:
-            np.multiply(d[prog.hyper_i], d[prog.hyper_j], out=q[pat.hy0:])
+        e = d[prog.speed_j] - d[prog.speed_i]
+        np.negative(np.einsum("ij,ij->i", e, e), out=q[pat.sp0:])
         # twice the room (1 - _KEEP) c, exactly: 4 q room = q (2 room2), 2 room = room2
         room2 = (2.0 * (1.0 - _KEEP)) * point.s
+        # q <= 0, so disc >= 0, and the root is 2 room / (-dc + sqrt(disc)),
+        # the form that cancels nothing; a row whose denominator is 0 (dc >= 0
+        # on a linear row) limits nothing
         disc = dc * dc - q * (room2 + room2)
-        # the root is 2 room / (-dc + sqrt(disc)), the form that cancels
-        # nothing; a row without a positive root (disc < 0, which only a
-        # hyperbolic row's q > 0 allows, or a denominator <= 0) limits nothing
-        den = (np.where(disc >= 0.0, np.sqrt(np.abs(disc)) - dc, 0.0) if pat.has_hyper
-               else np.sqrt(disc) - dc)
+        den = np.sqrt(disc) - dc
         return 1.0 / max(1.0, float(np.maximum.reduce(den / room2)),
                          -float(np.minimum.reduce(dl / lam)) / (1.0 - _KEEP))
 
@@ -394,7 +337,7 @@ def _back_solve(chol: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
 
 
 def solve(prog: StructuredConvexProgram) -> Solution:
-    """Maximize the program's concave objective over its constraint set.
+    """Maximize the trajectory program's concave objective over its rows.
 
     ``_primal_dual`` runs from the bundled start, with the duals at the
     central-path weight t0 = nu/max(|F(start)|, 1e-2), and ``_center``
@@ -511,12 +454,11 @@ def _primal_dual(work: _Work, x: np.ndarray, point: _Point, t0: float, t_final: 
     return x, point, steps, "ok"
 
 
-def water_fill(prog: StructuredConvexProgram) -> np.ndarray:
+def water_fill(prog: PowerProgram) -> np.ndarray:
     """Water-filling maximizer of a power program (Boyd & Vandenberghe 5.5.3).
 
     The program is sum_k alpha_k ln(1 + a_k x_k) + c.x, c < 0, over the box
-    [0, ub] and its one linear row, the budget sum_k x_k <= b, with one log
-    term per coordinate in order. For the budget's multiplier lam,
+    [0, ub] and the budget sum_k x_k <= b. For the budget's multiplier lam,
     x_k = clip(alpha_k/(lam - c_k) - 1/a_k, 0, ub_k). lam is 0 if that fits
     the budget; otherwise the bracket between 0 and max(alpha*a + c), where
     x = 0, is shrunk until it stops shrinking, and the point at the
@@ -534,8 +476,7 @@ def water_fill(prog: StructuredConvexProgram) -> np.ndarray:
     the same lam as plain bisection, whatever the probes: the smallest float
     whose powers fit the budget.
     """
-    alpha, a, c, ub = prog.log_alpha, prog.log_a, prog.c, prog.ub
-    budget = prog.lin_b[0]
+    alpha, a, c, ub, budget = prog.alpha, prog.a, prog.c, prog.ub, prog.budget
     inv_a = 1.0 / a
 
     def point(lam):

@@ -1,16 +1,17 @@
 """First-order convex surrogates of the secrecy objective.
 
 Given the current design (trajectory and power), this module builds the two
-convex subproblems of the alternating scheme as ``StructuredConvexProgram``
-instances: the trajectory subproblem (the 2N position coordinates, power
-fixed) and the power subproblem (the N powers, trajectory fixed, whose
-average-power budget is its one linear row), and the slack-reformulated
-objective they are tangent to. ``expansion_from`` is the one place a
-design is linearized: from ``model.link``'s values at the design it
-returns the tight slacks and each slot's loss bound, affine in the two
-SNRs. Each builder takes only that linearization and substitutes every
-slack by the value at which it binds at the subproblem's optimum, so
-neither program carries a slack variable.
+convex subproblems of the alternating scheme: the trajectory subproblem, a
+``StructuredConvexProgram`` over the 2N position coordinates with power
+fixed, which ``solver.solve`` solves; and the power subproblem, a
+``PowerProgram`` over the N powers with the trajectory fixed, which
+``solver.water_fill`` solves in closed form. It also gives the
+slack-reformulated objective both are tangent to. ``expansion_from`` is
+the one place a design is linearized: from ``model.link``'s values at the
+design it returns the tight slacks and each slot's loss bound, affine in
+the two SNRs. Each builder takes only that linearization and substitutes
+every slack by the value at which it binds at the subproblem's optimum,
+so neither program carries a slack variable.
 
 Both subproblem objectives under-estimate the slack-reformulated objective
 everywhere and agree with it (value and gradient) at the expansion point.
@@ -19,7 +20,7 @@ everywhere and agree with it (value and gradient) at the expansion point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,71 +50,50 @@ L_LOWER_RELAX = 1e-6
 START_SHIFT = 0.01
 
 
-def _empty(*shape, dtype=float):
-    """Default of a term or row family's array: no entries, one read-only
-    array that every program without the family shares."""
-    empty = np.zeros((0, *shape), dtype=dtype)
-    empty.flags.writeable = False
-    return field(default_factory=lambda: empty)
-
-
 # ---------------------------------------------------------------------------
-# Canonical convex program container
+# Program containers
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False, kw_only=True)
 class StructuredConvexProgram:
-    """Concave maximization over linear, box, speed, and hyperbolic rows.
+    """The trajectory program: a concave maximization over linear and speed rows.
 
-    objective(x) = constant + c.x
-                   + sum_k log_alpha[k] * ln(1 + log_a[k] * x[log_i[k]])
+    objective(x) = constant
                    - sum_k quad_beta[k] * (x[quad_i[k]] - quad_c[k])^2
                    - sum_r lin_k[r] / (lin_slack(x)[r] + lin_o[r])
     subject to     sum_k lin_a[r, k] x[lin_i[r, k]] <= lin_b[r]  (linear rows)
                    |x[speed_j[k]] - x[speed_i[k]]| <= speed_h[k]   (speed rows)
-                   x[i]*x[j] >= k, x[i] >= 0, x[j] >= 0  (hyperbolic rows)
-                   lb <= x <= ub                          (boxes, +-inf allowed)
                    x[i] = v                               (fixed coordinates)
 
-    Every term and row family is a set of index and coefficient arrays,
-    empty unless given. Log and quad terms have one entry per coordinate,
-    with log_alpha and quad_beta >= 0. The linear rows share one arity k:
-    ``lin_i`` and ``lin_a`` have shape (m, k) and hold each row's
-    coordinates and coefficients (a coordinate may repeat). Each row r
-    carries a reciprocal term of its slack with lin_k[r] >= 0 and
-    lin_o[r] > 0 (lin_k[r] = 0 for a plain row), so the term is finite and
-    concave wherever the row holds. A speed row bounds the distance between
-    two points whose coordinates are the index pairs ``speed_i[k]`` and
-    ``speed_j[k]`` (arrays of shape (m, 2)), with ``speed_h > 0``.
+    Each term and row family is a set of index and coefficient arrays. Quad
+    terms have one entry per coordinate, with quad_beta >= 0. The linear
+    rows share one arity k: ``lin_i`` and ``lin_a`` have shape (m, k) and
+    hold each row's coordinates and coefficients (a coordinate may repeat).
+    Each row r carries a reciprocal term of its slack with lin_k[r] >= 0 and
+    lin_o[r] > 0, so the term is finite and concave wherever the row holds.
+    A speed row bounds the distance between two points whose coordinates are
+    the index pairs ``speed_i[k]`` and ``speed_j[k]`` (arrays of shape
+    (m, 2)), with ``speed_h > 0``.
 
     ``start`` is a strictly feasible point. ``layout`` maps variable-block
     names to index arrays.
     """
 
     n: int
-    lb: np.ndarray
-    ub: np.ndarray
-    c: np.ndarray
-    constant: float = 0.0
-    log_i: np.ndarray = _empty(dtype=int)
-    log_a: np.ndarray = _empty()
-    log_alpha: np.ndarray = _empty()
-    quad_i: np.ndarray = _empty(dtype=int)
-    quad_c: np.ndarray = _empty()
-    quad_beta: np.ndarray = _empty()
-    lin_i: np.ndarray = _empty(0, dtype=int)
-    lin_a: np.ndarray = _empty(0)
-    lin_b: np.ndarray = _empty()
-    lin_k: np.ndarray = _empty()
-    lin_o: np.ndarray = _empty()
-    speed_i: np.ndarray = _empty(2, dtype=int)
-    speed_j: np.ndarray = _empty(2, dtype=int)
-    speed_h: np.ndarray = _empty()
-    hyper_i: np.ndarray = _empty(dtype=int)
-    hyper_j: np.ndarray = _empty(dtype=int)
-    hyper_k: np.ndarray = _empty()
-    fixed_idx: np.ndarray = _empty(dtype=int)
-    fixed_val: np.ndarray = _empty()
+    constant: float
+    quad_i: np.ndarray
+    quad_c: np.ndarray
+    quad_beta: np.ndarray
+    lin_i: np.ndarray
+    lin_a: np.ndarray
+    lin_b: np.ndarray
+    lin_k: np.ndarray
+    lin_o: np.ndarray
+    speed_i: np.ndarray
+    speed_j: np.ndarray
+    speed_h: np.ndarray
+    fixed_idx: np.ndarray
+    fixed_val: np.ndarray
     start: np.ndarray
     layout: dict
 
@@ -122,25 +102,41 @@ class StructuredConvexProgram:
         return self.lin_b - np.add.reduce(self.lin_a * x[self.lin_i], axis=1)
 
     def objective_value(self, x: np.ndarray, lin_slack=None) -> float:
-        """The objective at x; -inf where a log or reciprocal term is
-        undefined. ``lin_slack``, if given, is ``self.lin_slack(x)``. A term
-        family the program does not have is skipped."""
+        """The objective at x; -inf where a reciprocal term is undefined.
+        ``lin_slack``, if given, is ``self.lin_slack(x)``."""
         x = np.asarray(x, dtype=float)
-        f = self.constant + float(self.c @ x)
-        if self.log_i.size:
-            arg = 1.0 + self.log_a * x[self.log_i]
-            if arg.min() <= 0.0:
-                return -math.inf
-            f += float((self.log_alpha * np.log(arg)).sum())
-        if self.quad_i.size:
-            diff = x[self.quad_i] - self.quad_c
-            f -= float((self.quad_beta * (diff * diff)).sum())
-        if self.lin_b.size:
-            den = (self.lin_slack(x) if lin_slack is None else lin_slack) + self.lin_o
-            if den.min() <= 0.0:
-                return -math.inf
-            f -= float((self.lin_k / den).sum())
-        return f
+        diff = x[self.quad_i] - self.quad_c
+        f = self.constant - float((self.quad_beta * (diff * diff)).sum())
+        den = (self.lin_slack(x) if lin_slack is None else lin_slack) + self.lin_o
+        if den.min(initial=math.inf) <= 0.0:
+            return -math.inf
+        return f - float((self.lin_k / den).sum())
+
+
+class PowerProgram(NamedTuple):
+    """The power program: maximize
+
+        constant + c.x + sum_k alpha[k] * ln(1 + a[k] * x[k])
+
+    over 0 <= x <= ub and the average power budget sum_k x[k] <= budget,
+    with c < 0, a > 0 and alpha > 0. ``solver.water_fill`` solves it."""
+
+    n: int
+    constant: float
+    c: np.ndarray
+    a: np.ndarray
+    alpha: np.ndarray
+    ub: np.ndarray
+    budget: float
+    layout: dict
+
+    def objective_value(self, x: np.ndarray) -> float:
+        """The objective at x; -inf where a log term is undefined."""
+        x = np.asarray(x, dtype=float)
+        arg = 1.0 + self.a * x
+        if arg.min() <= 0.0:
+            return -math.inf
+        return self.constant + float(self.c @ x) + float((self.alpha * np.log(arg)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +263,6 @@ def _parts(cfg: ScenarioConfig) -> tuple:
     N, rows = cfg.N, 2 if math.isfinite(cfg.L) else 1
     q_idx = np.arange(2 * N).reshape(N, 2)
     fields = dict(
-        lb=np.full(2 * N, -np.inf), ub=np.full(2 * N, np.inf), c=np.zeros(2 * N),
         quad_i=q_idx.ravel(), quad_c=np.tile(cfg.w_b[:2], N), lin_i=np.tile(q_idx, (rows, 1)),
         lin_o=np.full(rows * N, cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)),
         speed_i=q_idx[:-1], speed_j=q_idx[1:], speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),
@@ -303,7 +298,7 @@ def _trajectory_start(prog: StructuredConvexProgram, segment: np.ndarray) -> np.
 # Power subproblem
 # ---------------------------------------------------------------------------
 
-def build_power_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> StructuredConvexProgram:
+def build_power_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> PowerProgram:
     """Convex power subproblem at the linearized design ``ep``, trajectory fixed.
 
     The variables are the N powers. Bob's rate keeps its exact log in P, and
@@ -315,16 +310,10 @@ def build_power_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> Structure
     scale = (1.0 - cfg.eps_b) / N
     g_b = cfg.xi0 / ep.d2_b
     g_e = cfg.xi0 / ep.d2_e
-    p_ix = np.arange(N)
-    return StructuredConvexProgram(
-        n=N, lb=np.zeros(N), ub=np.full(N, cfg.P_max), c=-scale * (g_b * ep.k_b + g_e * ep.k_e),
-        constant=-float(np.add.reduce(scale * ep.loss0)),
-        log_i=p_ix, log_a=g_b, log_alpha=np.full(N, scale / LN2),
-        # the average power budget: one row over every slot
-        lin_i=p_ix[None, :], lin_a=np.ones((1, N)), lin_b=np.array([N * cfg.P_bar]),
-        lin_k=np.zeros(1), lin_o=np.ones(1),
-        # strictly feasible start for the interior-point solver: uniform half-average power
-        start=np.full(N, cfg.P_bar / 2.0), layout={"p": p_ix},
+    return PowerProgram(
+        n=N, constant=-float(np.add.reduce(scale * ep.loss0)),
+        c=-scale * (g_b * ep.k_b + g_e * ep.k_e), a=g_b, alpha=np.full(N, scale / LN2),
+        ub=np.full(N, cfg.P_max), budget=N * cfg.P_bar, layout={"p": np.arange(N)},
     )
 
 

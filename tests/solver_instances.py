@@ -2,24 +2,31 @@
 
 Each generator returns (program, oracle_value). Instances are built around a
 known strictly feasible start and kept at 1-2 coupled variables per block so
-a staged grid refinement pins the optimum to ~1e-6.
+a staged grid refinement pins the optimum to ~1e-6. Every instance has the
+trajectory program's shape: a concave quadratic with reciprocal terms of
+linear-row slacks, over linear rows, speed rows and fixed coordinates. A
+linear objective c.x - beta |x - q|^2 is folded into its quad centre,
+q + c/(2 beta), with the constant that keeps its values.
 """
 
 import numpy as np
 
-from uavsec.surrogate import StructuredConvexProgram
+from uavsec.surrogate import PowerProgram, StructuredConvexProgram
 
 
 def program(n, **fields):
     """Program on n variables: every family not given in ``fields`` is empty,
-    boxes are infinite, the objective is zero and the start is the origin.
-    Unless given, the linear rows carry no reciprocal terms."""
-    kw = dict(lb=np.full(n, -np.inf), ub=np.full(n, np.inf), c=np.zeros(n),
-              start=np.zeros(n), layout={})
+    the constant is zero and the start is the origin. Unless given, the
+    linear rows carry no reciprocal terms."""
+    kw = dict(constant=0.0, quad_i=np.zeros(0, dtype=int), quad_c=np.zeros(0),
+              quad_beta=np.zeros(0), lin_i=np.zeros((0, 1), dtype=int), lin_a=np.zeros((0, 1)),
+              lin_b=np.zeros(0), speed_i=np.zeros((0, 2), dtype=int),
+              speed_j=np.zeros((0, 2), dtype=int), speed_h=np.zeros(0),
+              fixed_idx=np.zeros(0, dtype=int), fixed_val=np.zeros(0), start=np.zeros(n),
+              layout={})
     kw.update(fields)
-    if "lin_b" in kw:
-        kw.setdefault("lin_k", np.zeros(kw["lin_b"].size))
-        kw.setdefault("lin_o", np.ones(kw["lin_b"].size))
+    kw.setdefault("lin_k", np.zeros(kw["lin_b"].size))
+    kw.setdefault("lin_o", np.ones(kw["lin_b"].size))
     return StructuredConvexProgram(n=n, **kw)
 
 
@@ -31,22 +38,48 @@ def dense_rows(A, b):
                 lin_b=np.asarray(b, dtype=float))
 
 
+def box_rows(lb, ub, A=np.zeros((0, 1)), b=()):
+    """Linear-row fields for the box lb <= x <= ub, as the rows -x <= -lb and
+    x <= ub, followed by the rows A x <= b."""
+    eye = np.eye(len(lb))
+    return dense_rows(np.vstack([-eye, eye, np.reshape(A, (-1, len(lb)))]),
+                      np.concatenate([-np.asarray(lb), ub, b]))
+
+
+def folded_quad(idx, beta, center, c, constant=0.0):
+    """Quad-term fields and constant of constant + c.x - beta |x - center|^2
+    over the coordinates idx (beta > 0, one per coordinate): the centre
+    moves to center + c/(2 beta), and the constant grows by the value there."""
+    beta, center, c = (np.asarray(a, dtype=float) for a in (beta, center, c))
+    shift = c / (2.0 * beta)
+    return dict(quad_i=np.asarray(idx), quad_c=center + shift, quad_beta=beta,
+                constant=constant + float(c @ center) + float(beta @ (shift * shift)))
+
+
+def power_program(constant, c, a, alpha, ub, budget):
+    """A ``PowerProgram`` with the given coefficients; layout {"p": all}."""
+    n = len(c)
+    return PowerProgram(n=n, constant=constant, c=np.asarray(c, dtype=float),
+                        a=np.asarray(a, dtype=float), alpha=np.asarray(alpha, dtype=float),
+                        ub=np.asarray(ub, dtype=float), budget=budget,
+                        layout={"p": np.arange(n)})
+
+
 def bisection_water_fill(prog):
     """The water-filling point of a power program (see ``solver.water_fill``)
     with the budget's multiplier found by plain bisection between 0 and
     max(alpha*a + c) until the bracket stops shrinking: the reference that
     ``water_fill`` must match float for float."""
-    alpha, a, c = prog.log_alpha, prog.log_a, prog.c
-    budget = prog.lin_b[0]
+    alpha, a, c = prog.alpha, prog.a, prog.c
 
     def point(lam):
         return np.clip(alpha / (lam - c) - 1.0 / a, 0.0, prog.ub)
 
     lo, hi = 0.0, float(np.max(alpha * a + c))
-    if np.sum(point(lo)) <= budget:
+    if np.sum(point(lo)) <= prog.budget:
         hi = lo
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if np.sum(point(mid)) <= budget:
+        if np.sum(point(mid)) <= prog.budget:
             hi = mid
         else:
             lo = mid
@@ -61,16 +94,19 @@ def _grid_max_1d(fn, lo, hi, stages=3, pts=4001):
         k = int(np.argmax(vals))
         if vals[k] > best:
             best, best_x = float(vals[k]), float(xs[k])
+        if best_x is None:      # no point of the grid is feasible
+            return best
         span = (hi - lo) / (pts - 1) * 4.0
         lo, hi = max(lo, best_x - span), min(hi, best_x + span)
     return best
 
 
 def box_linear_instance(rng):
-    """1-2 vars, boxes, a couple of linear rows kept feasible at the midpoint.
+    """1-2 vars, a box and a couple of linear rows kept feasible at the
+    midpoint, and a linear plus quadratic objective.
 
-    The oracle enumerates every KKT candidate exactly: polytope vertices,
-    edge-restricted stationary points, and (for the quadratic case) the
+    The box is four linear rows. The oracle enumerates every KKT candidate
+    exactly: polytope vertices, edge-restricted stationary points, and the
     unconstrained stationary point. That set always contains the optimum of
     a concave quadratic over a bounded polytope.
     """
@@ -85,15 +121,11 @@ def box_linear_instance(rng):
         rows.append((a, float(a @ mid + rng.uniform(0.1, 1.0))))
     beta = float(rng.uniform(0.0, 2.0))
     center = rng.uniform(-1.0, 3.0, size=n)
-    quad = dict(quad_i=np.arange(n), quad_c=center, quad_beta=np.full(n, beta)) if beta > 0 else {}
-    prog = program(n, lb=lb, ub=ub, c=c, start=mid, **quad,
-                   **dense_rows([r[0] for r in rows], [r[1] for r in rows]))
+    prog = program(n, start=mid, **folded_quad(np.arange(n), np.full(n, beta), center, c),
+                   **box_rows(lb, ub, [r[0] for r in rows], [r[1] for r in rows]))
 
     def value(x):
-        val = float(c @ x)
-        if beta > 0:
-            val -= beta * float((x - center) @ (x - center))
-        return val
+        return float(c @ x) - beta * float((x - center) @ (x - center))
 
     def feasible(x):
         tol = 1e-12
@@ -110,11 +142,10 @@ def box_linear_instance(rng):
         planes.append((e.copy(), float(ub[i])))
     planes.extend((a.copy(), rhs) for a, rhs in rows)
 
-    candidates = []
+    x_star = center + c / (2.0 * beta)
+    candidates = [x_star]
     if n == 1:
         candidates.extend(np.array([off / nv[0]]) for nv, off in planes if nv[0] != 0.0)
-        if beta > 0:
-            candidates.append(center + c / (2.0 * beta))
     else:
         for i in range(len(planes)):
             for j in range(i + 1, len(planes)):
@@ -123,57 +154,98 @@ def box_linear_instance(rng):
                 if abs(np.linalg.det(M)) < 1e-12:
                     continue
                 candidates.append(np.linalg.solve(M, rhs))
-        if beta > 0:
-            candidates.append(center + c / (2.0 * beta))
-            # stationary point restricted to each hyperplane
-            for nv, off in planes:
-                x_star = center + c / (2.0 * beta)
-                nn = float(nv @ nv)
-                candidates.append(x_star - nv * ((float(nv @ x_star) - off) / nn))
+        # stationary point restricted to each hyperplane
+        for nv, off in planes:
+            candidates.append(x_star - nv * ((float(nv @ x_star) - off) / float(nv @ nv)))
 
     oracle = max(value(x) for x in candidates if feasible(x))
     return prog, oracle
 
 
-def log_objective_instance(rng):
-    """1 var: alpha*log(1+a*x) + c*x on a box; classic rate/price tradeoff."""
-    alpha = float(rng.uniform(0.2, 3.0))
-    a = float(rng.uniform(1.0, 200.0))
-    cgrow = float(-rng.uniform(0.5, 30.0))
-    hi = float(rng.uniform(0.05, 1.0))
-    prog = program(
-        1, lb=np.array([0.0]), ub=np.array([hi]), c=np.array([cgrow]),
-        log_i=np.array([0]), log_a=np.array([a]), log_alpha=np.array([alpha]),
-        start=np.array([hi / 2.0]),
-    )
-    oracle = _grid_max_1d(lambda x: alpha * np.log(1.0 + a * x) + cgrow * x, 0.0, hi)
+def reciprocal_row_instance(rng):
+    """1-2 vars, one linear row a.x <= b kept feasible at the start, whose
+    slack s carries the reciprocal term -k/(s + o), and quad terms.
+
+    In the coordinates y_i = sqrt(beta_i) (x_i - quad_c_i) the objective is
+    -|y|^2 - k/(s + o), and the row names y only through its normal, so the
+    optimum lies on the line along that normal through the quad centre: a
+    1-D concave maximization over the line's feasible half.
+    """
+    n = int(rng.integers(1, 3))
+    start = rng.uniform(-1.0, 1.0, size=n)
+    a = rng.uniform(-1.0, 1.0, size=n)
+    b = float(a @ start + rng.uniform(0.1, 1.0))
+    k, o = float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.2, 1.0))
+    beta = rng.uniform(0.1, 2.0, size=n)
+    center = rng.uniform(-3.0, 3.0, size=n)
+    prog = program(n, quad_i=np.arange(n), quad_c=center, quad_beta=beta,
+                   **dense_rows([a], [b]), lin_k=np.array([k]), lin_o=np.array([o]),
+                   start=start)
+
+    # y = t a~/|a~|, a~ = a / sqrt(beta): the slack is s0 - t |a~|, so the row
+    # holds for t <= s0/|a~|; below min(0, that) - sqrt(k/o) - 1, -t^2 alone
+    # is below the value there
+    norm = float(np.linalg.norm(a / np.sqrt(beta)))
+    s0 = b - float(a @ center)
+    hi = s0 / norm
+    lo = min(0.0, hi) - np.sqrt(k / o) - 1.0
+
+    def value(t):
+        return -t * t - k / (np.maximum(s0 - t * norm, 0.0) + o)
+
+    oracle = _grid_max_1d(value, lo, hi, stages=4, pts=40001)
     return prog, oracle
 
 
-def hyperbolic_instance(rng):
-    """2 vars u, l with u*l >= k; linear objective pushing into the corner."""
-    k = float(rng.uniform(0.5, 4.0))
-    l_hi = float(rng.uniform(1.5, 4.0))
-    u_hi = float(rng.uniform(k / l_hi + 1.0, 8.0))
-    cu = float(-rng.uniform(0.2, 2.0))
-    cl = float(rng.uniform(-1.0, 1.0))
-    lb = np.zeros(2)
-    ub = np.array([u_hi, l_hi])
-    l0 = 0.75 * l_hi
-    u0 = 0.5 * (k / l0 + u_hi)   # strictly between k/l0 and the box top
-    start = np.array([u0, l0])
-    assert k / l0 < u0 < u_hi and u0 * l0 > k
+def speed_lens_instance(rng):
+    """One free point (variables 2, 3) between two fixed ones (0, 1 and
+    4, 5), each a speed row away: the free point ranges over the lens where
+    two discs meet, as a trajectory's inner slot does. Every coordinate has
+    a quad term, so the fixed points add a constant.
+
+    The lens is at least a fifth of the radii thick. The oracle is the quad
+    centre if it lies in the lens, and otherwise the best point on the lens
+    boundary: the arc of each circle that lies inside the other disc.
+    """
+    h = rng.uniform(0.5, 2.0, size=2)
+    ends = rng.uniform(-1.0, 1.0, size=(2, 2))
+    gap = rng.uniform(0.0, 0.8 * h.sum())
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    ends[1] = ends[0] + gap * np.array([np.cos(angle), np.sin(angle)])
+    beta = rng.uniform(0.2, 2.0, size=3).repeat(2)   # one weight per point, as in the trajectory program
+    center = rng.uniform(-3.0, 3.0, size=6)
+    inner = ends[0] + h[0] / h.sum() * (ends[1] - ends[0])   # strictly inside both discs
     prog = program(
-        2, lb=lb, ub=ub, c=np.array([cu, cl]),
-        hyper_i=np.array([0]), hyper_j=np.array([1]), hyper_k=np.array([k]), start=start,
+        6, quad_i=np.arange(6), quad_c=center, quad_beta=beta,
+        speed_i=np.array([[0, 1], [2, 3]]), speed_j=np.array([[2, 3], [4, 5]]), speed_h=h,
+        fixed_idx=np.array([0, 1, 4, 5]), fixed_val=ends.ravel(),
+        start=np.concatenate([ends[0], inner, ends[1]]),
     )
+    fixed = np.array([0, 1, 4, 5])
+    base = -float(beta[fixed] @ (ends.ravel() - center[fixed]) ** 2)
 
-    # cu < 0 pins u on the boundary u = k/l, leaving a 1-D problem over l
-    def value_of_l(l):
-        return cu * (k / l) + cl * l
+    def value(x, y):
+        return base - beta[2] * (x - center[2]) ** 2 - beta[3] * (y - center[3]) ** 2
 
-    oracle = _grid_max_1d(value_of_l, k / u_hi, l_hi, stages=4, pts=40001)
-    return prog, oracle
+    m = center[2:4]
+    if all(np.linalg.norm(m - end) <= r for end, r in zip(ends, h)):
+        return prog, float(value(*m))
+    best = -np.inf
+    for own in (0, 1):
+        end, r = ends[own], h[own]
+        other, r_other = ends[1 - own], h[1 - own]
+        # theta = pi points toward the other disc, so the arc inside it does
+        # not wrap around the parametrization's ends
+        away = np.arctan2(*(end - other)[::-1]) if gap > 0.0 else 0.0
+
+        def on_arc(theta, end=end, r=r, other=other, r_other=r_other, away=away):
+            x = end[0] + r * np.cos(theta + away)
+            y = end[1] + r * np.sin(theta + away)
+            inside = np.hypot(x - other[0], y - other[1]) <= r_other
+            return np.where(inside, value(x, y), -np.inf)
+
+        best = max(best, _grid_max_1d(on_arc, 0.0, 2.0 * np.pi, stages=4, pts=40001))
+    return prog, best
 
 
 def norm_row_instance(rng):
@@ -187,38 +259,29 @@ def norm_row_instance(rng):
     c = rng.uniform(-2.0, 2.0, size=2)
     beta = float(rng.uniform(0.0, 1.5))
     qcen = rng.uniform(-2.0, 2.0, size=2)
-    quad = dict(quad_i=np.arange(2), quad_c=qcen, quad_beta=np.full(2, beta)) if beta > 0 else {}
     prog = program(
-        4, c=np.concatenate([c, np.zeros(2)]),
-        speed_i=np.array([[2, 3]]), speed_j=np.array([[0, 1]]), speed_h=np.array([r]),
+        4, speed_i=np.array([[2, 3]]), speed_j=np.array([[0, 1]]), speed_h=np.array([r]),
         fixed_idx=np.array([2, 3]), fixed_val=center.copy(), start=np.tile(center, 2),
-        **quad,
+        **folded_quad(np.arange(2), np.full(2, beta), qcen, c),
     )
 
     def value(x, y):
-        val = c[0] * x + c[1] * y
-        if beta > 0:
-            val = val - beta * ((x - qcen[0]) ** 2 + (y - qcen[1]) ** 2)
-        return val
+        return c[0] * x + c[1] * y - beta * ((x - qcen[0]) ** 2 + (y - qcen[1]) ** 2)
 
-    if beta > 0:
-        # interior stationary point of the concave objective, else the circle
-        x_star = qcen + c / (2.0 * beta)
-        if np.linalg.norm(x_star - center) <= r:
-            oracle = float(value(*x_star))
-        else:
-            def on_circle(theta):
-                return value(center[0] + r * np.cos(theta), center[1] + r * np.sin(theta))
-            oracle = _grid_max_1d(on_circle, 0.0, 2.0 * np.pi, stages=4, pts=40001)
+    # interior stationary point of the concave objective, else the circle
+    x_star = qcen + c / (2.0 * beta)
+    if np.linalg.norm(x_star - center) <= r:
+        oracle = float(value(*x_star))
     else:
-        # pure linear objective over a disc has the closed-form optimum
-        oracle = float(c @ center) + r * float(np.linalg.norm(c))
+        def on_circle(theta):
+            return value(center[0] + r * np.cos(theta), center[1] + r * np.sin(theta))
+        oracle = _grid_max_1d(on_circle, 0.0, 2.0 * np.pi, stages=4, pts=40001)
     return prog, oracle
 
 
 FAMILIES = (
     ("box-linear", box_linear_instance),
-    ("log-objective", log_objective_instance),
-    ("hyperbolic", hyperbolic_instance),
+    ("reciprocal-row", reciprocal_row_instance),
+    ("speed-lens", speed_lens_instance),
     ("norm-row", norm_row_instance),
 )

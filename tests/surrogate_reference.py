@@ -97,14 +97,9 @@ def constraint_margins(prog: StructuredConvexProgram, x: np.ndarray) -> np.ndarr
     coordinates, which come last, report -|x[i] - v|.
     """
     x = np.asarray(x, dtype=float)
-    lo = np.isfinite(prog.lb)
-    hi = np.isfinite(prog.ub)
     return np.concatenate([
-        x[lo] - prog.lb[lo],
-        prog.ub[hi] - x[hi],
         prog.lin_slack(x),
         prog.speed_h - np.linalg.norm(x[prog.speed_j] - x[prog.speed_i], axis=1),
-        x[prog.hyper_i] * x[prog.hyper_j] - prog.hyper_k,
         -np.abs(x[prog.fixed_idx] - prog.fixed_val),
     ])
 
@@ -135,8 +130,7 @@ def trajectory_program_reference(traj: Trajectory, pw: PowerProfile,
     grads = [2.0 * (ep.q_hat - w[:2]) for w, _, _ in receivers]
     rhs = [d2 - np.sum(g * ep.q_hat, axis=1) - l_lo for (_, d2, _), g in zip(receivers, grads)]
     prog = StructuredConvexProgram(
-        n=2 * N, lb=np.full(2 * N, -np.inf), ub=np.full(2 * N, np.inf), c=np.zeros(2 * N),
-        constant=constant, quad_i=q_idx.ravel(), quad_c=np.tile(cfg.w_b[:2], N),
+        n=2 * N, constant=constant, quad_i=q_idx.ravel(), quad_c=np.tile(cfg.w_b[:2], N),
         quad_beta=np.repeat(scale * b_n, 2),
         lin_i=np.tile(q_idx, (len(receivers), 1)), lin_a=-np.concatenate(grads),
         lin_b=np.concatenate(rhs), lin_k=np.concatenate([xp * scale * k for _, _, k in receivers]),

@@ -271,6 +271,19 @@ def test_numerical_failure_stops_the_run(monkeypatch):
                                   line_segment_trajectory(tiny_cfg()).points)
 
 
+def test_two_slots_solve_no_trajectory_program():
+    # At N = 2 both positions are endpoints, so JTPO runs the power step
+    # alone, as POFT does, although the endpoints are well inside the reach
+    # (7 m apart, 10 m a slot).
+    cfg = baseline_scenario(T=2.0, q_I=(30.0, 3.5, 100.0), q_F=(30.0, -3.5, 100.0))
+    assert cfg.N == 2
+    jtpo, poft = run_jtpo(cfg), run_poft(cfg)
+    assert jtpo.newton_steps == 0 and jtpo.nonoptimal == 0 and not jtpo.failed
+    np.testing.assert_array_equal(jtpo.trajectory.points, poft.trajectory.points)
+    np.testing.assert_array_equal(jtpo.power.p, poft.power.p)
+    assert jtpo.aesr == poft.aesr and jtpo.iterations == poft.iterations
+
+
 @pytest.mark.parametrize("overrides", [
     dict(T=21.0),   # default endpoints 200 m apart, 20 steps of V_max*delta_t
     dict(T=2.0, q_I=(30.0, 5.0, 100.0), q_F=(30.0, -5.0, 100.0)),

@@ -13,14 +13,15 @@ For each source tree the script runs, in process:
 
 It prints one line per tree: the sha256 of the three parts, then the grid's
 trajectory Newton steps, banded Cholesky factorizations, alternations and
-non-optimal solves, and the default JTPO run's solver point evaluations and
-Newton steps.
+non-optimal solves, the default JTPO run's solver point evaluations and
+Newton steps, and the tree's line count (every ``.py`` file under it).
 
     python tools/grid_digest.py                     # this checkout's src/
     python tools/grid_digest.py OLD/src NEW/src     # two trees, compared
 
-With two trees it says whether they match, names the parts that differ,
-and exits 1 if any does. The counts patch ``solver._PBTRF`` and
+With two trees it also prints the line count's change, in total and per
+file that changed, says whether the outputs match, names the parts that
+differ, and exits 1 if any does. The counts patch ``solver._PBTRF`` and
 ``solver._Work.evaluate``, so both trees must have them.
 """
 
@@ -143,6 +144,22 @@ def cli_runs(pkg: dict) -> tuple:
     return run_digest.hexdigest(), hashlib.sha256(sweep).hexdigest(), counts
 
 
+def line_counts(src: Path) -> dict:
+    """Lines of every ``.py`` file under the tree src, by path relative to it."""
+    return {str(path.relative_to(src)): len(path.read_bytes().splitlines())
+            for path in sorted(src.rglob("*.py"))}
+
+
+def line_delta(old: dict, new: dict) -> str:
+    """The change from the line counts old to new: the total, then each file
+    whose count changed."""
+    files = [f"{name} {old.get(name, 0)} -> {new.get(name, 0)}"
+             for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+    total = sum(new.values()) - sum(old.values())
+    return (f"lines: {sum(old.values())} -> {sum(new.values())} ({total:+d})"
+            + "".join(f"\n  {file}" for file in files))
+
+
 def digest(src: Path) -> tuple:
     """(overall digest, part digests, counts) of the source tree src."""
     pkg = load(src)
@@ -162,13 +179,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if len(args.src) > 2:
         ap.error("give at most two source trees")
-    seen = []
+    seen, lines = [], []
     for src in args.src:
         overall, parts, counts = digest(src)
         seen.append(parts)
+        lines.append(line_counts(src))
+        counts["lines"] = sum(lines[-1].values())
         print(f"{overall}  {src}  " + " ".join(f"{k}={v}" for k, v in counts.items()))
     if len(seen) < 2:
         return 0
+    print(line_delta(*lines))
     differ = [name for name in seen[0] if seen[0][name] != seen[1][name]]
     if differ:
         print("differ: " + ", ".join(differ))
