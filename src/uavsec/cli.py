@@ -158,14 +158,13 @@ def cmd_run(cfg: ScenarioConfig, scheme_name, out_dir) -> int:
     if result.failed:
         print("error: subproblem solver failed; no output written", file=sys.stderr)
         return EXIT_FAILURE
-    points = result.trajectory.points
+    traj = zip(result.trajectory.points.tolist(), result.trajectory.speeds(cfg.delta_t).tolist())
+    powers = enumerate(result.power.p.tolist(), start=1)
     rc = _write_outputs(out_dir, {
         ECHO_FILENAME: scenario_echo_text(cfg),
-        "trajectory.csv": _csv("n,x_m,y_m,speed_mps", zip(
-            range(1, len(points) + 1), points[:, 0], points[:, 1],
-            result.trajectory.speeds(cfg.delta_t))),
-        "power.csv": _csv("n,p_watt,p_dbm", (
-            (n, p, model.watt_to_dbm(float(p))) for n, p in enumerate(result.power.p, start=1))),
+        "trajectory.csv": _csv("n,x_m,y_m,speed_mps",
+                               ((n, *q, v) for n, (q, v) in enumerate(traj, start=1))),
+        "power.csv": _csv("n,p_watt,p_dbm", ((n, p, model.watt_to_dbm(p)) for n, p in powers)),
         "iterations.csv": _csv("iter,surrogate_bpcu,aesr_bpcu,frac_increase", result.iterations),
     })
     if rc == EXIT_OK:

@@ -24,13 +24,13 @@ Hessian's in lower band storage, column-major as LAPACK keeps it; it is
 built once per program structure and reused while the structure repeats,
 as it does over a run's alternations. Each step scatters the entry values
 there with one ``np.bincount`` and factors with LAPACK's banded Cholesky
-(``dpbtrf``/``dpbtrs``), loaded from scipy's extension module by file
-location: importing ``scipy.linalg`` would cost more start-up than a
-default run takes to plan. ``_Work`` fills one value buffer in place. A
-point's evaluation travels with it from one step to the next; primal-dual
-trial points are checked for feasibility only. In the trajectory program's
-slot-major variable order the bandwidth does not grow with the slot count,
-so a step costs O(n). Everything is deterministic: identical inputs produce
+(``dpbtrf``/``dpbtrs``) of the OpenBLAS that numpy itself links, called
+through ``ctypes`` into buffers that ``_Banded`` makes once per solve, so a
+process maps one OpenBLAS and imports no scipy. ``_Work`` fills one value
+buffer in place. A point's evaluation travels with it from one step to the
+next; primal-dual trial points are checked for feasibility only. In the
+trajectory program's slot-major variable order the bandwidth does not grow
+with the slot count, so a step costs O(n). Everything is deterministic: identical inputs produce
 identical iterate sequences.
 
 ``water_fill`` solves the power program, a ``PowerProgram``: in closed form
@@ -40,32 +40,31 @@ finds.
 
 from __future__ import annotations
 
+import ctypes
 import math
-import os
 from dataclasses import dataclass
-from importlib import machinery, util
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy._core import _multiarray_umath
 
 from .surrogate import PowerProgram, StructuredConvexProgram
 
 
-def _load_flapack(directory: str):
-    """``dpbtrf`` and ``dpbtrs`` of scipy.linalg's LAPACK extension module in
-    ``directory``, loaded without the scipy and scipy.linalg package init."""
-    for suffix in machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(directory, "_flapack" + suffix)
-        if os.path.isfile(path):
-            spec = util.spec_from_file_location("scipy.linalg._flapack", path)
-            module = util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module.dpbtrf, module.dpbtrs
-    raise ImportError(f"scipy.linalg._flapack not found in {directory}")
+def _load_lapack(path: str):
+    """``dpbtrf`` and ``dpbtrs`` with 64-bit integers, of the library at path
+    or of one it links: numpy's ``_multiarray_umath`` links numpy's OpenBLAS."""
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_dpbtrf_64_", "scipy_dpbtrs_64_"):
+        if not hasattr(lib, name):
+            raise ImportError(f"LAPACK's {name} is not in {path} or a library it links")
+        getattr(lib, name).restype = None
+    return lib.scipy_dpbtrf_64_, lib.scipy_dpbtrs_64_
 
 
-_PBTRF, _PBTRS = _load_flapack(
-    os.path.join(util.find_spec("scipy").submodule_search_locations[0], "linalg"))
+_PBTRF, _PBTRS = _load_lapack(_multiarray_umath.__file__)
+# uplo = "L", by reference, and the hidden length Fortran passes with a character argument
+_LOWER, _LOWER_LEN = ctypes.byref(ctypes.c_char(b"L")), ctypes.c_size_t(1)
 
 _MAX_BACKTRACKS = 60
 _REG_ESCALATIONS = 9
@@ -125,21 +124,22 @@ class _Pattern:
     and band positions that ``_Work.assemble`` scatters values to.
 
     The rows are the linear rows, then the speed rows. ``of`` keeps the last
-    pattern it built and hands it out again while the structure repeats, as
-    it does from one alternation of a run to the next."""
+    two patterns it handed out: one serves a run's alternations, the other
+    the run before it, such as a run at L = inf, which has another structure."""
 
-    _last = None
+    _kept = ()              # the latest first
 
     @classmethod
     def of(cls, prog: StructuredConvexProgram) -> "_Pattern":
-        """prog's pattern; read-only arrays that are the last program's own are not compared."""
+        """prog's pattern; read-only arrays that are a kept program's own are not compared."""
         struct = (prog.quad_i, prog.lin_i, prog.speed_i, prog.speed_j, prog.fixed_idx)
-        pat = cls._last
-        if not (pat and all(a is b and not a.flags.writeable for a, b in zip(struct, pat.struct))):
+        pat = next((p for p in cls._kept if all(
+            a is b and not a.flags.writeable for a, b in zip(struct, p.struct))), None)
+        if pat is None:
             key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in struct)
-            if not pat or pat.key != key:
-                pat = cls._last = cls(prog, key)
+            pat = next((p for p in cls._kept if p.key == key), None) or cls(prog, key)
             pat.struct = struct
+        cls._kept = (pat, *(p for p in cls._kept if p is not pat))[:2]
         return pat
 
     def __init__(self, prog: StructuredConvexProgram, key: tuple):
@@ -207,6 +207,7 @@ class _Work:
         buf = np.empty(pat.views[-1][1])
         self.values, self.jac = buf[: pat.sum_idx.size], buf[pat.sum_idx.size:]
         self.sp_outer = np.empty((prog.speed_h.size, 4, 4))   # scratch
+        self.banded = _Banded(pat.free.size, pat.kd)
         (self.quad_g, self.lin_g, self.quad_h, self.lin_h, self.sp_h, lin_jac, self.sp_jac) = (
             buf[start: stop].reshape(shape) for start, stop, shape in pat.views)
         lin_jac[:] = self.neg_lin_a.ravel()
@@ -304,36 +305,54 @@ class _Work:
                          -float(np.minimum.reduce(dl / lam)) / (1.0 - _KEEP))
 
 
-def _cholesky(band: np.ndarray) -> Optional[np.ndarray]:
-    """Lower band Cholesky factor of B, regularizing B on failure; None if B
-    is not finite or no regularization lets it factor.
+class _Banded:
+    """LAPACK's banded Cholesky of an n x n matrix of half-bandwidth kd: the
+    column-major factor, a two-column right-hand side, and every argument
+    of ``_PBTRF`` and ``_PBTRS``, made once so that no call allocates."""
 
-    B is given in lower band storage: ``band[k, j]`` holds B[j + k, j].
-    ``band`` is left unchanged; the factorization works on a copy, which
-    costs least when ``band`` is F-contiguous.
+    def __init__(self, n: int, kd: int):
+        self.factor, self.rhs = np.zeros((kd + 1, n), order="F"), np.zeros((n, 2), order="F")
+        self.info, self.nrhs = ctypes.c_int64(), ctypes.c_int64()
+        n_, kd_, ld_ab = map(ctypes.byref, map(ctypes.c_int64, (n, kd, kd + 1)))
+        info, nrhs = ctypes.byref(self.info), ctypes.byref(self.nrhs)
+        ab, b = (ctypes.c_void_p(a.ctypes.data) for a in (self.factor, self.rhs))
+        self.pbtrf_args = (_LOWER, n_, kd_, ab, ld_ab, info, _LOWER_LEN)
+        self.pbtrs_args = (_LOWER, n_, kd_, nrhs, ab, ld_ab, b, n_, info, _LOWER_LEN)
+
+
+def _cholesky(chol: _Banded, band: np.ndarray) -> Optional[_Banded]:
+    """chol holding the lower band Cholesky factor of B, regularizing B on
+    failure; None if B is not finite or no regularization lets it factor.
+
+    B is given in lower band storage, shaped as chol's factor:
+    ``band[k, j]`` holds B[j + k, j]. ``band`` is left unchanged.
     """
     if not np.isfinite(band).all():
         return None
     if band.shape[1] == 0:
-        return band
-    B, reg = band, 0.0
+        return chol
+    factor, reg = chol.factor, 0.0
     for _ in range(_REG_ESCALATIONS):
-        chol, info = _PBTRF(B, lower=1, overwrite_ab=0)
-        if info == 0:
+        factor[...] = band
+        if reg:
+            factor[0] += reg
+        _PBTRF(*chol.pbtrf_args)
+        if chol.info.value == 0:
             return chol
         reg = 1e-12 * (1.0 + float(np.max(np.abs(band[0])))) if reg == 0.0 else reg * 100.0
-        B = np.array(band, order="F")
-        B[0] += reg
     return None
 
 
-def _back_solve(chol: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """Solve B d = rhs, rhs (n,) or (n, 2), with B's factor from
-    ``_cholesky``; None if the solution is not finite."""
+def _back_solve(chol: _Banded, rhs: np.ndarray) -> Optional[np.ndarray]:
+    """Solve B d = rhs, rhs (n,) or (n, 2), with B factored in chol by ``_cholesky``;
+    None if d is not finite. d is a view of chol.rhs, which the next solve overwrites."""
     if rhs.shape[0] == 0:
         return np.zeros_like(rhs)
-    sol, info = _PBTRS(chol, rhs, lower=1)
-    return sol if info == 0 and np.isfinite(sol).all() else None
+    sol = chol.rhs if rhs.ndim == 2 else chol.rhs[:, 0]
+    sol[...] = rhs
+    chol.nrhs.value = rhs.ndim      # the columns of rhs: (n,) has one, (n, 2) two
+    _PBTRS(*chol.pbtrs_args)
+    return sol if chol.info.value == 0 and np.isfinite(sol).all() else None
 
 
 def solve(prog: StructuredConvexProgram) -> Solution:
@@ -414,7 +433,7 @@ def _primal_dual(work: _Work, x: np.ndarray, point: _Point, t0: float, t_final: 
         c = point.s
         mu = float(lam @ c) / pat.m
         gf, band, jac, lc = work.assemble(x, point, 1.0, lam)
-        chol = _cholesky(band)
+        chol = _cholesky(work.banded, band)
         r = gf[pat.free]
         u = work.jac_t_dot(jac, 1.0 / c)
         sol = None if chol is None else _back_solve(chol, np.array((r, u)).T)
@@ -432,10 +451,11 @@ def _primal_dual(work: _Work, x: np.ndarray, point: _Point, t0: float, t_final: 
                            @ (lam + _fraction_to_zero(lam, dl, 0.0) * dl)) / pat.m
             target = max(mu * (mu_aff / mu) ** 3, mu_final)
             second = dc * dl / c
+            toward = dx_a + target * w      # before the next solve overwrites dx_a and w
             dx_2 = _back_solve(chol, work.jac_t_dot(jac, second))
             if dx_2 is None:
                 return x, point, steps, "numerical-failure"
-            d[pat.free] = dx_a + target * w - dx_2
+            d[pat.free] = toward - dx_2
             v = target / c - second
         else:
             d[pat.free] = step
@@ -548,7 +568,7 @@ def _center(work: _Work, x: np.ndarray, point: _Point, t: float):
         w = 1.0 / point.s
         gf, band, jac, _ = work.assemble(x, point, t, w)
         g = t * gf[free] + work.jac_t_dot(jac, w)
-        chol = _cholesky(band)
+        chol = _cholesky(work.banded, band)
         step = None if chol is None else _back_solve(chol, g)
         if step is None:
             return x, point, steps, "numerical-failure"

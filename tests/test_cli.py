@@ -370,7 +370,7 @@ def test_sweep_gives_error_rows_for_an_infinite_period(tmp_path):
 
 def test_cli_import_does_not_load_scipy():
     # the benchmark's setup time measures exactly this import; the solver
-    # loads its two LAPACK routines without the scipy packages' init
+    # takes its two LAPACK routines from the OpenBLAS numpy links
     code = ("import sys, uavsec.cli; "
             "print([m for m in ('scipy', 'scipy.linalg', 'scipy.sparse') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -380,8 +380,8 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_src_has_no_scipy_import_statement():
-    # importing any scipy package costs start-up time; the LAPACK extension
-    # is reached by file location only
+    # importing any scipy package costs start-up time and maps scipy's own
+    # OpenBLAS next to numpy's
     found = []
     for path in sorted((SRC / "uavsec").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -394,6 +394,31 @@ def test_src_has_no_scipy_import_statement():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name == "scipy" or name.startswith("scipy.")]
     assert found == []
+
+
+_MAPPED_AFTER_RUN = """
+import sys
+from pathlib import Path
+from uavsec.cli import main
+assert main(["run", "--config", sys.argv[1], "--scheme", "jtpo", "--out", sys.argv[2]]) == 0
+with open("/proc/self/maps", encoding="utf-8") as maps:
+    files = {fields[-1] for fields in map(str.split, maps) if len(fields) > 5}
+print(repr(([f for f in sorted(files) if "openblas" in Path(f).name],
+            [m for m in sys.modules if m.split(".")[0] == "scipy"])))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_run_maps_one_openblas_and_imports_no_scipy(tmp_path):
+    # a whole default JTPO run in a fresh interpreter: the solver's LAPACK
+    # routines come from numpy's own OpenBLAS, so no second one is mapped
+    cfg = write_cfg(tmp_path, "# the default scenario\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", _MAPPED_AFTER_RUN, str(cfg), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    openblas, scipy_modules = ast.literal_eval(out.stdout.splitlines()[-1])
+    assert len(openblas) == 1, openblas
+    assert scipy_modules == []
 
 
 # ---------------------------------------------------------------------------

@@ -342,10 +342,11 @@ def test_fixed_coordinates_are_held_exactly():
     assert sol.x[1] == pytest.approx(1.0, abs=1e-6)
 
 
-def _newton_direction(band, rhs):
-    """Solve B d = rhs as the solver's Newton steps do: ``_cholesky``, then
+def _newton_direction(band, rhs, banded=None):
+    """Solve B d = rhs as the solver's Newton steps do: ``_cholesky`` into
+    ``banded`` (by default fresh buffers shaped as band), then
     ``_back_solve``; None if either fails."""
-    chol = solver._cholesky(band)
+    chol = solver._cholesky(banded or solver._Banded(band.shape[1], band.shape[0] - 1), band)
     return None if chol is None else solver._back_solve(chol, rhs)
 
 
@@ -356,16 +357,15 @@ def test_newton_direction_regularizes_singular_system(monkeypatch):
     band = np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 0.0]], order="F")
     kept = band.copy()
     infos = []
-    pbtrf = solver._PBTRF
+    pbtrf, banded = solver._PBTRF, solver._Banded(3, 1)
 
-    def recording_pbtrf(ab, **kw):
-        out = pbtrf(ab, **kw)
-        infos.append(out[1])
-        return out
+    def recording_pbtrf(*args):
+        pbtrf(*args)
+        infos.append(banded.info.value)
 
     monkeypatch.setattr(solver, "_PBTRF", recording_pbtrf)
     g = np.array([1.0, 2.0, 3.0])
-    d = _newton_direction(band, g)
+    d = _newton_direction(band, g, banded)
     assert infos == [2, 0]
     np.testing.assert_array_equal(band, kept)
     reg = 1e-12 * (1.0 + 2.0)
@@ -570,25 +570,28 @@ _SAME_ROUTINES = """
 import sys
 import numpy as np
 from uavsec import solver
-assert "scipy.linalg" not in sys.modules
+assert [m for m in sys.modules if m.split(".")[0] == "scipy"] == []
 from scipy.linalg import cholesky_banded, get_lapack_funcs
 pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 rng = np.random.default_rng(7)
 for n, kd in ((40, 3), (12, 11)):  # the trajectory band; a full band
     band = rng.uniform(-1.0, 1.0, (kd + 1, n))
     band[0] = 1.0 + 2.0 * kd
-    rhs = rng.standard_normal((n, 2))
-    ours, _ = solver._PBTRF(np.array(band, order="F"), lower=1)
-    theirs, _ = pbtrf(np.array(band, order="F"), lower=1)
-    assert np.array_equal(ours, theirs)
-    assert np.array_equal(solver._PBTRS(ours, rhs, lower=1)[0], pbtrs(theirs, rhs, lower=1)[0])
+    theirs, info = pbtrf(np.array(band, order="F"), lower=1)
+    assert info == 0
+    chol = solver._cholesky(solver._Banded(n, kd), band)
+    assert np.array_equal(chol.factor, theirs)
     assert np.array_equal(cholesky_banded(band, lower=True), theirs)
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+        assert np.array_equal(solver._back_solve(chol, rhs), pbtrs(theirs, rhs, lower=1)[0])
 print("ok")
 """
 
 
 def test_loaded_lapack_routines_are_scipys_and_coexist_with_scipy_linalg():
-    # solver first, scipy.linalg after it, in one fresh process
+    # numpy's scipy-openblas64 routines, called through the solver's own
+    # _cholesky and _back_solve, give scipy.linalg's factor and solutions
+    # bit for bit; solver first, scipy.linalg after it, in one fresh process
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", _SAME_ROUTINES], env=env, capture_output=True,
                          text=True)
@@ -596,10 +599,13 @@ def test_loaded_lapack_routines_are_scipys_and_coexist_with_scipy_linalg():
     assert out.stdout.strip() == "ok"
 
 
-def test_missing_lapack_extension_is_a_named_import_error(tmp_path):
-    with pytest.raises(ImportError, match="_flapack") as err:
-        solver._load_flapack(str(tmp_path))
-    assert str(tmp_path) in str(err.value)
+def test_missing_lapack_extension_is_a_named_import_error():
+    # a library that neither holds nor links LAPACK: the error names the
+    # routine it lacks and the library
+    import _ctypes
+    with pytest.raises(ImportError, match="scipy_dpbtrf_64_") as err:
+        solver._load_lapack(_ctypes.__file__)
+    assert _ctypes.__file__ in str(err.value)
 
 
 def test_pattern_is_built_once_per_structure():
@@ -633,9 +639,10 @@ def test_pattern_is_built_once_per_structure():
     assert np.array_equal(reused.x, again.x) and reused.newton_steps == again.newton_steps
 
 
-def test_default_jtpo_run_builds_one_pattern(monkeypatch):
-    # every trajectory program of a run has one structure, whichever slots
-    # the power steps silence
+@pytest.fixture
+def pattern_builds(monkeypatch):
+    """The _Pattern builds from here on, one entry each, starting from no
+    kept pattern."""
     built = []
     init = _Pattern.__init__
 
@@ -643,11 +650,28 @@ def test_default_jtpo_run_builds_one_pattern(monkeypatch):
         built.append(1)
         init(pattern, *args)
 
-    monkeypatch.setattr(_Pattern, "_last", None)
+    monkeypatch.setattr(_Pattern, "_kept", ())
     monkeypatch.setattr(_Pattern, "__init__", counting_init)
+    return built
+
+
+def test_default_jtpo_run_builds_one_pattern(pattern_builds):
+    # every trajectory program of a run has one structure, whichever slots
+    # the power steps silence
     res = run_scheme(baseline_scenario(), SchemeId.JTPO)
     assert res.nonoptimal == 0 and len(res.iterations) > 2
-    assert len(built) == 1
+    assert len(pattern_builds) == 1
+
+
+def test_jtpo_after_ftp_inf_reuses_its_pattern(pattern_builds):
+    # FTP-Inf's programs (L = inf, no rows for Bob) have another structure
+    # than JTPO's; both patterns are kept, so JTPO, FTP-Inf and JTPO again
+    # on one scenario build two
+    cfg = baseline_scenario(T=24.0, max_iter=3)
+    runs = [run_scheme(cfg, scheme) for scheme in (SchemeId.JTPO, SchemeId.FTP_INF, SchemeId.JTPO)]
+    assert all(len(res.iterations) > 1 for res in runs)
+    assert len(pattern_builds) == 2
+    assert runs[2].aesr == runs[0].aesr
 
 
 def test_works_sharing_a_pattern_assemble_into_their_own_buffers():

@@ -7,7 +7,10 @@ alternation. For that program the script prints the milliseconds per
 banded Cholesky factorization (the median time of a ``solve`` over the
 factorizations it makes; there is one per solver iteration) and the
 C-function calls per factorization (``sys.setprofile`` c_call events inside
-``solve``; NumPy's ufunc calls and operators are not among them).
+``solve``; NumPy's ufunc calls and operators are not among them). First it
+prints, for each tree, the file of the shared library that holds the
+``dpbtrf`` its solver calls, so a comparison shows which OpenBLAS each side
+ran (Linux and other systems with ``dladdr``).
 
     python tools/solver_step.py                     # this checkout's src/
     python tools/solver_step.py OLD/src NEW/src     # two trees, interleaved
@@ -27,6 +30,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import ctypes
 import importlib
 import statistics
 import sys
@@ -46,6 +50,37 @@ def load(src: Path) -> dict:
                 for name in ("driver", "model", "solver")}
     finally:
         sys.path.remove(str(src))
+
+
+class _DlInfo(ctypes.Structure):
+    _fields_ = [("dli_fname", ctypes.c_char_p), ("dli_fbase", ctypes.c_void_p),
+                ("dli_sname", ctypes.c_char_p), ("dli_saddr", ctypes.c_void_p)]
+
+
+def _file_of(address: int) -> str:
+    """The file of the shared library whose code holds address, or "?"."""
+    info = _DlInfo()
+    if not ctypes.CDLL(None).dladdr(ctypes.c_void_p(address), ctypes.byref(info)):
+        return "?"
+    return os.path.realpath(os.fsdecode(info.dli_fname))
+
+
+def lapack_library(solver) -> str:
+    """The file of the shared library holding the ``dpbtrf`` that
+    ``solver._PBTRF`` runs. A ctypes routine is that code itself. An f2py
+    routine (scipy's ``_flapack``) points at a wrapper in its extension
+    module, so LAPACK's symbol is looked up through that module instead."""
+    routine = solver._PBTRF
+    capsule = getattr(routine, "_cpointer", None)
+    if capsule is None:
+        return _file_of(ctypes.cast(routine, ctypes.c_void_p).value)
+    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+    get_pointer.restype, get_pointer.argtypes = ctypes.c_void_p, [ctypes.py_object, ctypes.c_char_p]
+    module = ctypes.CDLL(_file_of(get_pointer(capsule, None)))
+    for name in ("scipy_dpbtrf_64_", "scipy_dpbtrf_", "dpbtrf_"):
+        if hasattr(module, name):
+            return _file_of(ctypes.cast(getattr(module, name), ctypes.c_void_p).value)
+    return "?"
 
 
 def recorded_program(pkg: dict, n: int):
@@ -96,6 +131,8 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=30, help="timed solves per tree and N")
     args = ap.parse_args(argv)
     pkgs = [load(src) for src in args.src]
+    for src, pkg in zip(args.src, pkgs):
+        print(f"LAPACK of {src}: {lapack_library(pkg['solver'])}")
 
     print(f"{'N':>5}  {'tree':<40} {'ms/factorization':>16} {'C calls/fact.':>13} "
           f"{'fact./solve':>11}" + (f" {'ratio':>6}" if len(pkgs) == 2 else ""))
