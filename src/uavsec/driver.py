@@ -132,8 +132,7 @@ def _alternating_run(
             if sol.status == "numerical-failure":
                 failed = True
                 break
-            traj = Trajectory(
-                points=_take_better(prog_q, sol, traj.points.ravel()).reshape(n, 2))
+            traj = Trajectory(points=_take_better(prog_q, sol, traj.points))
             ep = expansion_from(traj, pw, cfg)
 
         prog_p = build_power_subproblem(ep, cfg)

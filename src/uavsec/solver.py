@@ -1,37 +1,34 @@
 """Self-contained interior-point solver for the trajectory program.
 
 ``solve`` maximizes the concave objective F of a
-``StructuredConvexProgram`` over its rows c_i(x) >= 0 (linear rows and
-speed rows h^2 - |x_j - x_i|^2) in two phases, from the strictly feasible
-start bundled with the program. The first is a primal-dual method with
-Mehrotra's predictor-corrector (Mehrotra, SIAM J. Optim. 1992; Nocedal &
-Wright, Numerical Optimization, ch. 19) on the exact rows, so every
-iterate stays strictly feasible; ``_primal_dual`` describes its iteration,
-step rule and safeguard. The second certifies the result: the log barrier
-t*F + sum(log c_i) at t_final = nu/``_GAP_TOL`` is centred by damped Newton
-with backtracking until the half squared decrement is at most
-``_NEWTON_TOL``, so the returned point is within nu/t_final of the optimum
-(Boyd & Vandenberghe §11.2). Speed rows count with degree 2 toward the
-total barrier degree nu, linear rows with degree 1. A linear row's
-reciprocal objective term -k/(s + o) is a function of the row's slack s,
-so it adds to the weight of the row's own block a a^T and needs no
-entries of its own.
+``StructuredConvexProgram`` over its rows c_i(x) >= 0 (distance rows,
+linear in one slot's position, and speed rows h^2 - |x[n + 1] - x[n]|^2)
+in two phases, from the strictly feasible start bundled with the program.
+The first is a primal-dual method with Mehrotra's predictor-corrector
+(Mehrotra, SIAM J. Optim. 1992; Nocedal & Wright, Numerical Optimization,
+ch. 19) on the exact rows, so every iterate stays strictly feasible;
+``_primal_dual`` describes its iteration, step rule and safeguard. The
+second certifies the result: the log barrier t*F + sum(log c_i) at
+t_final = nu/``_GAP_TOL`` is centred by damped Newton with backtracking
+until the half squared decrement is at most ``_NEWTON_TOL``, so the
+returned point is within nu/t_final of the optimum (Boyd & Vandenberghe
+§11.2). Speed rows count with degree 2 toward the total barrier degree nu,
+distance rows with degree 1. A distance row's reciprocal objective term
+-k/(s + o) is a function of the row's slack s, so it adds to the weight of
+the row's own block a a^T and needs no entries of its own.
 
-Fixed coordinates are held exactly by restricting steps to the free
-coordinates. Newton systems are banded. A ``_Pattern`` holds the
-half-bandwidth and the place of every Jacobian and Hessian entry, the
-Hessian's in lower band storage, column-major as LAPACK keeps it; it is
-built once per program structure and reused while the structure repeats,
-as it does over a run's alternations. Each step scatters the entry values
-there with one ``np.bincount`` and factors with LAPACK's banded Cholesky
-(``dpbtrf``/``dpbtrs``) of the OpenBLAS that numpy itself links, called
-through ``ctypes`` into buffers that ``_Banded`` makes once per solve, so a
-process maps one OpenBLAS and imports no scipy. ``_Work`` fills one value
-buffer in place. A point's evaluation travels with it from one step to the
-next; primal-dual trial points are checked for feasibility only. In the
-trajectory program's slot-major variable order the bandwidth does not grow
-with the slot count, so a step costs O(n). Everything is deterministic: identical inputs produce
-identical iterate sequences.
+The two end slots are held exactly: steps move only the free slots between
+them. In slot order a Newton system over their coordinates is banded with
+half-bandwidth 3 whatever the slot count, so a step costs O(N). ``_Work``
+fills the band and the gradient directly, each entry as a sum over term
+families added in one fixed order, and takes J d and J^T v slot by slot.
+It factors with LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``) of the
+OpenBLAS that numpy itself links, called through ``ctypes`` into buffers
+that ``_Banded`` makes once per solve, so a process maps one OpenBLAS and
+imports no scipy. A point's evaluation travels with it from one step to
+the next; primal-dual trial points are checked for feasibility only.
+Everything is deterministic: identical inputs produce identical iterate
+sequences.
 
 ``water_fill`` solves the power program, a ``PowerProgram``: in closed form
 given the budget's multiplier, which a bracketed Newton search on the dual
@@ -76,10 +73,20 @@ _KEEP = 0.005               # share of each slack and dual that a primal-dual st
 _ARMIJO = 0.25              # sufficient-increase fraction
 _BACKTRACK = 0.5            # step shrink factor
 _EPS = float(np.finfo(float).eps)
-# the constant curvature 2 A^T A of a speed row's |x[j] - x[i]|^2, with
-# A = [-I I] over its coordinates (x[i], x[j])
-_SPEED_CURV = np.array([[2.0, 0.0, -2.0, 0.0], [0.0, 2.0, 0.0, -2.0],
-                        [-2.0, 0.0, 2.0, 0.0], [0.0, -2.0, 0.0, 2.0]])
+# The curvature 2 A^T A of a speed row's |x[n + 1] - x[n]|^2, A = [-I I],
+# is 2 [[I, -I], [-I, I]]: this is the quarter 2 I, by entry (2, 2, 1).
+_SPEED_CURV = np.array([[[2.0], [0.0]], [[0.0], [2.0]]])
+# The band's half-width: in slot order a speed row couples a slot's two
+# coordinates to the next slot's.
+_KD = 3
+# A speed row's block of a Newton matrix over (x[n], x[n + 1]) is
+# [[U, -U], [-U, U]]. Where a free slot's band entries (2, _KD + 1) are
+# among the entries U00, U01, U10, U11, -U00, -U01, -U10, -U11 and 0 (8):
+# in the row to the slot or, for the last free slot, the row from it (U's
+# lower half), and in the row from any other free slot (the block's left
+# half).
+_SPEED_BAND = np.array([[[0, 2, 8, 8], [3, 8, 8, 8]],
+                        [[0, 2, 4, 6], [3, 5, 7, 8]]])
 
 
 @dataclass(eq=False)
@@ -98,8 +105,8 @@ class Solution:
 
 class _Point(NamedTuple):
     """What ``_Work.evaluate`` finds at a strictly feasible point: the
-    objective, the speed-row differences and every row's slack, in the
-    pattern's row order."""
+    objective, the speed-row differences and every row's slack, the
+    distance rows first."""
 
     f: float
     y: np.ndarray
@@ -110,118 +117,82 @@ class _Point(NamedTuple):
         return t * (self.f - fref) + float(np.log(self.s).sum())
 
 
-def _block_entries(idx: np.ndarray):
-    """Row and column of every entry of the k x k block over each row of
-    the (m, k) index array idx, block by block in row-major order."""
-    m, k = idx.shape
-    return (np.broadcast_to(idx[:, :, None], (m, k, k)).ravel(),
-            np.broadcast_to(idx[:, None, :], (m, k, k)).ravel())
-
-
-class _Pattern:
-    """Where each row's Jacobian entries and each Hessian entry of one
-    program structure go: the rows, the free coordinates, and the gradient
-    and band positions that ``_Work.assemble`` scatters values to.
-
-    The rows are the linear rows, then the speed rows. ``of`` keeps the last
-    two patterns it handed out: one serves a run's alternations, the other
-    the run before it, such as a run at L = inf, which has another structure."""
-
-    _kept = ()              # the latest first
-
-    @classmethod
-    def of(cls, prog: StructuredConvexProgram) -> "_Pattern":
-        """prog's pattern; read-only arrays that are a kept program's own are not compared."""
-        struct = (prog.quad_i, prog.lin_i, prog.speed_i, prog.speed_j, prog.fixed_idx)
-        pat = next((p for p in cls._kept if all(
-            a is b and not a.flags.writeable for a, b in zip(struct, p.struct))), None)
-        if pat is None:
-            key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in struct)
-            pat = next((p for p in cls._kept if p.key == key), None) or cls(prog, key)
-            pat.struct = struct
-        cls._kept = (pat, *(p for p in cls._kept if p is not pat))[:2]
-        return pat
-
-    def __init__(self, prog: StructuredConvexProgram, key: tuple):
-        self.key = key
-        n = self.n = prog.n
-        # coordinates (x[i], x[j]) of every speed row
-        self.sp_idx = np.concatenate([prog.speed_i, prog.speed_j], axis=1)
-        free = np.ones(n, dtype=bool)
-        free[prog.fixed_idx] = False
-        self.free = np.nonzero(free)[0]
-        lin_i = prog.lin_i
-        (m_lin, k), m_sp = lin_i.shape, prog.speed_h.size
-        # rows [0, sp0) are the linear rows and [sp0, m) the speed rows
-        self.sp0, self.m = m_lin, m_lin + m_sp
-        self.nu = self.m + m_sp
-        # Jacobian pattern: the coordinate and the row of every entry of the
-        # rows' Jacobian J, in the order of ``assemble``'s Jacobian values
-        self.jac_idx = np.concatenate([lin_i.ravel(), self.sp_idx.ravel()])
-        row = np.arange(self.m)
-        self.jac_row = np.concatenate([np.repeat(row[:m_lin], k), np.repeat(row[m_lin:], 4)])
-        gf_idx = np.concatenate([prog.quad_i, lin_i.ravel()])
-
-        # Hessian pattern: one (row, col) entry per value ``assemble`` puts
-        # in its curvature views, in the same order. A linear row of arity k
-        # touches the k x k block a a^T of its coordinates, times the row's
-        # weight; a speed row the 4 x 4 block of its two points.
-        (lin_r, lin_c), (sp_r, sp_c) = _block_entries(lin_i), _block_entries(self.sp_idx)
-        rows = np.concatenate([prog.quad_i, lin_r, sp_r])
-        cols = np.concatenate([prog.quad_i, lin_c, sp_c])
-        # Lower band storage of the free block, column-major as LAPACK
-        # keeps it: entry (r, c), r >= c, sits at band[r - c, c]. Entries
-        # above the diagonal or on a fixed coordinate go to one extra bin
-        # that is dropped.
-        pos = np.full(n, -1)
-        pos[self.free] = np.arange(self.free.size)
-        r, c = pos[rows], pos[cols]
-        keep = (r >= c) & (c >= 0)
-        self.kd = int(np.max(r[keep] - c[keep], initial=0))
-        band_size = (self.kd + 1) * self.free.size
-        scatter = np.where(keep, c * (self.kd + 1) + (r - c), band_size)
-        # One bincount sums every value ``assemble`` finds: the objective's
-        # gradient into bins [0, n) and the band after them.
-        self.sum_idx = np.concatenate([gf_idx, scatter + n])
-        self.band_end = n + band_size
-        # ``_Work``'s views of its value buffer, (start, stop, shape): each family's
-        # values in sum_idx's order, then J's in jac_idx's order
-        n_quad = prog.quad_i.size
-        shapes = [(n_quad,), (m_lin, k), (n_quad,), (m_lin, k, k), (m_sp, 4, 4),
-                  (m_lin * k,), (m_sp, 4)]
-        stops = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
-        self.views = [(stop - math.prod(shape), stop, shape) for stop, shape in zip(stops, shapes)]
-
-
 class _Work:
-    """One program's pattern and coefficients, and the value buffer that
-    ``assemble`` fills in place, one view per term or row family."""
+    """One program's coefficients and the buffers that ``assemble``,
+    ``jac_dot`` and ``jac_t_dot`` fill in place.
+
+    The rows are the distance rows, receiver by receiver and slot by slot,
+    then the speed rows n = 0 .. N - 2, from slot n to slot n + 1. A Newton
+    system is over the free slots' coordinates, slot by slot. Each of its
+    entries sums the terms of the quad term, each receiver's row, the speed
+    row to the slot and the one from it; a layer per family holds them over
+    every slot, and one ``np.add.reduce`` from 0 adds the layers in that
+    fixed order."""
 
     def __init__(self, prog: StructuredConvexProgram):
         self.prog = prog
-        pat = self.pattern = _Pattern.of(prog)
+        R, N = prog.lin_b.shape
+        rn = self.rn = R * N      # rows [0, rn) are the distance rows, [rn, m) the speed rows
+        self.m = rn + N - 1
+        self.nu = self.m + N - 1  # a speed row counts with degree 2
         self.sp_h2 = prog.speed_h * prog.speed_h
-        self.lin_aa = prog.lin_a[:, :, None] * prog.lin_a[:, None, :]
-        self.neg_lin_a, self.neg_b2, self.quad_t = -prog.lin_a, -2.0 * prog.quad_beta, None
-        self.q = np.zeros(pat.m)   # ``max_step``'s a^2 terms: 0 but on speed rows
-        buf = np.empty(pat.views[-1][1])
-        self.values, self.jac = buf[: pat.sum_idx.size], buf[pat.sum_idx.size:]
-        self.sp_outer = np.empty((prog.speed_h.size, 4, 4))   # scratch
-        self.banded = _Banded(pat.free.size, pat.kd)
-        (self.quad_g, self.lin_g, self.quad_h, self.lin_h, self.sp_h, lin_jac, self.sp_jac) = (
-            buf[start: stop].reshape(shape) for start, stop, shape in pat.views)
-        lin_jac[:] = self.neg_lin_a.ravel()
+        self.lin_o, self.lin_k = prog.lin_o.ravel(), prog.lin_k.ravel()
+        self.neg_b2, self.quad_t = -2.0 * prog.quad_beta, None
+        self.q = np.zeros(self.m)   # ``max_step``'s a^2 terms: 0 but on speed rows
+        self.d = np.zeros((N, 2))   # ``direction``'s buffer; its ends stay 0
+        self.d_free = self.d.reshape(2 * N)[2:-2]
+        # J by slot: each slot's gradient in each receiver's row, in the
+        # speed row from the slot and in the one to it, 0 where there is
+        # none; ``assemble`` writes the speed rows'
+        jac = self.jac = np.zeros((R + 2, N, 2))
+        np.negative(prog.lin_a, out=jac[:R])
+        self.jac_lin, self.jac_from, self.jac_to = jac[:R].reshape(rn, 2), jac[R, :-1], jac[-1, 1:]
+        # the terms jac * d of J d: row i's first two are entries 2i and
+        # 2i + 1, speed row n's last two the slot n + 1 entries of its row
+        self.jd = np.empty((R + 2, N, 2))
+        self.jd_pairs = self.jd.reshape(-1)[: 2 * self.m].reshape(self.m, 2).T
+        # layers (slot, coordinate) of the objective's gradient, the quad
+        # term, each receiver's row and 0s, and of J^T v, each receiver's
+        # row, then the speed rows to and from the slot
+        sums = np.zeros((2, R + 2, N, 2))
+        self.quad_g, self.lin_g = sums[0, 0], sums[0, 1: R + 1].reshape(rn, 2)
+        self.jt_lin = sums[1, :R].reshape(rn, 2)
+        self.jt_to, self.jt_from = sums[1, R, 1:], sums[1, R + 1, :-1]
+        self.sums_free = sums[:, :, 1:-1].reshape(2, R + 2, 2 * N - 4)
+        # The band, column-major as LAPACK keeps it, and its view
+        # band[k, 2s + a] -> (s, a, k): free slot s, coordinate a, entry k
+        # rows below the diagonal. Its layers: the quad term, each
+        # receiver's row's block a a^T, and the speed rows to and from the
+        # slot, gathered by ``sp_index``.
+        self.banded = _Banded(2 * N - 4, _KD)
+        self.band = np.zeros((_KD + 1, 2 * N - 4), order="F")
+        self.band_view = self.band.T.reshape(N - 2, 2, _KD + 1)
+        layers = np.zeros((R + 3, N, 2, _KD + 1))
+        self.quad_h = layers[0, :, :, 0]
+        self.lin_h = layers[1: R + 1].reshape(rn, 2 * _KD + 2)
+        self.sp_layers, self.band_layers = layers[R + 1:, 1:-1], layers[:, 1:-1]
+        self.lin_aa = np.zeros((rn, 2 * _KD + 2))
+        np.multiply(self.jac_lin, self.jac_lin[:, :1], out=self.lin_aa[:, :2])
+        np.multiply(self.jac_lin[:, 1], self.jac_lin[:, 1], out=self.lin_aa[:, _KD + 1])
+        # each speed row's U and -U, entry by entry, then a row of 0s; the
+        # row to free slot s is row s, the row from it s + 1
+        self.sp_blocks = np.zeros(9 * (N - 1))
+        self.sp_u = self.sp_blocks[: 4 * (N - 1)].reshape(2, 2, N - 1)
+        self.sp_neg_u = self.sp_blocks[4 * (N - 1): 8 * (N - 1)].reshape(2, 2, N - 1)
+        self.sp_index = (N - 1) * _SPEED_BAND[:, None] + np.arange(N - 2)[:, None, None]
+        self.sp_index[1] += 1
+        self.sp_index[1, -1:] = self.sp_index[0, -1:] + 1
 
     def evaluate(self, x: np.ndarray, objective: bool = True) -> Optional[_Point]:
-        """Objective, speed-row differences and row slacks (linear, then
+        """Objective, speed-row differences and row slacks (distance, then
         speed rows) at x, or None if x is not strictly feasible. The
-        objective reuses the linear rows' slacks; without ``objective`` f is
-        None."""
-        prog, pat = self.prog, self.pattern
-        s = np.empty(pat.m)
-        s[: pat.sp0] = lin = prog.lin_slack(x)
-        y = x[prog.speed_j] - x[prog.speed_i]
-        np.subtract(self.sp_h2, np.add.reduce(y * y, axis=1), out=s[pat.sp0:])
+        objective reuses the distance rows' slacks; without ``objective`` f
+        is None."""
+        prog = self.prog
+        lin = prog.lin_slack(x)
+        y = x[1:] - x[:-1]
+        s = np.concatenate((lin, np.subtract(self.sp_h2, np.add.reduce(y * y, axis=1))),
+                           axis=None)
         if np.minimum.reduce(s, initial=math.inf) <= 0.0:
             return None
         if not objective:
@@ -231,57 +202,72 @@ class _Work:
 
     def assemble(self, x: np.ndarray, point: _Point, t: float, w: np.ndarray):
         """At the evaluated point x, with objective weight t and one weight
-        w_i per row c_i >= 0: the objective's gradient, the matrix
+        w_i per row c_i >= 0: the objective's gradient and J^T (1/c), as the
+        rows of one (2, 2(N - 2)) array, the matrix
 
             t (-Hess F) + sum_i w_i (-Hess c_i) + sum_i (w_i / c_i) grad c_i grad c_i^T
 
-        on the free coordinates in lower band storage, as an F-contiguous
-        (kd + 1, free count) view, the values of J's entries in the
-        pattern's order, and w/c. With w = 1/c the matrix is the negated
-        Hessian of t*F + log barrier; with w the rows' duals at t = 1, the
-        primal-dual system's reduced matrix. J's values are a view of the
-        buffer, which the next call overwrites."""
-        prog, pat = self.prog, self.pattern
+        in lower band storage, as an F-contiguous (kd + 1, 2(N - 2)) array,
+        all on the free coordinates, and w/c. With w = 1/c the matrix is the
+        negated Hessian of t*F + log barrier, whose gradient is t grad F +
+        J^T (1/c); with w the rows' duals at t = 1, the primal-dual system's
+        reduced matrix. The band is the work's buffer, which the next call
+        overwrites; ``jac_dot`` and ``jac_t_dot`` take J at x from here on."""
+        prog, rn = self.prog, self.rn
         wc = w / point.s
         # -(2 beta (x - c)), and its constant curvature 2 beta t
-        np.multiply(self.neg_b2, np.subtract(x[prog.quad_i], prog.quad_c, out=self.quad_g),
-                    out=self.quad_g)
+        np.multiply(self.neg_b2, np.subtract(x, prog.quad_c, out=self.quad_g), out=self.quad_g)
         if t != self.quad_t:
             np.multiply(t, -self.neg_b2, out=self.quad_h)
             self.quad_t = t
-        # -k/(s + o) for each linear row's slack s: its gradient along the
+        # -k/(s + o) for each distance row's slack s: its gradient along the
         # row, and its negated curvature weight
-        r_lin = point.s[: pat.sp0] + prog.lin_o
-        k_r2 = prog.lin_k / (r_lin * r_lin)
-        np.multiply(self.neg_lin_a, k_r2[:, None], out=self.lin_g)
-        w_lin = wc[: pat.sp0] + 2.0 * t * k_r2 / r_lin
-        np.multiply(self.lin_aa, w_lin[:, None, None], out=self.lin_h)
-        # h^2 - |y|^2: gradient G and negated Hessian _SPEED_CURV over the
-        # row's four coordinates (x[i], x[j])
-        G = self.sp_jac
-        np.multiply(2.0, point.y, out=G[:, :2])
-        np.negative(G[:, :2], out=G[:, 2:])
-        sp = slice(pat.sp0, None)
-        np.multiply(_SPEED_CURV, w[sp, None, None], out=self.sp_h)
-        np.multiply(G[:, :, None], (G * wc[sp, None])[:, None, :], out=self.sp_outer)
-        self.sp_h += self.sp_outer
+        r_lin = point.s[:rn] + self.lin_o
+        k_r2 = self.lin_k / (r_lin * r_lin)
+        np.multiply(self.jac_lin, k_r2[:, None], out=self.lin_g)
+        w_lin = wc[:rn] + 2.0 * t * k_r2 / r_lin
+        np.multiply(self.lin_aa, w_lin[:, None], out=self.lin_h)
+        # h^2 - |y|^2: gradient g = 2y at x[n] and -g at x[n + 1], and
+        # U = 2 w I + g g^T w/c
+        np.multiply(2.0, point.y, out=self.jac_from)
+        np.negative(self.jac_from, out=self.jac_to)
+        g, sp = self.jac_from.T, slice(rn, None)
+        np.multiply(_SPEED_CURV, w[sp], out=self.sp_u)
+        self.sp_u += g[:, None] * (g * wc[sp])
+        np.negative(self.sp_u, out=self.sp_neg_u)
+        self.sp_layers[...] = self.sp_blocks[self.sp_index]
+        np.add.reduce(self.band_layers, axis=0, out=self.band_view, initial=0.0)
+        self._jt_layers(1.0 / point.s)
+        return np.add.reduce(self.sums_free, axis=1, initial=0.0), self.band, wc
 
-        n = pat.n
-        # (bincount of no values at all comes back as integers)
-        total = np.bincount(pat.sum_idx, self.values,
-                            minlength=pat.band_end + 1).astype(float, copy=False)
-        return (total[:n], total[n: pat.band_end].reshape(pat.free.size, pat.kd + 1).T,
-                self.jac, wc)
+    def jac_dot(self, d: np.ndarray) -> np.ndarray:
+        """J d: each row's derivative along the move d (N, 2), its terms
+        added in the order of the row's coordinates."""
+        jd = self.jd
+        np.multiply(self.jac, d, out=jd)
+        dc = np.add(*self.jd_pairs)
+        speed = dc[self.rn:]
+        speed += jd[-1, 1:, 0]
+        speed += jd[-1, 1:, 1]
+        return dc
 
-    def jac_dot(self, jac: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """J d: each row's directional derivative along d (all n coordinates)."""
-        pat = self.pattern
-        return np.bincount(pat.jac_row, jac * d[pat.jac_idx], minlength=pat.m)
-
-    def jac_t_dot(self, jac: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def jac_t_dot(self, v: np.ndarray) -> np.ndarray:
         """J^T v, on the free coordinates."""
-        pat = self.pattern
-        return np.bincount(pat.jac_idx, jac * v[pat.jac_row], minlength=pat.n)[pat.free]
+        self._jt_layers(v)
+        return np.add.reduce(self.sums_free[1], axis=0, initial=0.0)
+
+    def _jt_layers(self, v: np.ndarray):
+        """Fill the layers of J^T v."""
+        rn = self.rn
+        np.multiply(self.jac_lin, v[:rn, None], out=self.jt_lin)
+        np.multiply(self.jac_from, v[rn:, None], out=self.jt_from)
+        np.negative(self.jt_from, out=self.jt_to)     # jac_to is -jac_from
+
+    def direction(self, step: np.ndarray) -> np.ndarray:
+        """The step on the free coordinates as a move (N, 2) of every slot,
+        0 at the endpoints: a view of one buffer, which the next call overwrites."""
+        self.d_free[...] = step
+        return self.d
 
     def max_step(self, point: _Point, d: np.ndarray, dc: np.ndarray,
                  lam: np.ndarray, dl: np.ndarray) -> float:
@@ -289,16 +275,16 @@ class _Work:
         (at least one) and every dual lam at least ``_KEEP`` of its value:
         c_i(x + a d) >= _KEEP c_i(x), exactly, and lam + a dl >= _KEEP lam.
         dc is J d. Along d each slack is c + a dc + a^2 q, with q = 0 for a
-        linear row and -|d_j - d_i|^2 <= 0 for a speed row; the slacks'
-        bound is the least positive root of c (1 - _KEEP) + a dc + a^2 q."""
-        prog, pat, q = self.prog, self.pattern, self.q
-        e = d[prog.speed_j] - d[prog.speed_i]
-        np.negative(np.einsum("ij,ij->i", e, e), out=q[pat.sp0:])
+        distance row and -|d[n + 1] - d[n]|^2 <= 0 for a speed row; the
+        slacks' bound is the least positive root of c (1 - _KEEP) + a dc + a^2 q."""
+        q = self.q
+        e = d[1:] - d[:-1]
+        np.negative(np.einsum("ij,ij->i", e, e), out=q[self.rn:])
         # twice the room (1 - _KEEP) c, exactly: 4 q room = q (2 room2), 2 room = room2
         room2 = (2.0 * (1.0 - _KEEP)) * point.s
         # q <= 0, so disc >= 0, and the root is 2 room / (-dc + sqrt(disc)),
         # the form that cancels nothing; a row whose denominator is 0 (dc >= 0
-        # on a linear row) limits nothing
+        # on a distance row) limits nothing
         disc = dc * dc - q * (room2 + room2)
         den = np.sqrt(disc) - dc
         return 1.0 / max(1.0, float(np.maximum.reduce(den / room2)),
@@ -370,13 +356,12 @@ def solve(prog: StructuredConvexProgram) -> Solution:
     improving step before its decrement test held.
     """
     work = _Work(prog)
-    x = np.asarray(prog.start, dtype=float).copy()
-    x[prog.fixed_idx] = prog.fixed_val
+    x = np.array(prog.start, dtype=float)
     point = work.evaluate(x)
     if point is None:
         raise ValueError("program start point is not strictly feasible")
 
-    nu = work.pattern.nu
+    nu = work.nu
     t_final = max(nu, 1.0) / _GAP_TOL
     t0 = max(nu, 1.0) / max(abs(point.f), 1e-2)
     x, point, steps, status = _primal_dual(work, x, point, t0, t_final)
@@ -422,45 +407,40 @@ def _primal_dual(work: _Work, x: np.ndarray, point: _Point, t0: float, t_final: 
     boundary. The duals need not be dual feasible: the certificate comes
     from the barrier centring that follows.
     """
-    pat = work.pattern
-    if pat.m == 0:
-        return x, point, 0, "ok"
+    m, nu = work.m, work.nu
     mu_final = 1.0 / t_final
     lam = 1.0 / (t0 * point.s)
     steps = 0
-    d = np.zeros(pat.n)
     for _ in range(_MAX_PD):
         c = point.s
-        mu = float(lam @ c) / pat.m
-        gf, band, jac, lc = work.assemble(x, point, 1.0, lam)
+        mu = float(lam @ c) / m
+        ru, band, lc = work.assemble(x, point, 1.0, lam)
+        r, u = ru
         chol = _cholesky(work.banded, band)
-        r = gf[pat.free]
-        u = work.jac_t_dot(jac, 1.0 / c)
-        sol = None if chol is None else _back_solve(chol, np.array((r, u)).T)
+        sol = None if chol is None else _back_solve(chol, ru.T)
         if sol is None:
             return x, point, steps, "numerical-failure"
         dx_a, w = sol.T
         target = max(mu, mu_final)
         step = dx_a + target * w
-        if float((r + target * u) @ step) <= target * pat.nu:
+        if float((r + target * u) @ step) <= target * nu:
             # Mehrotra's predictor and corrector
-            d[pat.free] = dx_a
-            dc = work.jac_dot(jac, d)
+            dc = work.jac_dot(work.direction(dx_a))
             dl = -lam - lc * dc
             mu_aff = float((c + _fraction_to_zero(c, dc, 0.0) * dc)
-                           @ (lam + _fraction_to_zero(lam, dl, 0.0) * dl)) / pat.m
+                           @ (lam + _fraction_to_zero(lam, dl, 0.0) * dl)) / m
             target = max(mu * (mu_aff / mu) ** 3, mu_final)
             second = dc * dl / c
             toward = dx_a + target * w      # before the next solve overwrites dx_a and w
-            dx_2 = _back_solve(chol, work.jac_t_dot(jac, second))
+            dx_2 = _back_solve(chol, work.jac_t_dot(second))
             if dx_2 is None:
                 return x, point, steps, "numerical-failure"
-            d[pat.free] = toward - dx_2
+            d = work.direction(toward - dx_2)
             v = target / c - second
         else:
-            d[pat.free] = step
+            d = work.direction(step)
             v = target / c
-        dc = work.jac_dot(jac, d)
+        dc = work.jac_dot(d)
         dl = v - lam - lc * dc
         a = work.max_step(point, d, dc, lam, dl)
         found = _search(work, x, a * d)
@@ -563,11 +543,10 @@ def _center(work: _Work, x: np.ndarray, point: _Point, t: float):
     noise = 64.0 * t * (abs(fref) + 1.0) * _EPS
     steps = 0
     gd_full = math.inf      # the decrement before the last step, if that was a full one
-    free = work.pattern.free
     for _ in range(_MAX_NEWTON):
         w = 1.0 / point.s
-        gf, band, jac, _ = work.assemble(x, point, t, w)
-        g = t * gf[free] + work.jac_t_dot(jac, w)
+        gu, band, _ = work.assemble(x, point, t, w)
+        g = t * gu[0] + gu[1]
         chol = _cholesky(work.banded, band)
         step = None if chol is None else _back_solve(chol, g)
         if step is None:
@@ -578,9 +557,7 @@ def _center(work: _Work, x: np.ndarray, point: _Point, t: float):
             return x, point, steps, "ok"
         use_armijo = gd > noise
         phi0 = point.phi(t, fref) if use_armijo else None
-        d = np.zeros(work.pattern.n)
-        d[free] = step
-        found = _search(work, x, d, lambda trial, s: (
+        found = _search(work, x, work.direction(step), lambda trial, s: (
             not use_armijo or trial.phi(t, fref) >= phi0 + _ARMIJO * s * gd))
         steps += 1
         if found is None:

@@ -2,8 +2,8 @@
 
 Given the current design (trajectory and power), this module builds the two
 convex subproblems of the alternating scheme: the trajectory subproblem, a
-``StructuredConvexProgram`` over the 2N position coordinates with power
-fixed, which ``solver.solve`` solves; and the power subproblem, a
+``StructuredConvexProgram`` over the N positions, held slot by slot, with
+power fixed, which ``solver.solve`` solves; and the power subproblem, a
 ``PowerProgram`` over the N powers with the trajectory fixed, which
 ``solver.water_fill`` solves in closed form. It also gives the
 slack-reformulated objective both are tangent to. ``expansion_from`` is
@@ -56,56 +56,48 @@ START_SHIFT = 0.01
 
 @dataclass(eq=False, kw_only=True)
 class StructuredConvexProgram:
-    """The trajectory program: a concave maximization over linear and speed rows.
+    """The trajectory program: a concave maximization over N positions q_n.
 
-    objective(x) = constant
-                   - sum_k quad_beta[k] * (x[quad_i[k]] - quad_c[k])^2
-                   - sum_r lin_k[r] / (lin_slack(x)[r] + lin_o[r])
-    subject to     sum_k lin_a[r, k] x[lin_i[r, k]] <= lin_b[r]  (linear rows)
-                   |x[speed_j[k]] - x[speed_i[k]]| <= speed_h[k]   (speed rows)
-                   x[i] = v                               (fixed coordinates)
+    objective(q) = constant
+                   - sum_n,a quad_beta[n, a] * (q[n, a] - quad_c[n, a])^2
+                   - sum_r,n lin_k[r, n] / (lin_slack(q)[r, n] + lin_o[r, n])
+    subject to     lin_a[r, n] . q[n] <= lin_b[r, n]          (distance rows)
+                   |q[n + 1] - q[n]| <= speed_h[n]            (speed rows)
+                   q[0] = start[0], q[N - 1] = start[N - 1]   (endpoints)
 
-    Each term and row family is a set of index and coefficient arrays. Quad
-    terms have one entry per coordinate, with quad_beta >= 0. The linear
-    rows share one arity k: ``lin_i`` and ``lin_a`` have shape (m, k) and
-    hold each row's coordinates and coefficients (a coordinate may repeat).
-    Each row r carries a reciprocal term of its slack with lin_k[r] >= 0 and
-    lin_o[r] > 0, so the term is finite and concave wherever the row holds.
-    A speed row bounds the distance between two points whose coordinates are
-    the index pairs ``speed_i[k]`` and ``speed_j[k]`` (arrays of shape
-    (m, 2)), with ``speed_h > 0``.
+    Every array is slot-major: quad_c, quad_beta and start are (N, 2), and
+    the R rows of each slot are lin_a (R, N, 2) and lin_b, lin_k, lin_o
+    (R, N), R = 2 at finite L (Bob, then Eve) and 1 at L = inf; speed_h is
+    (N - 1,). quad_beta >= 0, one weight per coordinate; each row carries a
+    reciprocal term of its slack with lin_k >= 0 and lin_o > 0, so the term
+    is finite and concave wherever the row holds; speed_h > 0.
 
-    ``start`` is a strictly feasible point. ``layout`` maps variable-block
-    names to index arrays.
+    ``start`` is a strictly feasible point whose first and last rows are the
+    fixed endpoints. ``n`` = 2N counts the coordinates, and ``layout`` maps
+    the block name "q" to the slots.
     """
 
-    n: int
     constant: float
-    quad_i: np.ndarray
     quad_c: np.ndarray
     quad_beta: np.ndarray
-    lin_i: np.ndarray
     lin_a: np.ndarray
     lin_b: np.ndarray
     lin_k: np.ndarray
     lin_o: np.ndarray
-    speed_i: np.ndarray
-    speed_j: np.ndarray
     speed_h: np.ndarray
-    fixed_idx: np.ndarray
-    fixed_val: np.ndarray
     start: np.ndarray
     layout: dict
+    n: int
 
     def lin_slack(self, x: np.ndarray) -> np.ndarray:
-        """lin_b - (row sums of lin_a * x[lin_i]): each linear row's slack at x."""
-        return self.lin_b - np.add.reduce(self.lin_a * x[self.lin_i], axis=1)
+        """lin_b - lin_a . x per slot: each row's slack at the positions x (N, 2)."""
+        return self.lin_b - np.add.reduce(self.lin_a * x, axis=2)
 
     def objective_value(self, x: np.ndarray, lin_slack=None) -> float:
-        """The objective at x; -inf where a reciprocal term is undefined.
-        ``lin_slack``, if given, is ``self.lin_slack(x)``."""
+        """The objective at the positions x (N, 2); -inf where a reciprocal
+        term is undefined. ``lin_slack``, if given, is ``self.lin_slack(x)``."""
         x = np.asarray(x, dtype=float)
-        diff = x[self.quad_i] - self.quad_c
+        diff = x - self.quad_c
         f = self.constant - float((self.quad_beta * (diff * diff)).sum())
         den = (self.lin_slack(x) if lin_slack is None else lin_slack) + self.lin_o
         if den.min(initial=math.inf) <= 0.0:
@@ -211,20 +203,18 @@ def _required_z(u, u_hat: np.ndarray, z_hat: np.ndarray, v_hat: np.ndarray,
 def build_trajectory_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> StructuredConvexProgram:
     """Convex trajectory subproblem at the linearized design ``ep``, power fixed.
 
-    The variables are the 2N coordinates of the positions, slot by slot.
-    Bob's log rate is linearized in his squared distance, which stays exact
-    (one quad term per coordinate). Each receiver's squared distance is
-    under-estimated by its linearization l(q) = d2_hat + grad.(q - q_hat),
-    and each slot's loss by the bound of ``expansion_from`` at
-    u = xi0*p / l(q), so each receiver's slot term is -k / l(q) with
-    k = xi0*p*scale*k_r >= 0. It is carried on the linear row l(q) >= l_lo.
-    Silent slots keep their quad terms with weight 0 and their rows with
-    k = 0, so the program's structure depends only on N and on whether L is
-    finite, and every field that no design changes is the scenario's own
-    (``_parts``). At L = inf, k_b is 0 and Bob's rows are left out. The
-    start is the design moved ``START_SHIFT`` of the way toward the straight
-    segment (``_trajectory_start``), off the speed rows a solved design
-    leaves tight.
+    The variables are the N positions. Bob's log rate is linearized in his
+    squared distance, which stays exact (one quad term per coordinate).
+    Each receiver's squared distance is under-estimated by its
+    linearization l(q) = d2_hat + grad.(q - q_hat), and each slot's loss by
+    the bound of ``expansion_from`` at u = xi0*p / l(q), so each receiver's
+    slot term is -k / l(q) with k = xi0*p*scale*k_r >= 0. It is carried on
+    the distance row l(q) >= l_lo. Silent slots keep their quad terms with
+    weight 0 and their rows with k = 0, so every field that no design
+    changes is the scenario's own (``_parts``). At L = inf, k_b is 0 and
+    Bob's rows are left out. The start is the design moved ``START_SHIFT``
+    of the way toward the straight segment (``_trajectory_start``), off the
+    speed rows a solved design leaves tight.
     """
     N = cfg.N
     fields, segment = _parts(cfg)
@@ -244,12 +234,12 @@ def build_trajectory_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> Stru
     rows = slice(0 if math.isfinite(cfg.L) else 1, 2)
     lin_a = -2.0 * (ep.q_hat - cfg.receivers[rows])
     d2 = np.array((ep.d2_b, ep.d2_e)[rows])
-    lin_b = (d2 + np.add.reduce(lin_a * ep.q_hat, axis=2)).ravel() - fields["lin_o"]
+    lin_b = d2 + np.add.reduce(lin_a * ep.q_hat, axis=2) - fields["lin_o"]
     lin_k = xp * scale * np.array((ep.k_b, ep.k_e)[rows])
     prog = StructuredConvexProgram(
-        n=2 * N, constant=constant, quad_beta=(scale * b_n).repeat(2),
-        lin_a=lin_a.reshape(-1, 2), lin_b=lin_b, lin_k=lin_k.ravel(),
-        start=ep.q_hat.ravel(), layout={"q": fields["quad_i"]}, **fields,
+        constant=constant, quad_beta=(scale * b_n)[:, None].repeat(2, axis=1), lin_a=lin_a,
+        lin_b=lin_b, lin_k=lin_k, start=ep.q_hat, layout={"q": np.arange(N)}, n=2 * N,
+        **fields,
     )
     prog.start = _trajectory_start(prog, segment)
     return prog
@@ -257,17 +247,15 @@ def build_trajectory_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> Stru
 
 def _parts(cfg: ScenarioConfig) -> tuple:
     """What no design changes, read-only and kept on the scenario from its first call
-    on: the trajectory program's fields and the straight segment."""
+    on: the trajectory program's fields quad_c, lin_o and speed_h, and the
+    straight segment."""
     if "_parts" in vars(cfg):
         return vars(cfg)["_parts"]
     N, rows = cfg.N, 2 if math.isfinite(cfg.L) else 1
-    q_idx = np.arange(2 * N).reshape(N, 2)
-    fields = dict(
-        quad_i=q_idx.ravel(), quad_c=np.tile(cfg.w_b[:2], N), lin_i=np.tile(q_idx, (rows, 1)),
-        lin_o=np.full(rows * N, cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)),
-        speed_i=q_idx[:-1], speed_j=q_idx[1:], speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),
-        fixed_idx=q_idx[[0, N - 1]].ravel(), fixed_val=np.concatenate([cfg.q_I[:2], cfg.q_F[:2]]))
-    parts = (fields, line_segment_trajectory(cfg).points.ravel())
+    fields = dict(quad_c=np.tile(cfg.w_b[:2], (N, 1)),
+                  lin_o=np.full((rows, N), cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)),
+                  speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t))
+    parts = (fields, line_segment_trajectory(cfg).points)
     for a in (parts[1], *fields.values()):
         a.flags.writeable = False
     object.__setattr__(cfg, "_parts", parts)
@@ -286,7 +274,7 @@ def _trajectory_start(prog: StructuredConvexProgram, segment: np.ndarray) -> np.
     theta = START_SHIFT
     while theta > 0.0:
         x = q + theta * toward
-        y = x[prog.speed_j] - x[prog.speed_i]
+        y = x[1:] - x[:-1]
         speed_slack = prog.speed_h * prog.speed_h - (y * y).sum(axis=1)
         if min(prog.lin_slack(x).min(initial=math.inf), speed_slack.min(initial=math.inf)) > 0.0:
             return x

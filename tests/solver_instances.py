@@ -1,11 +1,12 @@
 """Randomized small programs with grid-search oracles for solver testing.
 
-Each generator returns (program, oracle_value). Instances are built around a
-known strictly feasible start and kept at 1-2 coupled variables per block so
-a staged grid refinement pins the optimum to ~1e-6. Every instance has the
-trajectory program's shape: a concave quadratic with reciprocal terms of
-linear-row slacks, over linear rows, speed rows and fixed coordinates. A
-linear objective c.x - beta |x - q|^2 is folded into its quad centre,
+Each generator returns (program, oracle_value). Every instance has the
+trajectory program's shape: N slots, the first and last fixed, a concave
+quadratic with reciprocal terms of row slacks, over rows a.q[n] <= b that
+every slot has, and speed rows between neighbouring slots. Instances are
+built around a known strictly feasible start, with one free slot between
+the two fixed ones, so a staged grid refinement pins the optimum to ~1e-6.
+A linear objective c.x - beta |x - q|^2 is folded into its quad centre,
 q + c/(2 beta), with the constant that keeps its values.
 """
 
@@ -14,46 +15,64 @@ import numpy as np
 from uavsec.surrogate import PowerProgram, StructuredConvexProgram
 
 
-def program(n, **fields):
-    """Program on n variables: every family not given in ``fields`` is empty,
-    the constant is zero and the start is the origin. Unless given, the
-    linear rows carry no reciprocal terms."""
-    kw = dict(constant=0.0, quad_i=np.zeros(0, dtype=int), quad_c=np.zeros(0),
-              quad_beta=np.zeros(0), lin_i=np.zeros((0, 1), dtype=int), lin_a=np.zeros((0, 1)),
-              lin_b=np.zeros(0), speed_i=np.zeros((0, 2), dtype=int),
-              speed_j=np.zeros((0, 2), dtype=int), speed_h=np.zeros(0),
-              fixed_idx=np.zeros(0, dtype=int), fixed_val=np.zeros(0), start=np.zeros(n),
-              layout={})
+def program(start, speed_h, **fields):
+    """Program over the slots of ``start`` (N, 2): every family not given in
+    ``fields`` is empty or 0 (no rows, no quad terms, constant 0). Unless
+    given, the rows carry no reciprocal terms."""
+    start = np.asarray(start, dtype=float)
+    N = len(start)
+    kw = dict(constant=0.0, quad_c=np.zeros((N, 2)), quad_beta=np.zeros((N, 2)),
+              lin_a=np.zeros((0, N, 2)), lin_b=np.zeros((0, N)), layout={})
     kw.update(fields)
-    kw.setdefault("lin_k", np.zeros(kw["lin_b"].size))
-    kw.setdefault("lin_o", np.ones(kw["lin_b"].size))
-    return StructuredConvexProgram(n=n, **kw)
+    kw.setdefault("lin_k", np.zeros(kw["lin_b"].shape))
+    kw.setdefault("lin_o", np.ones(kw["lin_b"].shape))
+    return StructuredConvexProgram(start=start, speed_h=np.asarray(speed_h, dtype=float),
+                                   n=2 * N, **kw)
 
 
-def dense_rows(A, b):
-    """Linear-row fields for the rows A x <= b, each row naming every
-    coordinate."""
-    A = np.asarray(A, dtype=float)
-    return dict(lin_i=np.tile(np.arange(A.shape[1]), (A.shape[0], 1)), lin_a=A,
-                lin_b=np.asarray(b, dtype=float))
+def slot_rows(A, b, N):
+    """Row fields for the rows A q[n] <= b on every one of N slots."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    return dict(lin_a=np.repeat(A[:, None], N, axis=1), lin_b=np.repeat(b[:, None], N, axis=1))
 
 
-def box_rows(lb, ub, A=np.zeros((0, 1)), b=()):
-    """Linear-row fields for the box lb <= x <= ub, as the rows -x <= -lb and
-    x <= ub, followed by the rows A x <= b."""
-    eye = np.eye(len(lb))
-    return dense_rows(np.vstack([-eye, eye, np.reshape(A, (-1, len(lb)))]),
-                      np.concatenate([-np.asarray(lb), ub, b]))
+def box_rows(lb, ub, N, A=np.zeros((0, 2)), b=()):
+    """Row fields for the box lb <= q[n] <= ub, as the rows -q <= -lb and
+    q <= ub, followed by the rows A q <= b, on every one of N slots."""
+    eye = np.eye(2)
+    return slot_rows(np.vstack([-eye, eye, np.reshape(A, (-1, 2))]),
+                     np.concatenate([-np.asarray(lb), ub, b]), N)
 
 
-def folded_quad(idx, beta, center, c, constant=0.0):
-    """Quad-term fields and constant of constant + c.x - beta |x - center|^2
-    over the coordinates idx (beta > 0, one per coordinate): the centre
-    moves to center + c/(2 beta), and the constant grows by the value there."""
+def folded_quad(beta, center, c, constant=0.0):
+    """Quad centre and constant of constant + c.x - beta |x - center|^2 over
+    one slot's coordinates (beta > 0, one per coordinate): the centre moves
+    to center + c/(2 beta), and the constant grows by the value there."""
     beta, center, c = (np.asarray(a, dtype=float) for a in (beta, center, c))
     shift = c / (2.0 * beta)
-    return dict(quad_i=np.asarray(idx), quad_c=center + shift, quad_beta=beta,
-                constant=constant + float(c @ center) + float(beta @ (shift * shift)))
+    return center + shift, constant + float(c @ center) + float(beta @ (shift * shift))
+
+
+def one_free_slot(ends, free, beta, center, constant=0.0):
+    """Quad fields of a three-slot program whose middle slot alone has quad
+    terms, and its start: the fixed ends around the free point."""
+    quad_c, quad_beta = np.zeros((3, 2)), np.zeros((3, 2))
+    quad_c[1], quad_beta[1] = center, beta
+    return dict(quad_c=quad_c, quad_beta=quad_beta, constant=constant,
+                start=np.array([ends[0], free, ends[1]]))
+
+
+def loose_speed_rows(ends, points):
+    """Speed bounds from each end to the free slot that hold strictly
+    around every one of ``points``, with a margin of 1."""
+    points = np.atleast_2d(points)
+    return np.array([np.max(np.linalg.norm(points - end, axis=1)) + 1.0 for end in ends])
+
+
+def inside_speed_rows(prog, x):
+    """Whether the free slot at x lies strictly inside both speed rows."""
+    return (np.linalg.norm(x - prog.start[0]) < prog.speed_h[0]
+            and np.linalg.norm(x - prog.start[2]) < prog.speed_h[1])
 
 
 def power_program(constant, c, a, alpha, ub, budget):
@@ -87,6 +106,8 @@ def bisection_water_fill(prog):
 
 
 def _grid_max_1d(fn, lo, hi, stages=3, pts=4001):
+    """The grid maximum of fn over [lo, hi], refined stage by stage, and its
+    argument (None if no grid point is feasible)."""
     best_x, best = None, -np.inf
     for _ in range(stages):
         xs = np.linspace(lo, hi, pts)
@@ -95,34 +116,40 @@ def _grid_max_1d(fn, lo, hi, stages=3, pts=4001):
         if vals[k] > best:
             best, best_x = float(vals[k]), float(xs[k])
         if best_x is None:      # no point of the grid is feasible
-            return best
+            return best, None
         span = (hi - lo) / (pts - 1) * 4.0
         lo, hi = max(lo, best_x - span), min(hi, best_x + span)
-    return best
+    return best, best_x
 
 
 def box_linear_instance(rng):
-    """1-2 vars, a box and a couple of linear rows kept feasible at the
-    midpoint, and a linear plus quadratic objective.
+    """A box and a couple of rows kept feasible at its midpoint, and a
+    linear plus quadratic objective, on the free slot.
 
-    The box is four linear rows. The oracle enumerates every KKT candidate
+    The box is four rows. The oracle enumerates every KKT candidate
     exactly: polytope vertices, edge-restricted stationary points, and the
     unconstrained stationary point. That set always contains the optimum of
-    a concave quadratic over a bounded polytope.
+    a concave quadratic over a bounded polytope. Every slot starts at the
+    midpoint, and the speed rows hold around the whole box. beta >= 0.1
+    keeps the folded quad centre within about 15 of the box (see
+    ``test_staged_centring_of_a_nearly_linear_objective_converges``).
     """
-    n = int(rng.integers(1, 3))
-    lb = np.zeros(n)
-    ub = rng.uniform(0.5, 2.0, size=n)
-    c = rng.uniform(-3.0, 3.0, size=n)
+    lb = np.zeros(2)
+    ub = rng.uniform(0.5, 2.0, size=2)
+    c = rng.uniform(-3.0, 3.0, size=2)
     mid = ub / 2.0
     rows = []
     for _ in range(int(rng.integers(1, 3))):
-        a = rng.uniform(-1.0, 1.0, size=n)
+        a = rng.uniform(-1.0, 1.0, size=2)
         rows.append((a, float(a @ mid + rng.uniform(0.1, 1.0))))
-    beta = float(rng.uniform(0.0, 2.0))
-    center = rng.uniform(-1.0, 3.0, size=n)
-    prog = program(n, start=mid, **folded_quad(np.arange(n), np.full(n, beta), center, c),
-                   **box_rows(lb, ub, [r[0] for r in rows], [r[1] for r in rows]))
+    beta = float(rng.uniform(0.1, 2.0))
+    center = rng.uniform(-1.0, 3.0, size=2)
+    ends = [mid, mid]
+    quad_c, constant = folded_quad(np.full(2, beta), center, c)
+    corners = np.array([[x, y] for x in (0.0, ub[0]) for y in (0.0, ub[1])])
+    prog = program(speed_h=loose_speed_rows(ends, corners),
+                   **one_free_slot(ends, mid, beta, quad_c, constant),
+                   **box_rows(lb, ub, 3, [r[0] for r in rows], [r[1] for r in rows]))
 
     def value(x):
         return float(c @ x) - beta * float((x - center) @ (x - center))
@@ -133,10 +160,10 @@ def box_linear_instance(rng):
             return False
         return all(float(a @ x) <= rhs + tol for a, rhs in rows)
 
-    # hyperplanes: box faces and linear rows, as (normal, offset)
+    # hyperplanes: box faces and rows, as (normal, offset)
     planes = []
-    for i in range(n):
-        e = np.zeros(n)
+    for i in range(2):
+        e = np.zeros(2)
         e[i] = 1.0
         planes.append((e.copy(), float(lb[i])))
         planes.append((e.copy(), float(ub[i])))
@@ -144,43 +171,40 @@ def box_linear_instance(rng):
 
     x_star = center + c / (2.0 * beta)
     candidates = [x_star]
-    if n == 1:
-        candidates.extend(np.array([off / nv[0]]) for nv, off in planes if nv[0] != 0.0)
-    else:
-        for i in range(len(planes)):
-            for j in range(i + 1, len(planes)):
-                M = np.array([planes[i][0], planes[j][0]])
-                rhs = np.array([planes[i][1], planes[j][1]])
-                if abs(np.linalg.det(M)) < 1e-12:
-                    continue
-                candidates.append(np.linalg.solve(M, rhs))
-        # stationary point restricted to each hyperplane
-        for nv, off in planes:
-            candidates.append(x_star - nv * ((float(nv @ x_star) - off) / float(nv @ nv)))
+    for i in range(len(planes)):
+        for j in range(i + 1, len(planes)):
+            M = np.array([planes[i][0], planes[j][0]])
+            rhs = np.array([planes[i][1], planes[j][1]])
+            if abs(np.linalg.det(M)) < 1e-12:
+                continue
+            candidates.append(np.linalg.solve(M, rhs))
+    # stationary point restricted to each hyperplane
+    for nv, off in planes:
+        candidates.append(x_star - nv * ((float(nv @ x_star) - off) / float(nv @ nv)))
 
-    oracle = max(value(x) for x in candidates if feasible(x))
+    oracle, best = max((value(x), i) for i, x in enumerate(candidates) if feasible(x))
+    assert inside_speed_rows(prog, candidates[best])
     return prog, oracle
 
 
 def reciprocal_row_instance(rng):
-    """1-2 vars, one linear row a.x <= b kept feasible at the start, whose
-    slack s carries the reciprocal term -k/(s + o), and quad terms.
+    """One row a.x <= b kept feasible at the start, whose slack s carries
+    the reciprocal term -k/(s + o), and quad terms, on the free slot; the
+    ends' rows hold with slack 1 and carry no reciprocal term.
 
     In the coordinates y_i = sqrt(beta_i) (x_i - quad_c_i) the objective is
     -|y|^2 - k/(s + o), and the row names y only through its normal, so the
     optimum lies on the line along that normal through the quad centre: a
-    1-D concave maximization over the line's feasible half.
+    1-D concave maximization over the line's feasible half. The speed rows
+    hold around the part of the line the search covers.
     """
-    n = int(rng.integers(1, 3))
-    start = rng.uniform(-1.0, 1.0, size=n)
-    a = rng.uniform(-1.0, 1.0, size=n)
+    start = rng.uniform(-1.0, 1.0, size=2)
+    a = rng.uniform(-1.0, 1.0, size=2)
     b = float(a @ start + rng.uniform(0.1, 1.0))
     k, o = float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.2, 1.0))
-    beta = rng.uniform(0.1, 2.0, size=n)
-    center = rng.uniform(-3.0, 3.0, size=n)
-    prog = program(n, quad_i=np.arange(n), quad_c=center, quad_beta=beta,
-                   **dense_rows([a], [b]), lin_k=np.array([k]), lin_o=np.array([o]),
-                   start=start)
+    beta = rng.uniform(0.1, 2.0, size=2)
+    center = rng.uniform(-3.0, 3.0, size=2)
+    ends = start + rng.uniform(-1.0, 1.0, size=(2, 2))
 
     # y = t a~/|a~|, a~ = a / sqrt(beta): the slack is s0 - t |a~|, so the row
     # holds for t <= s0/|a~|; below min(0, that) - sqrt(k/o) - 1, -t^2 alone
@@ -190,18 +214,30 @@ def reciprocal_row_instance(rng):
     hi = s0 / norm
     lo = min(0.0, hi) - np.sqrt(k / o) - 1.0
 
+    def point(t):
+        return center + t * (a / beta) / norm
+
+    lin_a, lin_b = np.zeros((1, 3, 2)), np.ones((1, 3))
+    lin_a[0, 1], lin_b[0, 1] = a, b
+    lin_k = np.zeros((1, 3))
+    lin_k[0, 1] = k
+    prog = program(speed_h=loose_speed_rows(ends, [point(lo), point(hi), start]),
+                   **one_free_slot(ends, start, beta, center),
+                   lin_a=lin_a, lin_b=lin_b, lin_k=lin_k, lin_o=np.full((1, 3), o))
+
     def value(t):
         return -t * t - k / (np.maximum(s0 - t * norm, 0.0) + o)
 
-    oracle = _grid_max_1d(value, lo, hi, stages=4, pts=40001)
+    oracle, t_best = _grid_max_1d(value, lo, hi, stages=4, pts=40001)
+    assert inside_speed_rows(prog, point(t_best))
     return prog, oracle
 
 
 def speed_lens_instance(rng):
-    """One free point (variables 2, 3) between two fixed ones (0, 1 and
-    4, 5), each a speed row away: the free point ranges over the lens where
-    two discs meet, as a trajectory's inner slot does. Every coordinate has
-    a quad term, so the fixed points add a constant.
+    """One free slot between two fixed ones, each a speed row away: the
+    free point ranges over the lens where two discs meet, as a trajectory's
+    inner slot does. Every slot has a quad term, one weight per slot, so the
+    fixed ends add a constant.
 
     The lens is at least a fifth of the radii thick. The oracle is the quad
     centre if it lies in the lens, and otherwise the best point on the lens
@@ -212,22 +248,16 @@ def speed_lens_instance(rng):
     gap = rng.uniform(0.0, 0.8 * h.sum())
     angle = rng.uniform(0.0, 2.0 * np.pi)
     ends[1] = ends[0] + gap * np.array([np.cos(angle), np.sin(angle)])
-    beta = rng.uniform(0.2, 2.0, size=3).repeat(2)   # one weight per point, as in the trajectory program
-    center = rng.uniform(-3.0, 3.0, size=6)
+    beta = rng.uniform(0.2, 2.0, size=3)[:, None].repeat(2, axis=1)
+    center = rng.uniform(-3.0, 3.0, size=(3, 2))
     inner = ends[0] + h[0] / h.sum() * (ends[1] - ends[0])   # strictly inside both discs
-    prog = program(
-        6, quad_i=np.arange(6), quad_c=center, quad_beta=beta,
-        speed_i=np.array([[0, 1], [2, 3]]), speed_j=np.array([[2, 3], [4, 5]]), speed_h=h,
-        fixed_idx=np.array([0, 1, 4, 5]), fixed_val=ends.ravel(),
-        start=np.concatenate([ends[0], inner, ends[1]]),
-    )
-    fixed = np.array([0, 1, 4, 5])
-    base = -float(beta[fixed] @ (ends.ravel() - center[fixed]) ** 2)
+    prog = program(np.array([ends[0], inner, ends[1]]), h, quad_c=center, quad_beta=beta)
+    base = -float((beta[[0, 2]] * (ends - center[[0, 2]]) ** 2).sum())
 
     def value(x, y):
-        return base - beta[2] * (x - center[2]) ** 2 - beta[3] * (y - center[3]) ** 2
+        return base - beta[1, 0] * (x - center[1, 0]) ** 2 - beta[1, 1] * (y - center[1, 1]) ** 2
 
-    m = center[2:4]
+    m = center[1]
     if all(np.linalg.norm(m - end) <= r for end, r in zip(ends, h)):
         return prog, float(value(*m))
     best = -np.inf
@@ -244,26 +274,26 @@ def speed_lens_instance(rng):
             inside = np.hypot(x - other[0], y - other[1]) <= r_other
             return np.where(inside, value(x, y), -np.inf)
 
-        best = max(best, _grid_max_1d(on_arc, 0.0, 2.0 * np.pi, stages=4, pts=40001))
+        best = max(best, _grid_max_1d(on_arc, 0.0, 2.0 * np.pi, stages=4, pts=40001)[0])
     return prog, best
 
 
 def norm_row_instance(rng):
-    """2 vars in a shifted disc |x - center| <= r, linear + quad objective.
+    """The free slot in a shifted disc |x - center| <= r, linear + quad
+    objective.
 
-    The disc is a speed row from two fixed coordinates that hold ``center``
-    (variables 2 and 3) to the free pair (variables 0 and 1).
+    The disc is the speed row from the first end, which holds ``center``;
+    the speed row to the other end holds around the whole disc.
     """
     center = rng.uniform(-1.0, 1.0, size=2)
     r = float(rng.uniform(0.5, 2.0))
     c = rng.uniform(-2.0, 2.0, size=2)
     beta = float(rng.uniform(0.0, 1.5))
     qcen = rng.uniform(-2.0, 2.0, size=2)
-    prog = program(
-        4, speed_i=np.array([[2, 3]]), speed_j=np.array([[0, 1]]), speed_h=np.array([r]),
-        fixed_idx=np.array([2, 3]), fixed_val=center.copy(), start=np.tile(center, 2),
-        **folded_quad(np.arange(2), np.full(2, beta), qcen, c),
-    )
+    far = center + rng.uniform(-2.0, 2.0, size=2)
+    quad_c, constant = folded_quad(np.full(2, beta), qcen, c)
+    prog = program(speed_h=[r, float(np.linalg.norm(far - center)) + r + 1.0],
+                   **one_free_slot([center, far], center, beta, quad_c, constant))
 
     def value(x, y):
         return c[0] * x + c[1] * y - beta * ((x - qcen[0]) ** 2 + (y - qcen[1]) ** 2)
@@ -271,12 +301,14 @@ def norm_row_instance(rng):
     # interior stationary point of the concave objective, else the circle
     x_star = qcen + c / (2.0 * beta)
     if np.linalg.norm(x_star - center) <= r:
-        oracle = float(value(*x_star))
+        best = x_star
     else:
         def on_circle(theta):
             return value(center[0] + r * np.cos(theta), center[1] + r * np.sin(theta))
-        oracle = _grid_max_1d(on_circle, 0.0, 2.0 * np.pi, stages=4, pts=40001)
-    return prog, oracle
+        theta = _grid_max_1d(on_circle, 0.0, 2.0 * np.pi, stages=4, pts=40001)[1]
+        best = center + r * np.array([np.cos(theta), np.sin(theta)])
+    assert np.linalg.norm(best - far) < prog.speed_h[1]
+    return prog, float(value(*best))
 
 
 FAMILIES = (

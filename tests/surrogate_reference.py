@@ -91,16 +91,17 @@ def surrogate_value_p(
 
 
 def constraint_margins(prog: StructuredConvexProgram, x: np.ndarray) -> np.ndarray:
-    """Signed margins of every constraint at x (>= 0 means satisfied).
+    """Signed margins of every constraint at the positions x (>= 0 means
+    satisfied).
 
-    Speed rows report the linear-scale margin h - |x[j] - x[i]|; fixed
-    coordinates, which come last, report -|x[i] - v|.
+    Speed rows report the linear-scale margin h - |x[n + 1] - x[n]|; the
+    endpoints, which come last, report -|x[n] - start[n]| per coordinate.
     """
     x = np.asarray(x, dtype=float)
     return np.concatenate([
-        prog.lin_slack(x),
-        prog.speed_h - np.linalg.norm(x[prog.speed_j] - x[prog.speed_i], axis=1),
-        -np.abs(x[prog.fixed_idx] - prog.fixed_val),
+        prog.lin_slack(x).ravel(),
+        prog.speed_h - np.linalg.norm(x[1:] - x[:-1], axis=1),
+        -np.abs(x[[0, -1]] - prog.start[[0, -1]]).ravel(),
     ])
 
 
@@ -112,12 +113,10 @@ def max_violation(prog: StructuredConvexProgram, x: np.ndarray) -> float:
 def trajectory_program_reference(traj: Trajectory, pw: PowerProfile,
                                  cfg: ScenarioConfig) -> StructuredConvexProgram:
     """The trajectory subproblem at the design (traj, pw), every array made
-    afresh, the way ``build_trajectory_subproblem`` made it before the
-    scenario kept the fields that no design changes."""
+    afresh here, slot by slot, rather than kept on the scenario."""
     N = cfg.N
     ep = expansion_from(traj, pw, cfg)
     scale = (1.0 - cfg.eps_b) / N
-    q_idx = np.arange(2 * N).reshape(N, 2)
     xp = cfg.xi0 * ep.p_hat
     b_n = xp / (ep.d2_b * (ep.d2_b + xp) * LN2)
     a_n = np.log2(1.0 + ep.u_hat_b)
@@ -130,15 +129,13 @@ def trajectory_program_reference(traj: Trajectory, pw: PowerProfile,
     grads = [2.0 * (ep.q_hat - w[:2]) for w, _, _ in receivers]
     rhs = [d2 - np.sum(g * ep.q_hat, axis=1) - l_lo for (_, d2, _), g in zip(receivers, grads)]
     prog = StructuredConvexProgram(
-        n=2 * N, constant=constant, quad_i=q_idx.ravel(), quad_c=np.tile(cfg.w_b[:2], N),
-        quad_beta=np.repeat(scale * b_n, 2),
-        lin_i=np.tile(q_idx, (len(receivers), 1)), lin_a=-np.concatenate(grads),
-        lin_b=np.concatenate(rhs), lin_k=np.concatenate([xp * scale * k for _, _, k in receivers]),
-        lin_o=np.full(len(receivers) * N, l_lo),
-        speed_i=q_idx[:-1], speed_j=q_idx[1:], speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),
-        fixed_idx=np.concatenate([q_idx[0], q_idx[N - 1]]),
-        fixed_val=np.concatenate([cfg.q_I[:2], cfg.q_F[:2]]),
-        start=ep.q_hat.ravel(), layout={"q": q_idx.ravel()},
+        constant=constant, quad_c=np.tile(cfg.w_b[:2], (N, 1)),
+        quad_beta=np.column_stack([scale * b_n, scale * b_n]),
+        lin_a=-np.array(grads), lin_b=np.array(rhs),
+        lin_k=np.array([xp * scale * k for _, _, k in receivers]),
+        lin_o=np.full((len(receivers), N), l_lo),
+        speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t), start=ep.q_hat,
+        layout={"q": np.arange(N)}, n=2 * N,
     )
-    prog.start = _trajectory_start(prog, line_segment_trajectory(cfg).points.ravel())
+    prog.start = _trajectory_start(prog, line_segment_trajectory(cfg).points)
     return prog

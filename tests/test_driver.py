@@ -123,7 +123,7 @@ def test_take_better_falls_back_to_the_design_not_the_start():
     traj = model.Trajectory(points=points)
     pw = PowerProfile(p=np.linspace(0.2, 1.8, cfg.N) * cfg.P_bar)
     prog = build_trajectory_subproblem(expansion_from(traj, pw, cfg), cfg)
-    design = traj.points.ravel()
+    design = traj.points
     best = solve(prog)
     assert not np.array_equal(prog.start, design)
     # past the design, away from the optimum, the concave objective is lower

@@ -12,25 +12,24 @@ import pytest
 from uavsec import driver, solver
 from uavsec.driver import SchemeId, line_segment_trajectory, run_scheme
 from uavsec.model import PowerProfile, Trajectory, baseline_scenario
-from uavsec.solver import _center, _Pattern, _Work, solve, water_fill
+from uavsec.solver import _center, _Work, solve, water_fill
 from uavsec.surrogate import build_power_subproblem, build_trajectory_subproblem, expansion_from
 
-from solver_instances import (FAMILIES, bisection_water_fill, box_rows, dense_rows, power_program,
-                              program)
+from solver_instances import (FAMILIES, bisection_water_fill, box_rows, power_program, program,
+                              slot_rows)
 from surrogate_reference import max_violation
 
 
 def test_box_quadratic_example():
-    # maximize -(x-3)^2 on [0, 2], the box as two linear rows: optimum at
-    # the upper box corner
-    prog = program(
-        1, **box_rows([0.0], [2.0]),
-        quad_i=np.array([0]), quad_c=np.array([3.0]), quad_beta=np.array([1.0]),
-        start=np.array([1.0]),
-    )
+    # maximize -(x-3)^2 over the free slot's box [0, 2]^2, the box as four
+    # rows, y without a quad term: optimum on the box's upper x face
+    quad_c, quad_beta = np.full((3, 2), 3.0), np.zeros((3, 2))
+    quad_beta[1, 0] = 1.0
+    prog = program(np.ones((3, 2)), [10.0, 10.0], **box_rows([0.0, 0.0], [2.0, 2.0], 3),
+                   quad_c=quad_c, quad_beta=quad_beta)
     sol = solve(prog)
     assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(2.0, abs=1e-6)
+    assert sol.x[1, 0] == pytest.approx(2.0, abs=1e-6)
     assert sol.objective == pytest.approx(-1.0, abs=1e-6)
 
 
@@ -69,22 +68,41 @@ def test_speed_lens_with_a_weight_per_coordinate_is_solved():
     # after that is cut to ~1e-7, the loop runs to its cap, and the centring
     # ends max-iter at -16.42733. The optimum, -16.35139, lies on the same
     # circle, where the first row is not tight.
-    ends = [-0.9950318595381415, -0.1257460381950155, -0.2828012883826049, -0.29211137215197025]
     prog = program(
-        6, quad_i=np.arange(6),
-        quad_c=np.array([-1.894865061773388, -2.1036498456692083, 2.9946440205369758,
-                         1.1635288560096617, 0.9233208265354467, 2.3851750579633144]),
-        quad_beta=np.array([1.0798969052150604, 1.4002746966685664, 0.20052472097952773,
-                            1.492274733082179, 0.5556946368003112, 1.069375686245513]),
-        speed_i=np.array([[0, 1], [2, 3]]), speed_j=np.array([[2, 3], [4, 5]]),
-        speed_h=np.array([1.808913094145099, 1.2892170222271557]),
-        fixed_idx=np.array([0, 1, 4, 5]), fixed_val=np.array(ends),
-        start=np.array([ends[0], ends[1], -0.5791799883061166, -0.22288218797007497, ends[2],
-                        ends[3]]),
+        [[-0.9950318595381415, -0.1257460381950155], [-0.5791799883061166, -0.22288218797007497],
+         [-0.2828012883826049, -0.29211137215197025]],
+        [1.808913094145099, 1.2892170222271557],
+        quad_c=np.array([[-1.894865061773388, -2.1036498456692083],
+                         [2.9946440205369758, 1.1635288560096617],
+                         [0.9233208265354467, 2.3851750579633144]]),
+        quad_beta=np.array([[1.0798969052150604, 1.4002746966685664],
+                            [0.20052472097952773, 1.492274733082179],
+                            [0.5556946368003112, 1.069375686245513]]),
     )
     sol = solve(prog)
     assert sol.status == "optimal"
     assert abs(sol.objective - -16.35139076114895) <= 1e-4
+
+
+@pytest.mark.xfail(strict=True, reason="the centring's noise level ignores cancellation in F")
+def test_staged_centring_of_a_nearly_linear_objective_converges():
+    # A box-linear instance with beta = 0.002: its linear part folds into a
+    # quad centre 680 away, so F = 2.19 is the difference of terms near 930.
+    # solve() finds the optimum, 2.18998554828, but centred stage by stage
+    # from the midpoint the stage at t = 3.6e4 stalls: its decrement stays
+    # 2.0e-8, above the noise level 64 t (|F| + 1) eps = 1.6e-9, while t F
+    # rounds at about 7e-9, so no step passes the sufficient-increase test
+    # and the stage ends max-iter.
+    quad_c, quad_beta = np.zeros((3, 2)), np.zeros((3, 2))
+    quad_c[1], quad_beta[1] = [514.9551897258011, -444.7329424735634], 0.0020081580928321685
+    mid = [0.5307241054584252, 0.909048955175938]
+    prog = program([mid] * 3, [2.052633877006203] * 2, constant=929.7063332637964,
+                   quad_c=quad_c, quad_beta=quad_beta,
+                   **box_rows([0.0, 0.0], [1.0614482109168504, 1.818097910351876], 3,
+                              [[0.3627325721279562, 0.4469675027540412]], [1.2117058322644316]))
+    sol = solve(prog)
+    assert sol.status == "optimal" and abs(sol.objective - 2.1899855482849495) <= 1e-8
+    assert _staged_barrier(prog)[1] == "ok"
 
 
 def test_returned_point_feasible_and_gap_certified():
@@ -98,23 +116,32 @@ def test_returned_point_feasible_and_gap_certified():
 
 
 def test_bitwise_determinism():
-    rng1 = np.random.default_rng(99)
-    rng2 = np.random.default_rng(99)
-    for _, make in FAMILIES:
-        p1, _ = make(rng1)
-        p2, _ = make(rng2)
-        s1 = solve(p1)
-        s2 = solve(p2)
-        assert np.array_equal(s1.x, s2.x)
+    # Identical programs give identical solutions, whatever was solved
+    # before: criterion-3 instances made twice, and trajectory programs at
+    # finite L, at L = inf and at another slot count, each solved alone
+    # first and then twice more, interleaved with the others.
+    def assert_same(s1, s2):
+        assert s1.x.tobytes() == s2.x.tobytes()
         assert s1.objective == s2.objective
         assert s1.newton_steps == s2.newton_steps
 
+    rng1 = np.random.default_rng(99)
+    rng2 = np.random.default_rng(99)
+    for _, make in FAMILIES:
+        assert_same(solve(make(rng1)[0]), solve(make(rng2)[0]))
+    cfg = baseline_scenario(T=24.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
+    rng = np.random.default_rng(1)
+    trajectory = [build_trajectory_subproblem(expansion_from(*_random_design(c, rng), c), c)
+                  for c in (cfg, replace(cfg, L=math.inf), replace(cfg, T=25.0))]
+    alone = [solve(prog) for prog in trajectory]
+    for prog, first in list(zip(trajectory, alone)) * 2:
+        assert_same(solve(prog), first)
+
 
 def test_non_strict_start_is_contract_error():
-    prog = program(
-        1, **box_rows([0.0], [2.0]),
-        start=np.array([0.0]),  # on the boundary
-    )
+    start = np.ones((3, 2))
+    start[1, 0] = 0.0   # on the box's boundary
+    prog = program(start, [10.0, 10.0], **box_rows([0.0, 0.0], [2.0, 2.0], 3))
     with pytest.raises(ValueError):
         solve(prog)
 
@@ -220,24 +247,23 @@ def test_max_step_keeps_every_slack_and_dual_and_binds_one(monkeypatch):
     bound = {"row": 0, "dual": 0, "full": 0}
     for prog, x, point, lam in iterates:
         work = _Work(prog)
-        pat = work.pattern
-        jac = work.assemble(x, point, 1.0, lam)[2]
+        work.assemble(x, point, 1.0, lam)
         for _ in range(8):
-            d = np.zeros(pat.n)
-            d[pat.free] = rng.standard_normal(pat.free.size) * 10.0 ** rng.uniform(-3.0, 3.0)
-            dl = rng.standard_normal(pat.m) * lam * 10.0 ** rng.uniform(-1.0, 2.0)
-            dc = work.jac_dot(jac, d)
+            d = np.zeros_like(x)
+            d[1:-1] = rng.standard_normal(d[1:-1].shape) * 10.0 ** rng.uniform(-3.0, 3.0)
+            dl = rng.standard_normal(work.m) * lam * 10.0 ** rng.uniform(-1.0, 2.0)
+            dc = work.jac_dot(d)
             a = work.max_step(point, d, dc, lam, dl)
             assert 0.0 < a <= 1.0
             xn = x + a * d
-            y = xn[prog.speed_j] - xn[prog.speed_i]
-            s = np.concatenate([prog.lin_slack(xn),
+            y = xn[1:] - xn[:-1]
+            s = np.concatenate([prog.lin_slack(xn).ravel(),
                                 prog.speed_h ** 2 - np.add.reduce(y * y, axis=1)])
-            e = d[prog.speed_j] - d[prog.speed_i]
-            q = np.concatenate([np.zeros(pat.sp0), -np.add.reduce(e * e, axis=1)])
+            e = d[1:] - d[:-1]
+            q = np.concatenate([np.zeros(work.rn), -np.add.reduce(e * e, axis=1)])
             # rounding: of each row's terms at x + a d, and of c + a dc + a^2 q
             scale = np.concatenate([
-                np.abs(prog.lin_b) + np.add.reduce(np.abs(prog.lin_a * xn[prog.lin_i]), axis=1),
+                (np.abs(prog.lin_b) + np.add.reduce(np.abs(prog.lin_a * xn), axis=2)).ravel(),
                 prog.speed_h ** 2 + np.add.reduce(y * y, axis=1)])
             scale = np.maximum(scale, np.abs(point.s) + np.abs(a * dc) + np.abs(a * a * q))
             assert np.all(s - keep * point.s >= -1e-12 * scale)
@@ -280,7 +306,7 @@ def test_certifying_centring_ends_tightly_at_the_final_weight(monkeypatch):
     for label, prog in _predictor_programs() + _family_programs():
         exits.clear()
         sol = solve(prog)
-        nu = _Work(prog).pattern.nu
+        nu = _Work(prog).nu
         t_final = max(nu, 1.0) / solver._GAP_TOL
         assert sol.status == "optimal" and sol.stages == 1, label
         assert len(exits) == 1, label
@@ -297,9 +323,8 @@ def _staged_barrier(prog):
     stage's objective and status."""
     work = _Work(prog)
     x = prog.start.copy()
-    x[prog.fixed_idx] = prog.fixed_val
     point = work.evaluate(x)
-    nu = work.pattern.nu
+    nu = work.nu
     t, t_final = nu / max(abs(point.f), 1e-2), nu / solver._GAP_TOL
     while True:
         t = min(t, t_final)
@@ -319,27 +344,27 @@ def test_objective_is_within_the_gap_of_a_staged_barrier_reference():
 
 
 def test_unbounded_direction_reports_max_iter():
-    # maximize -1/(s + 1) for the slack s of x <= 0: the objective rises
-    # toward 0 as x falls without bound, so the barrier has no centre and
-    # Newton cannot certify
-    prog = program(1, **dense_rows([[1.0]], [0.0]), lin_k=np.array([1.0]),
-                   start=np.array([-1.0]))
+    # maximize -1/(s + 1) for the slack s of x <= 0 on the free slot: the
+    # objective rises toward 0 as x falls, as far as speed rows 1e30 long
+    # allow, so the barrier's centre (near x = -(t h^2)^(1/3)) is out of
+    # Newton's reach and it cannot certify
+    prog = program(np.array([[-1.0, 0.0]] * 3), [1e30, 1e30], **slot_rows([[1.0, 0.0]], [0.0], 3),
+                   lin_k=np.array([[0.0, 1.0, 0.0]]))
     sol = solve(prog)
     assert sol.status in ("max-iter", "numerical-failure")
 
 
 def test_fixed_coordinates_are_held_exactly():
-    # maximize -(x1 - 5)^2 with x0 fixed at 1 and x0 + 2 x1 <= 3
-    prog = program(
-        2, quad_i=np.array([1]), quad_c=np.array([5.0]), quad_beta=np.array([1.0]),
-        **dense_rows([[1.0, 2.0]], [3.0]),
-        fixed_idx=np.array([0]), fixed_val=np.array([1.0]),
-        start=np.array([1.0, 0.5]),
-    )
+    # maximize -|q - (5, 5)|^2 on every slot with x + 2 y <= 3: the ends stay
+    # where the start puts them, the free slot goes to the row's point
+    # nearest (5, 5), (2.6, 0.2)
+    start = np.array([[1.0, 0.5], [0.5, 0.5], [-1.0, 0.25]])
+    prog = program(start, [10.0, 10.0], **slot_rows([[1.0, 2.0]], [3.0], 3),
+                   quad_c=np.full((3, 2), 5.0), quad_beta=np.ones((3, 2)))
     sol = solve(prog)
     assert sol.status == "optimal"
-    assert sol.x[0] == 1.0
-    assert sol.x[1] == pytest.approx(1.0, abs=1e-6)
+    assert sol.x[[0, -1]].tobytes() == start[[0, -1]].tobytes()
+    np.testing.assert_allclose(sol.x[1], [2.6, 0.2], atol=1e-6)
 
 
 def _newton_direction(band, rhs, banded=None):
@@ -373,16 +398,14 @@ def test_newton_direction_regularizes_singular_system(monkeypatch):
 
 
 def test_every_coordinate_fixed_needs_no_factorization(capfd):
+    # two slots, both ends: no free coordinate
     assert _newton_direction(np.zeros((1, 0)), np.zeros(0)).shape == (0,)
-    prog = program(
-        2, **box_rows(np.zeros(2), np.full(2, 2.0)),
-        quad_i=np.arange(2), quad_c=np.full(2, 3.0), quad_beta=np.ones(2),
-        fixed_idx=np.array([0, 1]), fixed_val=np.array([1.0, 0.5]),
-        start=np.array([1.0, 0.5]),
-    )
+    start = np.array([[1.0, 0.5], [1.5, 0.5]])
+    prog = program(start, [1.0], **box_rows(np.zeros(2), np.full(2, 2.0), 2),
+                   quad_c=np.full((2, 2), 3.0), quad_beta=np.ones((2, 2)))
     sol = solve(prog)
     assert sol.status == "optimal"
-    np.testing.assert_array_equal(sol.x, [1.0, 0.5])
+    np.testing.assert_array_equal(sol.x, start)
     assert capfd.readouterr().err == ""
 
 
@@ -429,68 +452,56 @@ def _family_programs():
             for name, make in FAMILIES]
 
 
-def _repeated_index_row_program():
-    """One linear row of arity 3 that names coordinate 0 twice and gives
-    coordinate 1 a zero coefficient: the row is 2.5 x0 <= 3, so the scatter
-    must sum the repeated entries."""
-    return ("repeated-index-row", program(
-        2, quad_i=np.arange(2), quad_c=np.array([3.0, 3.0]), quad_beta=np.array([0.5, 0.25]),
-        lin_i=np.array([[0, 1, 0]]), lin_a=np.array([[1.0, 0.0, 1.5]]), lin_b=np.array([3.0]),
-        lin_k=np.array([2.0]), lin_o=np.array([0.5]), start=np.array([0.5, 0.5]),
-    ))
-
-
 def _every_family_program():
     """One program with every term and row family of the trajectory program
-    at once: quad terms, linear rows with reciprocal terms, a speed row and
-    a fixed coordinate. The speed row runs from the point (x0, x1), x0
-    fixed, to (x2, x3)."""
+    at once: quad terms, two rows per slot with reciprocal terms, speed rows
+    and fixed ends, over four slots."""
     return ("every-family", program(
-        4, constant=0.7, quad_i=np.array([1, 2, 3]), quad_c=np.array([0.5, 1.0, -0.5]),
-        quad_beta=np.array([0.4, 0.2, 0.3]),
-        lin_i=np.array([[3, 1], [2, 1]]), lin_a=np.array([[1.0, 0.5], [0.5, -1.0]]),
-        lin_b=np.array([3.0, 1.0]), lin_k=np.array([0.8, 0.3]), lin_o=np.array([0.5, 0.2]),
-        speed_i=np.array([[0, 1]]), speed_j=np.array([[2, 3]]), speed_h=np.array([2.0]),
-        fixed_idx=np.array([0]), fixed_val=np.array([0.2]),
-        start=np.array([0.2, 0.5, 0.8, 0.3]),
+        [[0.2, 0.5], [0.8, 0.3], [1.1, 0.9], [1.6, 0.4]], [2.0, 1.5, 2.5], constant=0.7,
+        quad_c=np.array([[0.5, 1.0], [-0.5, 0.3], [0.9, -0.2], [1.2, 0.6]]),
+        quad_beta=np.array([[0.4, 0.2], [0.3, 0.5], [0.1, 0.6], [0.7, 0.0]]),
+        lin_a=np.array([[[1.0, 0.5], [0.5, -1.0], [-0.3, 0.8], [0.2, 0.2]],
+                        [[0.5, -1.0], [1.0, 0.5], [0.6, 0.4], [-1.0, 0.1]]]),
+        lin_b=np.array([[3.0, 1.5, 2.0, 1.0], [1.0, 1.5, 2.0, 0.0]]),
+        lin_k=np.array([[0.8, 0.3, 0.5, 0.2], [0.3, 0.6, 0.4, 0.1]]),
+        lin_o=np.array([[0.5, 0.2, 0.4, 0.3], [0.2, 0.3, 0.6, 0.5]]),
     ))
 
 
 def test_every_family_program_has_every_family():
-    work = _Work(_every_family_program()[1])
-    pat, prog = work.pattern, work.prog
-    assert prog.quad_i.size and pat.sp0 > 0 and pat.m > pat.sp0
-    assert np.any(prog.lin_k > 0.0) and prog.fixed_idx.size == 1
+    prog = _every_family_program()[1]
+    assert len(prog.start) > 3 and np.all(prog.quad_beta[1:-1] > 0.0)
+    assert prog.lin_b.shape[0] == 2 and np.all(prog.lin_k[:, 1:-1] > 0.0)
+    assert _Work(prog).evaluate(prog.start) is not None
 
 
 @pytest.mark.parametrize("label,prog", [
     pytest.param(label, prog, id=label.replace(" T=4", ""))
-    for label, prog in (_subproblem_programs(4.0) + _family_programs()
-                        + [_repeated_index_row_program(), _every_family_program()])
+    for label, prog in (_subproblem_programs(4.0) + _family_programs() + [_every_family_program()])
 ])
 def test_assemble_matches_central_differences_of_phi(label, prog):
     work = _Work(prog)
     x = prog.start.copy()
-    x[prog.fixed_idx] = prog.fixed_val
     # the centre at t=1 keeps every slack well away from zero; evaluating at
     # t=3 there leaves a gradient that is not near zero
     x, point, _, flag = _center(work, x, work.evaluate(x), 1.0)
     assert flag == "ok"
     t = 3.0
-    gf, band, jac, _ = work.assemble(x, point, t, 1.0 / point.s)
-    free = work.pattern.free
-    g = t * gf[free] + work.jac_t_dot(jac, 1.0 / point.s)
+    gu, band, _ = work.assemble(x, point, t, 1.0 / point.s)
+    g = t * gu[0] + gu[1]
     H = -_dense(band)
 
     def phi(y):
-        return work.evaluate(y).phi(t, point.f)
+        return work.evaluate(y.reshape(x.shape)).phi(t, point.f)
 
-    h = 1e-4 * np.maximum(1.0, np.abs(x))
+    flat = x.ravel()
+    free = range(2, flat.size - 2)      # the ends' coordinates are fixed
+    h = 1e-4 * np.maximum(1.0, np.abs(flat))
     steps = np.diag(h)
-    g_fd = np.array([(phi(x + steps[i]) - phi(x - steps[i])) / (2.0 * h[i]) for i in free])
+    g_fd = np.array([(phi(flat + steps[i]) - phi(flat - steps[i])) / (2.0 * h[i]) for i in free])
     H_fd = np.array([[
-        (phi(x + steps[i] + steps[j]) - phi(x + steps[i] - steps[j])
-         - phi(x - steps[i] + steps[j]) + phi(x - steps[i] - steps[j])) / (4.0 * h[i] * h[j])
+        (phi(flat + steps[i] + steps[j]) - phi(flat + steps[i] - steps[j])
+         - phi(flat - steps[i] + steps[j]) + phi(flat - steps[i] - steps[j])) / (4.0 * h[i] * h[j])
         for j in free] for i in free])
     # errors in the units of each coordinate's own curvature
     scale = np.sqrt(np.abs(np.diag(H)))
@@ -506,17 +517,14 @@ def _step_cases():
     for label, prog in (_subproblem_programs(4.0) + _subproblem_programs(24.0)
                         + _family_programs() + [_every_family_program()]):
         work = _Work(prog)
-        x = prog.start.copy()
-        x[prog.fixed_idx] = prog.fixed_val
-        x, point, _, _ = _center(work, x, work.evaluate(x), 1.0)
-        gf, band, jac, _ = work.assemble(x, point, 3.0, 1.0 / point.s)
-        free = work.pattern.free
-        g = 3.0 * gf[free] + work.jac_t_dot(jac, 1.0 / point.s)
+        x, point, _, _ = _center(work, prog.start.copy(), work.evaluate(prog.start), 1.0)
+        gu, band, _ = work.assemble(x, point, 3.0, 1.0 / point.s)
+        g = 3.0 * gu[0] + gu[1]
         cases.append(pytest.param(band, g, id=label))
         if label.startswith("trajectory"):
             # the Newton step and the path tangent B^-1 grad F from one
             # factorization, two columns as each primal-dual iteration solves
-            cases.append(pytest.param(band, np.array((g, gf[free])).T,
+            cases.append(pytest.param(band, np.array((g, gu[0])).T,
                                       id=f"{label} with tangent"))
     # a tridiagonal block next to a coordinate without curvature: the first
     # Cholesky fails and the retry adds the first escalation to the diagonal
@@ -608,103 +616,6 @@ def test_missing_lapack_extension_is_a_named_import_error():
     assert _ctypes.__file__ in str(err.value)
 
 
-def test_pattern_is_built_once_per_structure():
-    # The trajectory programs of one scenario share their structure at any
-    # design, a silent slot included (its quad terms stay, with weight 0),
-    # so later ones get the first one's pattern; another slot count or
-    # L = inf (no rows for Bob) gets a fresh one. Solves through a reused
-    # pattern and a fresh one are identical.
-    cfg = baseline_scenario(T=24.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
-    rng = np.random.default_rng(1)
-
-    def program_at_random_design(cfg, silent=()):
-        traj = _random_design(cfg, rng)[0]
-        p = np.full(cfg.N, cfg.P_bar)
-        p[list(silent)] = 0.0
-        return build_trajectory_subproblem(expansion_from(traj, PowerProfile(p=p), cfg), cfg)
-
-    first, second = program_at_random_design(cfg), program_at_random_design(cfg)
-    assert not np.array_equal(first.lin_a, second.lin_a)
-    pattern = _Work(first).pattern
-    reused = solve(second)
-    assert _Work(second).pattern is pattern
-    assert _Work(program_at_random_design(cfg, silent=[5])).pattern is pattern
-    for prog in (program_at_random_design(replace(cfg, T=25.0)),
-                 program_at_random_design(replace(cfg, L=math.inf))):
-        fresh = _Work(prog).pattern
-        assert fresh is not pattern and fresh.key != pattern.key
-        assert solve(prog).status == "optimal"
-    again = solve(second)
-    assert _Work(second).pattern is not pattern
-    assert np.array_equal(reused.x, again.x) and reused.newton_steps == again.newton_steps
-
-
-@pytest.fixture
-def pattern_builds(monkeypatch):
-    """The _Pattern builds from here on, one entry each, starting from no
-    kept pattern."""
-    built = []
-    init = _Pattern.__init__
-
-    def counting_init(pattern, *args):
-        built.append(1)
-        init(pattern, *args)
-
-    monkeypatch.setattr(_Pattern, "_kept", ())
-    monkeypatch.setattr(_Pattern, "__init__", counting_init)
-    return built
-
-
-def test_default_jtpo_run_builds_one_pattern(pattern_builds):
-    # every trajectory program of a run has one structure, whichever slots
-    # the power steps silence
-    res = run_scheme(baseline_scenario(), SchemeId.JTPO)
-    assert res.nonoptimal == 0 and len(res.iterations) > 2
-    assert len(pattern_builds) == 1
-
-
-def test_jtpo_after_ftp_inf_reuses_its_pattern(pattern_builds):
-    # FTP-Inf's programs (L = inf, no rows for Bob) have another structure
-    # than JTPO's; both patterns are kept, so JTPO, FTP-Inf and JTPO again
-    # on one scenario build two
-    cfg = baseline_scenario(T=24.0, max_iter=3)
-    runs = [run_scheme(cfg, scheme) for scheme in (SchemeId.JTPO, SchemeId.FTP_INF, SchemeId.JTPO)]
-    assert all(len(res.iterations) > 1 for res in runs)
-    assert len(pattern_builds) == 2
-    assert runs[2].aesr == runs[0].aesr
-
-
-def test_works_sharing_a_pattern_assemble_into_their_own_buffers():
-    # Two programs of one structure share a _Pattern, while each _Work
-    # fills its own value buffer; assembled in turn, at the primal-dual
-    # weight t = 1 and at another t, each returns what a _Work of its own
-    # program returns assembled alone. The returned J values are a view of
-    # the buffer, so a shared buffer would show here.
-    cfg = baseline_scenario(T=24.0, q_I=(30.0, 4.0, 100.0), q_F=(30.0, -4.0, 100.0))
-    rng = np.random.default_rng(5)
-    trajectory = [build_trajectory_subproblem(expansion_from(*_random_design(cfg, rng), cfg), cfg)
-                  for _ in range(2)]
-    every = _every_family_program()[1]
-    other = replace(every, quad_c=every.quad_c + 0.1, quad_beta=2.0 * every.quad_beta,
-                    lin_k=3.0 * every.lin_k, speed_h=0.9 * every.speed_h)
-    for progs in (trajectory, [every, other]):
-        works = [_Work(prog) for prog in progs]
-        assert works[0].pattern is works[1].pattern
-        points = []
-        for work, prog in zip(works, progs):
-            x = prog.start.copy()
-            x[prog.fixed_idx] = prog.fixed_val
-            points.append((x, work.evaluate(x)))
-        for t in (1.0, 3.0, 1.0):
-            alone = [[a.copy() for a in _Work(prog).assemble(x, point, t, 1.0 / point.s)]
-                     for prog, (x, point) in zip(progs, points)]
-            turns = [work.assemble(x, point, t, 1.0 / point.s)
-                     for work, (x, point) in zip(works, points)]
-            assert not np.array_equal(alone[0][1], alone[1][1])
-            for got, want in zip(turns, alone):
-                assert all(np.array_equal(g, w) for g, w in zip(got, want)), t
-
-
 @pytest.mark.parametrize("L", [400.0, math.inf])
 def test_band_width_does_not_grow_with_slot_count(L):
     # a speed row couples the four coordinates of two neighbouring slots
@@ -712,8 +623,10 @@ def test_band_width_does_not_grow_with_slot_count(L):
         cfg = baseline_scenario(T=T, L=L)
         traj = line_segment_trajectory(cfg)
         pw = PowerProfile(p=np.full(cfg.N, cfg.P_bar))
-        ep = expansion_from(traj, pw, cfg)
-        assert _Work(build_trajectory_subproblem(ep, cfg)).pattern.kd == 3
+        prog = build_trajectory_subproblem(expansion_from(traj, pw, cfg), cfg)
+        work = _Work(prog)
+        point = work.evaluate(prog.start)
+        assert work.assemble(prog.start, point, 1.0, 1.0 / point.s)[1].shape == (4, 2 * cfg.N - 4)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def test_program_objectives_match_standalone_evaluators():
     # the trajectory program has no slack either: each one sits where it binds
     for _ in range(20):
         q = ep.q_hat + rng.uniform(-5.0, 5.0, size=ep.q_hat.shape)
-        assert prog_q.objective_value(q.ravel()) == pytest.approx(
+        assert prog_q.objective_value(q) == pytest.approx(
             surrogate_value_q(ep, tight_point(ep, pw, cfg, q), pw, cfg), abs=1e-12
         )
     # the power program has no slack: each SNR is xi0 * p / d^2, and each
@@ -303,13 +303,13 @@ def test_trajectory_start_is_strictly_feasible_and_reference_feasible():
 
     def check_start(cfg, traj, pw):
         prog = build_trajectory_subproblem(expansion_from(traj, pw, cfg), cfg)
-        design = traj.points.ravel()
-        segment = line_segment_trajectory(cfg).points.ravel()
+        design = traj.points
+        segment = line_segment_trajectory(cfg).points
         assert max_violation(prog, prog.start) == 0.0
         margins = constraint_margins(prog, prog.start)
-        # every barrier family strictly interior at the start
-        n_fixed = prog.fixed_idx.size
-        assert np.all(margins[: margins.size - n_fixed] > 0.0)
+        # every barrier family strictly interior at the start; the four
+        # endpoint margins come last
+        assert np.all(margins[:-4] > 0.0)
         assert (np.linalg.norm(prog.start - design)
                 <= START_SHIFT * np.linalg.norm(segment - design) * (1.0 + 1e-12))
         return prog
@@ -330,7 +330,7 @@ def test_trajectory_start_is_strictly_feasible_and_reference_feasible():
         traj = Trajectory(points=pts)
         pw = PowerProfile(p=rng.uniform(0.01, cfg.P_bar, size=n))
         prog = check_start(cfg, traj, pw)
-        steps = np.diff(prog.start.reshape(n, 2), axis=0)
+        steps = np.diff(prog.start, axis=0)
         slack = h * h - np.sum(steps * steps, axis=1)
         assert np.min(h * h - np.sum(np.diff(pts, axis=0) ** 2, axis=1)) <= 3e-9 * h * h
         assert np.min(slack) >= START_SHIFT * h * (h - dy)
@@ -343,7 +343,7 @@ def test_trajectory_start_is_strictly_feasible_and_reference_feasible():
     pts = np.column_stack([-0.1 + 40.1 * frac[:, 0], 4.0 * np.linspace(1.0, -1.0, 11)])
     pts[[0, -1], 0] = 40.0
     prog = check_start(cfg, Trajectory(points=pts), PowerProfile(p=np.full(11, cfg.P_bar)))
-    moved = np.linalg.norm(prog.start - pts.ravel())
+    moved = np.linalg.norm(prog.start - pts)
     assert 0.0 < moved < 0.5 * START_SHIFT * np.linalg.norm(
         line_segment_trajectory(cfg).points - pts)
 
@@ -356,18 +356,16 @@ def test_zero_power_slot_exerts_no_positional_force():
     p[2] = 0.0
     prog = build_trajectory_subproblem(expansion_from(traj, PowerProfile(p=p), cfg), cfg)
     # slot 2's position keeps its curvature terms, with weight 0
-    q_slot = list(prog.layout["q"].reshape(cfg.N, 2)[2])
-    on_slot = np.isin(prog.quad_i, q_slot)
-    assert on_slot.sum() == 2 and np.all(prog.quad_beta[on_slot] == 0.0)
+    assert prog.quad_beta.shape == (cfg.N, 2) and np.all(prog.quad_beta[2] == 0.0)
     # and the objective is flat in that position
     x = prog.start.copy()
     base = prog.objective_value(x)
-    x[q_slot] += 3.0
+    x[2] += 3.0
     assert prog.objective_value(x) == pytest.approx(base, abs=1e-12)
     # the zero-power slot's distance rows, one per receiver, carry no
     # reciprocal term
-    rows = np.unique(np.nonzero(np.isin(prog.lin_i, q_slot) & (prog.lin_a != 0.0))[0])
-    assert rows.size == 2 and np.all(prog.lin_k[rows] == 0.0)
+    assert prog.lin_k.shape == (2, cfg.N) and np.all(prog.lin_a[:, 2] != 0.0)
+    assert np.all(prog.lin_k[:, 2] == 0.0)
 
 
 @pytest.mark.parametrize("L", [200.0, 400.0, 800.0, math.inf])
@@ -392,7 +390,7 @@ def test_trajectory_program_is_the_slack_program_at_tight_slacks(L):
         assert prog.n == 2 * cfg.N and set(prog.layout) == {"q"}
         for _ in range(40):
             q = ep.q_hat + rng.uniform(-1.0, 1.0, size=ep.q_hat.shape) * rng.choice([25.0, 250.0])
-            x = q.ravel()
+            x = q
             rows_hold = bool(np.all(prog.lin_slack(x) >= 0.0))
             bounds_hold = all(np.all(linearized_sq_dist(ep, w, cfg, q) >= l_lo) for w in receivers)
             assert rows_hold == bounds_hold
@@ -562,9 +560,8 @@ def test_long_packet_limit_drops_dispersion_blocks():
 def test_run_trajectory_programs_equal_fresh_ones_and_share_constant_fields(monkeypatch, L):
     # Every trajectory program of a JTPO run (or of FTP-Inf's long-packet
     # run) equals, field for field, the one a builder that makes every array
-    # afresh gives at the same design. The fields that no design changes,
-    # index arrays included, are made once per run: every program holds the
-    # same read-only arrays.
+    # afresh gives at the same design. The fields that no design changes are
+    # made once per run: every program holds the same read-only arrays.
     built = []
     build = driver.build_trajectory_subproblem
 
@@ -588,8 +585,7 @@ def test_run_trajectory_programs_equal_fresh_ones_and_share_constant_fields(monk
             else:
                 assert np.array_equal(got, want), f.name
     first = built[0][2]
-    for name in ("quad_i", "quad_c", "lin_i", "lin_o", "speed_i", "speed_j",
-                 "speed_h", "fixed_idx", "fixed_val"):
+    for name in ("quad_c", "lin_o", "speed_h"):
         array = getattr(first, name)
         assert not array.flags.writeable, name
         assert all(getattr(prog, name) is array for *_, prog in built), name
