@@ -538,9 +538,13 @@ def _center(work: _Work, x: np.ndarray, point: _Point, t: float):
     evaluation to the next step's ``assemble``."""
     fref = point.f
     # Below this squared-decrement level, computed phi differences drown in
-    # rounding noise of t*F, so the sufficient-increase test is skipped and
-    # (feasible) full Newton steps are trusted.
-    noise = 64.0 * t * (abs(fref) + 1.0) * _EPS
+    # rounding noise of t*F, which scales with F's terms, not F, when they
+    # cancel; so the sufficient-increase test is skipped and (feasible) full
+    # Newton steps are trusted.
+    prog, diff = work.prog, x - work.prog.quad_c
+    scale = (abs(prog.constant) + float((prog.quad_beta * (diff * diff)).sum())
+             + float((prog.lin_k / (prog.lin_slack(x) + prog.lin_o)).sum()))
+    noise = 64.0 * t * (scale + 1.0) * _EPS
     steps = 0
     gd_full = math.inf      # the decrement before the last step, if that was a full one
     for _ in range(_MAX_NEWTON):
