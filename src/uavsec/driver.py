@@ -114,9 +114,7 @@ def _alternating_run(
     pw = PowerProfile(p=np.full(n, cfg.P_bar))
     ep = expansion_from(traj, pw, cfg)
 
-    j_prev = slack_rate_objective(
-        traj.points, pw.p, ep.u_hat_e, ep.z_hat_b, ep.z_hat_e, cfg
-    )
+    j_prev = slack_rate_objective(traj.points, pw.p, ep.u[1], ep.z[0], ep.z[1], cfg)
     records = [IterationRecord(0, j_prev, model.aesr(traj, pw, cfg, ep.rates), math.inf)]
     failed = False
     nonoptimal = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,37 +69,46 @@ def _as_vec3(name: str, v) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class ScenarioConfig:
-    """All physical and algorithmic parameters of one scenario.
+    """All physical and algorithmic parameters of one scenario; every
+    parameter defaults to the paper's two-receiver baseline.
 
-    ``N`` is derived from ``T`` and ``delta_t`` and validated to be exact.
-    Positions, lengths, times, powers and ``xi0`` must be finite; ``L`` may
-    be ``math.inf`` to describe the long-packet limit used by the
-    fixed-design benchmark.
+    ``P_bar`` defaults to half of ``P_max`` and the UAV endpoints to mirrored
+    points at altitude ``H``, resolved from the given values, so overriding
+    ``P_max`` or ``H`` carries into them. ``N`` is derived from ``T`` and
+    ``delta_t`` and validated to be exact. Positions, lengths, times, powers
+    and ``xi0`` must be finite; ``L`` may be ``math.inf`` to describe the
+    long-packet limit used by the fixed-design benchmark.
     """
 
-    w_b: np.ndarray          # Bob position (m), altitude 0
-    w_e: np.ndarray          # Eve position (m), altitude 0
-    q_I: np.ndarray          # initial UAV position (m), altitude H
-    q_F: np.ndarray          # final UAV position (m), altitude H
-    H: float                 # flight altitude (m)
-    T: float                 # flight period (s)
-    delta_t: float           # slot duration (s)
-    V_max: float             # maximum speed (m/s)
-    P_max: float             # instantaneous power cap (W)
-    P_bar: float             # average power cap (W)
-    xi0: float               # reference SNR at 1 m (linear)
-    L: float                 # blocklength (channel uses)
-    eps_b: float             # decoding error probability at Bob
-    eps_e: float             # information leakage at Eve
-    tau: float               # convergence threshold (fractional increase)
+    w_b: np.ndarray = (0.0, 0.0, 0.0)      # Bob position (m), altitude 0
+    w_e: np.ndarray = (400.0, 0.0, 0.0)    # Eve position (m), altitude 0
+    q_I: np.ndarray = None   # initial UAV position (m), altitude H; (200, 100, H)
+    q_F: np.ndarray = None   # final UAV position (m), altitude H; (200, -100, H)
+    H: float = 100.0         # flight altitude (m)
+    T: float = 60.0          # flight period (s)
+    delta_t: float = 1.0     # slot duration (s)
+    V_max: float = 10.0      # maximum speed (m/s)
+    P_max: float = 0.1       # instantaneous power cap (W)
+    P_bar: float = None      # average power cap (W); P_max / 2
+    xi0: float = 1e6         # reference SNR at 1 m (linear)
+    L: float = 400.0         # blocklength (channel uses)
+    eps_b: float = 1e-5      # decoding error probability at Bob
+    eps_e: float = 1e-2      # information leakage at Eve
+    tau: float = 1e-6        # convergence threshold (fractional increase)
     max_iter: int = 100      # iteration cap for the alternating loop
     N: int = field(init=False)
     pen: tuple = field(init=False, repr=False)   # Qinv(eps)/(sqrt(L) ln2), Bob's and Eve's
     receivers: np.ndarray = field(init=False, repr=False)   # (2, 1, 2): Bob's xy, Eve's xy
 
     def __post_init__(self):
+        if self.P_bar is None:
+            object.__setattr__(self, "P_bar", self.P_max / 2.0)
+        if self.q_I is None:
+            object.__setattr__(self, "q_I", (200.0, 100.0, self.H))
+        if self.q_F is None:
+            object.__setattr__(self, "q_F", (200.0, -100.0, self.H))
         object.__setattr__(self, "w_b", _as_vec3("w_b", self.w_b))
         object.__setattr__(self, "w_e", _as_vec3("w_e", self.w_e))
         object.__setattr__(self, "q_I", _as_vec3("q_I", self.q_I))
@@ -160,46 +169,8 @@ class ScenarioConfig:
         object.__setattr__(self, "receivers", receivers)
 
 
-def baseline_scenario(
-    *,
-    H: float = 100.0,
-    T: float = 60.0,
-    delta_t: float = 1.0,
-    V_max: float = 10.0,
-    P_max: float = 0.1,
-    P_bar: Optional[float] = None,
-    xi0: float = 1e6,
-    L: float = 400.0,
-    eps_b: float = 1e-5,
-    eps_e: float = 1e-2,
-    tau: float = 1e-6,
-    max_iter: int = 100,
-    w_b=None,
-    w_e=None,
-    q_I=None,
-    q_F=None,
-) -> ScenarioConfig:
-    """Standard two-receiver scenario with defaults resolved in order.
-
-    ``P_bar`` defaults to half of ``P_max`` and the UAV endpoints default to
-    mirrored points at the resolved altitude, so overriding ``P_max`` or ``H``
-    propagates into the dependent defaults.
-    """
-    if P_bar is None:
-        P_bar = P_max / 2.0
-    if w_b is None:
-        w_b = (0.0, 0.0, 0.0)
-    if w_e is None:
-        w_e = (400.0, 0.0, 0.0)
-    if q_I is None:
-        q_I = (200.0, 100.0, H)
-    if q_F is None:
-        q_F = (200.0, -100.0, H)
-    return ScenarioConfig(
-        w_b=w_b, w_e=w_e, q_I=q_I, q_F=q_F, H=H, T=T, delta_t=delta_t,
-        V_max=V_max, P_max=P_max, P_bar=P_bar, xi0=xi0, L=L,
-        eps_b=eps_b, eps_e=eps_e, tau=tau, max_iter=max_iter,
-    )
+# The standard scenario, under the name the CLI and the tools use.
+baseline_scenario = ScenarioConfig
 
 
 @dataclass(frozen=True, eq=False)

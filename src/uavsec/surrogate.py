@@ -9,9 +9,10 @@ power fixed, which ``solver.solve`` solves; and the power subproblem, a
 slack-reformulated objective both are tangent to. ``expansion_from`` is
 the one place a design is linearized: from ``model.link``'s values at the
 design it returns the tight slacks and each slot's loss bound, affine in
-the two SNRs. Each builder takes only that linearization and substitutes
-every slack by the value at which it binds at the subproblem's optimum,
-so neither program carries a slack variable.
+the two SNRs, keeping ``model.Link``'s rows: Bob's, then Eve's. Each
+builder takes only that linearization and substitutes every slack by the
+value at which it binds at the subproblem's optimum, so neither program
+carries a slack variable.
 
 Both subproblem objectives under-estimate the slack-reformulated objective
 everywhere and agree with it (value and gradient) at the expansion point.
@@ -137,19 +138,16 @@ class PowerProgram(NamedTuple):
 
 class ExpansionPoint(NamedTuple):
     """A design linearized by ``expansion_from``: its tight slacks, squared
-    distances, each slot's loss bound loss0 + k_b*u_b + k_e*u_e, and rates."""
+    distances, each slot's loss bound loss0 + k[0]*u[0] + k[1]*u[1], and
+    rates. Each (2, N) array holds Bob's row, then Eve's, as in ``model.Link``."""
 
     q_hat: np.ndarray    # (N, 2)
     p_hat: np.ndarray    # (N,)
-    d2_b: np.ndarray
-    d2_e: np.ndarray
-    u_hat_b: np.ndarray
-    u_hat_e: np.ndarray
-    z_hat_b: np.ndarray
-    z_hat_e: np.ndarray
-    loss0: np.ndarray
-    k_b: np.ndarray
-    k_e: np.ndarray
+    d2: np.ndarray       # (2, N) squared distances
+    u: np.ndarray        # (2, N) SNRs
+    z: np.ndarray        # (2, N) dispersion roots, floored at Z_MIN
+    loss0: np.ndarray    # (N,)
+    k: np.ndarray        # (2, N) the loss bound's slopes in the SNRs
     rates: np.ndarray    # model.slot_rates_pre_clamp of the design
 
 
@@ -158,13 +156,14 @@ def expansion_from(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> E
 
     The slacks are tight: d2 is each receiver's squared distance, u = xi0*p/d2
     the exact SNR and z the exact dispersion root floored at ``Z_MIN``, all
-    from ``model.link``. Each slot's loss, log2(1 + u_e) + pen_b*z_b + pen_e*z_e,
-    is bounded above by loss0 + k_b*u_b + k_e*u_e: Eve's log, which is
-    concave, by its tangent at u_hat_e, and each root z >= sqrt(V(u)) by
-    ``_required_z(u)``, the least z its linearized row allows. The bound is
-    affine in the two SNRs and tight at the design on every slot whose root
-    is not floored; at L = inf both penalties vanish and k_b is 0. Both
-    subproblem builders read it from here.
+    from ``model.link``, in its rows: Bob's, then Eve's. Each slot's loss,
+    log2(1 + u[1]) + pen_b*z[0] + pen_e*z[1], is bounded above by
+    loss0 + k[0]*u[0] + k[1]*u[1]: Eve's log, which is concave, by its
+    tangent at her SNR, and each root z >= sqrt(V(u)) by ``_required_z(u)``,
+    the least z its linearized row allows. The bound is affine in the two
+    SNRs and tight at the design on every slot whose root is not floored;
+    at L = inf both penalties vanish and k[0] is 0. Both subproblem builders
+    read it from here.
 
     Raises ValueError if the design and the scenario disagree on N, or if
     a power is negative.
@@ -179,8 +178,8 @@ def expansion_from(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> E
     pen_z = pen * _required_z(0.0, u, z, v, dv)
     loss0 = logs[1] - u[1] * eve_slope + pen_z[0] + pen_z[1]
     k = pen * dv / (2.0 * z)
-    return ExpansionPoint(traj.points, pw.p, d2[0], d2[1], u[0], u[1], z[0], z[1], loss0,
-                          k[0], eve_slope + k[1], rates)
+    k[1] += eve_slope
+    return ExpansionPoint(traj.points, pw.p, d2, u, z, loss0, k, rates)
 
 
 def _disp_slope(u_hat: np.ndarray) -> np.ndarray:
@@ -208,10 +207,10 @@ def build_trajectory_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> Stru
     Each receiver's squared distance is under-estimated by its
     linearization l(q) = d2_hat + grad.(q - q_hat), and each slot's loss by
     the bound of ``expansion_from`` at u = xi0*p / l(q), so each receiver's
-    slot term is -k / l(q) with k = xi0*p*scale*k_r >= 0. It is carried on
+    slot term is -k / l(q) with k = xi0*p*scale*ep.k[r] >= 0. It is carried on
     the distance row l(q) >= l_lo. Silent slots keep their quad terms with
     weight 0 and their rows with k = 0, so every field that no design
-    changes is the scenario's own (``_parts``). At L = inf, k_b is 0 and
+    changes is the scenario's own (``_parts``). At L = inf, ep.k[0] is 0 and
     Bob's rows are left out. The start is the design moved ``START_SHIFT``
     of the way toward the straight segment (``_trajectory_start``), off the
     speed rows a solved design leaves tight.
@@ -223,9 +222,10 @@ def build_trajectory_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> Stru
     # Objective: the exact log of Bob's rate linearized in the squared
     # distance, less the constant of each slot's loss bound.
     xp = cfg.xi0 * ep.p_hat
-    b_n = xp / (ep.d2_b * (ep.d2_b + xp) * LN2)
-    a_n = np.log2(1.0 + ep.u_hat_b)
-    constant = float(np.add.reduce(scale * (a_n + b_n * ep.d2_b - b_n * cfg.H * cfg.H)))
+    d2_b = ep.d2[0]
+    b_n = xp / (d2_b * (d2_b + xp) * LN2)
+    a_n = np.log2(1.0 + ep.u[0])
+    constant = float(np.add.reduce(scale * (a_n + b_n * d2_b - b_n * cfg.H * cfg.H)))
     constant -= float(np.add.reduce(scale * ep.loss0))
 
     # Per receiver w, the row l(q) >= l_lo as -grad.q <= d2_hat - grad.q_hat - l_lo,
@@ -233,9 +233,8 @@ def build_trajectory_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> Stru
     # and Eve, or Eve alone at L = inf.
     rows = slice(0 if math.isfinite(cfg.L) else 1, 2)
     lin_a = -2.0 * (ep.q_hat - cfg.receivers[rows])
-    d2 = np.array((ep.d2_b, ep.d2_e)[rows])
-    lin_b = d2 + np.add.reduce(lin_a * ep.q_hat, axis=2) - fields["lin_o"]
-    lin_k = xp * scale * np.array((ep.k_b, ep.k_e)[rows])
+    lin_b = ep.d2[rows] + np.add.reduce(lin_a * ep.q_hat, axis=2) - fields["lin_o"]
+    lin_k = xp * scale * ep.k[rows]
     prog = StructuredConvexProgram(
         constant=constant, quad_beta=(scale * b_n)[:, None].repeat(2, axis=1), lin_a=lin_a,
         lin_b=lin_b, lin_k=lin_k, start=ep.q_hat, layout={"q": np.arange(N)}, n=2 * N,
@@ -296,11 +295,10 @@ def build_power_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> PowerProg
     """
     N = cfg.N
     scale = (1.0 - cfg.eps_b) / N
-    g_b = cfg.xi0 / ep.d2_b
-    g_e = cfg.xi0 / ep.d2_e
+    g = cfg.xi0 / ep.d2
     return PowerProgram(
         n=N, constant=-float(np.add.reduce(scale * ep.loss0)),
-        c=-scale * (g_b * ep.k_b + g_e * ep.k_e), a=g_b, alpha=np.full(N, scale / LN2),
+        c=-scale * (g[0] * ep.k[0] + g[1] * ep.k[1]), a=g[0], alpha=np.full(N, scale / LN2),
         ub=np.full(N, cfg.P_max), budget=N * cfg.P_bar, layout={"p": np.arange(N)},
     )
 

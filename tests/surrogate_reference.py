@@ -58,7 +58,7 @@ def surrogate_value_q(
     d2 = sq_dists(np.asarray(point.q, dtype=float), cfg.w_b, cfg.H)
     a_n = np.log2(1.0 + cfg.xi0 * p / d2_hat)
     b_n = cfg.xi0 * p / (d2_hat * (d2_hat + cfg.xi0 * p) * LN2)
-    ue_hat = ep.u_hat_e
+    ue_hat = ep.u[1]
     u_e = np.asarray(point.u_e, dtype=float)
     terms = (
         a_n - b_n * (d2 - d2_hat)
@@ -79,7 +79,7 @@ def surrogate_value_p(
     scale = (1.0 - cfg.eps_b) / cfg.N
     d2_b = sq_dists(traj.points, cfg.w_b, cfg.H)
     p = np.asarray(point.p, dtype=float)
-    ue_hat = ep.u_hat_e
+    ue_hat = ep.u[1]
     u_e = np.asarray(point.u_e, dtype=float)
     terms = (
         np.log2(1.0 + cfg.xi0 * p / d2_b)
@@ -118,12 +118,12 @@ def trajectory_program_reference(traj: Trajectory, pw: PowerProfile,
     ep = expansion_from(traj, pw, cfg)
     scale = (1.0 - cfg.eps_b) / N
     xp = cfg.xi0 * ep.p_hat
-    b_n = xp / (ep.d2_b * (ep.d2_b + xp) * LN2)
-    a_n = np.log2(1.0 + ep.u_hat_b)
-    constant = float(np.sum(scale * (a_n + b_n * ep.d2_b - b_n * cfg.H * cfg.H)))
+    b_n = xp / (ep.d2[0] * (ep.d2[0] + xp) * LN2)
+    a_n = np.log2(1.0 + ep.u[0])
+    constant = float(np.sum(scale * (a_n + b_n * ep.d2[0] - b_n * cfg.H * cfg.H)))
     constant -= float(np.sum(scale * ep.loss0))
     l_lo = cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)
-    receivers = [(cfg.w_b, ep.d2_b, ep.k_b), (cfg.w_e, ep.d2_e, ep.k_e)]
+    receivers = [(cfg.w_b, ep.d2[0], ep.k[0]), (cfg.w_e, ep.d2[1], ep.k[1])]
     if not math.isfinite(cfg.L):
         del receivers[0]
     grads = [2.0 * (ep.q_hat - w[:2]) for w, _, _ in receivers]

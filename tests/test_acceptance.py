@@ -200,14 +200,14 @@ def test_criterion_2_surrogate_tangency_and_bound():
 
             # value tangency at the expansion point
             ref = slack_rate_objective(
-                ep.q_hat, ep.p_hat, ep.u_hat_e, ep.z_hat_b, ep.z_hat_e, cfg)
-            at_ep = SurrogatePoint(q=ep.q_hat, p=ep.p_hat, u_e=ep.u_hat_e,
-                                   z_b=ep.z_hat_b, z_e=ep.z_hat_e)
+                ep.q_hat, ep.p_hat, ep.u[1], ep.z[0], ep.z[1], cfg)
+            at_ep = SurrogatePoint(q=ep.q_hat, p=ep.p_hat, u_e=ep.u[1],
+                                   z_b=ep.z[0], z_e=ep.z[1])
             assert abs(surrogate_value_q(ep, at_ep, pw, cfg) - ref) <= 1e-10
             assert abs(surrogate_value_p(traj, ep, at_ep, cfg) - ref) <= 1e-10
 
             # gradient tangency via central differences, trajectory variables
-            x0 = np.concatenate([ep.q_hat.ravel(), ep.u_hat_e, ep.z_hat_b, ep.z_hat_e])
+            x0 = np.concatenate([ep.q_hat.ravel(), ep.u[1], ep.z[0], ep.z[1]])
 
             def unpack(x):
                 return (x[:2 * n].reshape(n, 2), x[2 * n:3 * n],
@@ -225,7 +225,7 @@ def test_criterion_2_surrogate_tangency_and_bound():
             check_grads(_fd_grad(sur_q, x0), _fd_grad(eq9_q, x0))
 
             # gradient tangency, power variables
-            y0 = np.concatenate([ep.p_hat, ep.u_hat_e, ep.z_hat_b, ep.z_hat_e])
+            y0 = np.concatenate([ep.p_hat, ep.u[1], ep.z[0], ep.z[1]])
 
             def unpack_p(y):
                 return y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:4 * n]

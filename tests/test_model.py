@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -290,6 +291,23 @@ def test_validate_length_mismatch():
 # ---------------------------------------------------------------------------
 # ScenarioConfig invariants
 # ---------------------------------------------------------------------------
+
+def test_config_declares_the_baseline_as_its_defaults():
+    baseline = dict(
+        w_b=(0.0, 0.0, 0.0), w_e=(400.0, 0.0, 0.0), q_I=(200.0, 100.0, 100.0),
+        q_F=(200.0, -100.0, 100.0), H=100.0, T=60.0, delta_t=1.0, V_max=10.0, P_max=0.1,
+        P_bar=0.05, xi0=1e6, L=400.0, eps_b=1e-5, eps_e=1e-2, tau=1e-6, max_iter=100,
+    )
+    cfg = ScenarioConfig()
+    assert [f.name for f in dataclasses.fields(cfg) if f.init] == list(baseline)
+    for name, value in baseline.items():
+        assert np.array_equal(getattr(cfg, name), value), name
+    assert baseline_scenario is ScenarioConfig
+    # the dependent defaults resolve from the given values
+    assert ScenarioConfig(P_max=0.2).P_bar == 0.1
+    low = ScenarioConfig(H=80.0)
+    assert low.q_I[2] == low.q_F[2] == 80.0
+
 
 def test_config_slot_count_consistency():
     cfg = baseline_scenario(T=60.0, delta_t=1.0)

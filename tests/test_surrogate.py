@@ -14,6 +14,7 @@ from uavsec.model import (
     baseline_scenario,
     dispersion,
     line_segment_trajectory,
+    link,
     sq_dists,
 )
 from uavsec.solver import solve, water_fill
@@ -81,8 +82,8 @@ def tight_point(ep, pw, cfg, q):
     u_b = cfg.xi0 * pw.p / linearized_sq_dist(ep, cfg.w_b, cfg, q)
     u_e = cfg.xi0 * pw.p / linearized_sq_dist(ep, cfg.w_e, cfg, q)
     return SurrogatePoint(
-        q=q, u_e=u_e, z_b=required_z(u_b, ep.u_hat_b, ep.z_hat_b),
-        z_e=required_z(u_e, ep.u_hat_e, ep.z_hat_e),
+        q=q, u_e=u_e, z_b=required_z(u_b, ep.u[0], ep.z[0]),
+        z_e=required_z(u_e, ep.u[1], ep.z[1]),
     )
 
 
@@ -96,18 +97,18 @@ def test_init_slacks_hover_above_bob():
     )
     traj = Trajectory(points=np.zeros((1, 2)))
     ep = expansion_from(traj, PowerProfile(p=np.array([0.1])), cfg)
-    assert ep.u_hat_b[0] == pytest.approx(10.0, rel=1e-12)
-    assert ep.z_hat_b[0] == pytest.approx(math.sqrt(120.0 / 121.0), abs=1e-6)
+    assert ep.u[0, 0] == pytest.approx(10.0, rel=1e-12)
+    assert ep.z[0, 0] == pytest.approx(math.sqrt(120.0 / 121.0), abs=1e-6)
     assert sq_dists(traj.points, cfg.w_b, cfg.H)[0] == pytest.approx(1e4, rel=1e-12)
-    assert ep.u_hat_e[0] == pytest.approx(1e5 / 170000.0, rel=1e-12)
+    assert ep.u[1, 0] == pytest.approx(1e5 / 170000.0, rel=1e-12)
 
 
 def test_init_slacks_zero_power_floor():
     cfg = small_cfg(3)
     traj = Trajectory(points=np.tile(cfg.q_I[:2], (3, 1)))
     ep = expansion_from(traj, PowerProfile(p=np.zeros(3)), cfg)
-    assert np.all(ep.u_hat_b == 0.0) and np.all(ep.u_hat_e == 0.0)
-    assert np.all(ep.z_hat_b == Z_MIN) and np.all(ep.z_hat_e == Z_MIN)
+    assert np.all(ep.u[0] == 0.0) and np.all(ep.u[1] == 0.0)
+    assert np.all(ep.z[0] == Z_MIN) and np.all(ep.z[1] == Z_MIN)
 
 
 def test_init_slacks_offset_geometry():
@@ -117,12 +118,12 @@ def test_init_slacks_offset_geometry():
     ep = expansion_from(
         Trajectory(points=np.array([[200.0, 100.0]])), PowerProfile(p=np.array([0.1])), cfg
     )
-    assert ep.u_hat_e[0] == pytest.approx(1e5 / 60000.0, rel=1e-12)
+    assert ep.u[1, 0] == pytest.approx(1e5 / 60000.0, rel=1e-12)
 
 
 def test_expansion_loss_bound_is_tight_at_the_design_and_bounds_the_loss():
     # each slot's loss log2(1 + u_e) + pen_b*z_b + pen_e*z_e, at the least
-    # roots z = sqrt(V(u)), lies under loss0 + k_b*u_b + k_e*u_e
+    # roots z = sqrt(V(u)), lies under loss0 + k[0]*u_b + k[1]*u_e
     rng = np.random.default_rng(11)
     floored = 0
     for L in (200.0, 400.0, 800.0, math.inf):
@@ -133,14 +134,19 @@ def test_expansion_loss_bound_is_tight_at_the_design_and_bounds_the_loss():
             p = pw.p * 10.0 ** rng.uniform(-12.0, 0.0, size=cfg.N)
             p[rng.random(cfg.N) < 0.2] = 0.0
             ep = expansion_from(traj, PowerProfile(p=p), cfg)
+            # model.link's (2, N) rows, Bob's then Eve's, carried bit for bit
+            exact = link(traj.points, p, cfg)
+            assert np.array_equal(ep.d2, exact.d2) and np.array_equal(ep.u, exact.u)
+            assert np.array_equal(ep.z, np.maximum(exact.root, Z_MIN))
+            assert ep.k.shape == (2, cfg.N)
 
             def bound(u_b, u_e):
-                return ep.loss0 + ep.k_b * u_b + ep.k_e * u_e
+                return ep.loss0 + ep.k[0] * u_b + ep.k[1] * u_e
 
-            at_design = np.log2(1.0 + ep.u_hat_e) + pen_b * ep.z_hat_b + pen_e * ep.z_hat_e
-            tight = (ep.z_hat_b > Z_MIN) & (ep.z_hat_e > Z_MIN)
+            at_design = np.log2(1.0 + ep.u[1]) + pen_b * ep.z[0] + pen_e * ep.z[1]
+            tight = (ep.z[0] > Z_MIN) & (ep.z[1] > Z_MIN)
             floored += int(np.sum(~tight))
-            np.testing.assert_allclose(bound(ep.u_hat_b, ep.u_hat_e)[tight], at_design[tight],
+            np.testing.assert_allclose(bound(ep.u[0], ep.u[1])[tight], at_design[tight],
                                        rtol=1e-12, atol=1e-15)
             for _ in range(20):
                 u_b, u_e = 10.0 ** rng.uniform(-8.0, 4.0, size=(2, cfg.N))
@@ -149,9 +155,9 @@ def test_expansion_loss_bound_is_tight_at_the_design_and_bounds_the_loss():
                         + pen_e * np.sqrt(dispersion(u_e)))
                 assert np.all(bound(u_b, u_e) >= loss - 1e-12 * (1.0 + np.abs(loss)))
             if L == math.inf:
-                assert np.all(ep.k_b == 0.0)
+                assert np.all(ep.k[0] == 0.0)
             else:
-                assert np.all(ep.k_b > 0.0)
+                assert np.all(ep.k[0] > 0.0)
     assert floored > 0
 
 
@@ -175,9 +181,9 @@ def test_surrogates_tangent_at_expansion_point():
     cfg = small_cfg(5)
     for _ in range(10):
         ep, traj, pw = random_expansion(cfg, rng)
-        ref = slack_rate_objective(ep.q_hat, ep.p_hat, ep.u_hat_e, ep.z_hat_b, ep.z_hat_e, cfg)
+        ref = slack_rate_objective(ep.q_hat, ep.p_hat, ep.u[1], ep.z[0], ep.z[1], cfg)
         at_ep = SurrogatePoint(
-            q=ep.q_hat, p=ep.p_hat, u_e=ep.u_hat_e, z_b=ep.z_hat_b, z_e=ep.z_hat_e,
+            q=ep.q_hat, p=ep.p_hat, u_e=ep.u[1], z_b=ep.z[0], z_e=ep.z[1],
         )
         assert surrogate_value_q(ep, at_ep, pw, cfg) == pytest.approx(ref, abs=1e-10)
         assert surrogate_value_p(traj, ep, at_ep, cfg) == pytest.approx(ref, abs=1e-10)
@@ -203,8 +209,8 @@ def test_program_objectives_match_standalone_evaluators():
         p = rng.uniform(0.0, cfg.P_max, size=cfg.N)
         pt = SurrogatePoint(
             p=p, u_e=u_e * p,
-            z_b=required_z(u_b * p, ep.u_hat_b, ep.z_hat_b),
-            z_e=required_z(u_e * p, ep.u_hat_e, ep.z_hat_e),
+            z_b=required_z(u_b * p, ep.u[0], ep.z[0]),
+            z_e=required_z(u_e * p, ep.u[1], ep.z[1]),
         )
         assert prog_p.objective_value(p) == pytest.approx(
             surrogate_value_p(traj, ep, pt, cfg), abs=1e-12
@@ -223,7 +229,7 @@ def test_required_root_is_non_negative_at_zero_power():
         p = pw.p * 10.0 ** rng.uniform(-25.0, 0.0, size=cfg.N)
         p[rng.random(cfg.N) < 0.2] = 0.0
         ep = expansion_from(traj, PowerProfile(p=p), cfg)
-        for u_hat, z_hat in ((ep.u_hat_b, ep.z_hat_b), (ep.u_hat_e, ep.z_hat_e)):
+        for u_hat, z_hat in ((ep.u[0], ep.z[0]), (ep.u[1], ep.z[1])):
             assert np.all(required_z(0.0, u_hat, z_hat) >= 0.0)
             floored += int(np.sum(z_hat == Z_MIN))
     assert floored > 0
@@ -251,16 +257,16 @@ def test_linear_ue_sensitivity_is_exact():
     cfg = small_cfg(3)
     ep, traj, pw = random_expansion(cfg, rng)
     base = SurrogatePoint(
-        q=ep.q_hat, p=ep.p_hat, u_e=ep.u_hat_e, z_b=ep.z_hat_b, z_e=ep.z_hat_e,
+        q=ep.q_hat, p=ep.p_hat, u_e=ep.u[1], z_b=ep.z[0], z_e=ep.z[1],
     )
     delta = 0.37
     slot = 1
-    bumped_ue = ep.u_hat_e.copy()
+    bumped_ue = ep.u[1].copy()
     bumped_ue[slot] += delta
     bumped = SurrogatePoint(
-        q=ep.q_hat, p=ep.p_hat, u_e=bumped_ue, z_b=ep.z_hat_b, z_e=ep.z_hat_e,
+        q=ep.q_hat, p=ep.p_hat, u_e=bumped_ue, z_b=ep.z[0], z_e=ep.z[1],
     )
-    expected_drop = delta / ((1.0 + ep.u_hat_e[slot]) * math.log(2)) * (1.0 - cfg.eps_b) / cfg.N
+    expected_drop = delta / ((1.0 + ep.u[1, slot]) * math.log(2)) * (1.0 - cfg.eps_b) / cfg.N
     got = surrogate_value_q(ep, base, pw, cfg) - surrogate_value_q(ep, bumped, pw, cfg)
     assert got == pytest.approx(expected_drop, rel=1e-12)
     got_p = surrogate_value_p(traj, ep, base, cfg) - surrogate_value_p(traj, ep, bumped, cfg)
@@ -439,13 +445,13 @@ def test_trajectory_optimum_moves_toward_bob_matches_grid_oracle():
                 return -np.inf
             u_b = cfg.xi0 * pw.p[n] / lin_b
             u_e = cfg.xi0 * pw.p[n] / lin_e
-            z_b = _tight_z(u_b, ep.u_hat_b[n], ep.z_hat_b[n])
-            z_e = _tight_z(u_e, ep.u_hat_e[n], ep.z_hat_e[n])
+            z_b = _tight_z(u_b, ep.u[0, n], ep.z[0, n])
+            z_e = _tight_z(u_e, ep.u[1, n], ep.z[1, n])
             d2b = np.sum((q[n] - cfg.w_b[:2]) ** 2) + cfg.H ** 2
             total += (
                 a_n[n] - b_n[n] * (d2b - d2b_hat[n])
-                - np.log2(1.0 + ep.u_hat_e[n])
-                - (u_e - ep.u_hat_e[n]) / ((1.0 + ep.u_hat_e[n]) * math.log(2))
+                - np.log2(1.0 + ep.u[1, n])
+                - (u_e - ep.u[1, n]) / ((1.0 + ep.u[1, n]) * math.log(2))
                 - pen_b * z_b - pen_e * z_e
             )
         return scale * total
@@ -501,10 +507,10 @@ def test_power_subproblem_saturates_average_budget_when_hovering():
             return max((v + dv * (u - uh) + zh ** 2) / (2.0 * zh), 0.0)
         return (1.0 - cfg.eps_b) * (
             np.log2(1.0 + cfg.xi0 * p / d2b)
-            - np.log2(1.0 + ep.u_hat_e[0])
-            - (u_e - ep.u_hat_e[0]) / ((1.0 + ep.u_hat_e[0]) * math.log(2))
-            - pen_b * tz(u_b, ep.u_hat_b[0], ep.z_hat_b[0])
-            - pen_e * tz(u_e, ep.u_hat_e[0], ep.z_hat_e[0])
+            - np.log2(1.0 + ep.u[1, 0])
+            - (u_e - ep.u[1, 0]) / ((1.0 + ep.u[1, 0]) * math.log(2))
+            - pen_b * tz(u_b, ep.u[0, 0], ep.z[0, 0])
+            - pen_e * tz(u_e, ep.u[1, 0], ep.z[1, 0])
         )
 
     grid = np.linspace(0.0, cfg.P_bar, 200001)
