@@ -39,20 +39,19 @@ EXIT_USAGE = 64
 ECHO_FILENAME = "scenario.txt"
 
 
-def _parse_power(raw: str) -> float:
-    """Watts, or dBm with a ``dbm`` suffix."""
-    text = raw.strip().lower()
-    if text.endswith("dbm"):
-        return model.dbm_to_watt(float(text[:-3].strip()))
-    return float(text)
+def _parse_in(suffix: str, convert):
+    """The parser of a value in canonical units, or in the unit that a
+    case-blind ``suffix`` names, which convert takes to canonical units."""
+    def parse(raw: str) -> float:
+        text = raw.strip().lower()
+        if text.endswith(suffix):
+            return convert(float(text[: -len(suffix)].strip()))
+        return float(text)
+    return parse
 
 
-def _parse_ratio(raw: str) -> float:
-    """Linear ratio, or dB with a ``db`` suffix."""
-    text = raw.strip().lower()
-    if text.endswith("db") and not text.endswith("dbm"):
-        return model.db_to_linear(float(text[:-2].strip()))
-    return float(text)
+_parse_power = _parse_in("dbm", model.dbm_to_watt)     # watts, or dBm
+_parse_ratio = _parse_in("db", model.db_to_linear)     # a linear ratio, or dB
 
 
 def _parse_vec3(raw: str):

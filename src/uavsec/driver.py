@@ -175,7 +175,9 @@ def run_ftp_inf(cfg: ScenarioConfig, long_packet: Optional[RunResult] = None) ->
 
     The design is ``long_packet``'s, a run whose scenario differs from cfg
     at most in L, since the design does not depend on L; without one it is
-    optimized here, with the dispersion penalties removed.
+    optimized here, with the dispersion penalties removed. Only ``aesr`` is
+    re-scored: the iteration records stay the long-packet run's, so their
+    AESRs are the design's at L = inf.
     """
     if long_packet is None:
         long_packet = _alternating_run(replace(cfg, L=math.inf), SchemeId.FTP_INF, True)

@@ -14,6 +14,7 @@ concurrent use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import NamedTuple
@@ -109,10 +110,8 @@ class ScenarioConfig:
             object.__setattr__(self, "q_I", (200.0, 100.0, self.H))
         if self.q_F is None:
             object.__setattr__(self, "q_F", (200.0, -100.0, self.H))
-        object.__setattr__(self, "w_b", _as_vec3("w_b", self.w_b))
-        object.__setattr__(self, "w_e", _as_vec3("w_e", self.w_e))
-        object.__setattr__(self, "q_I", _as_vec3("q_I", self.q_I))
-        object.__setattr__(self, "q_F", _as_vec3("q_F", self.q_F))
+        for name in ("w_b", "w_e", "q_I", "q_F"):
+            object.__setattr__(self, name, _as_vec3(name, getattr(self, name)))
         for name in ("H", "T", "delta_t", "V_max", "P_max", "xi0", "w_b", "w_e", "q_I", "q_F"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -146,8 +145,8 @@ class ScenarioConfig:
             raise ValueError(f"xi0 must be positive, got {self.xi0}")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
         for name, w in (("w_b", self.w_b), ("w_e", self.w_e)):
             if abs(w[2]) > 1e-9:
                 raise ValueError(f"{name} must have altitude 0, got {w[2]}")
@@ -355,16 +354,11 @@ def validate(traj: Trajectory, pw: PowerProfile, cfg: ScenarioConfig) -> list:
     if out:
         return out
 
-    if not np.allclose(traj.points[0], cfg.q_I[:2], atol=1e-9, rtol=0.0):
-        out.append(
-            f"endpoint: slot 1 position {traj.points[0].tolist()} differs from q_I "
-            f"{cfg.q_I[:2].tolist()}"
-        )
-    if not np.allclose(traj.points[-1], cfg.q_F[:2], atol=1e-9, rtol=0.0):
-        out.append(
-            f"endpoint: slot {cfg.N} position {traj.points[-1].tolist()} differs from q_F "
-            f"{cfg.q_F[:2].tolist()}"
-        )
+    for slot, name in ((1, "q_I"), (cfg.N, "q_F")):
+        point, end = traj.points[slot - 1], getattr(cfg, name)[:2]
+        if not np.allclose(point, end, atol=1e-9, rtol=0.0):
+            out.append(f"endpoint: slot {slot} position {point.tolist()} differs from {name} "
+                       f"{end.tolist()}")
     for n in np.nonzero(~np.isfinite(traj.points).all(axis=1))[0]:
         out.append(f"non-finite: slot {n + 1} position {traj.points[n].tolist()}")
     for n in np.nonzero(~np.isfinite(pw.p))[0]:

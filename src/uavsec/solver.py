@@ -135,7 +135,6 @@ class _Work:
         rn = self.rn = R * N      # rows [0, rn) are the distance rows, [rn, m) the speed rows
         self.m = rn + N - 1
         self.nu = self.m + N - 1  # a speed row counts with degree 2
-        self.sp_h2 = prog.speed_h * prog.speed_h
         self.lin_o, self.lin_k = prog.lin_o.ravel(), prog.lin_k.ravel()
         self.neg_b2, self.quad_t = -2.0 * prog.quad_beta, None
         self.q = np.zeros(self.m)   # ``max_step``'s a^2 terms: 0 but on speed rows
@@ -184,20 +183,15 @@ class _Work:
         self.sp_index[1, -1:] = self.sp_index[0, -1:] + 1
 
     def evaluate(self, x: np.ndarray, objective: bool = True) -> Optional[_Point]:
-        """Objective, speed-row differences and row slacks (distance, then
-        speed rows) at x, or None if x is not strictly feasible. The
-        objective reuses the distance rows' slacks; without ``objective`` f
+        """Objective and ``prog.slacks`` at x, or None if x is not strictly
+        feasible. The objective reuses the slacks; without ``objective`` f
         is None."""
-        prog = self.prog
-        lin = prog.lin_slack(x)
-        y = x[1:] - x[:-1]
-        s = np.concatenate((lin, np.subtract(self.sp_h2, np.add.reduce(y * y, axis=1))),
-                           axis=None)
+        y, s = self.prog.slacks(x)
         if np.minimum.reduce(s, initial=math.inf) <= 0.0:
             return None
         if not objective:
             return _Point(None, y, s)
-        f = prog.objective_value(x, lin)
+        f = self.prog.objective_value(x, s)
         return _Point(f, y, s) if math.isfinite(f) else None
 
     def assemble(self, x: np.ndarray, point: _Point, t: float, w: np.ndarray):
@@ -366,7 +360,7 @@ def solve(prog: StructuredConvexProgram) -> Solution:
     t0 = max(nu, 1.0) / max(abs(point.f), 1e-2)
     x, point, steps, status = _primal_dual(work, x, point, t0, t_final)
     if point.f is None:     # the primal-dual loop checks its trial points for feasibility only
-        point = point._replace(f=prog.objective_value(x))
+        point = point._replace(f=prog.objective_value(x, point.s))
     if status != "numerical-failure":
         x, point, centring, status = _center(work, x, point, t_final)
         steps += centring
@@ -543,7 +537,7 @@ def _center(work: _Work, x: np.ndarray, point: _Point, t: float):
     # Newton steps are trusted.
     prog, diff = work.prog, x - work.prog.quad_c
     scale = (abs(prog.constant) + float((prog.quad_beta * (diff * diff)).sum())
-             + float((prog.lin_k / (prog.lin_slack(x) + prog.lin_o)).sum()))
+             + float((work.lin_k / (point.s[: work.rn] + work.lin_o)).sum()))
     noise = 64.0 * t * (scale + 1.0) * _EPS
     steps = 0
     gd_full = math.inf      # the decrement before the last step, if that was a full one

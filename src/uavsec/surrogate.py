@@ -91,16 +91,24 @@ class StructuredConvexProgram:
     n: int
 
     def lin_slack(self, x: np.ndarray) -> np.ndarray:
-        """lin_b - lin_a . x per slot: each row's slack at the positions x (N, 2)."""
+        """lin_b - lin_a . x per slot: each distance row's slack at the positions x (N, 2)."""
         return self.lin_b - np.add.reduce(self.lin_a * x, axis=2)
 
-    def objective_value(self, x: np.ndarray, lin_slack=None) -> float:
+    def slacks(self, x: np.ndarray) -> tuple:
+        """(y, s) at the positions x (N, 2): the speed rows' differences
+        y[n] = x[n + 1] - x[n], and every row's slack as one vector, the
+        distance rows' ``lin_slack(x)`` first, then speed_h^2 - |y|^2."""
+        y = x[1:] - x[:-1]
+        speed = np.subtract(self.speed_h * self.speed_h, np.add.reduce(y * y, axis=1))
+        return y, np.concatenate((self.lin_slack(x), speed), axis=None)
+
+    def objective_value(self, x: np.ndarray, slacks=None) -> float:
         """The objective at the positions x (N, 2); -inf where a reciprocal
-        term is undefined. ``lin_slack``, if given, is ``self.lin_slack(x)``."""
-        x = np.asarray(x, dtype=float)
+        term is undefined. ``slacks``, if given, is ``self.slacks(x)[1]``."""
         diff = x - self.quad_c
         f = self.constant - float((self.quad_beta * (diff * diff)).sum())
-        den = (self.lin_slack(x) if lin_slack is None else lin_slack) + self.lin_o
+        lin = self.lin_slack(x) if slacks is None else slacks[: self.lin_o.size]
+        den = lin.reshape(self.lin_o.shape) + self.lin_o
         if den.min(initial=math.inf) <= 0.0:
             return -math.inf
         return f - float((self.lin_k / den).sum())
@@ -273,9 +281,7 @@ def _trajectory_start(prog: StructuredConvexProgram, segment: np.ndarray) -> np.
     theta = START_SHIFT
     while theta > 0.0:
         x = q + theta * toward
-        y = x[1:] - x[:-1]
-        speed_slack = prog.speed_h * prog.speed_h - (y * y).sum(axis=1)
-        if min(prog.lin_slack(x).min(initial=math.inf), speed_slack.min(initial=math.inf)) > 0.0:
+        if prog.slacks(x)[1].min(initial=math.inf) > 0.0:
             return x
         theta *= 0.5
     return q

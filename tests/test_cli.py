@@ -73,6 +73,8 @@ def test_power_units(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, "P_max = 20 dbm\nP_bar = 0.02\n"))
     assert cfg.P_max == pytest.approx(0.1, rel=1e-12)
     assert cfg.P_bar == 0.02
+    # the suffix is case-blind
+    assert parse_config(write_cfg(tmp_path, "P_max = 20DBM\n")).P_max == cfg.P_max
 
 
 def test_default_average_power_follows_peak(tmp_path):
@@ -83,6 +85,7 @@ def test_default_average_power_follows_peak(tmp_path):
 def test_ratio_units(tmp_path):
     assert parse_config(write_cfg(tmp_path, "xi0 = 60 db\n")).xi0 == pytest.approx(1e6)
     assert parse_config(write_cfg(tmp_path, "xi0 = 2500000\n")).xi0 == 2.5e6
+    assert parse_config(write_cfg(tmp_path, "xi0 = 60dB\n")).xi0 == pytest.approx(1e6)
 
 
 def test_position_triples_and_altitude_coupling(tmp_path):
@@ -104,7 +107,8 @@ def test_malformed_lines_rejected(tmp_path):
         parse_config(write_cfg(tmp_path, "T = 6\nT = 8\n"))
 
 
-@pytest.mark.parametrize("line", ["T = abc", "max_iter = 1e2", "w_b = 0,0,x", "P_max = x dbm"])
+@pytest.mark.parametrize("line", ["T = abc", "max_iter = 1e2", "w_b = 0,0,x", "P_max = x dbm",
+                                  "xi0 = 20 dbm", "P_max = 60 db"])
 def test_unparsable_value_names_line_and_key(tmp_path, line):
     key = line.split("=")[0].strip()
     with pytest.raises(ValueError, match=rf"^line 2: {key}: "):

@@ -215,6 +215,11 @@ def test_ftp_inf_final_design_feasible():
     res = run_ftp_inf(cfg)
     assert model.validate(res.trajectory, res.power, cfg) == []
     assert res.scheme == "ftp-inf"
+    # the iteration records are the long-packet run's: its last AESR is the
+    # design's at L = inf, and only res.aesr is scored at the scenario's L
+    assert res.iterations[-1].aesr == model.aesr(res.trajectory, res.power,
+                                                 replace(cfg, L=math.inf))
+    assert res.aesr == model.aesr(res.trajectory, res.power, cfg)
 
 
 def test_non_optimal_solves_are_counted(monkeypatch):

@@ -262,8 +262,11 @@ def test_validate_flags_power_box_and_endpoints():
     msgs = "\n".join(validate(traj, pw, cfg))
     assert "negative" in msgs and "exceeds P_max" in msgs
     shifted = Trajectory(points=traj.points + 1.0)
-    msgs = "\n".join(validate(shifted, PowerProfile(p=np.zeros(3)), cfg))
-    assert "endpoint" in msgs
+    out = validate(shifted, PowerProfile(p=np.zeros(3)), cfg)
+    assert out == [
+        "endpoint: slot 1 position [1.0, 11.0] differs from q_I [0.0, 10.0]",
+        "endpoint: slot 3 position [1.0, -9.0] differs from q_F [0.0, -10.0]",
+    ]
 
 
 def test_validate_names_non_finite_positions_and_powers():
@@ -344,9 +347,13 @@ def test_config_rejects_unreachable_endpoints():
     (dict(V_max=0.0), "V_max"),
     (dict(xi0=0.0), "xi0"),
     (dict(max_iter=0), "max_iter"),
+    (dict(max_iter=2.0), "max_iter"),
+    (dict(max_iter=math.nan), "max_iter"),
+    (dict(max_iter=math.inf), "max_iter"),
     (dict(w_e=(400.0, 0.0)), "w_e"),
     (dict(tau=math.nan), "tau"),
-], ids=["delta_t", "T", "no-slots", "H", "V_max", "xi0", "max_iter", "vec3", "tau-nan"])
+], ids=["delta_t", "T", "no-slots", "H", "V_max", "xi0", "max_iter", "max_iter-float",
+        "max_iter-nan", "max_iter-inf", "vec3", "tau-nan"])
 def test_config_rejection_names_its_field(overrides, field):
     with pytest.raises(ValueError, match=f"^{re.escape(field)} "):
         baseline_scenario(**overrides)

@@ -23,6 +23,9 @@ With two trees it also prints the line count's change, in total and per
 file that changed, says whether the outputs match, names the parts that
 differ, and exits 1 if any does. The counts patch ``solver._PBTRF`` and
 ``solver._Work.evaluate``, so both trees must have them.
+
+``load`` and ``recording`` are shared with ``tools/solver_step.py``;
+importing this module sets one BLAS thread, so it must come before numpy.
 """
 
 from __future__ import annotations
@@ -60,15 +63,16 @@ def load(src: Path) -> dict:
 
 
 @contextlib.contextmanager
-def counting(owner, attr: str, calls: list):
-    """Append 1 to calls on every call of ``owner.attr`` while inside."""
+def recording(owner, attr: str, out: list):
+    """Append the result of every call of ``owner.attr`` to out while inside:
+    one ``list.append`` per call, which a count of C calls sees."""
     original = getattr(owner, attr)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        out.append(original(*args, **kwargs))
+        return out[-1]
 
-    setattr(owner, attr, counted)
+    setattr(owner, attr, recorded)
     try:
         yield
     finally:
@@ -87,7 +91,7 @@ def grid(pkg: dict) -> tuple:
     """(digest, counts) of the 36 acceptance-grid runs."""
     driver, model, solver = pkg["driver"], pkg["model"], pkg["solver"]
     h, factorizations, runs = hashlib.sha256(), [], []
-    with counting(solver, "_PBTRF", factorizations):
+    with recording(solver, "_PBTRF", factorizations):
         for T in T_GRID:
             for L in L_GRID:
                 for scheme in driver.SchemeId:
@@ -118,12 +122,6 @@ def cli_runs(pkg: dict) -> tuple:
     the counts are the JTPO run's point evaluations and Newton steps."""
     cli, driver, solver = pkg["cli"], pkg["driver"], pkg["solver"]
     run_digest, evaluations, results = hashlib.sha256(), [], []
-    run_scheme = driver.run_scheme
-
-    def recording_run(*args, **kwargs):
-        results.append(run_scheme(*args, **kwargs))
-        return results[-1]
-
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "default.cfg"
         config.write_text("", encoding="utf-8")
@@ -132,12 +130,9 @@ def cli_runs(pkg: dict) -> tuple:
             if scheme is not driver.SchemeId.JTPO:
                 run_digest.update(cli_bytes(cli, argv, config, out))
                 continue
-            driver.run_scheme = recording_run
-            try:
-                with counting(solver._Work, "evaluate", evaluations):
-                    run_digest.update(cli_bytes(cli, argv, config, out))
-            finally:
-                driver.run_scheme = run_scheme
+            with recording(driver, "run_scheme", results), \
+                    recording(solver._Work, "evaluate", evaluations):
+                run_digest.update(cli_bytes(cli, argv, config, out))
         sweep = cli_bytes(cli, ["sweep", "--param", "L", "--values", SWEEP_VALUES], config,
                           Path(tmp) / "sweep")
     counts = {"default_evaluations": len(evaluations), "default_steps": results[0].newton_steps}

@@ -23,33 +23,18 @@ factorization over the first's.
 
 from __future__ import annotations
 
-import os
-
-# one BLAS thread, as the benchmark harness runs; set before numpy loads
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+# first: it sets one BLAS thread, as the benchmark harness runs, before numpy loads
+from grid_digest import load, recording
 
 import argparse
 import ctypes
-import importlib
+import os
 import statistics
 import sys
 import time
 from pathlib import Path
 
 SLOTS = (24, 60, 200, 2000)
-
-
-def load(src: Path) -> dict:
-    """A fresh copy of the ``uavsec`` modules from the source tree src."""
-    sys.path.insert(0, str(src))
-    try:
-        for name in [n for n in sys.modules if n == "uavsec" or n.startswith("uavsec.")]:
-            del sys.modules[name]
-        return {name: importlib.import_module(f"uavsec.{name}")
-                for name in ("driver", "model", "solver")}
-    finally:
-        sys.path.remove(str(src))
 
 
 class _DlInfo(ctypes.Structure):
@@ -67,59 +52,32 @@ def _file_of(address: int) -> str:
 
 def lapack_library(solver) -> str:
     """The file of the shared library holding the ``dpbtrf`` that
-    ``solver._PBTRF`` runs. A ctypes routine is that code itself. An f2py
-    routine (scipy's ``_flapack``) points at a wrapper in its extension
-    module, so LAPACK's symbol is looked up through that module instead."""
-    routine = solver._PBTRF
-    capsule = getattr(routine, "_cpointer", None)
-    if capsule is None:
-        return _file_of(ctypes.cast(routine, ctypes.c_void_p).value)
-    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
-    get_pointer.restype, get_pointer.argtypes = ctypes.c_void_p, [ctypes.py_object, ctypes.c_char_p]
-    module = ctypes.CDLL(_file_of(get_pointer(capsule, None)))
-    for name in ("scipy_dpbtrf_64_", "scipy_dpbtrf_", "dpbtrf_"):
-        if hasattr(module, name):
-            return _file_of(ctypes.cast(getattr(module, name), ctypes.c_void_p).value)
-    return "?"
+    ``solver._PBTRF`` runs, a ctypes routine: that code itself."""
+    return _file_of(ctypes.cast(solver._PBTRF, ctypes.c_void_p).value)
 
 
 def recorded_program(pkg: dict, n: int):
     """The trajectory program of the second alternation of JTPO at T = n."""
-    driver, model = pkg["driver"], pkg["model"]
-    build, built = driver.build_trajectory_subproblem, []
-
-    def recording_build(*args):
-        built.append(build(*args))
-        return built[-1]
-
-    driver.build_trajectory_subproblem = recording_build
-    try:
+    driver, model, built = pkg["driver"], pkg["model"], []
+    with recording(driver, "build_trajectory_subproblem", built):
         driver.run_scheme(model.baseline_scenario(T=float(n), max_iter=2), driver.SchemeId.JTPO)
-    finally:
-        driver.build_trajectory_subproblem = build
     return built[-1]
 
 
 def counts(pkg: dict, prog) -> tuple:
     """(factorizations, C calls) of one solve of prog."""
-    solver = pkg["solver"]
-    pbtrf, factorizations, calls = solver._PBTRF, [], []
-
-    def counting_pbtrf(*args, **kwargs):
-        factorizations.append(1)
-        return pbtrf(*args, **kwargs)
+    solver, factorizations, calls = pkg["solver"], [], []
 
     def profile(frame, event, arg):
         if event == "c_call":
             calls.append(1)
 
-    solver._PBTRF = counting_pbtrf
-    sys.setprofile(profile)
-    try:
-        solver.solve(prog)
-    finally:
-        sys.setprofile(None)
-        solver._PBTRF = pbtrf
+    with recording(solver, "_PBTRF", factorizations):
+        sys.setprofile(profile)
+        try:
+            solver.solve(prog)
+        finally:
+            sys.setprofile(None)
     return len(factorizations), len(calls)
 
 
