@@ -1,13 +1,12 @@
 """Alternating trajectory/power optimization and the benchmark schemes.
 
-``run_jtpo`` alternates the two convex subproblems until the fractional
-increase of the surrogate objective drops below the scenario threshold.
-``run_poft`` keeps the straight-segment trajectory and runs only the
-closed-form power step. ``run_ftp_inf`` has one path: it re-scores a
-long-packet design, optimized by the full alternation with the dispersion
-penalties removed, under the true short-packet objective. The design is
-the one it is given, an earlier run at another blocklength, or one it
-computes.
+``run_scheme`` is the one runner. JTPO alternates the two convex
+subproblems until the fractional increase of the surrogate objective drops
+below the scenario threshold. POFT keeps the straight-segment trajectory
+and runs only the closed-form power step. FTP-Inf re-scores a long-packet
+design, optimized by the full alternation with the dispersion penalties
+removed, under the true short-packet objective. The design is the one it
+is given, an earlier run at another blocklength, or one it computes.
 
 The design (trajectory and power) is the only state carried from one step
 to the next. Each design is linearized once (``expansion_from``), and
@@ -104,11 +103,10 @@ def _take_better(prog, sol: Solution, design: np.ndarray) -> np.ndarray:
     return sol.x
 
 
-def _alternating_run(
-    cfg: ScenarioConfig, scheme: SchemeId, optimize_trajectory: bool
-) -> RunResult:
+def _alternating_run(cfg: ScenarioConfig, scheme: SchemeId) -> RunResult:
     """Core alternating loop; cfg drives the subproblems and scores the final
-    design."""
+    design. POFT, and every scheme on a forced segment, skips the trajectory
+    step."""
     n = cfg.N
     traj = line_segment_trajectory(cfg)
     pw = PowerProfile(p=np.full(n, cfg.P_bar))
@@ -119,7 +117,7 @@ def _alternating_run(
     failed = False
     nonoptimal = 0
     newton_steps = 0
-    optimize_trajectory = optimize_trajectory and not _segment_is_forced(cfg)
+    optimize_trajectory = scheme is not SchemeId.POFT and not _segment_is_forced(cfg)
 
     for r in range(1, cfg.max_iter + 1):
         if optimize_trajectory:
@@ -159,39 +157,24 @@ def _alternating_run(
     )
 
 
-def run_jtpo(cfg: ScenarioConfig) -> RunResult:
-    """Alternate trajectory and power subproblems until tau-convergence."""
-    return _alternating_run(cfg, SchemeId.JTPO, True)
+def run_scheme(cfg: ScenarioConfig, scheme: SchemeId,
+               long_packet: Optional[RunResult] = None) -> RunResult:
+    """Run one scheme on cfg.
 
-
-def run_poft(cfg: ScenarioConfig) -> RunResult:
-    """Optimize power only, on the fixed straight-segment trajectory."""
-    return _alternating_run(cfg, SchemeId.POFT, False)
-
-
-def run_ftp_inf(cfg: ScenarioConfig, long_packet: Optional[RunResult] = None) -> RunResult:
-    """Report the AESR of a long-packet design under the scenario's actual
-    blocklength.
-
+    JTPO and POFT run the alternation on cfg itself. FTP-Inf reports the
+    AESR of a long-packet design under the scenario's actual blocklength.
     The design is ``long_packet``'s, a run whose scenario differs from cfg
     at most in L, since the design does not depend on L; without one it is
     optimized here, with the dispersion penalties removed. Only ``aesr`` is
     re-scored: the iteration records stay the long-packet run's, so their
-    AESRs are the design's at L = inf.
+    AESRs are the design's at L = inf. ``long_packet`` is ignored by the
+    other schemes.
     """
+    if scheme is not SchemeId.FTP_INF:
+        return _alternating_run(cfg, scheme)
     if long_packet is None:
-        long_packet = _alternating_run(replace(cfg, L=math.inf), SchemeId.FTP_INF, True)
+        long_packet = _alternating_run(replace(cfg, L=math.inf), scheme)
     return replace(long_packet, aesr=model.aesr(long_packet.trajectory, long_packet.power, cfg))
-
-
-def run_scheme(cfg: ScenarioConfig, scheme: SchemeId,
-               long_packet: Optional[RunResult] = None) -> RunResult:
-    """Run one scheme; ``long_packet`` is passed on to ``run_ftp_inf``."""
-    if scheme is SchemeId.JTPO:
-        return run_jtpo(cfg)
-    if scheme is SchemeId.POFT:
-        return run_poft(cfg)
-    return run_ftp_inf(cfg, long_packet)
 
 
 def derive_config(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:

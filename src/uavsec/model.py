@@ -102,6 +102,7 @@ class ScenarioConfig:
     N: int = field(init=False)
     pen: tuple = field(init=False, repr=False)   # Qinv(eps)/(sqrt(L) ln2), Bob's and Eve's
     receivers: np.ndarray = field(init=False, repr=False)   # (2, 1, 2): Bob's xy, Eve's xy
+    segment: np.ndarray = field(init=False, repr=False)     # (N, 2): the straight segment
 
     def __post_init__(self):
         if self.P_bar is None:
@@ -145,7 +146,8 @@ class ScenarioConfig:
             raise ValueError(f"xi0 must be positive, got {self.xi0}")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
         for name, w in (("w_b", self.w_b), ("w_e", self.w_e)):
             if abs(w[2]) > 1e-9:
@@ -163,9 +165,12 @@ class ScenarioConfig:
         # at L = inf, root is inf and both coefficients are 0.0
         root = math.sqrt(self.L) * LN2
         object.__setattr__(self, "pen", (q_inv(self.eps_b) / root, q_inv(self.eps_e) / root))
+        frac = np.linspace(0.0, 1.0, n)[:, None]
+        segment = self.q_I[:2][None, :] * (1.0 - frac) + self.q_F[:2][None, :] * frac
         receivers = np.array((self.w_b[:2], self.w_e[:2]))[:, None, :]
-        receivers.flags.writeable = False
-        object.__setattr__(self, "receivers", receivers)
+        for name, a in (("receivers", receivers), ("segment", segment)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 # The standard scenario, under the name the CLI and the tools use.
@@ -194,10 +199,9 @@ class Trajectory:
 
 
 def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
-    """Constant-speed straight segment from q_I to q_F over N slots."""
-    frac = np.linspace(0.0, 1.0, cfg.N)[:, None]
-    pts = cfg.q_I[:2][None, :] * (1.0 - frac) + cfg.q_F[:2][None, :] * frac
-    return Trajectory(points=pts)
+    """Constant-speed straight segment from q_I to q_F over N slots: a
+    writable copy of ``cfg.segment``."""
+    return Trajectory(points=cfg.segment.copy())
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,9 +10,10 @@ slack-reformulated objective both are tangent to. ``expansion_from`` is
 the one place a design is linearized: from ``model.link``'s values at the
 design it returns the tight slacks and each slot's loss bound, affine in
 the two SNRs, keeping ``model.Link``'s rows: Bob's, then Eve's. Each
-builder takes only that linearization and substitutes every slack by the
-value at which it binds at the subproblem's optimum, so neither program
-carries a slack variable.
+builder takes only that linearization and the scenario, whose straight
+segment ``cfg.segment`` the trajectory program's start moves toward, and
+substitutes every slack by the value at which it binds at the
+subproblem's optimum, so neither program carries a slack variable.
 
 Both subproblem objectives under-estimate the slack-reformulated objective
 everywhere and agree with it (value and gradient) at the expansion point.
@@ -31,7 +32,6 @@ from .model import (
     PowerProfile,
     ScenarioConfig,
     Trajectory,
-    line_segment_trajectory,
     link,
 )
 
@@ -217,14 +217,13 @@ def build_trajectory_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> Stru
     the bound of ``expansion_from`` at u = xi0*p / l(q), so each receiver's
     slot term is -k / l(q) with k = xi0*p*scale*ep.k[r] >= 0. It is carried on
     the distance row l(q) >= l_lo. Silent slots keep their quad terms with
-    weight 0 and their rows with k = 0, so every field that no design
-    changes is the scenario's own (``_parts``). At L = inf, ep.k[0] is 0 and
-    Bob's rows are left out. The start is the design moved ``START_SHIFT``
-    of the way toward the straight segment (``_trajectory_start``), off the
-    speed rows a solved design leaves tight.
+    weight 0 and their rows with k = 0, so quad_c, lin_o and speed_h are the
+    same at every design. At L = inf, ep.k[0] is 0 and Bob's rows are left
+    out. The start is the design moved ``START_SHIFT`` of the way toward
+    the scenario's straight segment ``cfg.segment``
+    (``_trajectory_start``), off the speed rows a solved design leaves tight.
     """
     N = cfg.N
-    fields, segment = _parts(cfg)
     scale = (1.0 - cfg.eps_b) / N
 
     # Objective: the exact log of Bob's rate linearized in the squared
@@ -241,32 +240,17 @@ def build_trajectory_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> Stru
     # and Eve, or Eve alone at L = inf.
     rows = slice(0 if math.isfinite(cfg.L) else 1, 2)
     lin_a = -2.0 * (ep.q_hat - cfg.receivers[rows])
-    lin_b = ep.d2[rows] + np.add.reduce(lin_a * ep.q_hat, axis=2) - fields["lin_o"]
+    lin_o = np.full(lin_a.shape[:2], cfg.H * cfg.H * (1.0 - L_LOWER_RELAX))
+    lin_b = ep.d2[rows] + np.add.reduce(lin_a * ep.q_hat, axis=2) - lin_o
     lin_k = xp * scale * ep.k[rows]
     prog = StructuredConvexProgram(
-        constant=constant, quad_beta=(scale * b_n)[:, None].repeat(2, axis=1), lin_a=lin_a,
-        lin_b=lin_b, lin_k=lin_k, start=ep.q_hat, layout={"q": np.arange(N)}, n=2 * N,
-        **fields,
+        constant=constant, quad_c=np.tile(cfg.w_b[:2], (N, 1)),
+        quad_beta=(scale * b_n)[:, None].repeat(2, axis=1), lin_a=lin_a, lin_b=lin_b,
+        lin_k=lin_k, lin_o=lin_o, speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t),
+        start=ep.q_hat, layout={"q": np.arange(N)}, n=2 * N,
     )
-    prog.start = _trajectory_start(prog, segment)
+    prog.start = _trajectory_start(prog, cfg.segment)
     return prog
-
-
-def _parts(cfg: ScenarioConfig) -> tuple:
-    """What no design changes, read-only and kept on the scenario from its first call
-    on: the trajectory program's fields quad_c, lin_o and speed_h, and the
-    straight segment."""
-    if "_parts" in vars(cfg):
-        return vars(cfg)["_parts"]
-    N, rows = cfg.N, 2 if math.isfinite(cfg.L) else 1
-    fields = dict(quad_c=np.tile(cfg.w_b[:2], (N, 1)),
-                  lin_o=np.full((rows, N), cfg.H * cfg.H * (1.0 - L_LOWER_RELAX)),
-                  speed_h=np.full(N - 1, cfg.V_max * cfg.delta_t))
-    parts = (fields, line_segment_trajectory(cfg).points)
-    for a in (parts[1], *fields.values()):
-        a.flags.writeable = False
-    object.__setattr__(cfg, "_parts", parts)
-    return parts
 
 
 def _trajectory_start(prog: StructuredConvexProgram, segment: np.ndarray) -> np.ndarray:

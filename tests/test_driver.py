@@ -9,9 +9,6 @@ from uavsec.driver import (
     SchemeId,
     derive_config,
     line_segment_trajectory,
-    run_ftp_inf,
-    run_jtpo,
-    run_poft,
     run_scheme,
     sweep,
 )
@@ -67,7 +64,7 @@ def test_unreachable_endpoints_rejected_before_segment_construction():
 
 @pytest.fixture(scope="module")
 def tiny_jtpo():
-    return run_jtpo(tiny_cfg())
+    return run_scheme(tiny_cfg(), SchemeId.JTPO)
 
 
 def test_jtpo_surrogate_monotone_and_converged(tiny_jtpo):
@@ -91,16 +88,28 @@ def test_every_iterate_feasible_via_iteration_caps():
     cfg = tiny_cfg()
     import dataclasses
     for k in (1, 2, 3):
-        res = run_jtpo(dataclasses.replace(cfg, max_iter=k))
+        res = run_scheme(dataclasses.replace(cfg, max_iter=k), SchemeId.JTPO)
         assert model.validate(res.trajectory, res.power, cfg) == [], f"iterate {k}"
 
 
 def test_single_pass_with_infinite_tau():
     cfg = tiny_cfg(tau=math.inf)
-    res = run_jtpo(cfg)
+    res = run_scheme(cfg, SchemeId.JTPO)
     assert len(res.iterations) == 2  # initial record + one alternation
     initial = res.iterations[0].aesr
     assert res.aesr >= initial - 1e-9
+
+
+def test_runs_leave_the_scenario_unchanged():
+    # no run keeps state on the frozen scenario, not even a cache
+    cfg = tiny_cfg()
+    before = {name: value.copy() if isinstance(value, np.ndarray) else value
+              for name, value in vars(cfg).items()}
+    for scheme in SchemeId:
+        run_scheme(cfg, scheme)
+    assert vars(cfg).keys() == before.keys()
+    for name, value in vars(cfg).items():
+        assert np.array_equal(value, before[name]), name
 
 
 def test_scheme_tags_and_runner_dispatch():
@@ -112,8 +121,8 @@ def test_scheme_tags_and_runner_dispatch():
 
 def test_jtpo_beats_poft_and_ftp_inf_on_tiny_scenario(tiny_jtpo):
     cfg = tiny_cfg()
-    assert tiny_jtpo.aesr >= run_poft(cfg).aesr - 1e-9
-    assert tiny_jtpo.aesr >= run_ftp_inf(cfg).aesr - 1e-6
+    assert tiny_jtpo.aesr >= run_scheme(cfg, SchemeId.POFT).aesr - 1e-9
+    assert tiny_jtpo.aesr >= run_scheme(cfg, SchemeId.FTP_INF).aesr - 1e-6
 
 
 def test_take_better_falls_back_to_the_design_not_the_start():
@@ -140,7 +149,7 @@ def test_take_better_falls_back_to_the_design_not_the_start():
 
 def test_poft_keeps_the_segment():
     cfg = tiny_cfg()
-    res = run_poft(cfg)
+    res = run_scheme(cfg, SchemeId.POFT)
     np.testing.assert_array_equal(res.trajectory.points, line_segment_trajectory(cfg).points)
 
 
@@ -150,7 +159,7 @@ def test_poft_equal_power_on_symmetric_slots_without_eavesdropper_pressure():
         T=2.0, q_I=(5.0, 0.0, 100.0), q_F=(-5.0, 0.0, 100.0),
         w_e=(1e7, 0.0, 0.0),
     )
-    res = run_poft(cfg)
+    res = run_scheme(cfg, SchemeId.POFT)
     p = res.power.p
     assert abs(p[0] - p[1]) <= 1e-6 * cfg.P_max
 
@@ -176,7 +185,7 @@ def test_poft_saturates_when_caps_coincide_and_rates_positive():
         T=2.0, q_I=(5.0, 0.0, 100.0), q_F=(-5.0, 0.0, 100.0),
         w_e=(1e7, 0.0, 0.0), P_max=0.1, P_bar=0.1,
     )
-    res = run_poft(cfg)
+    res = run_scheme(cfg, SchemeId.POFT)
     np.testing.assert_allclose(res.power.p, cfg.P_max, atol=1e-6)
 
     # KKT-style check on an N=2 grid: the best grid point is the corner
@@ -194,7 +203,7 @@ def test_poft_stops_promptly_on_a_vanishing_surrogate():
     # at T=24, L=200 POFT drives every slot silent; the surrogate must reach
     # that limit without shrinking toward it by a constant factor per
     # alternation, which the relative stop test would follow for dozens
-    res = run_poft(baseline_scenario(T=24.0, L=200.0))
+    res = run_scheme(baseline_scenario(T=24.0, L=200.0), SchemeId.POFT)
     assert not res.failed
     assert len(res.iterations) - 1 <= 12
 
@@ -205,14 +214,14 @@ def test_poft_stops_promptly_on_a_vanishing_surrogate():
 
 def test_ftp_inf_approaches_jtpo_for_huge_blocklength():
     cfg = tiny_cfg(L=1e9)
-    a_jtpo = run_jtpo(cfg).aesr
-    a_ftp = run_ftp_inf(cfg).aesr
+    a_jtpo = run_scheme(cfg, SchemeId.JTPO).aesr
+    a_ftp = run_scheme(cfg, SchemeId.FTP_INF).aesr
     assert abs(a_jtpo - a_ftp) <= 1e-3
 
 
 def test_ftp_inf_final_design_feasible():
     cfg = tiny_cfg()
-    res = run_ftp_inf(cfg)
+    res = run_scheme(cfg, SchemeId.FTP_INF)
     assert model.validate(res.trajectory, res.power, cfg) == []
     assert res.scheme == "ftp-inf"
     # the iteration records are the long-packet run's: its last AESR is the
@@ -235,7 +244,7 @@ def test_non_optimal_solves_are_counted(monkeypatch):
     # the first long-packet trajectory solve of FTP-Inf starts from the
     # straight segment, where Bob and Eve are equally far away, and
     # converges like every later one
-    ftp = run_ftp_inf(baseline_scenario(T=24.0))
+    ftp = run_scheme(baseline_scenario(T=24.0), SchemeId.FTP_INF)
     assert not ftp.failed
     assert ftp.nonoptimal == sum(s != "optimal" for s in statuses) == 0
     assert ftp.newton_steps == sum(steps) > 0
@@ -243,7 +252,7 @@ def test_non_optimal_solves_are_counted(monkeypatch):
     # its last barrier stage stalls at its rounding floor
     statuses.clear()
     steps.clear()
-    jtpo = run_jtpo(baseline_scenario())
+    jtpo = run_scheme(baseline_scenario(), SchemeId.JTPO)
     assert not jtpo.failed
     assert jtpo.nonoptimal == sum(s != "optimal" for s in statuses) == 0
     assert jtpo.newton_steps == sum(steps) > 0
@@ -251,7 +260,7 @@ def test_non_optimal_solves_are_counted(monkeypatch):
     # counted, and the run goes on from the current positions
     statuses.clear()
     monkeypatch.setattr(solver, "_MAX_BACKTRACKS", 0)
-    stalled = run_jtpo(baseline_scenario(T=24.0))
+    stalled = run_scheme(baseline_scenario(T=24.0), SchemeId.JTPO)
     assert not stalled.failed and set(statuses) == {"stalled"}
     assert stalled.nonoptimal == len(statuses) >= 1
     np.testing.assert_array_equal(
@@ -267,7 +276,7 @@ def test_numerical_failure_stops_the_run(monkeypatch):
                         newton_steps=0, status="numerical-failure")
 
     monkeypatch.setattr(driver, "solve", failing_solve)
-    res = run_jtpo(tiny_cfg())
+    res = run_scheme(tiny_cfg(), SchemeId.JTPO)
     # the first trajectory solve fails: no alternation is recorded after
     # the start, and the start design is returned
     assert res.failed and res.nonoptimal == 1 and len(calls) == 1
@@ -282,7 +291,7 @@ def test_two_slots_solve_no_trajectory_program():
     # (7 m apart, 10 m a slot).
     cfg = baseline_scenario(T=2.0, q_I=(30.0, 3.5, 100.0), q_F=(30.0, -3.5, 100.0))
     assert cfg.N == 2
-    jtpo, poft = run_jtpo(cfg), run_poft(cfg)
+    jtpo, poft = run_scheme(cfg, SchemeId.JTPO), run_scheme(cfg, SchemeId.POFT)
     assert jtpo.newton_steps == 0 and jtpo.nonoptimal == 0 and not jtpo.failed
     np.testing.assert_array_equal(jtpo.trajectory.points, poft.trajectory.points)
     np.testing.assert_array_equal(jtpo.power.p, poft.power.p)
@@ -301,8 +310,8 @@ def test_forced_segment_runs_the_power_step_alone(overrides):
     # too thin for its solves to converge in
     cfg = baseline_scenario(**overrides)
     segment = line_segment_trajectory(cfg).points
-    for run in (run_jtpo, run_ftp_inf):
-        res = run(cfg)
+    for scheme in (SchemeId.JTPO, SchemeId.FTP_INF):
+        res = run_scheme(cfg, scheme)
         assert not res.failed and res.nonoptimal == 0
         assert model.validate(res.trajectory, res.power, cfg) == []
         np.testing.assert_array_equal(res.trajectory.points, segment)
@@ -351,11 +360,11 @@ def _counting_alternating_run(monkeypatch, fail=None):
     calls = []
     alternating_run = driver._alternating_run
 
-    def counting(cfg, scheme, optimize_trajectory):
+    def counting(cfg, scheme):
         calls.append(scheme)
         if scheme is SchemeId.FTP_INF and fail == "raise":
             raise ValueError("no long-packet design")
-        result = alternating_run(cfg, scheme, optimize_trajectory)
+        result = alternating_run(cfg, scheme)
         if scheme is SchemeId.FTP_INF and fail == "failed":
             result = replace(result, failed=True)
         return result

@@ -312,6 +312,28 @@ def test_config_declares_the_baseline_as_its_defaults():
     assert low.q_I[2] == low.q_F[2] == 80.0
 
 
+@pytest.mark.parametrize("T", [2.0, 24.0, 60.0, 201.0])
+def test_config_derives_a_read_only_segment(T):
+    # the constant-speed straight segment from q_I to q_F, bit for bit as
+    # this interpolation gives it
+    cfg = baseline_scenario(T=T, q_I=(200.0, 0.5, 100.0), q_F=(200.0, 0.0, 100.0))
+    frac = np.linspace(0.0, 1.0, cfg.N)[:, None]
+    want = cfg.q_I[:2][None, :] * (1.0 - frac) + cfg.q_F[:2][None, :] * frac
+    assert cfg.segment.shape == (cfg.N, 2)
+    assert cfg.segment.tobytes() == want.tobytes()
+    assert not cfg.segment.flags.writeable
+    with pytest.raises(ValueError):
+        cfg.segment[0, 0] = 0.0
+    # replace makes its own segment for the new slot count
+    longer = dataclasses.replace(cfg, T=T + 4.0)
+    assert longer.segment.shape == (longer.N, 2) and longer.segment is not cfg.segment
+    assert np.array_equal(longer.segment[[0, -1]], cfg.segment[[0, -1]])
+    # the trajectory made from it is the caller's to change
+    traj = model.line_segment_trajectory(cfg)
+    assert traj.points.flags.writeable and np.array_equal(traj.points, cfg.segment)
+    assert not np.shares_memory(traj.points, cfg.segment)
+
+
 def test_config_slot_count_consistency():
     cfg = baseline_scenario(T=60.0, delta_t=1.0)
     assert cfg.N == 60
@@ -350,10 +372,11 @@ def test_config_rejects_unreachable_endpoints():
     (dict(max_iter=2.0), "max_iter"),
     (dict(max_iter=math.nan), "max_iter"),
     (dict(max_iter=math.inf), "max_iter"),
+    (dict(max_iter=True), "max_iter"),
     (dict(w_e=(400.0, 0.0)), "w_e"),
     (dict(tau=math.nan), "tau"),
 ], ids=["delta_t", "T", "no-slots", "H", "V_max", "xi0", "max_iter", "max_iter-float",
-        "max_iter-nan", "max_iter-inf", "vec3", "tau-nan"])
+        "max_iter-nan", "max_iter-inf", "max_iter-bool", "vec3", "tau-nan"])
 def test_config_rejection_names_its_field(overrides, field):
     with pytest.raises(ValueError, match=f"^{re.escape(field)} "):
         baseline_scenario(**overrides)

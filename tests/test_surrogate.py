@@ -563,11 +563,10 @@ def test_long_packet_limit_drops_dispersion_blocks():
 
 
 @pytest.mark.parametrize("L", [400.0, math.inf])
-def test_run_trajectory_programs_equal_fresh_ones_and_share_constant_fields(monkeypatch, L):
+def test_run_trajectory_programs_equal_fresh_ones(monkeypatch, L):
     # Every trajectory program of a JTPO run (or of FTP-Inf's long-packet
     # run) equals, field for field, the one a builder that makes every array
-    # afresh gives at the same design. The fields that no design changes are
-    # made once per run: every program holds the same read-only arrays.
+    # afresh gives at the same design.
     built = []
     build = driver.build_trajectory_subproblem
 
@@ -590,8 +589,3 @@ def test_run_trajectory_programs_equal_fresh_ones_and_share_constant_fields(monk
                 assert all(np.array_equal(got[k], want[k]) for k in got)
             else:
                 assert np.array_equal(got, want), f.name
-    first = built[0][2]
-    for name in ("quad_c", "lin_o", "speed_h"):
-        array = getattr(first, name)
-        assert not array.flags.writeable, name
-        assert all(getattr(prog, name) is array for *_, prog in built), name

@@ -7,17 +7,14 @@ alternation. For that program the script prints the milliseconds per
 banded Cholesky factorization (the median time of a ``solve`` over the
 factorizations it makes; there is one per solver iteration) and the
 C-function calls per factorization (``sys.setprofile`` c_call events inside
-``solve``; NumPy's ufunc calls and operators are not among them). First it
-prints, for each tree, the file of the shared library that holds the
-``dpbtrf`` its solver calls, so a comparison shows which OpenBLAS each side
-ran (Linux and other systems with ``dladdr``).
+``solve``; NumPy's ufunc calls and operators are not among them).
 
     python tools/solver_step.py                     # this checkout's src/
     python tools/solver_step.py OLD/src NEW/src     # two trees, interleaved
 
 Each source tree is imported as its own copy of ``uavsec``, and the trees'
 solves alternate in one process, so a drift in machine speed hits all of
-them alike. With two trees, the last column is the second tree's time per
+them alike, and every tree calls the same numpy's LAPACK. With two trees, the last column is the second tree's time per
 factorization over the first's.
 """
 
@@ -27,33 +24,12 @@ from __future__ import annotations
 from grid_digest import load, recording
 
 import argparse
-import ctypes
-import os
 import statistics
 import sys
 import time
 from pathlib import Path
 
 SLOTS = (24, 60, 200, 2000)
-
-
-class _DlInfo(ctypes.Structure):
-    _fields_ = [("dli_fname", ctypes.c_char_p), ("dli_fbase", ctypes.c_void_p),
-                ("dli_sname", ctypes.c_char_p), ("dli_saddr", ctypes.c_void_p)]
-
-
-def _file_of(address: int) -> str:
-    """The file of the shared library whose code holds address, or "?"."""
-    info = _DlInfo()
-    if not ctypes.CDLL(None).dladdr(ctypes.c_void_p(address), ctypes.byref(info)):
-        return "?"
-    return os.path.realpath(os.fsdecode(info.dli_fname))
-
-
-def lapack_library(solver) -> str:
-    """The file of the shared library holding the ``dpbtrf`` that
-    ``solver._PBTRF`` runs, a ctypes routine: that code itself."""
-    return _file_of(ctypes.cast(solver._PBTRF, ctypes.c_void_p).value)
 
 
 def recorded_program(pkg: dict, n: int):
@@ -88,9 +64,9 @@ def main(argv=None) -> int:
                     help="source trees holding uavsec (default: this checkout's src/)")
     ap.add_argument("--repeats", type=int, default=30, help="timed solves per tree and N")
     args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
     pkgs = [load(src) for src in args.src]
-    for src, pkg in zip(args.src, pkgs):
-        print(f"LAPACK of {src}: {lapack_library(pkg['solver'])}")
 
     print(f"{'N':>5}  {'tree':<40} {'ms/factorization':>16} {'C calls/fact.':>13} "
           f"{'fact./solve':>11}" + (f" {'ratio':>6}" if len(pkgs) == 2 else ""))
