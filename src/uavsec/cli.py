@@ -21,9 +21,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +70,9 @@ _KEYS = {
 }
 
 
-def parse_config(path) -> ScenarioConfig:
-    """Read a flat key-value config file; missing keys use baseline defaults.
+def parse_config(path, max_iter=None) -> ScenarioConfig:
+    """Read a flat key-value config file; missing keys use baseline defaults,
+    and max_iter, if given, replaces the file's valid ``max_iter``.
 
     Raises ValueError naming the offending line and key, or the violated
     scenario invariant.
@@ -95,6 +96,8 @@ def parse_config(path) -> ScenarioConfig:
             values[key] = _KEYS[key](raw)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
+    if max_iter is not None and values.get("max_iter", 1) >= 1:
+        values["max_iter"] = max_iter
     return model.baseline_scenario(**values)
 
 
@@ -115,20 +118,19 @@ def scenario_echo_text(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv(header: str, rows) -> str:
-    """The header line, then one line per row; float fields through ``_fmt``,
-    ints and strings as they are."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, *columns) -> str:
+    """The header line, then one line per row of the columns, lists of ints,
+    strings or Python floats, each field by ``str`` (a float's is its repr)."""
+    rows = map(",".join, zip(*(map(str, column) for column in columns)))
+    return "\n".join((header, *rows, ""))
 
 
 def _write_outputs(out_dir, files: dict) -> int:
     """Write ``files`` (name -> text) into out_dir, made if missing, each
-    through a ``.tmp`` sibling renamed into place. On an OSError, remove
-    every file written so far and the failing file's ``.tmp``, and report
-    the error; returns EXIT_OK or EXIT_IO."""
+    as UTF-8 through a ``.tmp`` sibling renamed into place (by ``os.write``:
+    a file object costs more than the write). On an OSError, remove every
+    file written so far and the failing file's ``.tmp``, and report the
+    error; returns EXIT_OK or EXIT_IO."""
     out = Path(out_dir)
     written = []
     try:
@@ -136,7 +138,13 @@ def _write_outputs(out_dir, files: dict) -> int:
         for name, text in files.items():
             tmp = out / (name + ".tmp")
             written.append(tmp)
-            tmp.write_text(text, encoding="utf-8")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                data = memoryview(text.encode())
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp, out / name)
             written[-1] = out / name
     except OSError as exc:
@@ -157,14 +165,16 @@ def cmd_run(cfg: ScenarioConfig, scheme_name, out_dir) -> int:
     if result.failed:
         print("error: subproblem solver failed; no output written", file=sys.stderr)
         return EXIT_FAILURE
-    traj = zip(result.trajectory.points.tolist(), result.trajectory.speeds(cfg.delta_t).tolist())
-    powers = enumerate(result.power.p.tolist(), start=1)
+    p = result.power.p.tolist()
+    slots = range(1, len(p) + 1)
     rc = _write_outputs(out_dir, {
         ECHO_FILENAME: scenario_echo_text(cfg),
-        "trajectory.csv": _csv("n,x_m,y_m,speed_mps",
-                               ((n, *q, v) for n, (q, v) in enumerate(traj, start=1))),
-        "power.csv": _csv("n,p_watt,p_dbm", ((n, p, model.watt_to_dbm(p)) for n, p in powers)),
-        "iterations.csv": _csv("iter,surrogate_bpcu,aesr_bpcu,frac_increase", result.iterations),
+        "trajectory.csv": _csv("n,x_m,y_m,speed_mps", slots,
+                               *result.trajectory.points.T.tolist(),
+                               result.trajectory.speeds(cfg.delta_t).tolist()),
+        "power.csv": _csv("n,p_watt,p_dbm", slots, p, map(model.watt_to_dbm, p)),
+        "iterations.csv": _csv("iter,surrogate_bpcu,aesr_bpcu,frac_increase",
+                               *zip(*result.iterations)),
     })
     if rc == EXIT_OK:
         print(f"{result.aesr:.6f}")
@@ -173,12 +183,12 @@ def cmd_run(cfg: ScenarioConfig, scheme_name, out_dir) -> int:
 
 def cmd_sweep(cfg: ScenarioConfig, parameter, values, out_dir) -> int:
     entries = driver.sweep(cfg, parameter, values)
+    rows = [(e.scheme.value, e.parameter, e.value, e.aesr,
+             "" if e.error is None else e.error.replace("\n", " ").replace(",", ";"))
+            for e in entries]
     rc = _write_outputs(out_dir, {
         ECHO_FILENAME: scenario_echo_text(cfg),
-        "sweep.csv": _csv("scheme,param_name,param_value,aesr_bpcu,error", (
-            (e.scheme.value, e.parameter, e.value, e.aesr,
-             "" if e.error is None else e.error.replace("\n", " ").replace(",", ";"))
-            for e in entries)),
+        "sweep.csv": _csv("scheme,param_name,param_value,aesr_bpcu,error", *zip(*rows)),
     })
     if rc != EXIT_OK:
         return rc
@@ -219,7 +229,9 @@ def _parse_values(raw: str):
     return [float(s) for s in items]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (``parse_args`` keeps no state)."""
     parser = argparse.ArgumentParser(
         prog="uavsec",
         description="UAV trajectory/power planning for secrecy under short-packet coding",
@@ -263,9 +275,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     # every input is read here, so any unreadable or invalid one exits EXIT_IO
     try:
-        cfg = parse_config(args.config)
-        if max_iter is not None:
-            cfg = replace(cfg, max_iter=max_iter)
+        cfg = parse_config(args.config, max_iter)
         if args.verb == "validate":
             design = _read_design(args.trajectory, args.power)
     except (OSError, ValueError) as exc:

@@ -297,7 +297,7 @@ def sq_dists(points: np.ndarray, w: np.ndarray, H: float) -> np.ndarray:
     to each of a stack of nodes whose last axis is the position."""
     pts = np.asarray(points, dtype=float)
     offs = pts - np.asarray(w, dtype=float)[..., :2]
-    return np.add.reduce(offs * offs, axis=-1) + H * H
+    return offs[..., 0] * offs[..., 0] + offs[..., 1] * offs[..., 1] + H * H
 
 
 class Link(NamedTuple):

@@ -273,7 +273,7 @@ class _Work:
         slacks' bound is the least positive root of c (1 - _KEEP) + a dc + a^2 q."""
         q = self.q
         e = d[1:] - d[:-1]
-        np.negative(np.einsum("ij,ij->i", e, e), out=q[self.rn:])
+        np.negative(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1], out=q[self.rn:])
         # twice the room (1 - _KEEP) c, exactly: 4 q room = q (2 room2), 2 room = room2
         room2 = (2.0 * (1.0 - _KEEP)) * point.s
         # q <= 0, so disc >= 0, and the root is 2 room / (-dc + sqrt(disc)),

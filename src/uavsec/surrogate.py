@@ -92,14 +92,14 @@ class StructuredConvexProgram:
 
     def lin_slack(self, x: np.ndarray) -> np.ndarray:
         """lin_b - lin_a . x per slot: each distance row's slack at the positions x (N, 2)."""
-        return self.lin_b - np.add.reduce(self.lin_a * x, axis=2)
+        return self.lin_b - (self.lin_a[..., 0] * x[:, 0] + self.lin_a[..., 1] * x[:, 1])
 
     def slacks(self, x: np.ndarray) -> tuple:
         """(y, s) at the positions x (N, 2): the speed rows' differences
         y[n] = x[n + 1] - x[n], and every row's slack as one vector, the
         distance rows' ``lin_slack(x)`` first, then speed_h^2 - |y|^2."""
         y = x[1:] - x[:-1]
-        speed = np.subtract(self.speed_h * self.speed_h, np.add.reduce(y * y, axis=1))
+        speed = self.speed_h * self.speed_h - (y[:, 0] * y[:, 0] + y[:, 1] * y[:, 1])
         return y, np.concatenate((self.lin_slack(x), speed), axis=None)
 
     def objective_value(self, x: np.ndarray, slacks=None) -> float:
@@ -241,7 +241,7 @@ def build_trajectory_subproblem(ep: ExpansionPoint, cfg: ScenarioConfig) -> Stru
     rows = slice(0 if math.isfinite(cfg.L) else 1, 2)
     lin_a = -2.0 * (ep.q_hat - cfg.receivers[rows])
     lin_o = np.full(lin_a.shape[:2], cfg.H * cfg.H * (1.0 - L_LOWER_RELAX))
-    lin_b = ep.d2[rows] + np.add.reduce(lin_a * ep.q_hat, axis=2) - lin_o
+    lin_b = ep.d2[rows] + (lin_a[..., 0] * ep.q_hat[:, 0] + lin_a[..., 1] * ep.q_hat[:, 1]) - lin_o
     lin_k = xp * scale * ep.k[rows]
     prog = StructuredConvexProgram(
         constant=constant, quad_c=np.tile(cfg.w_b[:2], (N, 1)),

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,15 @@ from uavsec.cli import (
     scenario_echo_text,
 )
 from uavsec.driver import line_segment_trajectory
-from uavsec.model import ScenarioConfig, baseline_scenario
+from uavsec.model import (
+    IterationRecord,
+    PowerProfile,
+    RunResult,
+    ScenarioConfig,
+    Trajectory,
+    baseline_scenario,
+    watt_to_dbm,
+)
 from uavsec.solver import Solution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -273,6 +282,55 @@ def test_rerun_from_echo_reproduces_outputs(tiny_run, tmp_path):
         assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+# Floats whose text a formatter other than repr gets wrong: '%.17g' writes
+# 0.1 as 0.10000000000000001, NumPy's positional and array formatting write
+# 1e+16 as 10000000000000000. and 1e-05 as 0.00001 or 1.e-05.
+AWKWARD = (0.0, -0.0, 1e-05, 1e+16, 0.1, 1 / 3, 2.5e-300, 123456789.125, math.inf, -math.inf,
+           math.nan)
+
+
+def reference_csv(header, rows) -> bytes:
+    """The CSV text of rows with every float field by repr, one field at a time."""
+    lines = [header] + [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+                        for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def test_csv_text_is_every_float_by_repr():
+    rows = [(n, v, -v, f"s{n}", "") for n, v in enumerate(AWKWARD, start=1)]
+    text = cli._csv("n,v,minus_v,s,e", *zip(*rows))
+    assert text.encode() == reference_csv("n,v,minus_v,s,e", rows)
+    assert "\n1,0.0,-0.0,s1,\n2,-0.0,0.0,s2,\n3,1e-05,-1e-05,s3,\n4,1e+16,-1e+16,s4,\n" in text
+    assert text.endswith("\n11,nan,nan,s11,\n")
+
+
+def test_run_files_write_every_float_by_repr(tmp_path, monkeypatch):
+    # a design whose fields cover every awkward float: p = 0 W is -inf dBm,
+    # record 0's frac_increase is inf, and the records carry -0.0 and nan
+    points = np.array([[-0.0, 1e-05], [1e+16, 0.1], [1 / 3, -2.5e-300], [123456789.125, 0.0]])
+    p = np.array([0.0, 1e-05, 1e+16, 0.1])
+    records = (IterationRecord(0, -0.0, 1e-05, math.inf),
+               IterationRecord(1, 1e+16, math.nan, -0.0))
+    result = RunResult(trajectory=Trajectory(points=points), power=PowerProfile(p=p), aesr=0.1,
+                       iterations=records, scheme="jtpo")
+    monkeypatch.setattr(driver, "run_scheme", lambda cfg, scheme: result)
+    cfg_path = write_cfg(tmp_path, TINY + "delta_t = 0.5\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--scheme", "jtpo",
+                 "--out", str(out)]) == EXIT_OK
+    speeds = result.trajectory.speeds(0.5).tolist()
+    assert (out / "trajectory.csv").read_bytes() == reference_csv(
+        "n,x_m,y_m,speed_mps", [(n, *q, v) for n, (q, v)
+                                in enumerate(zip(points.tolist(), speeds), start=1)])
+    assert (out / "power.csv").read_bytes() == reference_csv(
+        "n,p_watt,p_dbm", [(n, w, watt_to_dbm(w)) for n, w in enumerate(p.tolist(), start=1)])
+    assert (out / "power.csv").read_text().splitlines()[1] == "1,0.0,-inf"
+    assert (out / "iterations.csv").read_bytes() == reference_csv(
+        "iter,surrogate_bpcu,aesr_bpcu,frac_increase", records)
+    assert (out / "iterations.csv").read_text().splitlines()[1:] == [
+        "0,-0.0,1e-05,inf", "1,1e+16,nan,-0.0"]
+
+
 # ---------------------------------------------------------------------------
 # sweep verb
 # ---------------------------------------------------------------------------
@@ -346,6 +404,59 @@ def test_max_iter_below_one_is_usage_error(tmp_path, capsys, verb, max_iter):
     assert not (tmp_path / "o").exists()
 
 
+_FRESH_RUN = """
+import sys
+from uavsec.cli import main
+sys.exit(main(["run", "--config", sys.argv[1], "--scheme", "jtpo", "--out", sys.argv[2]]))
+"""
+
+
+def test_a_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    # one process: a capped run, an uncapped one, a usage error, and the
+    # uncapped run again; both uncapped runs write what a fresh process writes
+    assert cli.build_parser() is cli.build_parser()
+    cfg_path = write_cfg(tmp_path, TINY)
+    run = ["run", "--config", str(cfg_path), "--scheme", "jtpo", "--out"]
+    assert main(run + [str(tmp_path / "capped"), "--max-iter", "1"]) == EXIT_OK
+    assert main(run + [str(tmp_path / "first")]) == EXIT_OK
+    with pytest.raises(SystemExit) as usage:
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "bad")])
+    assert usage.value.code == 2
+    assert main(run + [str(tmp_path / "again")]) == EXIT_OK
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", _FRESH_RUN, str(cfg_path), str(tmp_path / "fresh")],
+                   env=env, check=True, capture_output=True)
+    names = ("scenario.txt", "trajectory.csv", "power.csv", "iterations.csv")
+    for name in names:
+        fresh = (tmp_path / "fresh" / name).read_bytes()
+        assert (tmp_path / "first" / name).read_bytes() == fresh, name
+        assert (tmp_path / "again" / name).read_bytes() == fresh, name
+    capped = (tmp_path / "capped" / "iterations.csv").read_text().splitlines()
+    assert len(capped) == 3
+    assert len((tmp_path / "fresh" / "iterations.csv").read_text().splitlines()) > 3
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("in_file", ["", "max_iter = 7\n"], ids=["absent", "valid"])
+def test_max_iter_argument_replaces_the_files_value(tmp_path, in_file):
+    cfg_path = write_cfg(tmp_path, TINY + in_file)
+    cfg = parse_config(cfg_path, 2)
+    assert cfg.max_iter == 2
+    assert cfg_fields_equal(cfg, dataclasses.replace(parse_config(cfg_path), max_iter=2))
+
+
+def test_max_iter_argument_keeps_an_invalid_files_value_an_error(tmp_path, capsys):
+    # --max-iter does not hide an invalid max_iter in the file
+    cfg_path = write_cfg(tmp_path, TINY + "max_iter = 0\n")
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 1, got 0"):
+        parse_config(cfg_path, 3)
+    rc = main(["run", "--config", str(cfg_path), "--scheme", "jtpo", "--max-iter", "3",
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_IO
+    assert "max_iter must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_records_row_errors_but_continues(tmp_path):
     cfg_path = write_cfg(tmp_path, TINY)
     out = tmp_path / "sweep"
@@ -357,6 +468,14 @@ def test_sweep_records_row_errors_but_continues(tmp_path):
     assert len(bad) == 3 and all(r.split(",")[4] for r in bad)
     good = [r for r in rows if r.split(",")[2] == "400.0"]
     assert len(good) == 3 and all(not r.split(",")[4] for r in good)
+    # every float by repr, the error rows' nan AESR included
+    assert [r.split(",")[3] for r in bad] == ["nan"] * 3
+    entries = driver.sweep(parse_config(cfg_path), "L", [0.5, 400.0])
+    assert (out / "sweep.csv").read_bytes() == reference_csv(
+        "scheme,param_name,param_value,aesr_bpcu,error",
+        [(e.scheme.value, e.parameter, e.value, e.aesr,
+          "" if e.error is None else e.error.replace("\n", " ").replace(",", ";"))
+         for e in entries])
 
 
 def test_sweep_gives_error_rows_for_an_infinite_period(tmp_path):
